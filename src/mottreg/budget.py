@@ -29,6 +29,7 @@ __all__ = [
     "run_scheme1",
     "run_scheme2",
     "sweep",
+    "resolve_lpol_wavelength",
     "resolved_config_echo",
 ]
 
@@ -102,6 +103,18 @@ def _lpol_wavelength_m(cfg: RunConfig, species) -> float:
     return float(lam) * 1e-9
 
 
+def resolve_lpol_wavelength(cfg: RunConfig) -> RunConfig:
+    """cfg itself, or for lpol_wavelength_nm = "optimize" a copy holding the
+    optimum in nm, so that a run which needs the wavelength twice (budget
+    and echo) optimises once."""
+    if cfg.lattice.lpol_wavelength_nm != "optimize":
+        return cfg
+    resolved = copy.deepcopy(cfg)
+    resolved.lattice.lpol_wavelength_nm = (
+        _lpol_wavelength_m(cfg, build_species(cfg.species)) * 1e9)
+    return resolved
+
+
 @dataclass(frozen=True)
 class _StepTwo:
     """Shared selective-depopulation results (used by both schemes)."""
@@ -143,18 +156,11 @@ def _run_step_two(cfg: RunConfig, species, units: UnitSystem,
                           envelope_width=omega0, cutoff=t_f, detuning=detuning)
     p_flip = rabi_evolve(pulse).p_flip
 
+    # ramp up, hold at full intensity for the pulse, ramp down (time-reversed)
     hold = units.time_from_natural(2.0 * t_f)
-    ramp_t = ramp.duration
-
-    def schedule(t: float) -> float:
-        if t <= ramp_t:
-            return intensity * ramp.intensity_fraction(t)
-        if t <= ramp_t + hold:
-            return intensity
-        return intensity * ramp.intensity_fraction(2.0 * ramp_t + hold - t)
-
-    duration = 2.0 * ramp_t + hold
-    p_scatter = step2_scattering_probability(schedule, species, lam_l, duration)
+    duration = 2.0 * ramp.duration + hold
+    p_scatter = step2_scattering_probability(
+        intensity, species, lam_l, 2.0 * ramp.intensity_weight + hold)
 
     channels = (("lpol_ramp_excitation", cfg.lattice.ramp_target_excitation),
                 ("pulse_flip_error", p_flip),
@@ -310,13 +316,10 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
 
 def resolved_config_echo(cfg: RunConfig) -> dict:
     """Config dict with every rule string expanded to its numeric value."""
-    echo = config_to_dict(cfg)
-    species = build_species(cfg.species)
+    echo = config_to_dict(resolve_lpol_wavelength(cfg))
     omega0, t_f, detuning = resolve_pulse_rules(cfg)
     echo["pulse"]["omega0_er"] = omega0
     echo["pulse"]["cutoff"] = t_f
     echo["pulse"]["detuning_er"] = detuning
     echo["speedup"]["xi_bar"] = resolve_xi_bar(cfg)
-    if cfg.lattice.lpol_wavelength_nm == "optimize":
-        echo["lattice"]["lpol_wavelength_nm"] = _lpol_wavelength_m(cfg, species) * 1e9
     return echo

@@ -20,12 +20,13 @@ from . import removal as removal_mod
 from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
-from .budget import resolved_config_echo, run_scheme1, run_scheme2, sweep
+from .budget import (resolve_lpol_wavelength, resolved_config_echo, run_scheme1,
+                     run_scheme2, sweep)
 from .config import (RunConfig, build_species, load_config, resolve_pulse_rules,
                      resolve_xi_bar, set_by_path)
 from .errors import ConfigError, NumericsError, PhysicsDomainError
 from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve
-from .stark import default_search_band, optimize_lpol_wavelength, wavelength_scan
+from .stark import default_search_band, wavelength_scan
 from .units import UnitSystem
 
 __all__ = ["main"]
@@ -138,11 +139,9 @@ def _cmd_stark_scan(args, cfg: RunConfig):
 
 
 def _cmd_lattice(args, cfg: RunConfig):
+    cfg = resolve_lpol_wavelength(cfg)
     species, units = _species_units(cfg)
     lam_l = cfg.lattice.lpol_wavelength_nm
-    if lam_l == "optimize":
-        lam_l = optimize_lpol_wavelength(
-            species, exclusion=cfg.lattice.band_exclusion_nm * 1e-9)[0] * 1e9
     base = lattice_mod.SuperlatticeConfig(
         spol_wavelength=cfg.lattice.lambda_s_nm * 1e-9,
         spol_depth=cfg.lattice.depth_er,
@@ -317,11 +316,13 @@ def _cmd_speedup(args, cfg: RunConfig):
 
 
 def _cmd_scheme1(args, cfg: RunConfig):
+    cfg = resolve_lpol_wavelength(cfg)
     budget = run_scheme1(cfg, zero_channels=args.zero_channels)
     _deliver(args, cfg, budget.to_dict(), "json")
 
 
 def _cmd_scheme2(args, cfg: RunConfig):
+    cfg = resolve_lpol_wavelength(cfg)
     budget = run_scheme2(cfg, zero_channels=args.zero_channels)
     _deliver(args, cfg, budget.to_dict(), "json")
 

@@ -176,8 +176,26 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _require_numbers(cfg: RunConfig):
+    """Every field annotated as a number holds a real number (not a bool),
+    unless its annotation also admits the string or None it holds."""
+    for section_name in _SECTIONS:
+        section = getattr(cfg, section_name)
+        for f in dataclasses.fields(section):
+            kinds = f.type.split(" | ")
+            value = getattr(section, f.name)
+            if "float" not in kinds and "int" not in kinds:
+                continue
+            if (value is None and "None" in kinds) or (isinstance(value, str)
+                                                      and "str" in kinds):
+                continue
+            _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                     f"{section_name}.{f.name} must be a number, got {value!r}")
+
+
 def validate_config(cfg: RunConfig):
     """Reject physically invalid values with their field path."""
+    _require_numbers(cfg)
     lat = cfg.lattice
     _require(lat.lambda_s_nm > 0, "lattice.lambda_s_nm must be positive")
     _require(lat.depth_er > 0, "lattice.depth_er must be positive")

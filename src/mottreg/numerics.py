@@ -1,10 +1,11 @@
 """Small dense numerical kernels behind the physics modules.
 
 integrate_ode is an embedded Dormand-Prince 4(5) pair with the classic
-quartic dense output; jacobi_eigh is a cyclic Jacobi rotation eigensolver for
-the small symmetric matrices this package produces (order <= ~32); quadrature
-is adaptive Simpson; solve_scalar / minimize_scalar are Brent root finding
-and golden-section search.  All kernels are pure and reentrant.
+quartic dense output; its seven stages live in one array, so each stage
+combination is one small matrix product.  solve_scalar / minimize_scalar are
+Brent root finding and golden-section search, and expm is a Pade-13 matrix
+exponential.  Eigenproblems go straight to numpy.linalg.  All kernels are
+pure and reentrant.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ __all__ = [
     "OdeProblem",
     "Trajectory",
     "integrate_ode",
-    "jacobi_eigh",
-    "quadrature",
     "solve_scalar",
     "minimize_scalar",
     "expm",
@@ -33,15 +32,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+# zero-padded so that row i combines the stages k[:i]
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # difference between the 5th order propagating weights and the embedded 4th
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
@@ -138,8 +138,10 @@ def integrate_ode(problem: OdeProblem) -> Trajectory:
     ts = [t0]
     states = [y.copy()]
     segments = []
-    k = [None] * 7
+    k = np.empty((7, y.size), dtype=np.result_type(y, f0))
     k[0] = f0
+    # the tableau in the stages' dtype, so no product mixes real and complex
+    a, b, e, d = (c.astype(k.dtype) for c in (_DP_A, _DP_B, _DP_E, _DP_D))
     t = t0
     n_steps = 0
     min_h = 1e-14 * max(abs(t0), abs(t1), span)
@@ -151,18 +153,16 @@ def integrate_ode(problem: OdeProblem) -> Trajectory:
                 "the problem looks stiff for this explicit 4(5) pair")
         h = min(h, t1 - t)
         for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = np.asarray(rhs(t + _DP_C[i] * h, yi))
+            k[i] = rhs(t + _DP_C[i] * h, y + h * (a[i, :i] @ k[:i]))
         n_rhs += 6
-        y_new = y + h * sum(b * k[j] for j, b in enumerate(_DP_B) if b != 0.0)
-        err = h * sum(e * k[j] for j, e in enumerate(_DP_E) if e != 0.0)
+        y_new = y + h * (b @ k)
+        err = h * (e @ k)
         enorm = _error_norm(err, y, y_new, rtol, atol)
         if enorm <= 1.0:
             ydiff = y_new - y
             bspl = h * k[0] - ydiff
-            r5 = h * sum(d * k[j] for j, d in enumerate(_DP_D) if d != 0.0)
             segments.append((t, h, y.copy(), ydiff, bspl,
-                             ydiff - h * k[6] - bspl, r5))
+                             ydiff - h * k[6] - bspl, h * (d @ k)))
             t += h
             y = y_new
             k[0] = k[6]  # FSAL
@@ -175,105 +175,6 @@ def integrate_ode(problem: OdeProblem) -> Trajectory:
     return Trajectory(ts=np.array(ts), states=np.array(states),
                       final_state=y, n_steps=n_steps, n_rhs=n_rhs,
                       _segments=segments)
-
-
-# ---------------------------------------------------------------------------
-# Jacobi eigensolver
-# ---------------------------------------------------------------------------
-
-def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Intended for
-    the small dense matrices of this package (order <= ~32), where bit-stable
-    simplicity matters more than asymptotics.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise PhysicsDomainError("jacobi_eigh needs a square matrix")
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    if scale and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
-        raise PhysicsDomainError("jacobi_eigh needs a symmetric matrix")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    frob = float(np.linalg.norm(a)) or 1.0
-    for _ in range(100):
-        off = math.sqrt(sum(a[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off <= 1e-15 * frob:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * frob:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # rotate rows/columns p and q
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise NumericsError("jacobi_eigh failed to converge in 100 sweeps")
-
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-# ---------------------------------------------------------------------------
-# Adaptive quadrature
-# ---------------------------------------------------------------------------
-
-def quadrature(f: Callable[[float], float], a: float, b: float,
-               tol: float = 1e-10, max_depth: int = 48) -> float:
-    """Adaptive Simpson integral of f over [a, b].
-
-    Absolute error is kept below tol * (1 + |result|).  Non-convergence
-    raises NumericsError carrying the deepest offending subintervals.
-    """
-    if not b > a:
-        raise PhysicsDomainError("quadrature needs b > a")
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol_abs = tol * (1.0 + abs(whole))
-    trace: list[tuple[float, float]] = []
-
-    def recurse(x0, x2, f0, f1, f2, s, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        fl = f(0.5 * (x0 + x1))
-        fr = f(0.5 * (x1 + x2))
-        h = x2 - x0
-        left = h / 12.0 * (f0 + 4.0 * fl + f1)
-        right = h / 12.0 * (f1 + 4.0 * fr + f2)
-        delta = left + right - s
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        if depth >= max_depth:
-            trace.append((x0, x2))
-            raise NumericsError(
-                f"quadrature did not converge; refinement stalled on "
-                f"subintervals {trace[-5:]} at depth {depth}")
-        return (recurse(x0, x1, f0, fl, f1, left, eps / 2.0, depth + 1)
-                + recurse(x1, x2, f1, fr, f2, right, eps / 2.0, depth + 1))
-
-    return recurse(a, b, fa, fm, fb, whole, tol_abs, 0)
 
 
 # ---------------------------------------------------------------------------

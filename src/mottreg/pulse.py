@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsDomainError
-from .numerics import OdeProblem, Trajectory, integrate_ode, quadrature
+from .numerics import OdeProblem, Trajectory, integrate_ode
 from .stark import FieldAtAtom, scattering_rates, TransitionSet
 from .units import AtomSpecies
 
@@ -56,12 +56,12 @@ class TwoLevelOutcome:
     trajectory: Trajectory
 
 
-def pi_pulse_amplitude(omega0: float, t_f: float, tol: float = 1e-13) -> float:
-    """Peak Rabi Omega_0 = pi / int_{-t_f}^{t_f} exp(-omega_0^2 t^2) dt."""
+def pi_pulse_amplitude(omega0: float, t_f: float) -> float:
+    """Peak Rabi Omega_0 = pi / int_{-t_f}^{t_f} exp(-omega_0^2 t^2) dt, with
+    the integral in closed form, sqrt(pi) erf(omega_0 t_f) / omega_0."""
     if t_f < 3.0 / omega0:
         raise PhysicsDomainError("cutoff must be >= 3/omega_0")
-    area = quadrature(lambda t: math.exp(-(omega0 * t) ** 2), -t_f, t_f, tol=tol)
-    return math.pi / area
+    return math.pi * omega0 / (math.sqrt(math.pi) * math.erf(omega0 * t_f))
 
 
 def design_pi_pulse(delta: float, detuning: float = 0.0) -> GaussianPulse:
@@ -93,16 +93,15 @@ def rabi_evolve(pulse: GaussianPulse, rel_tol: float = 1e-11,
                            trajectory=traj)
 
 
-def step2_scattering_probability(intensity_schedule, species: AtomSpecies,
-                                 lpol_wavelength: float, duration: float,
-                                 tol: float = 1e-10) -> float:
+def step2_scattering_probability(intensity: float, species: AtomSpecies,
+                                 lpol_wavelength: float, exposure: float) -> float:
     """P = int gamma(t) dt with gamma = max(gamma0, gamma1) at the
-    instantaneous LPOL intensity; duration and the schedule are in seconds."""
-    if duration == 0.0:
+    instantaneous LPOL intensity.  gamma is linear in intensity, so the
+    integral is the rate at the peak `intensity` (W/m^2) times `exposure`,
+    the full-intensity-equivalent time int I(t) dt / I_peak in seconds."""
+    if exposure == 0.0:
         return 0.0
     transitions = TransitionSet.for_species(species, lpol_wavelength)
     g0, g1 = scattering_rates(FieldAtAtom(intensity=1.0, wavelength=lpol_wavelength),
                               transitions)
-    rate_per_intensity = max(g0, g1)
-    return quadrature(lambda t: rate_per_intensity * intensity_schedule(t),
-                      0.0, duration, tol=tol)
+    return max(g0, g1) * intensity * exposure

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import NumericsError, PhysicsDomainError
-from .numerics import jacobi_eigh, solve_scalar
+from .numerics import solve_scalar
 from .units import HBAR
 
 __all__ = [
@@ -225,7 +225,7 @@ def gap_and_element(p: DoubleGaussianPotential, a: float, y_min: float,
     the lowest excited state with a nonzero drive coupling, plus that
     coupling |<e| dH/da |g>|."""
     basis = local_basis(p.at(a), y_min, size)
-    energies, vectors = jacobi_eigh(basis.hamiltonian)
+    energies, vectors = np.linalg.eigh(basis.hamiltonian)
     couplings = np.abs(vectors[:, 1:].T @ basis.coupling_operator @ vectors[:, 0])
     top = float(np.max(couplings))
     if top == 0.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsDomainError
-from .numerics import OdeProblem, integrate_ode, jacobi_eigh
+from .numerics import OdeProblem, integrate_ode
 from .units import K_BOLTZMANN, PI, UnitSystem
 
 __all__ = [
@@ -212,7 +212,7 @@ def band_tunneling(lattice_depth: float, n_waves: int = 12) -> float:
         for j in range(len(ms) - 1):
             mat[j, j + 1] = off
             mat[j + 1, j] = off
-        return jacobi_eigh(mat)[0][0]
+        return np.linalg.eigvalsh(mat)[0]
 
     return (ground_energy(1.0) - ground_energy(0.0)) / 4.0
 

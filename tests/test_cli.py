@@ -1,5 +1,9 @@
 """Config loading, serialization, CLI subcommands, determinism, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +206,53 @@ def test_cli_byte_identical_reruns(capsys, tmp_path, monkeypatch):
     # stdout envelopes differ only in the echoed output path
     assert outputs["a"][0].replace("pulse_a", "pulse_x") == \
         outputs["b"][0].replace("pulse_b", "pulse_x")
+
+
+def test_cli_non_numeric_value_is_a_config_error(capsys):
+    assert main(["--set", "lattice.depth_er=abc", "scheme1"]) == 2
+    assert "lattice.depth_er must be a number" in capsys.readouterr().err
+    assert main(["--set", 'species.mass_kg="x"', "pulse"]) == 2
+    assert "species.mass_kg must be a number" in capsys.readouterr().err
+
+
+def test_cli_tiny_delta_target_runs(capsys):
+    # the step-II scattering exposure is closed form, so a 7e-9 s pulse
+    # window no longer stalls a numerical integral
+    code, out = _run(capsys, "--set", "lattice.delta_target_er=1e-9", "scheme1")
+    assert code == 0
+    assert 0.0 < json.loads(out)["report"]["total_failure"] < 1.0
+
+
+def test_cli_optimizes_lpol_wavelength_once(capsys, monkeypatch):
+    import mottreg.budget as budget_mod
+
+    original = budget_mod.optimize_lpol_wavelength
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(budget_mod, "optimize_lpol_wavelength", counted)
+    optimum_nm = original(budget_mod.build_species(RunConfig().species))[0] * 1e9
+    for command in ("lattice", "scheme1"):
+        calls.clear()
+        code, out = _run(capsys, "--set", "lattice.lpol_wavelength_nm=optimize", command)
+        assert code == 0
+        assert len(calls) == 1
+    payload = json.loads(out)
+    echoed = payload["config"]["lattice"]["lpol_wavelength_nm"]
+    assert echoed == payload["report"]["lpol_wavelength_nm"]
+    assert echoed == float(format(optimum_nm, ".12g"))
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # importing scipy.integrate / optimize / linalg would add to every run's start-up
+    import mottreg
+
+    code = ("import sys, mottreg.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(mottreg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

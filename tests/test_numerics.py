@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mottreg.errors import NumericsError, PhysicsDomainError
-from mottreg.numerics import (OdeProblem, expm, integrate_ode, jacobi_eigh,
-                              minimize_scalar, quadrature, solve_scalar)
+from mottreg.numerics import (OdeProblem, expm, integrate_ode, minimize_scalar,
+                              solve_scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -103,93 +103,6 @@ def test_ode_problem_validation():
         OdeProblem(1, lambda t, y: y, np.array([1.0]), (1.0, 1.0))
     with pytest.raises(PhysicsDomainError):
         OdeProblem(1, lambda t, y: y, np.array([1.0]), (0.0, 1.0), rel_tol=2.0)
-
-
-# ---------------------------------------------------------------------------
-# jacobi_eigh
-# ---------------------------------------------------------------------------
-
-def test_jacobi_diagonal():
-    w, v = jacobi_eigh(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(w, [1.0, 2.0, 3.0])
-    assert np.allclose(np.abs(v), np.eye(3))
-
-
-def test_jacobi_known_2x2():
-    w, _ = jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
-
-
-def _char_poly_roots(a):
-    """Oracle: Faddeev-LeVerrier characteristic polynomial, roots via the
-    companion matrix (np.roots), an eigenpath independent of Jacobi."""
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    m = np.zeros_like(a)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(a @ m) / k
-    return np.sort(np.roots(coeffs).real)
-
-
-def test_jacobi_random_10x10_vs_characteristic_polynomial():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((10, 10))
-    a = 0.5 * (a + a.T)
-    w, v = jacobi_eigh(a)
-    assert np.all(np.diff(w) >= 0)
-    scale = np.linalg.norm(a, 2)
-    assert np.max(np.abs(a @ v - v * w)) <= 1e-12 * scale
-    assert np.max(np.abs(v.T @ v - np.eye(10))) <= 1e-12
-    assert np.allclose(w, _char_poly_roots(a), atol=1e-8)
-
-
-def test_jacobi_orthogonal_similarity_invariance():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((8, 8))
-    a = 0.5 * (a + a.T)
-    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    w1, _ = jacobi_eigh(a)
-    w2, _ = jacobi_eigh(q.T @ a @ q)
-    assert np.max(np.abs(w1 - w2)) < 1e-10
-
-
-def test_jacobi_rejects_nonsymmetric():
-    with pytest.raises(PhysicsDomainError):
-        jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-def test_quadrature_constant():
-    assert quadrature(lambda t: 4.2, 0.0, 1.0) == pytest.approx(4.2, abs=1e-12)
-
-
-def test_quadrature_gaussian_vs_erf_oracle():
-    got = quadrature(lambda t: math.exp(-t * t), -6.0, 6.0, tol=1e-12)
-    expected = math.sqrt(math.pi) * math.erf(6.0)
-    assert abs(got - expected) < 1e-10
-
-
-def test_quadrature_polynomial():
-    assert quadrature(lambda t: t * t, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
-
-
-def test_quadrature_error_bound_contract():
-    tol = 1e-9
-    got = quadrature(lambda t: math.sin(3 * t) * math.exp(t), 0.0, 2.0, tol=tol)
-    # oracle: antiderivative of e^t sin(3t)
-    exact = (math.exp(2.0) * (math.sin(6.0) - 3 * math.cos(6.0)) + 3.0) / 10.0
-    assert abs(got - exact) <= tol * (1 + abs(got))
-
-
-def test_quadrature_nonconvergence_raises_with_trace():
-    spike = lambda t: 1.0 / (1e-14 + abs(t - 0.3))
-    with pytest.raises(NumericsError, match="refinement"):
-        quadrature(spike, 0.0, 1.0, tol=1e-12, max_depth=6)
 
 
 # ---------------------------------------------------------------------------

@@ -78,14 +78,36 @@ def test_flip_probability_monotone_beyond_twice_width():
     assert all(a > b for a, b in zip(flips, flips[1:]))
 
 
+def test_rabi_evolve_solver_work_at_operating_point():
+    # the stacked-stage stepper takes exactly the steps of the per-stage sums
+    traj = rabi_evolve(design_pi_pulse(52.0, detuning=52.0)).trajectory
+    assert (traj.n_steps, traj.n_rhs) == (1019, 6157)
+
+
+def test_detuned_flip_error_vs_scipy_dop853():
+    # oracle: scipy's 8th-order Dormand-Prince at tighter tolerances
+    from scipy.integrate import solve_ivp
+
+    pulse = design_pi_pulse(52.0, detuning=52.0)
+
+    def rhs(t, c):
+        half = 0.5 * pulse.envelope(t)
+        return [-1j * half * c[1], -1j * (half * c[0] - pulse.detuning * c[1])]
+
+    ref = solve_ivp(rhs, (-pulse.cutoff, pulse.cutoff), [1.0 + 0j, 0j],
+                    method="DOP853", rtol=1e-13, atol=1e-15)
+    assert ref.success
+    assert rabi_evolve(pulse).p_flip == pytest.approx(abs(ref.y[1, -1]) ** 2, rel=1e-8)
+
+
 def test_step2_scattering_zero_intensity():
-    assert step2_scattering_probability(lambda t: 0.0, RB87, 787.6e-9, 1e-4) == 0.0
-    assert step2_scattering_probability(lambda t: 1e6, RB87, 787.6e-9, 0.0) == 0.0
+    assert step2_scattering_probability(0.0, RB87, 787.6e-9, 1e-4) == 0.0
+    assert step2_scattering_probability(1e6, RB87, 787.6e-9, 0.0) == 0.0
 
 
 def test_step2_scattering_linear_in_duration():
-    p1 = step2_scattering_probability(lambda t: 2.8e6, RB87, 787.6e-9, 50e-6)
-    p2 = step2_scattering_probability(lambda t: 2.8e6, RB87, 787.6e-9, 100e-6)
+    p1 = step2_scattering_probability(2.8e6, RB87, 787.6e-9, 50e-6)
+    p2 = step2_scattering_probability(2.8e6, RB87, 787.6e-9, 100e-6)
     assert p2 == pytest.approx(2 * p1, rel=1e-9)
 
 
@@ -100,16 +122,14 @@ def test_step2_scattering_over_operating_timeline():
     ramp = lpol_ramp_time(cfg, RB87, 1e-4)
     units = UnitSystem.for_lattice(RB87, 850e-9)
     hold = units.time_from_natural(10.0 / 13.0)
-    duration = 2 * ramp.duration + hold
+    exposure = 2 * ramp.intensity_weight + hold
 
-    def schedule(t):
-        if t <= ramp.duration:
-            return intensity * ramp.intensity_fraction(t)
-        if t <= ramp.duration + hold:
-            return intensity
-        return intensity * ramp.intensity_fraction(duration - t)
+    # oracle: the closed-form ramp exposure against the sampled schedule
+    ts = np.linspace(0.0, ramp.duration, 20001)
+    sampled = np.trapezoid([ramp.intensity_fraction(t) for t in ts], ts)
+    assert ramp.intensity_weight == pytest.approx(sampled, rel=1e-7)
 
-    p = step2_scattering_probability(schedule, RB87, 787.6e-9, duration)
+    p = step2_scattering_probability(intensity, RB87, 787.6e-9, exposure)
     assert 0.5e-4 <= p <= 2e-4
 
 

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from mottreg.errors import NumericsError, PhysicsDomainError
-from mottreg.numerics import jacobi_eigh
 from mottreg.speedup import (MASS, DoubleGaussianPotential, FocusLaserModel,
                              MovingSchedule, build_moving_schedule,
                              calibrate_adiabaticity, cycle_yield,
@@ -116,7 +115,7 @@ def test_local_basis_hermitian_and_bound():
     minima = track_minimum(WELLS, np.linspace(0.0, 0.2, 17))
     basis = local_basis(WELLS.at(0.2), float(minima[-1]), size=11)
     assert np.array_equal(basis.hamiltonian, basis.hamiltonian.T)
-    energies, _ = jacobi_eigh(basis.hamiltonian)
+    energies, _ = np.linalg.eigh(basis.hamiltonian)
     # ground state bound below the confinement depth alone
     assert energies[0] < -400.0
     assert energies[1] - energies[0] > 0
@@ -125,7 +124,7 @@ def test_local_basis_hermitian_and_bound():
 def test_local_basis_matches_fd_oracle():
     minima = track_minimum(WELLS, np.linspace(0.0, 0.2, 17))
     basis = local_basis(WELLS.at(0.2), float(minima[-1]), size=14)
-    energies, _ = jacobi_eigh(basis.hamiltonian)
+    energies, _ = np.linalg.eigh(basis.hamiltonian)
     fd = _fd_levels(WELLS, 0.2, n_levels=3)
     assert energies[0] == pytest.approx(fd[0], abs=0.05)
     assert energies[1] == pytest.approx(fd[1], abs=0.2)
@@ -139,7 +138,7 @@ def test_local_basis_rejects_concave_point():
 def test_gap_parity_at_zero_displacement():
     # dV/da is odd at a = 0, so the first excited state carries the coupling
     basis = local_basis(WELLS.at(0.0), 0.0, size=11)
-    energies, vectors = jacobi_eigh(basis.hamiltonian)
+    energies, vectors = np.linalg.eigh(basis.hamiltonian)
     couplings = np.abs(vectors[:, 1:].T @ basis.coupling_operator @ vectors[:, 0])
     gap, element = gap_and_element(WELLS, 0.0, 0.0, size=11)
     assert gap == pytest.approx(energies[1] - energies[0], rel=1e-12)
@@ -175,7 +174,7 @@ def test_ground_energy_variational_monotone():
     energies = []
     for size in (6, 11, 16):
         basis = local_basis(WELLS.at(0.8), float(minima[-1]), size=size)
-        energies.append(jacobi_eigh(basis.hamiltonian)[0][0])
+        energies.append(np.linalg.eigh(basis.hamiltonian)[0][0])
     assert energies[0] >= energies[1] - 1e-9
     assert energies[1] >= energies[2] - 1e-9
 
