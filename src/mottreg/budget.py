@@ -9,6 +9,7 @@ report carries both.  Budgets are fully deterministic.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .config import (RunConfig, build_species, config_to_dict, resolve_pulse_rul
 from .errors import PhysicsDomainError
 from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve, step2_scattering_probability
 from .stark import optimize_lpol_wavelength
-from .units import UnitSystem
+from .units import AtomSpecies, UnitSystem
 
 __all__ = [
     "StepReport",
@@ -31,6 +32,14 @@ __all__ = [
     "sweep",
     "resolve_lpol_wavelength",
     "resolved_config_echo",
+    "species_and_units",
+    "patterned_lattice",
+    "pi_pulse",
+    "removal_drive",
+    "removal_photons",
+    "transfer_ramp",
+    "FocusMove",
+    "moving_focus",
 ]
 
 STEP_NAMES = ("mott_prep", "selective_depop", "removal", "transfer", "speedup_move")
@@ -88,11 +97,19 @@ class ProtocolBudget:
         }
 
 
-def _compose(steps: list[StepReport], cycles: int = 1) -> tuple[float, float, float]:
-    total_time = cycles * sum(s.duration for s in steps)
-    probs = [p for s in steps for _, p in s.failure_channels]
-    total_failure = 1.0 - math.prod(1.0 - p for p in probs)
-    return total_time, total_failure, sum(probs)
+def _compose(steps: list[tuple[str, float, tuple]], zero_channels: bool,
+             atoms: int, fraction: float, extras: dict, cycles: int = 1) -> ProtocolBudget:
+    """Budget of (name, duration, channels) steps; zero_channels reports every
+    channel as 0 (a diagnostic of the timing alone)."""
+    reports = tuple(StepReport(name=name, duration=duration, failure_channels=tuple(
+        (lbl, 0.0 if zero_channels else p) for lbl, p in channels))
+        for name, duration, channels in steps)
+    probs = [p for s in reports for _, p in s.failure_channels]
+    return ProtocolBudget(steps=reports,
+                          total_time=cycles * sum(s.duration for s in reports),
+                          total_failure=1.0 - math.prod(1.0 - p for p in probs),
+                          channel_sum=sum(probs), atoms_extracted=atoms,
+                          extraction_fraction=fraction, cycles=cycles, extras=extras)
 
 
 def _lpol_wavelength_m(cfg: RunConfig, species) -> float:
@@ -115,64 +132,130 @@ def resolve_lpol_wavelength(cfg: RunConfig) -> RunConfig:
     return resolved
 
 
-@dataclass(frozen=True)
-class _StepTwo:
-    """Shared selective-depopulation results (used by both schemes)."""
+# ---------------------------------------------------------------------------
+# one builder per protocol step, shared by the budgets and the CLI reports
+# ---------------------------------------------------------------------------
 
-    step: StepReport
-    lattice_config: lattice_mod.SuperlatticeConfig
-    delta_realized: float
-    ramp: lattice_mod.RampPlan
-    pulse: GaussianPulse
-    p_flip: float
-    p_scatter: float
-    lpol_wavelength: float
-    lpol_intensity: float
+def species_and_units(cfg: RunConfig) -> tuple[AtomSpecies, UnitSystem]:
+    """The species and the natural units of its short lattice."""
+    species = build_species(cfg.species)
+    return species, UnitSystem.for_lattice(species, cfg.lattice.lambda_s_nm * 1e-9)
 
 
-def _run_step_two(cfg: RunConfig, species, units: UnitSystem,
-                  zero_channels: bool) -> _StepTwo:
-    lam_l = _lpol_wavelength_m(cfg, species)
+def patterned_lattice(cfg: RunConfig, species: AtomSpecies) -> lattice_mod.SuperlatticeConfig:
+    """The superlattice with the LPOL intensity that gives the delta target."""
     base = lattice_mod.SuperlatticeConfig(
         spol_wavelength=cfg.lattice.lambda_s_nm * 1e-9,
         spol_depth=cfg.lattice.depth_er,
         pattern_period=cfg.lattice.pattern_period,
-        lpol_wavelength=lam_l,
+        lpol_wavelength=_lpol_wavelength_m(cfg, species),
         lpol_phase=cfg.lattice.lpol_phase_nm * 1e-9)
     intensity = lattice_mod.solve_intensity_for_delta(base, species,
                                                       cfg.lattice.delta_target_er)
-    lattice_config = lattice_mod.SuperlatticeConfig(
-        spol_wavelength=base.spol_wavelength, spol_depth=base.spol_depth,
-        pattern_period=base.pattern_period, lpol_wavelength=lam_l,
-        lpol_intensity=intensity, lpol_phase=base.lpol_phase)
-    delta_realized = lattice_mod.site_hyperfine_detunings(lattice_config, species).delta
+    return dataclasses.replace(base, lpol_intensity=intensity)
 
+
+def pi_pulse(cfg: RunConfig) -> GaussianPulse:
+    """The Gaussian pi pulse of the resolved pulse rules (natural units)."""
+    omega0, t_f, detuning = resolve_pulse_rules(cfg)
+    return GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
+                         envelope_width=omega0, cutoff=t_f, detuning=detuning)
+
+
+def removal_drive(cfg: RunConfig, species: AtomSpecies) -> removal_mod.RemovalPlan:
+    """The removing-laser drive that scatters the trap depth's photon threshold."""
+    threshold = removal_mod.removal_photon_threshold(cfg.removal.trap_depth_er)
+    return removal_mod.solve_removal_drive(
+        species.gamma2, threshold, cfg.removal.duration_us * 1e-6,
+        cfg.removal.excited_population_cap)
+
+
+def removal_photons(species: AtomSpecies, plan: removal_mod.RemovalPlan,
+                    detuning: float) -> float:
+    """Photons an atom at `detuning` (rad/s) scatters under the drive."""
+    return removal_mod.photon_count(removal_mod.ObeParams(
+        linewidth=species.gamma2, rabi_frequency=plan.rabi_frequency,
+        detuning=detuning, duration=plan.duration))
+
+
+def transfer_ramp(cfg: RunConfig) -> transfer_mod.HarmonicRamp:
+    """The lattice-to-microtrap frequency ramp (natural units)."""
+    omega_i = transfer_mod.initial_frequency(cfg.lattice.depth_er)
+    ratio = cfg.transfer.frequency_ratio
+    omega_f = omega_i * ratio if cfg.transfer.direction == "deepen" else omega_i / ratio
+    return transfer_mod.HarmonicRamp(initial_frequency=omega_i,
+                                     adiabaticity=cfg.transfer.xi,
+                                     direction=cfg.transfer.direction,
+                                     final_frequency=omega_f)
+
+
+@dataclass(frozen=True)
+class FocusMove:
+    """One moving-focus extraction: the channel potential, its schedule, the
+    move time in seconds, and the excitation and scattering probabilities."""
+
+    potential: speedup_mod.DoubleGaussianPotential
+    schedule: speedup_mod.MovingSchedule
+    move_time: float
+    p_exc: float
+    p_scatter: float
+
+
+def moving_focus(cfg: RunConfig, species: AtomSpecies) -> FocusMove:
+    """The focus move over the configured displacement at the resolved xi_bar."""
+    spd = cfg.speedup
+    potential = speedup_mod.DoubleGaussianPotential(
+        confine_depth=spd.confine_depth, focus_depth=spd.focus_depth,
+        confine_waist=1.0, focus_waist=spd.focus_waist_ratio)
+    schedule = speedup_mod.build_moving_schedule(
+        potential, spd.final_displacement_sigma, resolve_xi_bar(cfg),
+        n_points=spd.profile_points, basis_size=spd.basis_size)
+    sp_units = speedup_mod.SpeedupUnits(sigma_c=spd.sigma_c_um * 1e-6,
+                                        mass=species.mass)
+    move_time = speedup_mod.moving_time(schedule) * sp_units.time
+    laser = speedup_mod.FocusLaserModel(
+        effective_linewidth=spd.effective_linewidth_rad_s,
+        detuning=spd.focus_detuning_rad_s)
+    p_exc, p_scatter = speedup_mod.excitation_and_scattering(schedule, laser)
+    return FocusMove(potential, schedule, move_time, p_exc, p_scatter)
+
+
+# ---------------------------------------------------------------------------
+# budgets
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _StepTwo:
+    """Shared selective-depopulation results (used by both schemes)."""
+
+    step: tuple[str, float, tuple]
+    lattice_config: lattice_mod.SuperlatticeConfig
+    delta_realized: float
+    ramp: lattice_mod.RampPlan
+    pulse: GaussianPulse
+
+
+def _run_step_two(cfg: RunConfig, species: AtomSpecies, units: UnitSystem) -> _StepTwo:
+    lattice_config = patterned_lattice(cfg, species)
+    delta_realized = lattice_mod.site_hyperfine_detunings(lattice_config, species).delta
     ramp = lattice_mod.lpol_ramp_time(lattice_config, species,
                                       cfg.lattice.ramp_target_excitation,
                                       delta_target=delta_realized)
-
-    omega0, t_f, detuning = resolve_pulse_rules(cfg)
-    pulse = GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
-                          envelope_width=omega0, cutoff=t_f, detuning=detuning)
+    pulse = pi_pulse(cfg)
     p_flip = rabi_evolve(pulse).p_flip
 
     # ramp up, hold at full intensity for the pulse, ramp down (time-reversed)
-    hold = units.time_from_natural(2.0 * t_f)
+    hold = units.time_from_natural(2.0 * pulse.cutoff)
     duration = 2.0 * ramp.duration + hold
     p_scatter = step2_scattering_probability(
-        intensity, species, lam_l, 2.0 * ramp.intensity_weight + hold)
-
+        lattice_config.lpol_intensity, species, lattice_config.lpol_wavelength,
+        2.0 * ramp.intensity_weight + hold)
     channels = (("lpol_ramp_excitation", cfg.lattice.ramp_target_excitation),
                 ("pulse_flip_error", p_flip),
                 ("step2_scattering", p_scatter))
-    if zero_channels:
-        channels = tuple((lbl, 0.0) for lbl, _ in channels)
-    step = StepReport(name="selective_depop", duration=duration,
-                      failure_channels=channels)
-    return _StepTwo(step=step, lattice_config=lattice_config,
-                    delta_realized=delta_realized, ramp=ramp, pulse=pulse,
-                    p_flip=p_flip, p_scatter=p_scatter,
-                    lpol_wavelength=lam_l, lpol_intensity=intensity)
+    return _StepTwo(step=("selective_depop", duration, channels),
+                    lattice_config=lattice_config, delta_realized=delta_realized,
+                    ramp=ramp, pulse=pulse)
 
 
 def run_scheme1(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
@@ -182,50 +265,31 @@ def run_scheme1(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
     excitation, pulse flip error, step-II scattering, removal impact on
     targets, collision, and transfer excitation.
     """
-    species = build_species(cfg.species)
-    units = UnitSystem.for_lattice(species, cfg.lattice.lambda_s_nm * 1e-9)
-    two = _run_step_two(cfg, species, units, zero_channels)
+    species, units = species_and_units(cfg)
+    two = _run_step_two(cfg, species, units)
 
-    threshold = removal_mod.removal_photon_threshold(cfg.removal.trap_depth_er)
-    plan = removal_mod.solve_removal_drive(
-        species.gamma2, threshold, cfg.removal.duration_us * 1e-6,
-        cfg.removal.excited_population_cap)
-    impact = removal_mod.photon_count(removal_mod.ObeParams(
-        linewidth=species.gamma2, rabi_frequency=plan.rabi_frequency,
-        detuning=species.hyperfine_splitting, duration=plan.duration))
-    p_impact = min(1.0, impact)
+    plan = removal_drive(cfg, species)
+    p_impact = min(1.0, removal_photons(species, plan, species.hyperfine_splitting))
     p_collision = removal_mod.collision_probability(
         plan.duration, cfg.removal.tunneling_time_ms * 1e-3)
 
-    omega_i = transfer_mod.initial_frequency(cfg.lattice.depth_er)
-    ratio = cfg.transfer.frequency_ratio
-    omega_f = omega_i * ratio if cfg.transfer.direction == "deepen" else omega_i / ratio
-    ramp = transfer_mod.HarmonicRamp(initial_frequency=omega_i,
-                                     adiabaticity=cfg.transfer.xi,
-                                     direction=cfg.transfer.direction,
-                                     final_frequency=omega_f)
+    ramp = transfer_ramp(cfg)
     transfer_duration = units.time_from_natural(ramp.duration)
     p_transfer = transfer_mod.max_excitation_analytic(ramp)
 
-    def maybe_zero(p: float) -> float:
-        return 0.0 if zero_channels else p
-
     steps = [
-        StepReport(name="mott_prep", duration=0.0, failure_channels=()),
+        ("mott_prep", 0.0, ()),
         two.step,
-        StepReport(name="removal", duration=plan.duration,
-                   failure_channels=(("removal_target_impact", maybe_zero(p_impact)),
-                                     ("collision", maybe_zero(p_collision)))),
-        StepReport(name="transfer", duration=transfer_duration,
-                   failure_channels=(("transfer_excitation", maybe_zero(p_transfer)),)),
+        ("removal", plan.duration, (("removal_target_impact", p_impact),
+                                    ("collision", p_collision))),
+        ("transfer", transfer_duration, (("transfer_excitation", p_transfer),)),
     ]
-    total_time, total_failure, channel_sum = _compose(steps)
     targets, fraction = lattice_mod.pattern_yield(cfg.lattice.total_sites,
                                                   cfg.lattice.pattern_period,
                                                   cfg.lattice.dimensions)
     extras = {
-        "lpol_wavelength_nm": two.lpol_wavelength * 1e9,
-        "lpol_intensity_w_m2": two.lpol_intensity,
+        "lpol_wavelength_nm": two.lattice_config.lpol_wavelength * 1e9,
+        "lpol_intensity_w_m2": two.lattice_config.lpol_intensity,
         "delta_realized_er": two.delta_realized,
         "lpol_ramp_us": two.ramp.duration * 1e6,
         "pulse_omega0_er": two.pulse.envelope_width,
@@ -235,61 +299,34 @@ def run_scheme1(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
         "removal_feasible_at_request": plan.feasible_at_request,
         "transfer_time_us": transfer_duration * 1e6,
     }
-    return ProtocolBudget(steps=tuple(steps), total_time=total_time,
-                          total_failure=total_failure, channel_sum=channel_sum,
-                          atoms_extracted=targets, extraction_fraction=fraction,
-                          extras=extras)
+    return _compose(steps, zero_channels, targets, fraction, extras)
 
 
 def run_scheme2(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
     """Cyclic moving-focus extraction: steps I-II plus the adiabatic move,
     repeated over melt/re-form cycles; per-atom failure is dominated by the
     move's excitation and scattering."""
-    species = build_species(cfg.species)
-    units = UnitSystem.for_lattice(species, cfg.lattice.lambda_s_nm * 1e-9)
-    two = _run_step_two(cfg, species, units, zero_channels)
+    species, units = species_and_units(cfg)
+    two = _run_step_two(cfg, species, units)
+    move = moving_focus(cfg, species)
 
     spd = cfg.speedup
-    potential = speedup_mod.DoubleGaussianPotential(
-        confine_depth=spd.confine_depth, focus_depth=spd.focus_depth,
-        confine_waist=1.0, focus_waist=spd.focus_waist_ratio)
-    xi_bar = resolve_xi_bar(cfg)
-    schedule = speedup_mod.build_moving_schedule(
-        potential, spd.final_displacement_sigma, xi_bar,
-        n_points=spd.profile_points, basis_size=spd.basis_size)
-    move_time_nat = speedup_mod.moving_time(schedule)
-    sp_units = speedup_mod.SpeedupUnits(sigma_c=spd.sigma_c_um * 1e-6,
-                                        mass=species.mass)
-    move_time = move_time_nat * sp_units.time
-    laser = speedup_mod.FocusLaserModel(
-        effective_linewidth=spd.effective_linewidth_rad_s,
-        detuning=spd.focus_detuning_rad_s)
-    p_exc, p_scatter = speedup_mod.excitation_and_scattering(schedule, laser)
-
-    def maybe_zero(p: float) -> float:
-        return 0.0 if zero_channels else p
-
     steps = [
-        StepReport(name="mott_prep", duration=0.0, failure_channels=()),
+        ("mott_prep", 0.0, ()),
         two.step,
-        StepReport(name="speedup_move", duration=move_time,
-                   failure_channels=(("move_excitation", maybe_zero(p_exc)),
-                                     ("move_scattering", maybe_zero(min(1.0, p_scatter))))),
+        ("speedup_move", move.move_time, (("move_excitation", move.p_exc),
+                                          ("move_scattering", min(1.0, move.p_scatter)))),
     ]
-    total_time, total_failure, channel_sum = _compose(steps, cycles=spd.cycles)
     fraction = speedup_mod.cycle_yield(spd.cycles, spd.per_cycle_fraction)
     atoms = int(math.floor(fraction * cfg.lattice.total_sites))
     extras = {
-        "xi_bar": xi_bar,
-        "move_time_ms": move_time * 1e3,
-        "p_exc": p_exc,
-        "p_scatter": p_scatter,
+        "xi_bar": move.schedule.adiabaticity,
+        "move_time_ms": move.move_time * 1e3,
+        "p_exc": move.p_exc,
+        "p_scatter": move.p_scatter,
         "yield_after_cycles": fraction,
     }
-    return ProtocolBudget(steps=tuple(steps), total_time=total_time,
-                          total_failure=total_failure, channel_sum=channel_sum,
-                          atoms_extracted=atoms, extraction_fraction=fraction,
-                          cycles=spd.cycles, extras=extras)
+    return _compose(steps, zero_channels, atoms, fraction, extras, cycles=spd.cycles)
 
 
 def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:

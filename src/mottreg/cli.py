@@ -16,18 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import removal as removal_mod
 from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
-from .budget import (resolve_lpol_wavelength, resolved_config_echo, run_scheme1,
-                     run_scheme2, sweep)
-from .config import (RunConfig, build_species, load_config, resolve_pulse_rules,
-                     resolve_xi_bar, set_by_path)
+from .budget import (moving_focus, patterned_lattice, pi_pulse, removal_drive,
+                     removal_photons, resolve_lpol_wavelength, resolved_config_echo,
+                     run_scheme1, run_scheme2, species_and_units, sweep, transfer_ramp)
+from .config import RunConfig, load_config, set_by_path
 from .errors import ConfigError, NumericsError, PhysicsDomainError
-from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve
+from .pulse import rabi_evolve
 from .stark import default_search_band, wavelength_scan
-from .units import UnitSystem
 
 __all__ = ["main"]
 
@@ -101,12 +99,6 @@ def _resolve_out(args, cfg: RunConfig, name: str | None = None):
     return out
 
 
-def _species_units(cfg: RunConfig):
-    species = build_species(cfg.species)
-    units = UnitSystem.for_lattice(species, cfg.lattice.lambda_s_nm * 1e-9)
-    return species, units
-
-
 def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
     """Write the primary artifact and print the envelope with the resolved
     config; report may be a dict (json) or rows (csv)."""
@@ -131,7 +123,7 @@ def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
 # ---------------------------------------------------------------------------
 
 def _cmd_stark_scan(args, cfg: RunConfig):
-    species, units = _species_units(cfg)
+    species, units = species_and_units(cfg)
     exclusion = cfg.lattice.band_exclusion_nm * 1e-9
     band = default_search_band(species, exclusion)
     rows = wavelength_scan(species, band, args.points, units.base_energy)
@@ -140,20 +132,8 @@ def _cmd_stark_scan(args, cfg: RunConfig):
 
 def _cmd_lattice(args, cfg: RunConfig):
     cfg = resolve_lpol_wavelength(cfg)
-    species, units = _species_units(cfg)
-    lam_l = cfg.lattice.lpol_wavelength_nm
-    base = lattice_mod.SuperlatticeConfig(
-        spol_wavelength=cfg.lattice.lambda_s_nm * 1e-9,
-        spol_depth=cfg.lattice.depth_er,
-        pattern_period=cfg.lattice.pattern_period,
-        lpol_wavelength=lam_l * 1e-9,
-        lpol_phase=cfg.lattice.lpol_phase_nm * 1e-9)
-    intensity = lattice_mod.solve_intensity_for_delta(base, species,
-                                                      cfg.lattice.delta_target_er)
-    config = lattice_mod.SuperlatticeConfig(
-        spol_wavelength=base.spol_wavelength, spol_depth=base.spol_depth,
-        pattern_period=base.pattern_period, lpol_wavelength=base.lpol_wavelength,
-        lpol_intensity=intensity, lpol_phase=base.lpol_phase)
+    species, _ = species_and_units(cfg)
+    config = patterned_lattice(cfg, species)
     sites = lattice_mod.site_hyperfine_detunings(config, species, n_sites=args.sites)
     rows = [{"index": j,
              "position_um": sites.pattern.site_positions[j] * 1e6,
@@ -164,7 +144,7 @@ def _cmd_lattice(args, cfg: RunConfig):
 
     side = []
     if args.profile_out:
-        lam_s = cfg.lattice.lambda_s_nm * 1e-9
+        lam_s = config.spol_wavelength
         eta_l = lattice_mod.lpol_period(config.pattern_period, lam_s)
         span = sites.pattern.site_positions[-1]
         xs = np.linspace(0.0, span if span > 0 else lam_s, 601)
@@ -181,19 +161,18 @@ def _cmd_lattice(args, cfg: RunConfig):
 
 
 def _cmd_pulse(args, cfg: RunConfig):
-    species, units = _species_units(cfg)
+    _, units = species_and_units(cfg)
     if args.omega0 is not None:
         cfg.pulse.omega0_er = args.omega0
     if args.tf is not None:
         cfg.pulse.cutoff = args.tf
     if args.detuning is not None:
         cfg.pulse.detuning_er = args.detuning
-    omega0, t_f, detuning = resolve_pulse_rules(cfg)
-    pulse = GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
-                          envelope_width=omega0, cutoff=t_f, detuning=detuning)
+    pulse = pi_pulse(cfg)
+    t_f = pulse.cutoff
     outcome = rabi_evolve(pulse)
-    report = {"omega0": omega0, "t_f": t_f, "Omega0": pulse.peak_rabi,
-              "detuning": detuning, "p_flip": outcome.p_flip,
+    report = {"omega0": pulse.envelope_width, "t_f": t_f, "Omega0": pulse.peak_rabi,
+              "detuning": pulse.detuning, "p_flip": outcome.p_flip,
               "p_stay": outcome.p_stay,
               "pulse_duration_us": units.time_from_natural(2 * t_f) * 1e6}
     side = []
@@ -209,24 +188,17 @@ def _cmd_pulse(args, cfg: RunConfig):
 
 
 def _cmd_remove(args, cfg: RunConfig):
-    species, _ = _species_units(cfg)
+    species, _ = species_and_units(cfg)
     if args.trap_depth is not None:
         cfg.removal.trap_depth_er = args.trap_depth
     if args.duration is not None:
         cfg.removal.duration_us = args.duration
     detuning = (2 * np.pi * args.detuning_ghz * 1e9 if args.detuning_ghz is not None
                 else species.hyperfine_splitting)
-    threshold = removal_mod.removal_photon_threshold(cfg.removal.trap_depth_er)
-    plan = removal_mod.solve_removal_drive(
-        species.gamma2, threshold, cfg.removal.duration_us * 1e-6,
-        cfg.removal.excited_population_cap)
-    n_p_b = removal_mod.photon_count(removal_mod.ObeParams(
-        linewidth=species.gamma2, rabi_frequency=plan.rabi_frequency,
-        detuning=0.0, duration=plan.duration))
-    n_p_a = removal_mod.photon_count(removal_mod.ObeParams(
-        linewidth=species.gamma2, rabi_frequency=plan.rabi_frequency,
-        detuning=detuning, duration=plan.duration))
-    report = {"n_p_B": n_p_b, "n_p_A": n_p_a, "threshold": threshold,
+    plan = removal_drive(cfg, species)
+    report = {"n_p_B": removal_photons(species, plan, 0.0),
+              "n_p_A": removal_photons(species, plan, detuning),
+              "threshold": plan.threshold,
               "feasible": plan.feasible_at_request,
               "duration_used": plan.duration,
               "rabi_frequency_rad_s": plan.rabi_frequency}
@@ -234,7 +206,7 @@ def _cmd_remove(args, cfg: RunConfig):
 
 
 def _cmd_transfer(args, cfg: RunConfig):
-    species, units = _species_units(cfg)
+    _, units = species_and_units(cfg)
     if args.xi is not None:
         cfg.transfer.xi = args.xi
     if args.ratio is not None:
@@ -243,14 +215,7 @@ def _cmd_transfer(args, cfg: RunConfig):
         cfg.transfer.direction = args.direction
     if args.depth is not None:
         cfg.lattice.depth_er = args.depth
-    omega_i = transfer_mod.initial_frequency(cfg.lattice.depth_er)
-    ratio = cfg.transfer.frequency_ratio
-    omega_f = (omega_i * ratio if cfg.transfer.direction == "deepen"
-               else omega_i / ratio)
-    ramp = transfer_mod.HarmonicRamp(initial_frequency=omega_i,
-                                     adiabaticity=cfg.transfer.xi,
-                                     direction=cfg.transfer.direction,
-                                     final_frequency=omega_f)
+    ramp = transfer_ramp(cfg)
     result = transfer_mod.excitation_numeric(ramp)
     matched = transfer_mod.matched_microtrap_depth(
         cfg.lattice.depth_er, cfg.transfer.waist_um * 1e-6,
@@ -276,25 +241,12 @@ def _cmd_transfer(args, cfg: RunConfig):
 
 
 def _cmd_speedup(args, cfg: RunConfig):
-    species, _ = _species_units(cfg)
-    spd = cfg.speedup
-    potential = speedup_mod.DoubleGaussianPotential(
-        confine_depth=spd.confine_depth, focus_depth=spd.focus_depth,
-        confine_waist=1.0, focus_waist=spd.focus_waist_ratio)
-    xi_bar = resolve_xi_bar(cfg)
-    schedule = speedup_mod.build_moving_schedule(
-        potential, spd.final_displacement_sigma, xi_bar,
-        n_points=spd.profile_points, basis_size=spd.basis_size)
-    sp_units = speedup_mod.SpeedupUnits(sigma_c=spd.sigma_c_um * 1e-6,
-                                        mass=species.mass)
-    move_time = speedup_mod.moving_time(schedule) * sp_units.time
-    laser = speedup_mod.FocusLaserModel(
-        effective_linewidth=spd.effective_linewidth_rad_s,
-        detuning=spd.focus_detuning_rad_s)
-    p_exc, p_scatter = speedup_mod.excitation_and_scattering(schedule, laser)
-    report = {"T_ms": move_time * 1e3, "P_exc": p_exc, "P_scatter": p_scatter,
-              "xi_bar_used": xi_bar,
-              "yield_5_cycles": speedup_mod.cycle_yield(5, spd.per_cycle_fraction)}
+    species, _ = species_and_units(cfg)
+    move = moving_focus(cfg, species)
+    schedule = move.schedule
+    report = {"T_ms": move.move_time * 1e3, "P_exc": move.p_exc,
+              "P_scatter": move.p_scatter, "xi_bar_used": schedule.adiabaticity,
+              "yield_5_cycles": speedup_mod.cycle_yield(5, cfg.speedup.per_cycle_fraction)}
     side = []
     if args.profile_out:
         rows = [{"a": float(a), "y_min": float(y), "gap": float(g),
@@ -305,7 +257,7 @@ def _cmd_speedup(args, cfg: RunConfig):
         side.append((_resolve_out(args, cfg, args.profile_out), rows))
     if args.potential_out:
         ys = np.linspace(-2.0, 3.5, 551)
-        curves = {a: potential.at(a).value(ys) for a in (0.2, 0.8, 1.5)}
+        curves = {a: move.potential.at(a).value(ys) for a in (0.2, 0.8, 1.5)}
         rows = [{"y": float(y),
                  "v_a_0p2": float(curves[0.2][i]),
                  "v_a_0p8": float(curves[0.8][i]),

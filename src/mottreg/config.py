@@ -104,7 +104,6 @@ class SpeedupConfig:
 @dataclass
 class OutputConfig:
     directory: str = "."
-    format: str = "json"
     float_digits: int = 12
 
 
@@ -176,9 +175,17 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
 def _require_numbers(cfg: RunConfig):
-    """Every field annotated as a number holds a real number (not a bool),
-    unless its annotation also admits the string or None it holds."""
+    """Every field annotated as a number holds a finite real number (not a
+    bool), and an int where the annotation has no float, unless the
+    annotation also admits the string or None it holds."""
     for section_name in _SECTIONS:
         section = getattr(cfg, section_name)
         for f in dataclasses.fields(section):
@@ -189,8 +196,12 @@ def _require_numbers(cfg: RunConfig):
             if (value is None and "None" in kinds) or (isinstance(value, str)
                                                       and "str" in kinds):
                 continue
+            path = f"{section_name}.{f.name}"
             _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                     f"{section_name}.{f.name} must be a number, got {value!r}")
+                     f"{path} must be a number, got {value!r}")
+            _require(_finite(value), f"{path} must be finite, got {value!r}")
+            _require("float" in kinds or isinstance(value, int),
+                     f"{path} must be an integer, got {value!r}")
 
 
 def validate_config(cfg: RunConfig):
@@ -199,14 +210,13 @@ def validate_config(cfg: RunConfig):
     lat = cfg.lattice
     _require(lat.lambda_s_nm > 0, "lattice.lambda_s_nm must be positive")
     _require(lat.depth_er > 0, "lattice.depth_er must be positive")
-    _require(isinstance(lat.pattern_period, int) and lat.pattern_period >= 3,
-             "lattice.pattern_period must be an integer >= 3")
+    _require(lat.pattern_period >= 3, "lattice.pattern_period must be an integer >= 3")
     _require(lat.delta_target_er > 0, "lattice.delta_target_er must be positive")
     _require(0.0 < lat.ramp_target_excitation < 0.1,
              "lattice.ramp_target_excitation must lie in (0, 0.1)")
     _require(lat.dimensions in (1, 2), "lattice.dimensions must be 1 or 2")
     _require(lat.total_sites >= lat.pattern_period,
-             "lattice.total_sites must cover at least one pattern period")
+             "lattice.total_sites must cover at least one lattice.pattern_period")
     if not isinstance(lat.lpol_wavelength_nm, str):
         _require(lat.lpol_wavelength_nm > 0,
                  "lattice.lpol_wavelength_nm must be positive or 'optimize'")
@@ -243,9 +253,7 @@ def validate_config(cfg: RunConfig):
     if isinstance(spd.xi_bar, str) and spd.xi_bar != "calibrate":
         raise ConfigError("speedup.xi_bar must be a number or 'calibrate'")
 
-    out = cfg.output
-    _require(out.format in ("json", "csv"), "output.format must be 'json' or 'csv'")
-    _require(out.float_digits >= 6, "output.float_digits must be >= 6")
+    _require(cfg.output.float_digits >= 6, "output.float_digits must be >= 6")
 
     pul = cfg.pulse
     for name in ("omega0_er", "cutoff", "detuning_er"):

@@ -151,7 +151,7 @@ def solve_removal_drive(linewidth: float, threshold: float,
     if threshold == 0.0:
         return RemovalPlan(rabi_frequency=0.0, duration=requested_duration,
                            requested_duration=requested_duration,
-                           feasible_at_request=True, threshold=0.0)
+                           feasible_at_request=True, threshold=threshold)
     needed_population = threshold / (linewidth * requested_duration)
     feasible = needed_population <= excited_population_cap
     duration = (requested_duration if feasible

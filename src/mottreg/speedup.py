@@ -25,13 +25,11 @@ __all__ = [
     "BasisExpansion",
     "MovingSchedule",
     "SpeedupUnits",
-    "potential",
     "track_minimum",
     "local_basis",
     "gap_and_element",
     "build_moving_schedule",
     "moving_time",
-    "calibrate_adiabaticity",
     "FocusLaserModel",
     "excitation_and_scattering",
     "cycle_yield",
@@ -110,11 +108,6 @@ class DoubleGaussianPotential:
                 * np.exp(-2.0 * u ** 2 / self.focus_waist ** 2))
 
 
-def potential(p: DoubleGaussianPotential, y):
-    """Channel potential V(y; a) in natural energy units."""
-    return p.value(y)
-
-
 def track_minimum(p: DoubleGaussianPotential, a_path) -> np.ndarray:
     """Follow the potential minimum continuously connected to the focus well.
 
@@ -165,8 +158,6 @@ class BasisExpansion:
     Hamiltonian matrix of the full potential in that basis."""
 
     center: float
-    width_parameter: float      # kappa = m omega / hbar, inverse length^2
-    local_frequency: float
     size: int
     hamiltonian: np.ndarray
     coupling_operator: np.ndarray = field(repr=False, default=None)
@@ -215,8 +206,7 @@ def local_basis(p: DoubleGaussianPotential, y_min: float, size: int = 11) -> Bas
     h = h_pot + h_kin
     h = 0.5 * (h + h.T)
     coupling = 0.5 * (coupling + coupling.T)
-    return BasisExpansion(center=y_min, width_parameter=kappa, local_frequency=omega,
-                          size=size, hamiltonian=h, coupling_operator=coupling)
+    return BasisExpansion(center=y_min, size=size, hamiltonian=h, coupling_operator=coupling)
 
 
 def gap_and_element(p: DoubleGaussianPotential, a: float, y_min: float,
@@ -287,13 +277,6 @@ def moving_time(schedule: MovingSchedule) -> float:
             f"moving-time integral not converged on this grid "
             f"(full {full:.6g} vs half {half:.6g}); increase profile points")
     return full / schedule.adiabaticity
-
-
-def calibrate_adiabaticity(target_excitation: float) -> float:
-    """xi_bar whose excitation ceiling 4 xi_bar^2 equals the target."""
-    if target_excitation <= 0:
-        raise PhysicsDomainError("target excitation must be positive")
-    return math.sqrt(target_excitation / 4.0)
 
 
 @dataclass(frozen=True)

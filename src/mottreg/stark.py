@@ -42,15 +42,12 @@ class FieldAtAtom:
 
     intensity: float
     wavelength: float
-    polarization: str = "sigma_plus"
 
     def __post_init__(self):
         if self.intensity < 0:
             raise PhysicsDomainError("field intensity must be >= 0")
         if self.wavelength <= 0:
             raise PhysicsDomainError("field wavelength must be positive")
-        if self.polarization not in ("sigma_plus", "sigma_minus"):
-            raise PhysicsDomainError("polarization must be sigma_plus or sigma_minus")
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,3 @@ class UnitSystem:
 
     def angular_frequency_from_natural(self, value_nat: float) -> float:
         return value_nat / self.base_time
-
-    def energy_to_kelvin(self, value_er: float) -> float:
-        """Energy in E_R expressed as a temperature via E = kB T."""
-        return value_er * self.base_energy / K_BOLTZMANN

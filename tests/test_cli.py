@@ -1,12 +1,17 @@
 """Config loading, serialization, CLI subcommands, determinism, exit codes."""
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mottreg.budget import run_scheme1, run_scheme2
 from mottreg.cli import emit, main
 from mottreg.config import (RunConfig, config_from_dict, config_to_dict,
                             load_config, set_by_path)
@@ -69,6 +74,36 @@ def test_set_by_path_and_validation():
         set_by_path(cfg, "transfer.squeeze", "1")
     with pytest.raises(ConfigError):
         set_by_path(cfg, "xi", "1")
+
+
+NUMBER_FIELDS = [(f"{section}.{f.name}", f.type.split(" | "))
+                 for section in config_to_dict(RunConfig())
+                 for f in dataclasses.fields(getattr(RunConfig(), section))
+                 if {"int", "float"} & set(f.type.split(" | "))]
+
+JSON_SCALARS = st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=8),
+                         st.none())
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(NUMBER_FIELDS), value=JSON_SCALARS)
+def test_set_by_path_number_fields_hold_finite_values_of_their_kind(field, value):
+    path, kinds = field
+    cfg = RunConfig()
+    try:
+        set_by_path(cfg, path, json.dumps(value))
+    except ConfigError as exc:
+        assert path in str(exc)
+        return
+    section, key = path.split(".")
+    held = getattr(getattr(cfg, section), key)
+    if held is None:
+        assert "None" in kinds
+    elif isinstance(held, str):
+        assert "str" in kinds
+    else:
+        assert not isinstance(held, bool) and math.isfinite(held)
+        assert isinstance(held, (int, float) if "float" in kinds else int)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +248,44 @@ def test_cli_non_numeric_value_is_a_config_error(capsys):
     assert "lattice.depth_er must be a number" in capsys.readouterr().err
     assert main(["--set", 'species.mass_kg="x"', "pulse"]) == 2
     assert "species.mass_kg must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, command", [
+    ("lattice.depth_er=Infinity", "scheme1"),
+    ("lattice.lpol_phase_nm=NaN", "scheme1"),
+    ("lattice.total_sites=300.5", "scheme1"),
+    ("speedup.cycles=2.5", "scheme1"),
+    ("removal.tunneling_time_ms=Infinity", "scheme1"),
+    ("output.float_digits=8.5", "pulse"),
+    ("speedup.basis_size=11.5", "scheme2"),
+])
+def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, override, command):
+    assert main(["--set", override, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + override.partition("=")[0])
+    assert "Traceback" not in err
+
+
+def test_cli_reports_agree_with_the_budgets(capsys):
+    def report(command):
+        code, out = _run(capsys, command)
+        assert code == 0
+        return json.loads(out)["report"]
+
+    def at_12_digits(value):
+        return float(format(value, ".12g"))
+
+    one = run_scheme1(RunConfig()).extras
+    two = run_scheme2(RunConfig()).extras
+    assert report("transfer")["T_us"] == at_12_digits(one["transfer_time_us"])
+    remove = report("remove")
+    assert remove["duration_used"] == at_12_digits(one["removal_duration_us"] / 1e6)
+    assert remove["rabi_frequency_rad_s"] == at_12_digits(one["removal_rabi_rad_s"])
+    assert report("pulse")["Omega0"] == at_12_digits(one["pulse_peak_rabi_er"])
+    speedup = report("speedup")
+    assert speedup["T_ms"] == at_12_digits(two["move_time_ms"])
+    assert speedup["P_exc"] == at_12_digits(two["p_exc"])
+    assert speedup["P_scatter"] == at_12_digits(two["p_scatter"])
 
 
 def test_cli_tiny_delta_target_runs(capsys):

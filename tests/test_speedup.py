@@ -8,11 +8,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg.speedup import (MASS, DoubleGaussianPotential, FocusLaserModel,
-                             MovingSchedule, build_moving_schedule,
-                             calibrate_adiabaticity, cycle_yield,
+                             MovingSchedule, build_moving_schedule, cycle_yield,
                              excitation_and_scattering, gap_and_element,
-                             local_basis, moving_time, potential,
-                             track_minimum)
+                             local_basis, moving_time, track_minimum)
 
 WELLS = DoubleGaussianPotential(confine_depth=400.0, focus_depth=560.0,
                                 confine_waist=1.0, focus_waist=0.5)
@@ -29,7 +27,7 @@ def _fd_levels(pot, a, n_levels=5, span=(-4.0, 5.5), n=6000):
 
 
 def test_potential_depth_at_origin():
-    assert potential(WELLS.at(0.0), 0.0) == pytest.approx(-960.0, rel=1e-14)
+    assert WELLS.at(0.0).value(0.0) == pytest.approx(-960.0, rel=1e-14)
 
 
 def test_potential_single_gaussian_when_focus_off():
@@ -180,7 +178,7 @@ def test_ground_energy_variational_monotone():
 
 
 def test_moving_time_linearity_and_trivial_zero():
-    xi = calibrate_adiabaticity(7e-3)
+    xi = math.sqrt(7e-3 / 4.0)
     sched = build_moving_schedule(WELLS, 2.0, xi, n_points=81)
     sched2 = build_moving_schedule(WELLS, 2.0, 2 * xi, n_points=81)
     assert moving_time(sched2) == pytest.approx(moving_time(sched) / 2, rel=1e-12)
@@ -189,7 +187,7 @@ def test_moving_time_linearity_and_trivial_zero():
 
 
 def test_moving_time_grid_refinement_invariance():
-    xi = calibrate_adiabaticity(7e-3)
+    xi = math.sqrt(7e-3 / 4.0)
     coarse = moving_time(build_moving_schedule(WELLS, 2.0, xi, n_points=81))
     fine = moving_time(build_moving_schedule(WELLS, 2.0, xi, n_points=161))
     assert abs(coarse / fine - 1.0) < 0.01
@@ -212,7 +210,7 @@ def test_excitation_and_scattering_limits():
     p_exc, _ = excitation_and_scattering(small, laser)
     assert p_exc == pytest.approx(4e-8, rel=1e-12)
     # halving xi_bar doubles the move duration and hence the scattering
-    xi = calibrate_adiabaticity(7e-3)
+    xi = math.sqrt(7e-3 / 4.0)
     full = build_moving_schedule(WELLS, 2.0, xi, n_points=81)
     half = build_moving_schedule(WELLS, 2.0, xi / 2, n_points=81)
     _, scatter_full = excitation_and_scattering(full, laser)
@@ -229,7 +227,7 @@ def test_excitation_requires_laser_model():
 def test_operating_point_orders_of_magnitude():
     laser = FocusLaserModel(effective_linewidth=2 * math.pi * 5e6,
                             detuning=-2 * math.pi * 780e9)
-    xi = calibrate_adiabaticity(7e-3)
+    xi = math.sqrt(7e-3 / 4.0)
     sched = build_moving_schedule(WELLS, 2.0, xi)
     p_exc, p_scatter = excitation_and_scattering(sched, laser)
     assert p_exc == pytest.approx(7e-3, rel=1e-12)
