@@ -258,18 +258,27 @@ def _run_step_two(cfg: RunConfig, species: AtomSpecies, units: UnitSystem) -> _S
                     ramp=ramp, pulse=pulse)
 
 
-def run_scheme1(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
-    """Four-step extraction: selective depopulation, removal, transfer.
+def _reuse(stages: dict, cfg: RunConfig, stage: str, sections: tuple[str, ...], compute):
+    """The stage's result, computed on first use.  It is keyed by the values
+    of the config sections the stage reads, so every later call whose
+    sections match gets the same result."""
+    key = (stage,) + tuple(dataclasses.astuple(getattr(cfg, name)) for name in sections)
+    if key not in stages:
+        stages[key] = compute()
+    return stages[key]
 
-    Each step duration comes from its module; channels cover LPOL ramp
-    excitation, pulse flip error, step-II scattering, removal impact on
-    targets, collision, and transfer excitation.
-    """
-    species, units = species_and_units(cfg)
-    two = _run_step_two(cfg, species, units)
 
+def _removal_stage(cfg: RunConfig, species: AtomSpecies):
     plan = removal_drive(cfg, species)
-    p_impact = min(1.0, removal_photons(species, plan, species.hyperfine_splitting))
+    return plan, min(1.0, removal_photons(species, plan, species.hyperfine_splitting))
+
+
+def _scheme1(cfg: RunConfig, zero_channels: bool, stages: dict) -> ProtocolBudget:
+    species, units = species_and_units(cfg)
+    two = _reuse(stages, cfg, "step_two", ("species", "lattice", "pulse"),
+                 lambda: _run_step_two(cfg, species, units))
+    plan, p_impact = _reuse(stages, cfg, "removal", ("species", "removal"),
+                            lambda: _removal_stage(cfg, species))
     p_collision = removal_mod.collision_probability(
         plan.duration, cfg.removal.tunneling_time_ms * 1e-3)
 
@@ -302,6 +311,16 @@ def run_scheme1(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
     return _compose(steps, zero_channels, targets, fraction, extras)
 
 
+def run_scheme1(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
+    """Four-step extraction: selective depopulation, removal, transfer.
+
+    Each step duration comes from its module; channels cover LPOL ramp
+    excitation, pulse flip error, step-II scattering, removal impact on
+    targets, collision, and transfer excitation.
+    """
+    return _scheme1(cfg, zero_channels, {})
+
+
 def run_scheme2(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
     """Cyclic moving-focus extraction: steps I-II plus the adiabatic move,
     repeated over melt/re-form cycles; per-atom failure is dominated by the
@@ -332,13 +351,20 @@ def run_scheme2(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
 def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
     """One scheme-1 budget per grid value of a dotted config parameter.
 
-    Rows are computed independently and returned in grid order.
+    Rows are returned in grid order, and each equals the row of an
+    independent run_scheme1 on that row's config.  Within one call, the
+    selective-depopulation step (lattice, LPOL ramp, pi pulse, step-II
+    scattering) is computed once per distinct species, lattice and pulse
+    sections, and the removal drive once per distinct species and removal
+    sections; a transfer.xi sweep thus integrates its pulse once.  Nothing
+    is kept between calls.
     """
+    stages: dict = {}
     rows = []
     for value in values:
         trial = copy.deepcopy(cfg)
         set_by_path(trial, parameter, repr(value) if not isinstance(value, str) else value)
-        budget = run_scheme1(trial)
+        budget = _scheme1(trial, zero_channels=False, stages=stages)
         row = {"parameter": parameter, "value": value,
                "total_time_us": budget.total_time * 1e6,
                "total_failure": budget.total_failure,

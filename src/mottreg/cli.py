@@ -22,7 +22,7 @@ from . import transfer as transfer_mod
 from .budget import (moving_focus, patterned_lattice, pi_pulse, removal_drive,
                      removal_photons, resolve_lpol_wavelength, resolved_config_echo,
                      run_scheme1, run_scheme2, species_and_units, sweep, transfer_ramp)
-from .config import RunConfig, load_config, set_by_path
+from .config import RunConfig, load_config, set_by_path, validate_config
 from .errors import ConfigError, NumericsError, PhysicsDomainError
 from .pulse import rabi_evolve
 from .stark import default_search_band, wavelength_scan
@@ -168,6 +168,7 @@ def _cmd_pulse(args, cfg: RunConfig):
         cfg.pulse.cutoff = args.tf
     if args.detuning is not None:
         cfg.pulse.detuning_er = args.detuning
+    validate_config(cfg)
     pulse = pi_pulse(cfg)
     t_f = pulse.cutoff
     outcome = rabi_evolve(pulse)
@@ -193,6 +194,7 @@ def _cmd_remove(args, cfg: RunConfig):
         cfg.removal.trap_depth_er = args.trap_depth
     if args.duration is not None:
         cfg.removal.duration_us = args.duration
+    validate_config(cfg)
     detuning = (2 * np.pi * args.detuning_ghz * 1e9 if args.detuning_ghz is not None
                 else species.hyperfine_splitting)
     plan = removal_drive(cfg, species)
@@ -215,6 +217,7 @@ def _cmd_transfer(args, cfg: RunConfig):
         cfg.transfer.direction = args.direction
     if args.depth is not None:
         cfg.lattice.depth_er = args.depth
+    validate_config(cfg)
     ramp = transfer_ramp(cfg)
     result = transfer_mod.excitation_numeric(ramp)
     matched = transfer_mod.matched_microtrap_depth(

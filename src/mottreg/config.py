@@ -30,6 +30,7 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "set_by_path",
+    "validate_config",
     "build_species",
 ]
 
@@ -182,21 +183,21 @@ def _finite(value) -> bool:
         return False
 
 
-def _require_numbers(cfg: RunConfig):
-    """Every field annotated as a number holds a finite real number (not a
-    bool), and an int where the annotation has no float, unless the
-    annotation also admits the string or None it holds."""
+def _require_types(cfg: RunConfig):
+    """Every field holds a value of its annotated kind: a string where the
+    annotation admits one (or None where it admits None), else a finite real
+    number (not a bool), and an int where the annotation has no float."""
     for section_name in _SECTIONS:
         section = getattr(cfg, section_name)
         for f in dataclasses.fields(section):
             kinds = f.type.split(" | ")
             value = getattr(section, f.name)
-            if "float" not in kinds and "int" not in kinds:
-                continue
             if (value is None and "None" in kinds) or (isinstance(value, str)
                                                       and "str" in kinds):
                 continue
             path = f"{section_name}.{f.name}"
+            _require("float" in kinds or "int" in kinds,
+                     f"{path} must be a string, got {value!r}")
             _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                      f"{path} must be a number, got {value!r}")
             _require(_finite(value), f"{path} must be finite, got {value!r}")
@@ -206,7 +207,7 @@ def _require_numbers(cfg: RunConfig):
 
 def validate_config(cfg: RunConfig):
     """Reject physically invalid values with their field path."""
-    _require_numbers(cfg)
+    _require_types(cfg)
     lat = cfg.lattice
     _require(lat.lambda_s_nm > 0, "lattice.lambda_s_nm must be positive")
     _require(lat.depth_er > 0, "lattice.depth_er must be positive")
@@ -253,7 +254,7 @@ def validate_config(cfg: RunConfig):
     if isinstance(spd.xi_bar, str) and spd.xi_bar != "calibrate":
         raise ConfigError("speedup.xi_bar must be a number or 'calibrate'")
 
-    _require(cfg.output.float_digits >= 6, "output.float_digits must be >= 6")
+    _require(6 <= cfg.output.float_digits <= 17, "output.float_digits must lie in [6, 17]")
 
     pul = cfg.pulse
     for name in ("omega0_er", "cutoff", "detuning_er"):

@@ -1,10 +1,12 @@
 """Scheme orchestration: step durations, channel aggregation, sweeps."""
+import copy
 import math
 
 import pytest
 
+import mottreg.budget as budget_mod
 from mottreg.budget import resolved_config_echo, run_scheme1, run_scheme2, sweep
-from mottreg.config import RunConfig
+from mottreg.config import RunConfig, set_by_path
 from mottreg.errors import ConfigError
 
 
@@ -110,3 +112,73 @@ def test_resolved_echo_expands_rules():
     assert echo["pulse"]["cutoff"] == pytest.approx(5 / 13)
     assert echo["pulse"]["detuning_er"] == pytest.approx(52.0)
     assert echo["speedup"]["xi_bar"] == pytest.approx(math.sqrt(7e-3 / 4))
+
+
+# ---------------------------------------------------------------------------
+# stage reuse within one sweep
+# ---------------------------------------------------------------------------
+
+def _independent_row(cfg, parameter, value):
+    trial = copy.deepcopy(cfg)
+    set_by_path(trial, parameter, repr(value))
+    budget = run_scheme1(trial)
+    row = {"parameter": parameter, "value": value,
+           "total_time_us": budget.total_time * 1e6,
+           "total_failure": budget.total_failure,
+           "atoms_extracted": budget.atoms_extracted,
+           "extraction_fraction": budget.extraction_fraction}
+    row.update({f"p_{label}": p for step in budget.steps
+                for label, p in step.failure_channels})
+    return row
+
+
+def _optimizing():
+    cfg = RunConfig()
+    cfg.lattice.lpol_wavelength_nm = "optimize"
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, parameter, values", [
+    (RunConfig(), "transfer.xi", [0.0025, 0.005, 0.0025, 0.01]),
+    (RunConfig(), "lattice.delta_target_er", [44.0, 52.0, 44.0]),
+    (RunConfig(), "pulse.detuning_er", [45.0, 52.0]),
+    (_optimizing(), "transfer.xi", [0.0025, 0.01]),
+], ids=["xi", "delta", "detuning", "xi-optimize"])
+def test_sweep_rows_equal_independent_runs(cfg, parameter, values):
+    rows = sweep(cfg, parameter, values)
+    assert rows == [_independent_row(cfg, parameter, v) for v in values]
+
+
+def _counting(monkeypatch, name):
+    original = getattr(budget_mod, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(budget_mod, name, counted)
+    return calls
+
+
+def test_sweep_integrates_the_pulse_once_per_distinct_step_two(monkeypatch):
+    calls = _counting(monkeypatch, "rabi_evolve")
+    sweep(RunConfig(), "transfer.xi", [0.0025, 0.005, 0.01])
+    assert len(calls) == 1
+    calls.clear()
+    sweep(RunConfig(), "lattice.delta_target_er", [44.0, 52.0, 60.0])
+    assert len(calls) == 3
+
+
+def test_sweep_keeps_nothing_between_calls(monkeypatch):
+    calls = _counting(monkeypatch, "rabi_evolve")
+    first = sweep(RunConfig(), "transfer.xi", [0.005, 0.01])
+    second = sweep(RunConfig(), "transfer.xi", [0.005, 0.01])
+    assert len(calls) == 2
+    assert first == second
+
+
+def test_sweep_optimizes_lpol_wavelength_once(monkeypatch):
+    calls = _counting(monkeypatch, "optimize_lpol_wavelength")
+    sweep(_optimizing(), "transfer.xi", [0.0025, 0.005, 0.01])
+    assert len(calls) == 1

@@ -250,7 +250,7 @@ def test_cli_non_numeric_value_is_a_config_error(capsys):
     assert "species.mass_kg must be a number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override, command", [
+@pytest.mark.parametrize("setting, command", [
     ("lattice.depth_er=Infinity", "scheme1"),
     ("lattice.lpol_phase_nm=NaN", "scheme1"),
     ("lattice.total_sites=300.5", "scheme1"),
@@ -258,11 +258,20 @@ def test_cli_non_numeric_value_is_a_config_error(capsys):
     ("removal.tunneling_time_ms=Infinity", "scheme1"),
     ("output.float_digits=8.5", "pulse"),
     ("speedup.basis_size=11.5", "scheme2"),
+    ("output.float_digits=100000000000", "pulse"),
+    ("output.directory=5", "--out x.json remove"),
+    ("species.name=5", "pulse"),
+    ("transfer.direction=5", "transfer"),
+    # a bare field is written by the command's own flag, not by --set
+    ("removal.trap_depth_er", "remove --trap-depth inf"),
+    ("pulse.omega0_er", "pulse --omega0 nan"),
+    ("transfer.xi", "transfer --xi nan"),
 ])
-def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, override, command):
-    assert main(["--set", override, command]) == 2
+def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, setting, command):
+    field, sep, _ = setting.partition("=")
+    assert main((["--set", setting] if sep else []) + command.split()) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: " + override.partition("=")[0])
+    assert err.startswith("config error: " + field)
     assert "Traceback" not in err
 
 

@@ -115,6 +115,32 @@ def test_excitation_numeric_gap_shrinks_with_xi():
     assert gap_full >= 4.0 * gap_half
 
 
+@pytest.mark.parametrize("direction, ratio", [("deepen", 4.0), ("shallow", 0.25)])
+def test_excitation_numeric_matches_dop853(direction, ratio):
+    # the exact propagator against an independent integration of the
+    # adiabatic-frame system: E_g = omega/2, E_e = 5 omega/2, coupling
+    # i xi Delta E_g with Delta E_g = 2 omega
+    from scipy.integrate import solve_ivp
+
+    w0 = initial_frequency(50.0)
+    xi = 0.005
+    ramp = HarmonicRamp(w0, xi, direction, ratio * w0)
+
+    def rhs(t, c):
+        omega = ramp_schedule(ramp, t)
+        coupling = 1j * xi * 2.0 * omega
+        return -1j * np.array([0.5 * omega * c[0] + coupling * c[1],
+                               -coupling * c[0] + 2.5 * omega * c[1]])
+
+    result = excitation_numeric(ramp, n_samples=300)
+    ref = solve_ivp(rhs, (0.0, ramp.duration), np.array([1.0 + 0j, 0j]), method="DOP853",
+                    t_eval=result.times, rtol=1e-12, atol=1e-14)
+    assert ref.success
+    p_ref = np.abs(ref.y[1]) ** 2
+    assert np.max(np.abs(result.excitation_numeric - p_ref)) < 1e-12
+    assert result.norm_drift < 1e-13
+
+
 def test_excitation_numeric_vanishes_in_adiabatic_limit():
     # frozen-frequency limit: the ceiling 4 xi^2 collapses to zero with xi
     for xi in (1e-3, 2e-4):
