@@ -123,6 +123,8 @@ def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
 # ---------------------------------------------------------------------------
 
 def _cmd_stark_scan(args, cfg: RunConfig):
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     species, units = species_and_units(cfg)
     exclusion = cfg.lattice.band_exclusion_nm * 1e-9
     band = default_search_band(species, exclusion)
@@ -178,12 +180,10 @@ def _cmd_pulse(args, cfg: RunConfig):
               "pulse_duration_us": units.time_from_natural(2 * t_f) * 1e6}
     side = []
     if args.trajectory_out:
-        ts = np.linspace(-t_f, t_f, 801)
-        amps = outcome.trajectory.sample(ts)
         rows = [{"t": float(t),
                  "re_c0": float(a[0].real), "im_c0": float(a[0].imag),
                  "re_c1": float(a[1].real), "im_c1": float(a[1].imag)}
-                for t, a in zip(ts, amps)]
+                for t, a in zip(outcome.times, outcome.states)]
         side.append((_resolve_out(args, cfg, args.trajectory_out), rows))
     _deliver(args, cfg, report, "json", side_files=side)
 
@@ -197,6 +197,8 @@ def _cmd_remove(args, cfg: RunConfig):
     validate_config(cfg)
     detuning = (2 * np.pi * args.detuning_ghz * 1e9 if args.detuning_ghz is not None
                 else species.hyperfine_splitting)
+    if not np.isfinite(detuning):
+        raise ConfigError(f"--detuning-ghz must be finite, got {args.detuning_ghz}")
     plan = removal_drive(cfg, species)
     report = {"n_p_B": removal_photons(species, plan, 0.0),
               "n_p_A": removal_photons(species, plan, detuning),
@@ -283,7 +285,10 @@ def _cmd_scheme2(args, cfg: RunConfig):
 
 
 def _cmd_sweep(args, cfg: RunConfig):
-    values = [json.loads(v) for v in args.values]
+    try:
+        values = [json.loads(v) for v in args.values]
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--values entry {exc.doc!r} is not a JSON value") from exc
     rows = sweep(cfg, args.parameter, values)
     _deliver(args, cfg, rows, "csv")
 

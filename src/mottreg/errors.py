@@ -19,5 +19,5 @@ class PhysicsDomainError(ProtocolError, ValueError):
 
 
 class NumericsError(ProtocolError, RuntimeError):
-    """A numerical kernel failed to converge (stiffness, divergent
-    integral, lost bracket)."""
+    """A numerical kernel failed to converge or would exceed its size bound
+    (pi-pulse grid, moving-time integral, lost bracket)."""

@@ -7,13 +7,8 @@ leave only through :class:`UnitSystem`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from scipy.constants import c as C_LIGHT
-from scipy.constants import h as H_PLANCK
-from scipy.constants import hbar as HBAR
-from scipy.constants import k as K_BOLTZMANN
-from scipy.constants import pi as PI
 
 from .errors import PhysicsDomainError
 
@@ -29,6 +24,13 @@ __all__ = [
     "recoil_energy",
     "detuning_from_wavelength",
 ]
+
+# exact SI-2019 defined values (hbar = h / 2 pi)
+PI = math.pi
+C_LIGHT = 299792458.0
+H_PLANCK = 6.62607015e-34
+HBAR = H_PLANCK / (2 * PI)
+K_BOLTZMANN = 1.380649e-23
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from mottreg.errors import PhysicsDomainError
-from mottreg.pulse import (GaussianPulse, design_pi_pulse, pi_pulse_amplitude,
-                           rabi_evolve, step2_scattering_probability)
+from mottreg.errors import NumericsError, PhysicsDomainError
+from mottreg.pulse import (GaussianPulse, _magnus_evolve, _magnus_steps, _product,
+                           design_pi_pulse, pi_pulse_amplitude, rabi_evolve,
+                           step2_scattering_probability)
 from mottreg.units import RB87, UnitSystem
 
 
@@ -53,16 +57,15 @@ def test_detuned_flip_error_near_reference_value():
 
 def test_far_detuned_flip_error_negligible():
     pulse = design_pi_pulse(52.0, detuning=13_000.0)
-    outcome = rabi_evolve(pulse, rel_tol=1e-8, abs_tol=1e-10)
+    outcome = rabi_evolve(pulse)
     assert outcome.p_flip < 1e-10
 
 
 def test_norm_conservation_along_trajectory():
-    rel_tol = 1e-11
-    outcome = rabi_evolve(design_pi_pulse(52.0, detuning=52.0), rel_tol=rel_tol)
-    states = outcome.trajectory.states
+    outcome = rabi_evolve(design_pi_pulse(52.0, detuning=52.0))
+    states = outcome.states
     norms = np.abs(states[:, 0]) ** 2 + np.abs(states[:, 1]) ** 2
-    assert np.max(np.abs(norms - 1.0)) < 10 * rel_tol * outcome.trajectory.n_steps
+    assert np.max(np.abs(norms - 1.0)) < 10 * 1e-11
 
 
 def test_flip_probability_even_in_detuning():
@@ -79,25 +82,80 @@ def test_flip_probability_monotone_beyond_twice_width():
 
 
 def test_rabi_evolve_solver_work_at_operating_point():
-    # the stacked-stage stepper takes exactly the steps of the per-stage sums
-    traj = rabi_evolve(design_pi_pulse(52.0, detuning=52.0)).trajectory
-    assert (traj.n_steps, traj.n_rhs) == (1019, 6157)
+    # omega_0 t_f = 5 and |Delta| t_f = 20 take the 8000-step floor; the
+    # half-grid gap is ~2.5e-10 of p_flip there
+    outcome = rabi_evolve(design_pi_pulse(52.0, detuning=52.0))
+    assert outcome.n_steps == 8000
+    assert 0.0 < outcome.flip_gap < 1e-9 * outcome.p_flip
+    assert outcome.states.shape == (801, 2)
+    assert np.array_equal(outcome.times, np.linspace(-5 / 13, 5 / 13, 801))
+    # the floor holds for a short cutoff, and 1 rad of detuning phase per step
+    # sets the count far off resonance
+    short = GaussianPulse(peak_rabi=pi_pulse_amplitude(13.0, 3.0 / 13.0),
+                          envelope_width=13.0, cutoff=3.0 / 13.0, detuning=52.0)
+    assert rabi_evolve(short).n_steps == 8000
+    assert rabi_evolve(design_pi_pulse(52.0, detuning=13_000.0)).n_steps == 10400
 
 
-def test_detuned_flip_error_vs_scipy_dop853():
-    # oracle: scipy's 8th-order Dormand-Prince at tighter tolerances
-    from scipy.integrate import solve_ivp
-
-    pulse = design_pi_pulse(52.0, detuning=52.0)
-
+def _dop853(pulse, times=None):
+    # oracle: scipy's 8th-order Dormand-Prince at tight tolerances
     def rhs(t, c):
         half = 0.5 * pulse.envelope(t)
         return [-1j * half * c[1], -1j * (half * c[0] - pulse.detuning * c[1])]
 
     ref = solve_ivp(rhs, (-pulse.cutoff, pulse.cutoff), [1.0 + 0j, 0j],
-                    method="DOP853", rtol=1e-13, atol=1e-15)
+                    method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times)
     assert ref.success
-    assert rabi_evolve(pulse).p_flip == pytest.approx(abs(ref.y[1, -1]) ** 2, rel=1e-8)
+    return ref.y.T
+
+
+def _dop853_flip(pulse):
+    return abs(_dop853(pulse)[-1, 1]) ** 2
+
+
+def test_detuned_flip_error_vs_scipy_dop853():
+    pulse = design_pi_pulse(52.0, detuning=52.0)
+    outcome = rabi_evolve(pulse)
+    assert outcome.p_flip == pytest.approx(_dop853_flip(pulse), rel=1e-8)
+    # the sampled amplitudes, phases included, in the frame of H = diag(0, -Delta) + ...
+    assert np.max(np.abs(outcome.states - _dop853(pulse, outcome.times))) < 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(omega0=st.floats(1.0, 50.0), width=st.floats(3.0, 8.0),
+       ratio=st.floats(-8.0, 8.0))
+def test_magnus_states_unitary_and_flip_matches_dop853(omega0, width, ratio):
+    # omega0 t_f = width and Delta = ratio * omega0: the pulse width, its
+    # truncation and its detuning in units of the width
+    t_f = width / omega0
+    pulse = GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
+                          envelope_width=omega0, cutoff=t_f, detuning=ratio * omega0)
+    outcome = rabi_evolve(pulse)
+    norms = np.sum(np.abs(outcome.states) ** 2, axis=1)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
+    assert outcome.p_flip == pytest.approx(_dop853_flip(pulse), rel=1e-8)
+
+
+def test_magnus_error_falls_fourth_order_at_operating_point():
+    pulse = design_pi_pulse(52.0, detuning=52.0)
+
+    def p_flip(n):
+        return abs(_product(_magnus_steps(pulse, n))[1]) ** 2
+
+    reference = p_flip(51200)
+    errors = [abs(p_flip(n) - reference) for n in (800, 1600, 3200)]
+    assert errors[0] > 12 * errors[1] > 144 * errors[2] > 0.0
+
+
+def test_coarse_magnus_grid_fails_its_residual_check():
+    pulse = design_pi_pulse(52.0, detuning=52.0)
+    for n_steps in (800, 1600):
+        with pytest.raises(NumericsError, match="not converged"):
+            _magnus_evolve(pulse, n_steps)
+    # a grid the step bound rejects is refused before it is allocated
+    with pytest.raises(NumericsError, match="pulse.cutoff"):
+        rabi_evolve(GaussianPulse(peak_rabi=23.0, envelope_width=13.0, cutoff=1e5,
+                                  detuning=52.0))
 
 
 def test_step2_scattering_zero_intensity():
