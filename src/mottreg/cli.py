@@ -133,6 +133,10 @@ def _cmd_stark_scan(args, cfg: RunConfig):
 
 
 def _cmd_lattice(args, cfg: RunConfig):
+    period = cfg.lattice.pattern_period
+    if args.sites < period:
+        raise ConfigError(f"--sites must be >= {period} (one pattern period), "
+                          f"got {args.sites}")
     cfg = resolve_lpol_wavelength(cfg)
     species, _ = species_and_units(cfg)
     config = patterned_lattice(cfg, species)

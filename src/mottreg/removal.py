@@ -56,26 +56,26 @@ class BlochState:
 
 
 def _bloch_generator(params: ObeParams) -> np.ndarray:
-    """Affine generator for z = (u, v, w, 1, X) with X' = rho_ee."""
+    """Affine generator for z = (u, v, rho_ee, 1, X) with X' = rho_ee; rho_ee
+    in place of w = 2 rho_ee - 1 keeps far-detuned counts free of cancellation."""
     g, om, dt = params.linewidth, params.rabi_frequency, params.detuning
     m = np.zeros((5, 5))
     m[0, 0] = -g / 2.0
     m[0, 1] = dt
     m[1, 0] = -dt
     m[1, 1] = -g / 2.0
-    m[1, 2] = om
-    m[2, 1] = -om
+    m[1, 2] = 2.0 * om
+    m[1, 3] = -om
+    m[2, 1] = -om / 2.0
     m[2, 2] = -g
-    m[2, 3] = -g
-    m[4, 2] = 0.5
-    m[4, 3] = 0.5
+    m[4, 2] = 1.0
     return m
 
 
 def _state_from_vector(z: np.ndarray) -> BlochState:
-    u, v, w = z[0], z[1], z[2]
-    return BlochState(population_excited=0.5 * (1.0 + w),
-                      population_ground=0.5 * (1.0 - w),
+    u, v, rho_ee = z[0], z[1], z[2]
+    return BlochState(population_excited=rho_ee,
+                      population_ground=1.0 - rho_ee,
                       coherence=0.5 * (u + 1j * v))
 
 
@@ -87,7 +87,7 @@ def obe_evolve(params: ObeParams, n_samples: int = 400,
     each sample is exact for the constant drive.
     """
     times = np.linspace(0.0, params.duration, n_samples)
-    z = np.array([0.0, 0.0, -1.0, 1.0, 0.0])
+    z = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     states = [_state_from_vector(z)]
     if params.duration > 0.0:
         step = expm(_bloch_generator(params) * (times[1] - times[0]))
@@ -103,7 +103,7 @@ def photon_count(params: ObeParams) -> float:
     """n_p = int Gamma rho_ee dt over the window, from the exact propagator."""
     if params.duration == 0.0:
         return 0.0
-    z = np.array([0.0, 0.0, -1.0, 1.0, 0.0])
+    z = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     z = expm(_bloch_generator(params) * params.duration) @ z
     return params.linewidth * float(z[4])
 

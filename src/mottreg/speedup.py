@@ -1,7 +1,7 @@
 """Moving-focused-laser extraction: the double-Gaussian channel potential,
-harmonic-basis Hamiltonians along the displacement path, gap and coupling
-profiles, the adiabatic moving-time integral, excitation/scattering
-estimates, and the multi-cycle yield.
+Newton tracking of its minimum, the gap and coupling profiles of every path
+point from one stacked harmonic-basis eigensolve, the adiabatic moving-time
+integral, excitation/scattering estimates, and the multi-cycle yield.
 
 Units: lengths in the confinement waist sigma_c, energies in
 hbar^2 / (2 m sigma_c^2), so hbar = 1 and the mass is 1/2; times come out in
@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.hermite import hermgauss, hermvander
 
 from .errors import NumericsError, PhysicsDomainError
-from .numerics import solve_scalar
 from .units import HBAR
 
 __all__ = [
@@ -39,6 +38,7 @@ MASS = 0.5  # in units where hbar = 1 and energies are hbar^2/(2 m sigma_c^2)
 
 _GH_NODES, _GH_WEIGHTS = hermgauss(96)
 _COUPLING_FLOOR = 1e-8  # relative threshold for "nonzero" transition elements
+_NEWTON_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,14 @@ class SpeedupUnits:
 
 @dataclass(frozen=True)
 class DoubleGaussianPotential:
-    """V(y) = -V_c exp(-2 y^2/s_c^2) - V_f exp(-2 (y-a)^2/s_f^2)."""
+    """V(y) = -V_c exp(-2 y^2/s_c^2) - V_f exp(-2 (y-a)^2/s_f^2), with y
+    broadcast against a when the displacement a is an array."""
 
     confine_depth: float
     focus_depth: float
     confine_waist: float = 1.0
     focus_waist: float = 0.5
-    displacement: float = 0.0
+    displacement: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.confine_depth < 0 or self.focus_depth < 0:
@@ -73,7 +74,7 @@ class DoubleGaussianPotential:
         if self.confine_waist <= 0 or self.focus_waist <= 0:
             raise PhysicsDomainError("waists must be positive")
 
-    def at(self, a: float) -> "DoubleGaussianPotential":
+    def at(self, a) -> "DoubleGaussianPotential":
         return DoubleGaussianPotential(self.confine_depth, self.focus_depth,
                                        self.confine_waist, self.focus_waist, a)
 
@@ -111,117 +112,115 @@ class DoubleGaussianPotential:
 def track_minimum(p: DoubleGaussianPotential, a_path) -> np.ndarray:
     """Follow the potential minimum continuously connected to the focus well.
 
-    a_path must increase from 0.  Each step brackets the root of dV/dy
-    nearest the previous minimum; if the tracked well merges away a
-    NumericsError reports the last valid displacement.
+    a_path must increase from 0.  Each minimum is a Newton root of dV/dy
+    started from the previous one, moved along the slope of the last two;
+    if the tracked well merges away a NumericsError reports the last valid
+    displacement.
     """
     a_path = np.asarray(a_path, dtype=float)
     if a_path[0] != 0.0 or np.any(np.diff(a_path) < 0):
         raise PhysicsDomainError("a_path must increase monotonically from 0")
     minima = np.empty_like(a_path)
-    y_prev = 0.0
-    window = 0.3 * p.focus_waist
+    y_prev = slope = 0.0
     for i, a in enumerate(a_path):
-        pa = p.at(float(a))
-        if a == 0.0:
-            root = 0.0 if pa.gradient(0.0) == 0.0 else _bracketed_root(pa, 0.0, window, a)
-        else:
-            root = _bracketed_root(pa, y_prev, window, float(a))
         step = a_path[i] - a_path[i - 1] if i else 0.0
+        root = _newton_minimum(p.at(float(a)), y_prev + slope * step)
         max_jump = max(3.0 * step, 0.1 * p.confine_waist)
-        if pa.curvature(root) <= 0.0 or (i and abs(root - y_prev) > max_jump):
+        if root is None or (i and abs(root - y_prev) > max_jump):
             raise NumericsError(
                 f"tracked well lost at a = {a}: the minimum merged away "
                 f"(last valid a = {a_path[max(i - 1, 0)]})")
+        if step > 0.0:
+            slope = (root - y_prev) / step
         y_prev = root
         minima[i] = y_prev
     return minima
 
 
-def _bracketed_root(pa: DoubleGaussianPotential, y_prev: float, window: float,
-                    a: float) -> float:
-    lo, hi = y_prev - window, y_prev + window
-    grad = pa.gradient
-    for _ in range(60):
-        if grad(lo) < 0.0 <= grad(hi):
-            return solve_scalar(lambda y: float(grad(y)), (lo, hi), tol=1e-14)
-        if grad(lo) >= 0.0:
-            lo -= 0.5 * window
-        if grad(hi) < 0.0:
-            hi += 0.25 * window
-    raise NumericsError(f"minimum tracking lost its bracket at a = {a}")
+def _newton_minimum(pa: DoubleGaussianPotential, y: float) -> float | None:
+    """Newton root of dV/dy from y, or None when an iterate has V'' <= 0 or
+    the iteration does not converge (no local minimum to follow)."""
+    for _ in range(_NEWTON_ITERATIONS):
+        curv = float(pa.curvature(y))
+        if curv <= 0.0:
+            return None
+        step = float(pa.gradient(y)) / curv
+        y -= step
+        if abs(step) <= 1e-12 * max(1.0, abs(y)):
+            return y
+    return None
 
 
 @dataclass(frozen=True)
 class BasisExpansion:
-    """Harmonic-oscillator basis around a potential minimum and the
-    Hamiltonian matrix of the full potential in that basis."""
+    """Hamiltonian and dH/da matrices of the full potential in a
+    harmonic-oscillator basis around a potential minimum; with arrays of
+    minima the matrices stack along leading axes."""
 
-    center: float
-    size: int
     hamiltonian: np.ndarray
-    coupling_operator: np.ndarray = field(repr=False, default=None)
+    coupling_operator: np.ndarray = field(repr=False)
 
 
-def _hermite_values(size: int, x: np.ndarray) -> np.ndarray:
-    h = np.zeros((size, x.size))
-    h[0] = 1.0
-    if size > 1:
-        h[1] = 2.0 * x
-    for n in range(2, size):
-        h[n] = 2.0 * x * h[n - 1] - 2.0 * (n - 1) * h[n - 2]
-    return h
-
-
-def local_basis(p: DoubleGaussianPotential, y_min: float, size: int = 11) -> BasisExpansion:
+def local_basis(p: DoubleGaussianPotential, y_min, size: int = 11) -> BasisExpansion:
     """Basis of `size` oscillator states at y_min with H_nm by quadrature.
 
     The local frequency is omega = sqrt(V''(y_min)/m); matrix elements of V
     and dV/da use Gauss-Hermite nodes matched to the basis Gaussian, the
-    kinetic part is the exact ladder expression.
+    kinetic part is the exact ladder expression omega K.  y_min may be an
+    array, paired with a displacement array of shape y_min.shape + (1,) in p,
+    and the matrices then stack as y_min.shape + (size, size).
     """
-    curv = float(p.curvature(y_min))
-    if curv <= 0.0:
-        raise PhysicsDomainError(f"V''({y_min}) <= 0: no local oscillator basis")
-    omega = math.sqrt(curv / MASS)
-    kappa = MASS * omega
-    scale = 1.0 / math.sqrt(kappa)
-    x = _GH_NODES * scale + y_min
+    y = np.asarray(y_min, dtype=float)[..., None]
+    curv = np.asarray(p.curvature(y), dtype=float)
+    if np.any(curv <= 0.0):
+        concave = np.broadcast_to(y, curv.shape)[curv <= 0.0]
+        raise PhysicsDomainError(f"V''({concave[0]}) <= 0: no local oscillator basis")
+    omega = np.sqrt(curv / MASS)
+    x = _GH_NODES / np.sqrt(MASS * omega) + y
 
-    herm = _hermite_values(size, _GH_NODES)
-    log_norm = np.array([-0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
-                         for n in range(size)])
-    psi = (kappa / math.pi) ** 0.25 * np.exp(log_norm)[:, None] * herm
-    weights = _GH_WEIGHTS * scale
+    # phi[k, n] = H_n(node_k) / sqrt(2^n n!), the point-independent part of psi_n;
+    # column j of pairs is phi[:, m] phi[:, n] for the j-th upper-triangle (m, n)
+    n = np.arange(size)
+    phi = hermvander(_GH_NODES, size - 1) / np.sqrt(np.cumprod(np.maximum(2.0 * n, 1.0)))
+    rows, cols = np.triu_indices(size)
+    pairs = phi[:, rows] * phi[:, cols]
+    weights = _GH_WEIGHTS / math.sqrt(math.pi)
 
-    h_pot = (psi * weights * p.value(x)) @ psi.T
-    coupling = (psi * weights * p.displacement_gradient(x)) @ psi.T
+    def matrix(f):
+        """<psi_m| f |psi_n> at every point, filled symmetric from one product."""
+        m = np.empty(x.shape[:-1] + (size, size))
+        m[..., rows, cols] = m[..., cols, rows] = (weights * f(x)) @ pairs
+        return m
 
-    h_kin = np.zeros((size, size))
-    for n in range(size):
-        h_kin[n, n] = omega / 4.0 * (2 * n + 1)
-        if n + 2 < size:
-            h_kin[n, n + 2] = h_kin[n + 2, n] = -omega / 4.0 * math.sqrt((n + 1) * (n + 2))
-
-    h = h_pot + h_kin
-    h = 0.5 * (h + h.T)
-    coupling = 0.5 * (coupling + coupling.T)
-    return BasisExpansion(center=y_min, size=size, hamiltonian=h, coupling_operator=coupling)
+    ladder = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / 4.0
+    kinetic = np.diag((2.0 * n + 1.0) / 4.0) - np.diag(ladder, 2) - np.diag(ladder, -2)
+    return BasisExpansion(hamiltonian=matrix(p.value) + omega[..., None] * kinetic,
+                          coupling_operator=matrix(p.displacement_gradient))
 
 
-def gap_and_element(p: DoubleGaussianPotential, a: float, y_min: float,
-                    size: int = 11) -> tuple[float, float]:
+def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int = 11):
     """Diagonalise the local basis at displacement a and return the gap to
     the lowest excited state with a nonzero drive coupling, plus that
-    coupling |<e| dH/da |g>|."""
-    basis = local_basis(p.at(a), y_min, size)
+    coupling |<e| dH/da |g>|.
+
+    a and y_min may be arrays of one shape; the gaps and couplings then come
+    back as arrays of that shape from one stacked eigh call.
+    """
+    a = np.asarray(a, dtype=float)
+    basis = local_basis(p.at(a[..., None]), y_min, size)
     energies, vectors = np.linalg.eigh(basis.hamiltonian)
-    couplings = np.abs(vectors[:, 1:].T @ basis.coupling_operator @ vectors[:, 0])
-    top = float(np.max(couplings))
-    if top == 0.0:
-        raise PhysicsDomainError(f"all drive couplings vanish at a = {a}")
-    index = int(np.argmax(couplings > _COUPLING_FLOOR * top))
-    return float(energies[1 + index] - energies[0]), float(couplings[index])
+    excited = np.swapaxes(vectors[..., 1:], -1, -2)
+    couplings = np.abs(excited @ basis.coupling_operator @ vectors[..., :1])[..., 0]
+    top = np.max(couplings, axis=-1, keepdims=True)
+    if np.any(top == 0.0):
+        uncoupled = np.broadcast_to(a, top.shape[:-1])[top[..., 0] == 0.0]
+        raise PhysicsDomainError(f"all drive couplings vanish at a = {uncoupled[0]}")
+    index = np.argmax(couplings > _COUPLING_FLOOR * top, axis=-1)[..., None]
+    gap = np.take_along_axis(energies, 1 + index, axis=-1)[..., 0] - energies[..., 0]
+    element = np.take_along_axis(couplings, index, axis=-1)[..., 0]
+    if gap.ndim == 0:
+        return float(gap), float(element)
+    return gap, element
 
 
 @dataclass(frozen=True)
@@ -251,12 +250,8 @@ def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
         raise PhysicsDomainError("adiabaticity must be positive")
     a_grid = np.linspace(0.0, final_displacement, n_points)
     minima = track_minimum(p, a_grid)
-    gaps = np.empty(n_points)
-    elements = np.empty(n_points)
-    for i, (a, ym) in enumerate(zip(a_grid, minima)):
-        gaps[i], elements[i] = gap_and_element(p, float(a), float(ym), basis_size)
-    depths = np.abs(np.array([p.at(float(a)).value(float(ym))
-                              for a, ym in zip(a_grid, minima)]))
+    gaps, elements = gap_and_element(p, a_grid, minima, basis_size)
+    depths = np.abs(p.at(a_grid).value(minima))
     return MovingSchedule(final_displacement=final_displacement,
                           adiabaticity=adiabaticity, displacements=a_grid,
                           minima=minima, gap_profile=gaps,

@@ -287,6 +287,7 @@ def test_cli_non_numeric_value_is_a_config_error(capsys):
     ("--points", "stark-scan --points 0"),
     ("--values", "sweep --parameter transfer.xi --values x"),
     ("--detuning-ghz", "remove --detuning-ghz nan"),
+    ("--sites", "lattice --sites 2"),
 ])
 def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, setting, command):
     field, sep, _ = setting.partition("=")

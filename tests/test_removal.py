@@ -1,8 +1,11 @@
 """Removing-laser Bloch dynamics, photon counting, and collision estimate."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from mottreg.errors import PhysicsDomainError
@@ -53,6 +56,55 @@ def test_obe_trace_and_purity_along_trajectory():
         assert 0.0 <= s.population_excited <= 1.0
         assert (abs(s.coherence) ** 2
                 <= s.population_excited * s.population_ground + 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(omega=st.floats(0.0, 20.0), delta=st.floats(-100.0, 100.0),
+       duration=st.floats(0.0, 60.0))
+def test_obe_trace_and_positivity_over_generated_drives(omega, delta, duration):
+    # Omega and Delta in units of Gamma, the duration in units of 1/Gamma
+    params = ObeParams(GAMMA, omega * GAMMA, delta * GAMMA, duration / GAMMA)
+    _, states = obe_evolve(params, 41)
+    for s in states:
+        assert s.population_excited + s.population_ground == pytest.approx(1.0, abs=1e-12)
+        assert s.population_excited >= 0.0
+        assert (abs(s.coherence) ** 2
+                <= s.population_excited * s.population_ground + 1e-12)
+    assert photon_count(params) >= 0.0
+
+
+def _photon_count_mpmath(params):
+    """Oracle: the (u, v, w, 1, N) Bloch system with N' = Gamma (1 + w)/2,
+    exponentiated in 80-digit arithmetic."""
+    with mpmath.workdps(80):
+        g, om, dt, t = (mpmath.mpf(x) for x in (params.linewidth, params.rabi_frequency,
+                                                params.detuning, params.duration))
+        m = mpmath.matrix([[-g / 2, dt, 0, 0, 0],
+                           [-dt, -g / 2, om, 0, 0],
+                           [0, -om, -g, -g, 0],
+                           [0, 0, 0, 0, 0],
+                           [0, 0, g / 2, g / 2, 0]])
+        z = mpmath.expm(m * t) * mpmath.matrix([0, 0, -1, 1, 0])
+        return float(z[4])
+
+
+@pytest.mark.parametrize("detuning, rel", [
+    (RB87.hyperfine_splitting, 1e-10),
+    (2 * math.pi * 1e3 * 1e9, 1e-8),
+    (2 * math.pi * 1e4 * 1e9, 1e-7),
+])
+def test_photon_count_matches_high_precision_oracle(detuning, rel):
+    plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
+    params = ObeParams(GAMMA, plan.rabi_frequency, detuning, plan.duration)
+    assert photon_count(params) == pytest.approx(_photon_count_mpmath(params), rel=rel)
+
+
+def test_far_detuned_photon_count_stays_positive():
+    plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
+    for ghz in (1e6, 1e10):
+        params = ObeParams(GAMMA, plan.rabi_frequency, 2 * math.pi * ghz * 1e9,
+                           plan.duration)
+        assert photon_count(params) > 0.0
 
 
 def test_obe_matches_rk45_kernel():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from mottreg.errors import NumericsError, PhysicsDomainError
@@ -159,6 +161,68 @@ def test_gap_far_displacement_matches_isolated_focus_well():
     assert gap == pytest.approx(fd[1] - fd[0], rel=5e-3)
 
 
+def _per_point_gap_and_element(p, a, y_min, size):
+    """Reference: one oscillator basis, Hamiltonian and eigh per point, with
+    the Hermite recurrence, normalisation and ladder matrix written out."""
+    nodes, weights = np.polynomial.hermite.hermgauss(96)
+    pa = p.at(a)
+    kappa = MASS * math.sqrt(pa.curvature(y_min) / MASS)
+    x = nodes / math.sqrt(kappa) + y_min
+    herm = [np.ones_like(nodes), 2.0 * nodes]
+    for n in range(2, size):
+        herm.append(2.0 * nodes * herm[n - 1] - 2.0 * (n - 1) * herm[n - 2])
+    psi = np.array([herm[n] / math.sqrt(2.0 ** n * math.factorial(n))
+                    for n in range(size)]) * (kappa / math.pi) ** 0.25
+    w = weights / math.sqrt(kappa)
+    h = (psi * w * pa.value(x)) @ psi.T
+    coupling = (psi * w * pa.displacement_gradient(x)) @ psi.T
+    omega = kappa / MASS
+    for n in range(size):
+        h[n, n] += omega / 4.0 * (2 * n + 1)
+        if n + 2 < size:
+            h[n, n + 2] -= omega / 4.0 * math.sqrt((n + 1) * (n + 2))
+            h[n + 2, n] -= omega / 4.0 * math.sqrt((n + 1) * (n + 2))
+    energies, vectors = np.linalg.eigh(h)
+    couplings = np.abs(vectors[:, 1:].T @ coupling @ vectors[:, 0])
+    index = int(np.argmax(couplings > 1e-8 * np.max(couplings)))
+    return energies[1 + index] - energies[0], couplings[index]
+
+
+@pytest.mark.parametrize("basis_size", [11, 15])
+def test_schedule_profiles_match_per_point_reference(basis_size):
+    sched = build_moving_schedule(WELLS, 2.0, 0.04, n_points=41, basis_size=basis_size)
+    for a, y_min, gap, element in zip(sched.displacements, sched.minima,
+                                      sched.gap_profile, sched.element_profile):
+        ref_gap, ref_element = _per_point_gap_and_element(WELLS, a, y_min, basis_size)
+        assert gap == pytest.approx(ref_gap, rel=1e-12)
+        assert element == pytest.approx(ref_element, rel=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(a_final=st.floats(0.1, 2.5), size=st.integers(3, 16))
+def test_gap_and_element_arrays_match_scalar_calls(a_final, size):
+    a = np.linspace(0.0, a_final, 33)
+    minima = track_minimum(WELLS, a)
+    gaps, elements = gap_and_element(WELLS, a, minima, size)
+    for i in range(a.size):
+        gap, element = gap_and_element(WELLS, float(a[i]), float(minima[i]), size)
+        assert gaps[i] == pytest.approx(gap, rel=1e-13)
+        assert elements[i] == pytest.approx(element, rel=1e-13)
+
+
+def test_schedule_makes_one_eigh_call(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    build_moving_schedule(WELLS, 2.0, 0.04)
+    assert calls == [(161, 11, 11)]
+
+
 def test_gap_basis_size_convergence():
     for a in (0.2, 0.8, 1.5):
         minima = track_minimum(WELLS, np.linspace(0.0, a, 33))
@@ -184,6 +248,17 @@ def test_moving_time_linearity_and_trivial_zero():
     assert moving_time(sched2) == pytest.approx(moving_time(sched) / 2, rel=1e-12)
     empty = build_moving_schedule(WELLS, 0.0, xi, n_points=9)
     assert moving_time(empty) == 0.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(xi=st.floats(1e-3, 0.3), focus_depth=st.floats(300.0, 1200.0))
+def test_moving_time_inverse_in_adiabaticity(xi, focus_depth):
+    wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=focus_depth,
+                                    confine_waist=1.0, focus_waist=0.5)
+    unit = moving_time(build_moving_schedule(wells, 2.0, 1.0, n_points=81))
+    assert unit > 0.0
+    assert moving_time(build_moving_schedule(wells, 2.0, xi, n_points=81)) == \
+        pytest.approx(unit / xi, rel=1e-12)
 
 
 def test_moving_time_grid_refinement_invariance():
