@@ -97,13 +97,11 @@ class ProtocolBudget:
         }
 
 
-def _compose(steps: list[tuple[str, float, tuple]], zero_channels: bool,
-             atoms: int, fraction: float, extras: dict, cycles: int = 1) -> ProtocolBudget:
-    """Budget of (name, duration, channels) steps; zero_channels reports every
-    channel as 0 (a diagnostic of the timing alone)."""
-    reports = tuple(StepReport(name=name, duration=duration, failure_channels=tuple(
-        (lbl, 0.0 if zero_channels else p) for lbl, p in channels))
-        for name, duration, channels in steps)
+def _compose(steps: list[tuple[str, float, tuple]], atoms: int, fraction: float,
+             extras: dict, cycles: int = 1) -> ProtocolBudget:
+    """Budget of (name, duration, channels) steps."""
+    reports = tuple(StepReport(name=name, duration=duration, failure_channels=channels)
+                    for name, duration, channels in steps)
     probs = [p for s in reports for _, p in s.failure_channels]
     return ProtocolBudget(steps=reports,
                           total_time=cycles * sum(s.duration for s in reports),
@@ -273,7 +271,7 @@ def _removal_stage(cfg: RunConfig, species: AtomSpecies):
     return plan, min(1.0, removal_photons(species, plan, species.hyperfine_splitting))
 
 
-def _scheme1(cfg: RunConfig, zero_channels: bool, stages: dict) -> ProtocolBudget:
+def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
     species, units = species_and_units(cfg)
     two = _reuse(stages, cfg, "step_two", ("species", "lattice", "pulse"),
                  lambda: _run_step_two(cfg, species, units))
@@ -308,20 +306,20 @@ def _scheme1(cfg: RunConfig, zero_channels: bool, stages: dict) -> ProtocolBudge
         "removal_feasible_at_request": plan.feasible_at_request,
         "transfer_time_us": transfer_duration * 1e6,
     }
-    return _compose(steps, zero_channels, targets, fraction, extras)
+    return _compose(steps, targets, fraction, extras)
 
 
-def run_scheme1(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
+def run_scheme1(cfg: RunConfig) -> ProtocolBudget:
     """Four-step extraction: selective depopulation, removal, transfer.
 
     Each step duration comes from its module; channels cover LPOL ramp
     excitation, pulse flip error, step-II scattering, removal impact on
     targets, collision, and transfer excitation.
     """
-    return _scheme1(cfg, zero_channels, {})
+    return _scheme1(cfg, {})
 
 
-def run_scheme2(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
+def run_scheme2(cfg: RunConfig) -> ProtocolBudget:
     """Cyclic moving-focus extraction: steps I-II plus the adiabatic move,
     repeated over melt/re-form cycles; per-atom failure is dominated by the
     move's excitation and scattering."""
@@ -345,7 +343,7 @@ def run_scheme2(cfg: RunConfig, zero_channels: bool = False) -> ProtocolBudget:
         "p_scatter": move.p_scatter,
         "yield_after_cycles": fraction,
     }
-    return _compose(steps, zero_channels, atoms, fraction, extras, cycles=spd.cycles)
+    return _compose(steps, atoms, fraction, extras, cycles=spd.cycles)
 
 
 def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
@@ -364,7 +362,7 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
     for value in values:
         trial = copy.deepcopy(cfg)
         set_by_path(trial, parameter, repr(value) if not isinstance(value, str) else value)
-        budget = _scheme1(trial, zero_channels=False, stages=stages)
+        budget = _scheme1(trial, stages)
         row = {"parameter": parameter, "value": value,
                "total_time_us": budget.total_time * 1e6,
                "total_failure": budget.total_failure,

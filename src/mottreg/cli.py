@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,10 +38,8 @@ def _fmt_float(value: float, digits: int) -> float:
 def _round_floats(obj, digits: int):
     if isinstance(obj, bool):
         return obj
-    if isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
         return _fmt_float(obj, digits)
-    if isinstance(obj, (np.floating,)):
-        return _fmt_float(float(obj), digits)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, dict):
@@ -99,9 +98,23 @@ def _resolve_out(args, cfg: RunConfig, name: str | None = None):
     return out
 
 
+def _require_finite(report, key: str = "report"):
+    """Refuse a report that holds NaN or infinity, naming the value's key."""
+    if isinstance(report, dict):
+        for k, value in report.items():
+            _require_finite(value, k)
+    elif isinstance(report, (list, tuple)):
+        for value in report:
+            _require_finite(value, key)
+    elif isinstance(report, (float, np.floating)) and not math.isfinite(report):
+        raise NumericsError(f"report value '{key}' is {report}, not a finite number")
+
+
 def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
     """Write the primary artifact and print the envelope with the resolved
-    config; report may be a dict (json) or rows (csv)."""
+    config; report may be a dict (json) or rows (csv).  Nothing is written
+    when a value is not finite."""
+    _require_finite([report, *(rows for _, rows in side_files)])
     digits = cfg.output.float_digits
     fmt = args.format or default_fmt
     out = _resolve_out(args, cfg)
@@ -126,10 +139,9 @@ def _cmd_stark_scan(args, cfg: RunConfig):
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     species, units = species_and_units(cfg)
-    exclusion = cfg.lattice.band_exclusion_nm * 1e-9
-    band = default_search_band(species, exclusion)
-    rows = wavelength_scan(species, band, args.points, units.base_energy)
-    _deliver(args, cfg, rows, "csv")
+    band = default_search_band(species, cfg.lattice.band_exclusion_nm * 1e-9)
+    columns = wavelength_scan(species, band, args.points, units.base_energy)
+    _deliver(args, cfg, [dict(zip(columns, row)) for row in zip(*columns.values())], "csv")
 
 
 def _cmd_lattice(args, cfg: RunConfig):
@@ -201,8 +213,11 @@ def _cmd_remove(args, cfg: RunConfig):
     validate_config(cfg)
     detuning = (2 * np.pi * args.detuning_ghz * 1e9 if args.detuning_ghz is not None
                 else species.hyperfine_splitting)
-    if not np.isfinite(detuning):
-        raise ConfigError(f"--detuning-ghz must be finite, got {args.detuning_ghz}")
+    # the rotating-wave model of the drive ends near the optical frequency
+    if not abs(detuning) <= species.d2_angular_frequency:
+        raise ConfigError(f"--detuning-ghz must lie within the D2 optical frequency, "
+                          f"{species.d2_angular_frequency / (2e9 * np.pi):.6g} GHz, "
+                          f"got {args.detuning_ghz}")
     plan = removal_drive(cfg, species)
     report = {"n_p_B": removal_photons(species, plan, 0.0),
               "n_p_A": removal_photons(species, plan, detuning),
@@ -278,13 +293,13 @@ def _cmd_speedup(args, cfg: RunConfig):
 
 def _cmd_scheme1(args, cfg: RunConfig):
     cfg = resolve_lpol_wavelength(cfg)
-    budget = run_scheme1(cfg, zero_channels=args.zero_channels)
+    budget = run_scheme1(cfg)
     _deliver(args, cfg, budget.to_dict(), "json")
 
 
 def _cmd_scheme2(args, cfg: RunConfig):
     cfg = resolve_lpol_wavelength(cfg)
-    budget = run_scheme2(cfg, zero_channels=args.zero_channels)
+    budget = run_scheme2(cfg)
     _deliver(args, cfg, budget.to_dict(), "json")
 
 
@@ -350,12 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_speedup)
 
     p = sub.add_parser("scheme1", help="full four-step budget")
-    p.add_argument("--zero-channels", action="store_true",
-                   help="diagnostic: force all failure channels to zero")
     p.set_defaults(handler=_cmd_scheme1)
 
     p = sub.add_parser("scheme2", help="cyclic speedup budget")
-    p.add_argument("--zero-channels", action="store_true")
     p.set_defaults(handler=_cmd_scheme2)
 
     p = sub.add_parser("sweep", help="scheme-1 budgets over a parameter grid")

@@ -119,7 +119,7 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SECTIONS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def _fill_section(cls, data: dict, path: str):
@@ -138,17 +138,13 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     cfg = RunConfig()
-    classes = {"species": SpeciesConfig, "lattice": LatticeConfig,
-               "pulse": PulseConfig, "removal": RemovalConfig,
-               "transfer": TransferConfig, "speedup": SpeedupConfig,
-               "output": OutputConfig}
     for key, value in data.items():
-        if key not in classes:
-            valid = ", ".join(sorted(classes))
+        if key not in _SECTIONS:
+            valid = ", ".join(sorted(_SECTIONS))
             raise ConfigError(f"unknown section '{key}' (valid sections: {valid})")
         if not isinstance(value, dict):
             raise ConfigError(f"section '{key}' must be an object")
-        setattr(cfg, key, _fill_section(classes[key], value, key))
+        setattr(cfg, key, _fill_section(_SECTIONS[key], value, key))
     validate_config(cfg)
     return cfg
 
@@ -205,24 +201,55 @@ def _require_types(cfg: RunConfig):
                      f"{path} must be an integer, got {value!r}")
 
 
+# the closed range of each number the models describe, beyond which a derived
+# scale overflows or underflows; None and rule strings are not numbers here
+_RANGES = {
+    "species.mass_kg": (1e-27, 1e-24, "an atomic mass"),
+    "species.d1_wavelength_nm": (100.0, 1e5, "an optical line"),
+    "species.d2_wavelength_nm": (100.0, 1e5, "an optical line"),
+    "species.gamma1_rad_s": (1.0, 1e12, "far below the optical frequency"),
+    "species.gamma2_rad_s": (1.0, 1e12, "far below the optical frequency"),
+    "species.hyperfine_splitting_rad_s": (1.0, 1e12, "far below the optical frequency"),
+    "lattice.lambda_s_nm": (100.0, 1e5, "an optical wavelength"),
+    "lattice.lpol_wavelength_nm": (100.0, 1e5, "an optical wavelength"),
+    "transfer.waist_um": (1e-3, 1e3, "a nanometre to a millimetre"),
+    "speedup.confine_depth": (0.0, 1e6, "in hbar^2/(2 m sigma_c^2)"),
+    "speedup.focus_depth": (0.0, 1e6, "in hbar^2/(2 m sigma_c^2)"),
+    "speedup.sigma_c_um": (1e-3, 1e3, "a nanometre to a millimetre"),
+    "speedup.focus_waist_ratio": (1e-3, 1e3, "a waist on the scale of sigma_c"),
+    "speedup.final_displacement_sigma": (0.0, 100.0, "in sigma_c"),
+}
+
+
 def validate_config(cfg: RunConfig):
     """Reject physically invalid values with their field path."""
     _require_types(cfg)
+    for path, (lo, hi, why) in _RANGES.items():
+        section, key = path.split(".")
+        value = getattr(getattr(cfg, section), key)
+        if not isinstance(value, (str, type(None))) and not lo <= value <= hi:
+            raise ConfigError(f"{path} must lie in [{lo:g}, {hi:g}] ({why}), got {value!r}")
+    species = build_species(cfg.species)
+    _require(species.d2_wavelength < species.d1_wavelength,
+             "species.d2_wavelength_nm must be below species.d1_wavelength_nm")
+
     lat = cfg.lattice
-    _require(lat.lambda_s_nm > 0, "lattice.lambda_s_nm must be positive")
     _require(lat.depth_er > 0, "lattice.depth_er must be positive")
     _require(lat.pattern_period >= 3, "lattice.pattern_period must be an integer >= 3")
-    _require(lat.delta_target_er > 0, "lattice.delta_target_er must be positive")
+    _require(0 < lat.delta_target_er <= 1e6, "lattice.delta_target_er must lie in (0, 1e6] "
+             "(a light shift far below the optical detunings)")
+    gap_nm = (species.d1_wavelength - species.d2_wavelength) * 1e9
+    if not 0 < 2 * lat.band_exclusion_nm < gap_nm:
+        raise ConfigError(f"lattice.band_exclusion_nm must be positive and below half "
+                          f"the {gap_nm:.6g} nm D1-D2 gap, got {lat.band_exclusion_nm!r}")
     _require(0.0 < lat.ramp_target_excitation < 0.1,
              "lattice.ramp_target_excitation must lie in (0, 0.1)")
     _require(lat.dimensions in (1, 2), "lattice.dimensions must be 1 or 2")
     _require(lat.total_sites >= lat.pattern_period,
              "lattice.total_sites must cover at least one lattice.pattern_period")
-    if not isinstance(lat.lpol_wavelength_nm, str):
-        _require(lat.lpol_wavelength_nm > 0,
-                 "lattice.lpol_wavelength_nm must be positive or 'optimize'")
-    elif lat.lpol_wavelength_nm != "optimize":
-        raise ConfigError("lattice.lpol_wavelength_nm must be a number or 'optimize'")
+    if isinstance(lat.lpol_wavelength_nm, str):
+        _require(lat.lpol_wavelength_nm == "optimize",
+                 "lattice.lpol_wavelength_nm must be a number or 'optimize'")
 
     rem = cfg.removal
     _require(rem.trap_depth_er >= 0, "removal.trap_depth_er must be >= 0")
@@ -233,26 +260,25 @@ def validate_config(cfg: RunConfig):
 
     tra = cfg.transfer
     _require(0.0 < tra.xi < 0.1, "transfer.xi must lie in (0, 0.1)")
-    _require(tra.frequency_ratio > 0, "transfer.frequency_ratio must be positive")
+    _require(1 < tra.frequency_ratio <= 1e6, "transfer.frequency_ratio must lie in (1, 1e6]")
     _require(tra.direction in ("deepen", "shallow"),
              "transfer.direction must be 'deepen' or 'shallow'")
-    _require(tra.waist_um > 0, "transfer.waist_um must be positive")
 
     spd = cfg.speedup
-    _require(spd.confine_depth >= 0, "speedup.confine_depth must be >= 0")
-    _require(spd.focus_depth >= 0, "speedup.focus_depth must be >= 0")
-    _require(spd.sigma_c_um > 0, "speedup.sigma_c_um must be positive")
-    _require(spd.focus_waist_ratio > 0, "speedup.focus_waist_ratio must be positive")
-    _require(spd.final_displacement_sigma >= 0,
-             "speedup.final_displacement_sigma must be >= 0")
     _require(spd.cycles >= 0, "speedup.cycles must be >= 0")
     _require(0.0 <= spd.per_cycle_fraction <= 1.0,
              "speedup.per_cycle_fraction must lie in [0, 1]")
-    _require(spd.target_excitation > 0, "speedup.target_excitation must be positive")
+    _require(0 < spd.target_excitation < 1, "speedup.target_excitation must lie in (0, 1)")
+    _require(abs(spd.focus_detuning_rad_s) > spd.effective_linewidth_rad_s > 0,
+             "speedup.focus_detuning_rad_s must exceed the positive "
+             "speedup.effective_linewidth_rad_s in magnitude (a far-detuned focus)")
     _require(spd.profile_points >= 9, "speedup.profile_points must be >= 9")
     _require(spd.basis_size >= 3, "speedup.basis_size must be >= 3")
-    if isinstance(spd.xi_bar, str) and spd.xi_bar != "calibrate":
-        raise ConfigError("speedup.xi_bar must be a number or 'calibrate'")
+    if isinstance(spd.xi_bar, str):
+        _require(spd.xi_bar == "calibrate", "speedup.xi_bar must be a number or 'calibrate'")
+    else:
+        _require(0 < spd.xi_bar < 0.5, "speedup.xi_bar must lie in (0, 0.5), so that "
+                 "P_exc = 4 xi_bar^2 < 1")
 
     _require(6 <= cfg.output.float_digits <= 17, "output.float_digits must lie in [6, 17]")
 

@@ -1,9 +1,9 @@
 """Small dense numerical kernels behind the physics modules.
 
-solve_scalar / minimize_scalar are Brent root finding and golden-section
-search, and expm is a Pade-13 matrix exponential.  Eigenproblems go straight
-to numpy.linalg, and the pi pulse has its own Magnus propagator in pulse.
-All kernels are pure and reentrant.
+solve_scalar is Brent root finding and expm a Pade-13 matrix exponential.
+Eigenproblems go straight to numpy.linalg, the pi pulse has its own Magnus
+propagator in pulse, and the LPOL wavelength optimum is taken from its exact
+candidates in stark.  All kernels are pure and reentrant.
 """
 from __future__ import annotations
 
@@ -16,13 +16,12 @@ from .errors import NumericsError, PhysicsDomainError
 
 __all__ = [
     "solve_scalar",
-    "minimize_scalar",
     "expm",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Scalar root finding and minimisation
+# Scalar root finding
 # ---------------------------------------------------------------------------
 
 def solve_scalar(f: Callable[[float], float], bracket: Sequence[float],
@@ -72,36 +71,6 @@ def solve_scalar(f: Callable[[float], float], bracket: Sequence[float],
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
     raise NumericsError("solve_scalar exceeded its iteration budget")
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def minimize_scalar(f: Callable[[float], float], bracket: Sequence[float],
-                    tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on a bracket.
-
-    Returns (argmin, min).  tol is relative to the bracket width; the
-    unimodality assumption is the caller's responsibility.
-    """
-    a, b = float(bracket[0]), float(bracket[1])
-    if not b > a:
-        raise PhysicsDomainError("minimize_scalar needs a nonempty bracket")
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    width0 = b - a
-    while (b - a) > tol * width0:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, PhysicsDomainError
-from .stark import FieldAtAtom, scattering_rates, TransitionSet
+from .stark import light_shifts
 from .units import AtomSpecies
 
 __all__ = [
@@ -109,7 +109,7 @@ def _magnus_steps(pulse: GaussianPulse, n: int) -> np.ndarray:
     a1 = 0.5 * pulse.envelope(mid - _GAUSS * h)
     a2 = 0.5 * pulse.envelope(mid + _GAUSS * h)
     vx = 0.5 * h * (a1 + a2)
-    vy = -0.5 * _GAUSS * h * h * (a2 - a1) * pulse.detuning
+    vy = -0.5 * _GAUSS * (h * (a2 - a1)) * (h * pulse.detuning)   # no h^2 overflow
     vz = 0.5 * h * pulse.detuning
     angle = np.sqrt(vx * vx + vy * vy + vz * vz)
     sinc = np.sinc(angle / np.pi)
@@ -174,7 +174,5 @@ def step2_scattering_probability(intensity: float, species: AtomSpecies,
     the full-intensity-equivalent time int I(t) dt / I_peak in seconds."""
     if exposure == 0.0:
         return 0.0
-    transitions = TransitionSet.for_species(species, lpol_wavelength)
-    g0, g1 = scattering_rates(FieldAtAtom(intensity=1.0, wavelength=lpol_wavelength),
-                              transitions)
-    return max(g0, g1) * intensity * exposure
+    _, _, _, gamma0, gamma1 = light_shifts(species, lpol_wavelength, 1.0)
+    return float(max(gamma0, gamma1)) * intensity * exposure

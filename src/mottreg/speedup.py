@@ -39,6 +39,9 @@ MASS = 0.5  # in units where hbar = 1 and energies are hbar^2/(2 m sigma_c^2)
 _GH_NODES, _GH_WEIGHTS = hermgauss(96)
 _COUPLING_FLOOR = 1e-8  # relative threshold for "nonzero" transition elements
 _NEWTON_ITERATIONS = 50
+# a profile holds ~32 bytes per element of n_points x (basis_size^2 + 128), the
+# stacks and each point's rows at the nodes: at most the pi pulse's ~110 MB
+_MAX_PROFILE = 3_400_000
 
 
 @dataclass(frozen=True)
@@ -248,6 +251,13 @@ def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
         raise PhysicsDomainError("final displacement must be >= 0")
     if adiabaticity <= 0:
         raise PhysicsDomainError("adiabaticity must be positive")
+    if basis_size > len(_GH_NODES):
+        raise NumericsError(f"speedup.basis_size = {basis_size} exceeds the "
+                            f"{len(_GH_NODES)} Gauss-Hermite nodes")
+    if n_points * (basis_size ** 2 + 128) > _MAX_PROFILE:
+        raise NumericsError(f"speedup.profile_points x (speedup.basis_size^2 + 128) = "
+                            f"{n_points * (basis_size ** 2 + 128)} exceeds {_MAX_PROFILE} "
+                            "(about 110 MB of arrays)")
     a_grid = np.linspace(0.0, final_displacement, n_points)
     minima = track_minimum(p, a_grid)
     gaps, elements = gap_and_element(p, a_grid, minima, basis_size)

@@ -8,13 +8,14 @@ envelope cos^2(pi x / eta_l) peaks on the target (A) sites.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PhysicsDomainError
-from .stark import FieldAtAtom, shift_report
+from .stark import light_shifts
 from .units import AtomSpecies, UnitSystem
 
 __all__ = [
@@ -110,35 +111,27 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
         raise PhysicsDomainError("need at least one full pattern period of sites")
     units = UnitSystem.for_lattice(species, config.spol_wavelength)
     xs = np.arange(count) * config.spol_wavelength / 2.0
-    envelope = _intensity_envelope(config, xs)
-
-    e0, e1, diff = [], [], []
-    for env in envelope:
-        rep = shift_report(FieldAtAtom(intensity=config.lpol_intensity * float(env),
-                                       wavelength=config.lpol_wavelength), species)
-        e0.append(units.energy_to_natural(rep.deltaE_0))
-        e1.append(units.energy_to_natural(rep.deltaE_1))
-        diff.append(units.energy_to_natural(rep.deltaE_diff))
+    intensities = config.lpol_intensity * _intensity_envelope(config, xs)
+    e0, e1, diff = (units.energy_to_natural(shift) for shift in
+                    light_shifts(species, config.lpol_wavelength, intensities)[:3])
 
     # classify within the first period, then tile
-    period_diff = np.array(diff[:n])
-    order = np.argsort(period_diff)[::-1]
-    top, second = period_diff[order[0]], period_diff[order[1]]
+    period_diff = diff[:n]
+    a_index = int(np.argmax(period_diff))
+    top = period_diff[a_index]
     scale = max(abs(top), 1e-30)
-    if config.lpol_intensity > 0 and abs(top - second) <= 1e-9 * scale:
-        tied = [int(j) for j in np.flatnonzero(np.abs(period_diff - top) <= 1e-9 * scale)]
+    tied = np.flatnonzero(np.abs(period_diff - top) <= 1e-9 * scale)
+    if config.lpol_intensity > 0 and len(tied) > 1:
         raise PhysicsDomainError(
-            f"ambiguous site pattern: sites {tied} tie for the maximal shift; "
+            f"ambiguous site pattern: sites {tied.tolist()} tie for the maximal shift; "
             "adjust lpol_phase")
-    a_index = int(order[0])
-    labels = tuple("A" if j % n == a_index else "B" for j in range(count))
-    b_shifts = [period_diff[j] for j in range(len(period_diff)) if j != a_index]
-    delta = float(top - max(b_shifts)) if b_shifts else 0.0
+    labels = np.where(np.arange(count) % n == a_index, "A", "B")
+    delta = float(top - np.sort(period_diff)[-2])     # A minus the largest B shift
 
-    return SiteDetunings(pattern=SitePattern(labels=labels,
-                                             site_positions=tuple(float(x) for x in xs)),
-                         delta_e0=tuple(e0), delta_e1=tuple(e1),
-                         delta_diff=tuple(diff), delta=delta)
+    return SiteDetunings(pattern=SitePattern(labels=tuple(labels.tolist()),
+                                             site_positions=tuple(xs.tolist())),
+                         delta_e0=tuple(e0.tolist()), delta_e1=tuple(e1.tolist()),
+                         delta_diff=tuple(diff.tolist()), delta=delta)
 
 
 def solve_intensity_for_delta(config: SuperlatticeConfig, species: AtomSpecies,
@@ -152,11 +145,8 @@ def solve_intensity_for_delta(config: SuperlatticeConfig, species: AtomSpecies,
         raise PhysicsDomainError("target delta must be >= 0")
     if target_delta == 0:
         return 0.0
-    probe = SuperlatticeConfig(
-        spol_wavelength=config.spol_wavelength, spol_depth=config.spol_depth,
-        pattern_period=config.pattern_period, lpol_wavelength=config.lpol_wavelength,
-        lpol_intensity=1.0, lpol_phase=config.lpol_phase)
-    per_unit = site_hyperfine_detunings(probe, species).delta
+    per_unit = site_hyperfine_detunings(dataclasses.replace(config, lpol_intensity=1.0),
+                                        species).delta
     if per_unit <= 0:
         raise PhysicsDomainError("differential shift is not positive at this wavelength")
     return target_delta / per_unit
@@ -216,7 +206,7 @@ def lpol_ramp_time(config: SuperlatticeConfig, species: AtomSpecies,
     duration_nat = (1.0 - w_i / w_f) / b
     # int (omega(t)^2 - w_i^2) dt in closed form gives the intensity exposure
     depth_integral = w_i ** 2 * ((1.0 / b) * (w_f / w_i - 1.0) - duration_nat)
-    weight_nat = depth_integral / (w_f ** 2 - w_i ** 2)
+    weight_nat = depth_integral / (4.0 * shift_a)     # w_f^2 - w_i^2, without cancellation
 
     units = UnitSystem.for_lattice(species, config.spol_wavelength)
     return RampPlan(duration=units.time_from_natural(duration_nat), xi=xi,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicsDomainError
+from .errors import NumericsError, PhysicsDomainError
 from .units import K_BOLTZMANN, PI, UnitSystem
 
 __all__ = [
@@ -207,7 +207,13 @@ def band_tunneling(lattice_depth: float, n_waves: int = 12) -> float:
             mat[j + 1, j] = off
         return np.linalg.eigvalsh(mat)[0]
 
-    return (ground_energy(1.0) - ground_energy(0.0)) / 4.0
+    bandwidth = ground_energy(1.0) - ground_energy(0.0)
+    # the band edges are eigenvalues near V/2; beyond ~230 E_R their
+    # difference keeps fewer than three digits above the rounding of V
+    if bandwidth < 1e3 * np.finfo(float).eps * lattice_depth:
+        raise NumericsError(f"lattice.depth_er = {lattice_depth:g} is too deep to resolve "
+                            "the tunneling J from the band edges")
+    return bandwidth / 4.0
 
 
 def hopping_time(lattice_depth: float) -> float:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PhysicsDomainError
 
 __all__ = [
@@ -83,9 +85,10 @@ def recoil_energy(wavelength: float, mass: float) -> float:
     return H_PLANCK ** 2 / (2.0 * mass * wavelength ** 2)
 
 
-def detuning_from_wavelength(laser_wavelength: float, line_wavelength: float) -> float:
-    """Angular detuning 2 pi c (1/laser - 1/line); negative when red of the line."""
-    if laser_wavelength <= 0 or line_wavelength <= 0:
+def detuning_from_wavelength(laser_wavelength, line_wavelength: float):
+    """Angular detuning 2 pi c (1/laser - 1/line); negative when red of the
+    line.  The laser wavelength may be an array."""
+    if (np.asarray(laser_wavelength) <= 0).any() or line_wavelength <= 0:
         raise PhysicsDomainError("wavelengths must be positive")
     return 2 * PI * C_LIGHT * (1.0 / laser_wavelength - 1.0 / line_wavelength)
 

@@ -45,12 +45,6 @@ def test_scheme1_product_rule_vs_sum(scheme1):
     assert abs(scheme1.total_failure / scheme1.channel_sum - 1.0) < 1e-2
 
 
-def test_scheme1_zero_channel_diagnostic():
-    budget = run_scheme1(RunConfig(), zero_channels=True)
-    assert budget.total_failure == 0.0
-    assert budget.channel_sum == 0.0
-
-
 def test_scheme1_deterministic():
     a = run_scheme1(RunConfig()).to_dict()
     b = run_scheme1(RunConfig()).to_dict()
@@ -73,11 +67,6 @@ def test_scheme2_single_cycle_yield():
     cfg.speedup.cycles = 1
     budget = run_scheme2(cfg)
     assert budget.extraction_fraction == pytest.approx(1 / 3, rel=1e-12)
-
-
-def test_scheme2_zero_channel_diagnostic():
-    budget = run_scheme2(RunConfig(), zero_channels=True)
-    assert budget.total_failure == 0.0
 
 
 def test_sweep_xi_rows_follow_closed_form():

@@ -1,5 +1,7 @@
 """Config loading, serialization, CLI subcommands, determinism, exit codes."""
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from mottreg.cli import emit, main
 from mottreg.config import (RunConfig, config_from_dict, config_to_dict,
                             load_config, set_by_path)
 from mottreg.errors import ConfigError
+from mottreg.pulse import rabi_evolve
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +218,6 @@ def test_cli_speedup_side_files(capsys, tmp_path):
     assert summary["yield_5_cycles"] == pytest.approx(0.8683, abs=1e-4)
 
 
-def test_cli_scheme1_zero_channels(capsys):
-    code, out = _run(capsys, "scheme1", "--zero-channels")
-    assert code == 0
-    assert json.loads(out)["report"]["total_failure"] == 0.0
-
-
 def test_cli_flag_overrides_win(capsys):
     code, out = _run(capsys, "--set", "transfer.xi=0.0025", "transfer")
     assert code == 0
@@ -288,6 +285,14 @@ def test_cli_non_numeric_value_is_a_config_error(capsys):
     ("--values", "sweep --parameter transfer.xi --values x"),
     ("--detuning-ghz", "remove --detuning-ghz nan"),
     ("--sites", "lattice --sites 2"),
+    # an empty or reversed band, and values whose derived scales overflow
+    ("lattice.band_exclusion_nm=-5", "stark-scan"),
+    ("lattice.band_exclusion_nm=1e300", "stark-scan"),
+    ("lattice.lambda_s_nm=1e-300", "scheme1"),
+    ("speedup.sigma_c_um=1e300", "speedup"),
+    ("transfer.waist_um=1e300", "transfer"),
+    ("transfer.frequency_ratio=1e300", "transfer"),
+    ("--detuning-ghz", "remove --detuning-ghz 1e100"),
 ])
 def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, setting, command):
     field, sep, _ = setting.partition("=")
@@ -295,6 +300,56 @@ def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, setting, c
     err = capsys.readouterr().err
     assert err.startswith("config error: " + field)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("setting, command, field", [
+    # the tunneling of a deeper lattice is below the rounding of its bands
+    ("lattice.depth_er=1e300", "transfer", "lattice.depth_er"),
+    ("speedup.basis_size=200", "speedup", "speedup.basis_size"),
+    ("speedup.profile_points=100000000", "speedup", "speedup.profile_points"),
+])
+def test_cli_unresolvable_or_oversized_run_is_a_numerics_error(capsys, setting, command, field):
+    assert main(["--set", setting, command]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerics error: " + field)
+
+
+def test_cli_refuses_a_non_finite_report_value(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("mottreg.cli.rabi_evolve", lambda pulse: dataclasses.replace(
+        rabi_evolve(pulse), p_flip=float("nan")))
+    monkeypatch.setenv("MOTTREG_OUTDIR", str(tmp_path))
+    assert main(["--out", "pulse.json", "pulse"]) == 4
+    assert capsys.readouterr().err.startswith("numerics error: report value 'p_flip' is nan")
+    assert not (tmp_path / "pulse.json").exists()
+
+
+FUZZ_COMMANDS = ["stark-scan --points 5", "lattice", "pulse", "remove", "transfer",
+                 "speedup", "scheme1", "scheme2",
+                 "sweep --parameter transfer.xi --values 0.005 0.004"]
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([0, -1, 1e-300, -1e-300, 1e300, -1e300, 10 ** 20, 2 ** 70]),
+    st.integers(-10 ** 30, 10 ** 30), st.floats(-1e300, 1e300))
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+# a depth below the tight-binding regime warns by design; any other warning
+# stays an error
+@pytest.mark.filterwarnings("default:lattice depth below:UserWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(field=st.sampled_from(NUMBER_FIELDS), value=FUZZ_VALUES,
+       command=st.sampled_from(FUZZ_COMMANDS))
+def test_cli_fuzz_number_fields(field, value, command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", "json", "--set", f"{field[0]}={json.dumps(value)}",
+                     *command.split()])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 def test_cli_reports_agree_with_the_budgets(capsys):

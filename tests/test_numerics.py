@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from mottreg.errors import PhysicsDomainError
-from mottreg.numerics import expm, minimize_scalar, solve_scalar
+from mottreg.numerics import expm, solve_scalar
 
 
 # ---------------------------------------------------------------------------
-# solve_scalar / minimize_scalar
+# solve_scalar
 # ---------------------------------------------------------------------------
 
 def test_solve_scalar_sqrt2():
@@ -20,25 +20,6 @@ def test_solve_scalar_sqrt2():
 def test_solve_scalar_requires_sign_change():
     with pytest.raises(PhysicsDomainError, match="sign change"):
         solve_scalar(lambda x: x * x + 1.0, (0.0, 1.0))
-
-
-def test_minimize_parabola():
-    x, fx = minimize_scalar(lambda x: (x - 3.0) ** 2, (0.0, 10.0))
-    assert abs(x - 3.0) < 1e-7
-    assert fx < 1e-13
-
-
-def test_minimize_double_gaussian_vs_grid_oracle():
-    def well(x):
-        return (-1.0 * math.exp(-2 * x ** 2)
-                - 1.4 * math.exp(-8 * (x - 0.9) ** 2))
-
-    # oracle: 1e6-point dense scan
-    xs = np.linspace(0.0, 1.5, 1_000_001)
-    vals = -1.0 * np.exp(-2 * xs ** 2) - 1.4 * np.exp(-8 * (xs - 0.9) ** 2)
-    x_grid = xs[int(np.argmin(vals))]
-    x_min, _ = minimize_scalar(well, (0.5, 1.5), tol=1e-12)
-    assert abs(x_min - x_grid) <= 2 * (xs[1] - xs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from mottreg.superlattice import (SuperlatticeConfig, lpol_angle, lpol_period,
                                   lpol_ramp_time, pattern_yield,
                                   site_hyperfine_detunings,
                                   solve_intensity_for_delta)
-from mottreg.stark import FieldAtAtom, shift_report
+from mottreg.stark import light_shifts
 from mottreg.units import RB87, UnitSystem
 
 
@@ -43,6 +43,22 @@ def _configured(intensity=0.0, n=3, phase=0.0):
                               lpol_phase=phase)
 
 
+@pytest.mark.parametrize("n, phase", [(3, 0.0), (4, 0.0), (5, 30e-9)])
+def test_site_detunings_equal_per_site_calls(n, phase):
+    # reference: one scalar light-shift call per site, as the loop did
+    intensity = solve_intensity_for_delta(_configured(n=n, phase=phase), RB87, 52.0)
+    config = _configured(intensity, n=n, phase=phase)
+    sites = site_hyperfine_detunings(config, RB87, n_sites=2 * n)
+    units = UnitSystem.for_lattice(RB87, 850e-9)
+    xs = np.array(sites.pattern.site_positions)
+    envelope = np.cos(np.pi * (xs - phase) / (n * 850e-9 / 2)) ** 2
+    for j, env in enumerate(envelope):
+        d0, d1, diff = light_shifts(RB87, 787.6e-9, intensity * float(env))[:3]
+        assert sites.delta_e0[j] == units.energy_to_natural(d0)
+        assert sites.delta_e1[j] == units.energy_to_natural(d1)
+        assert sites.delta_diff[j] == units.energy_to_natural(diff)
+
+
 def test_site_detunings_cos2_pattern():
     # oracle: direct cos^2 envelope at x = 0, lambda_s/2, lambda_s gives
     # intensity factors 1, 1/4, 1/4 for n = 3
@@ -50,7 +66,7 @@ def test_site_detunings_cos2_pattern():
     sites = site_hyperfine_detunings(_configured(intensity), RB87, n_sites=9)
     units = UnitSystem.for_lattice(RB87, 850e-9)
     peak = units.energy_to_natural(
-        shift_report(FieldAtAtom(intensity, 787.6e-9), RB87).deltaE_diff)
+        light_shifts(RB87, 787.6e-9, intensity)[2])
     assert sites.delta == pytest.approx(0.75 * peak, rel=1e-12)
     assert sites.pattern.labels == ("A", "B", "B") * 3
     # the two B sites in each period are degenerate by cos^2 symmetry

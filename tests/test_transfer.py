@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mottreg.errors import PhysicsDomainError
+from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg.transfer import (HarmonicRamp, band_tunneling, combined_frequency,
                               excitation_analytic, excitation_numeric,
                               hopping_time, initial_frequency,
@@ -161,6 +161,17 @@ def test_band_tunneling_vs_asymptotic_oracle():
     j = band_tunneling(50.0)
     asym = (4 / math.sqrt(math.pi)) * 50.0 ** 0.75 * math.exp(-2 * math.sqrt(50.0))
     assert j == pytest.approx(asym, rel=0.2)
+
+
+def test_band_tunneling_refuses_unresolved_depths():
+    # up to 200 E_R J tracks the asymptotic law; at 400 E_R the band-edge
+    # difference was rounding, 1e4 times too large
+    for depth in (100.0, 200.0):
+        asym = (4 / math.sqrt(math.pi)) * depth ** 0.75 * math.exp(-2 * math.sqrt(depth))
+        assert band_tunneling(depth) == pytest.approx(asym, rel=0.05)
+    for depth in (300.0, 400.0, 1e300):
+        with pytest.raises(NumericsError, match="lattice.depth_er"):
+            hopping_time(depth)
 
 
 def test_hopping_time_seconds_scale_and_monotone():
