@@ -19,7 +19,7 @@ from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
 from .config import (RunConfig, build_species, config_to_dict, resolve_pulse_rules,
                      resolve_xi_bar, set_by_path)
-from .errors import PhysicsDomainError
+from .errors import NumericsError, PhysicsDomainError
 from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve, step2_scattering_probability
 from .stark import optimize_lpol_wavelength
 from .units import AtomSpecies, UnitSystem
@@ -41,6 +41,11 @@ __all__ = [
     "FocusMove",
     "moving_focus",
 ]
+
+# the site arrays of one pattern period cost about 90 bytes per site, so a
+# period holds at most the ~110 MB the pi pulse and the moving-focus profile
+# may hold
+_MAX_PERIOD = 1_200_000
 
 STEP_NAMES = ("mott_prep", "selective_depop", "removal", "transfer", "speedup_move")
 
@@ -142,6 +147,9 @@ def species_and_units(cfg: RunConfig) -> tuple[AtomSpecies, UnitSystem]:
 
 def patterned_lattice(cfg: RunConfig, species: AtomSpecies) -> lattice_mod.SuperlatticeConfig:
     """The superlattice with the LPOL intensity that gives the delta target."""
+    if cfg.lattice.pattern_period > _MAX_PERIOD:
+        raise NumericsError(f"lattice.pattern_period = {cfg.lattice.pattern_period} "
+                            f"exceeds {_MAX_PERIOD} sites (about 110 MB of arrays)")
     base = lattice_mod.SuperlatticeConfig(
         spol_wavelength=cfg.lattice.lambda_s_nm * 1e-9,
         spol_depth=cfg.lattice.depth_er,
@@ -359,8 +367,14 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
     """
     stages: dict = {}
     rows = []
+    section = parameter.partition(".")[0]
+    known = section in {f.name for f in dataclasses.fields(cfg)}
     for value in values:
-        trial = copy.deepcopy(cfg)
+        # set_by_path writes one field of the named section, so only that
+        # section needs a copy of its own
+        trial = copy.copy(cfg)
+        if known:
+            setattr(trial, section, copy.copy(getattr(cfg, section)))
         set_by_path(trial, parameter, repr(value) if not isinstance(value, str) else value)
         budget = _scheme1(trial, stages)
         row = {"parameter": parameter, "value": value,

@@ -30,6 +30,11 @@ from .stark import default_search_band, wavelength_scan
 
 __all__ = ["main"]
 
+# a report row costs about 700 bytes on its way out (floats, row dicts, text),
+# so a report holds at most the ~110 MB the pi pulse and the moving-focus
+# profile may hold
+_MAX_ROWS = 150_000
+
 
 def _fmt_float(value: float, digits: int) -> float:
     return float(format(float(value), f".{digits}g"))
@@ -131,6 +136,12 @@ def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
         sys.stdout.write(_csv_text(report, digits))
 
 
+def _require_rows(flag: str, rows: int):
+    if rows > _MAX_ROWS:
+        raise NumericsError(f"{flag} = {rows} exceeds {_MAX_ROWS} report rows "
+                            "(about 110 MB)")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -138,6 +149,7 @@ def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
 def _cmd_stark_scan(args, cfg: RunConfig):
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
+    _require_rows("--points", args.points)
     species, units = species_and_units(cfg)
     band = default_search_band(species, cfg.lattice.band_exclusion_nm * 1e-9)
     columns = wavelength_scan(species, band, args.points, units.base_energy)
@@ -149,6 +161,7 @@ def _cmd_lattice(args, cfg: RunConfig):
     if args.sites < period:
         raise ConfigError(f"--sites must be >= {period} (one pattern period), "
                           f"got {args.sites}")
+    _require_rows("--sites", args.sites)
     cfg = resolve_lpol_wavelength(cfg)
     species, _ = species_and_units(cfg)
     config = patterned_lattice(cfg, species)

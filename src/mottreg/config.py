@@ -179,26 +179,32 @@ def _finite(value) -> bool:
         return False
 
 
+# (section, field, the kinds its annotation admits) of every config field
+_FIELD_KINDS = tuple((section_name, f.name, frozenset(f.type.split(" | ")))
+                     for section_name, cls in _SECTIONS.items()
+                     for f in dataclasses.fields(cls))
+
+
 def _require_types(cfg: RunConfig):
     """Every field holds a value of its annotated kind: a string where the
     annotation admits one (or None where it admits None), else a finite real
     number (not a bool), and an int where the annotation has no float."""
-    for section_name in _SECTIONS:
-        section = getattr(cfg, section_name)
-        for f in dataclasses.fields(section):
-            kinds = f.type.split(" | ")
-            value = getattr(section, f.name)
-            if (value is None and "None" in kinds) or (isinstance(value, str)
-                                                      and "str" in kinds):
-                continue
-            path = f"{section_name}.{f.name}"
-            _require("float" in kinds or "int" in kinds,
-                     f"{path} must be a string, got {value!r}")
-            _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                     f"{path} must be a number, got {value!r}")
-            _require(_finite(value), f"{path} must be finite, got {value!r}")
-            _require("float" in kinds or isinstance(value, int),
-                     f"{path} must be an integer, got {value!r}")
+    for section_name, name, kinds in _FIELD_KINDS:
+        value = getattr(getattr(cfg, section_name), name)
+        if (value is None and "None" in kinds) or (isinstance(value, str)
+                                                  and "str" in kinds):
+            continue
+        if "float" not in kinds and "int" not in kinds:
+            problem = "a string"
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            problem = "a number"
+        elif not _finite(value):
+            problem = "finite"
+        elif "float" not in kinds and not isinstance(value, int):
+            problem = "an integer"
+        else:
+            continue
+        raise ConfigError(f"{section_name}.{name} must be {problem}, got {value!r}")
 
 
 # the closed range of each number the models describe, beyond which a derived

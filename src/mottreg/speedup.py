@@ -1,7 +1,9 @@
 """Moving-focused-laser extraction: the double-Gaussian channel potential,
-Newton tracking of its minimum, the gap and coupling profiles of every path
-point from one stacked harmonic-basis eigensolve, the adiabatic moving-time
-integral, excitation/scattering estimates, and the multi-cycle yield.
+Newton tracking of its minimum (a continuation along the path in plain
+floats, V' and V'' from one pair of Gaussians per iterate), the gap and
+coupling profiles of every path point from one stacked harmonic-basis
+eigensolve, the adiabatic moving-time integral, excitation/scattering
+estimates, and the multi-cycle yield.
 
 Units: lengths in the confinement waist sigma_c, energies in
 hbar^2 / (2 m sigma_c^2), so hbar = 1 and the mass is 1/2; times come out in
@@ -123,31 +125,44 @@ def track_minimum(p: DoubleGaussianPotential, a_path) -> np.ndarray:
     a_path = np.asarray(a_path, dtype=float)
     if a_path[0] != 0.0 or np.any(np.diff(a_path) < 0):
         raise PhysicsDomainError("a_path must increase monotonically from 0")
-    minima = np.empty_like(a_path)
+    wells = (float(p.confine_depth), float(p.focus_depth),
+             float(p.confine_waist) ** 2, float(p.focus_waist) ** 2)
+    path = a_path.tolist()
+    minima = []
     y_prev = slope = 0.0
-    for i, a in enumerate(a_path):
-        step = a_path[i] - a_path[i - 1] if i else 0.0
-        root = _newton_minimum(p.at(float(a)), y_prev + slope * step)
+    for i, a in enumerate(path):
+        step = a - path[i - 1] if i else 0.0
+        root = _newton_minimum(wells, a, y_prev + slope * step)
         max_jump = max(3.0 * step, 0.1 * p.confine_waist)
         if root is None or (i and abs(root - y_prev) > max_jump):
             raise NumericsError(
                 f"tracked well lost at a = {a}: the minimum merged away "
-                f"(last valid a = {a_path[max(i - 1, 0)]})")
+                f"(last valid a = {path[max(i - 1, 0)]})")
         if step > 0.0:
             slope = (root - y_prev) / step
         y_prev = root
-        minima[i] = y_prev
-    return minima
+        minima.append(y_prev)
+    return np.array(minima)
 
 
-def _newton_minimum(pa: DoubleGaussianPotential, y: float) -> float | None:
-    """Newton root of dV/dy from y, or None when an iterate has V'' <= 0 or
-    the iteration does not converge (no local minimum to follow)."""
+def _newton_minimum(wells: tuple[float, float, float, float], a: float,
+                    y: float) -> float | None:
+    """Newton root of dV/dy from y at displacement a, or None when an iterate
+    has V'' <= 0 or the iteration does not converge (no local minimum to
+    follow).  wells is (V_c, V_f, s_c^2, s_f^2); V' and V'' are the
+    expressions of DoubleGaussianPotential.gradient and .curvature in floats,
+    sharing one pair of Gaussians per iterate."""
+    vc, vf, sc2, sf2 = wells
+    kc, kf = vc * (4.0 / sc2), vf * (4.0 / sf2)
     for _ in range(_NEWTON_ITERATIONS):
-        curv = float(pa.curvature(y))
+        u = y - a
+        y2, u2 = y * y, u * u
+        gc = math.exp(-2.0 * y2 / sc2)
+        gf = math.exp(-2.0 * u2 / sf2)
+        curv = kc * (1.0 - 4.0 * y2 / sc2) * gc + kf * (1.0 - 4.0 * u2 / sf2) * gf
         if curv <= 0.0:
             return None
-        step = float(pa.gradient(y)) / curv
+        step = (vc * (4.0 * y / sc2) * gc + vf * (4.0 * u / sf2) * gf) / curv
         y -= step
         if abs(step) <= 1e-12 * max(1.0, abs(y)):
             return y

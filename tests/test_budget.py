@@ -138,6 +138,23 @@ def test_sweep_rows_equal_independent_runs(cfg, parameter, values):
     assert rows == [_independent_row(cfg, parameter, v) for v in values]
 
 
+@pytest.mark.parametrize("parameter, value", [
+    ("species.gamma2_rad_s", 4.0e7),
+    ("lattice.delta_target_er", 44.0),
+    ("pulse.detuning_er", 45.0),
+    ("removal.duration_us", 2.0),
+    ("transfer.xi", 0.0025),
+    ("speedup.cycles", 3),
+    ("output.float_digits", 8),
+])
+def test_sweep_leaves_the_callers_config_unchanged(parameter, value):
+    cfg = RunConfig()
+    before = copy.deepcopy(cfg)
+    rows = sweep(cfg, parameter, [value])
+    assert cfg == before
+    assert rows == [_independent_row(before, parameter, value)]
+
+
 def _counting(monkeypatch, name):
     original = getattr(budget_mod, name)
     calls = []

@@ -307,9 +307,14 @@ def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, setting, c
     ("lattice.depth_er=1e300", "transfer", "lattice.depth_er"),
     ("speedup.basis_size=200", "speedup", "speedup.basis_size"),
     ("speedup.profile_points=100000000", "speedup", "speedup.profile_points"),
+    # refused before allocating 7.45 GiB, 74.5 GiB and 72.8 TiB
+    ("--points", "stark-scan --points 1000000000", "--points"),
+    ("--sites", "lattice --sites 10000000000", "--sites"),
+    ("lattice.total_sites=100000000000000",
+     "--set lattice.pattern_period=10000000000000 scheme1", "lattice.pattern_period"),
 ])
 def test_cli_unresolvable_or_oversized_run_is_a_numerics_error(capsys, setting, command, field):
-    assert main(["--set", setting, command]) == 4
+    assert main((["--set", setting] if "=" in setting else []) + command.split()) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerics error: " + field)
 

@@ -85,6 +85,29 @@ def test_track_minimum_reports_branch_merge():
         track_minimum(weak, np.linspace(0.0, 3.0, 241))
 
 
+# a focus well whose peak restoring force V_f/s_f exceeds the confinement's
+# (ratio > 1) survives the whole move; 1.5 leaves margin for its curvature
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(confine_depth=st.floats(50.0, 1000.0), ratio=st.floats(1.5, 3.0),
+       focus_waist=st.floats(0.3, 0.8), a_final=st.floats(0.1, 3.0),
+       n_points=st.integers(65, 321))
+def test_tracked_minima_are_newton_fixed_points(confine_depth, ratio, focus_waist,
+                                                a_final, n_points):
+    wells = DoubleGaussianPotential(confine_depth=confine_depth,
+                                    focus_depth=ratio * confine_depth * focus_waist,
+                                    focus_waist=focus_waist)
+    a = np.linspace(0.0, a_final, n_points)
+    minima = track_minimum(wells, a)
+    assert minima[0] == 0.0
+    gradient = wells.at(a).gradient(minima)
+    curvature = wells.at(a).curvature(minima)
+    assert np.all(curvature > 0.0)
+    force_scale = wells.confine_depth + wells.focus_depth / focus_waist
+    assert np.max(np.abs(gradient)) <= 1e-12 * force_scale
+    newton_step = gradient / curvature
+    assert np.all(np.abs(newton_step) <= 1e-12 * np.maximum(1.0, np.abs(minima)))
+
+
 class _Harmonic:
     """Pure harmonic test potential with the same duck-typed surface."""
 
