@@ -267,8 +267,9 @@ def _run_step_two(cfg: RunConfig, species: AtomSpecies, units: UnitSystem) -> _S
 def _reuse(stages: dict, cfg: RunConfig, stage: str, sections: tuple[str, ...], compute):
     """The stage's result, computed on first use.  It is keyed by the values
     of the config sections the stage reads, so every later call whose
-    sections match gets the same result."""
-    key = (stage,) + tuple(dataclasses.astuple(getattr(cfg, name)) for name in sections)
+    sections match gets the same result.  Section fields are scalars or
+    strings, so a shallow tuple of their values is the key."""
+    key = (stage,) + tuple(tuple(vars(getattr(cfg, name)).values()) for name in sections)
     if key not in stages:
         stages[key] = compute()
     return stages[key]

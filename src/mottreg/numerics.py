@@ -1,6 +1,7 @@
 """Small dense numerical kernels behind the physics modules.
 
-solve_scalar is Brent root finding and expm a Pade-13 matrix exponential.
+solve_scalar is Brent root finding (the removing-laser drive) and expm a
+Pade-13 matrix exponential (off-resonant Bloch propagation).
 Eigenproblems go straight to numpy.linalg, the pi pulse has its own Magnus
 propagator in pulse, and the LPOL wavelength optimum is taken from its exact
 candidates in stark.  All kernels are pure and reentrant.
@@ -24,21 +25,30 @@ __all__ = [
 # Scalar root finding
 # ---------------------------------------------------------------------------
 
+def _same_sign(x: float, y: float) -> bool:
+    # not x * y > 0, which underflows to 0 once |x y| < 2.2e-308
+    return (x > 0.0 and y > 0.0) or (x < 0.0 and y < 0.0)
+
+
 def solve_scalar(f: Callable[[float], float], bracket: Sequence[float],
                  tol: float = 1e-13) -> float:
-    """Brent root of f inside a sign-changing bracket."""
+    """Brent root of f inside a sign-changing bracket.  A NaN from f raises
+    NumericsError: it compares false with every sign test and would
+    otherwise end the search at an arbitrary point."""
     a, b = float(bracket[0]), float(bracket[1])
     fa, fb = f(a), f(b)
+    if math.isnan(fa) or math.isnan(fb):
+        raise NumericsError(f"solve_scalar: f is NaN at an end of [{a}, {b}]")
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if fa * fb > 0.0:
+    if _same_sign(fa, fb):
         raise PhysicsDomainError(f"no sign change on bracket [{a}, {b}]")
     c, fc = a, fa
     d = e = b - a
     for _ in range(200):
-        if fb * fc > 0.0:
+        if _same_sign(fb, fc):
             c, fc = a, fa
             d = e = b - a
         if abs(fc) < abs(fb):
@@ -70,6 +80,8 @@ def solve_scalar(f: Callable[[float], float], bracket: Sequence[float],
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
+        if math.isnan(fb):
+            raise NumericsError(f"solve_scalar: f is NaN at {b}")
     raise NumericsError("solve_scalar exceeded its iteration budget")
 
 

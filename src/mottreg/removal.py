@@ -5,7 +5,10 @@ estimate.
 All quantities here are SI (rates in 1/s, times in s).  The drive is
 constant over the window, so the affine Bloch system is propagated by an
 exact matrix exponential; an augmented component accumulates the photon
-integral int Gamma rho_ee dt in the same exponential.
+integral int Gamma rho_ee dt in the same exponential.  That route serves
+any detuning.  On resonance the damped Bloch equations have Torrey's
+closed-form transient (Phys. Rev. 76, 1059, 1949), and the drive solver
+counts photons with it; the exponential then checks the solved drive.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ __all__ = [
     "RemovalPlan",
     "obe_evolve",
     "photon_count",
+    "resonant_photon_count",
     "removal_photon_threshold",
     "collision_probability",
     "solve_removal_drive",
@@ -108,6 +112,53 @@ def photon_count(params: ObeParams) -> float:
     return params.linewidth * float(z[4])
 
 
+def resonant_photon_count(linewidth: float, rabi_frequency: float,
+                          duration: float) -> float:
+    """n_p = int Gamma rho_ee dt for a resonant drive from the ground state,
+    in closed form (linewidth > 0, duration >= 0).
+
+    On resonance rho'' + 2a rho' + g rho = w^2/2 in tau = Gamma t, with
+    w = Omega/Gamma, a = 3/4, g = 1/2 + w^2 and rho(0) = rho'(0) = 0.  Its
+    impulse response is h = e^{-a tau} S with S = sinh(kappa tau)/kappa and
+    kappa^2 = 1/16 - w^2, and n_p = (w^2/2) J(tau), J = int_0^tau (tau - s) h ds
+    = [tau - e^{-a tau} S - 2a (1 - e^{-a tau}(C + a S))/g]/g, C = cosh(kappa tau)
+    (Torrey, Phys. Rev. 76, 1059, 1949); for kappa^2 < 0, C and S turn into
+    cos and sin/|kappa|.  Below (a + |kappa|) tau = 1 that bracket cancels to O(tau^3), so J comes
+    from its Taylor series instead.
+    """
+    tau = linewidth * duration
+    w2 = (rabi_frequency / linewidth) ** 2
+    g = 0.5 + w2
+    kappa2 = 0.0625 - w2
+    kappa = math.sqrt(abs(kappa2))
+    if (0.75 + kappa) * tau < 1.0:
+        # d_n = h_n tau^(n+2)/(n+2)! for the Taylor coefficients h_n of h,
+        # h_(n+2) = -2a h_(n+1) - g h_n; scaled terms neither overflow nor
+        # lose the O(tau^3) leading order, and 21 terms reach 1e-17
+        d_prev, d = 0.0, tau ** 3 / 6.0
+        j = d
+        for n in range(20):
+            d_prev, d = d, -(1.5 * tau * d + g * tau * tau * d_prev / (n + 3)) / (n + 4)
+            j += d
+    else:
+        if kappa2 > 0.0:
+            # e^{-a tau} cosh and e^{-a tau} sinh/kappa as
+            # e^{(kappa - a) tau}(1 +- e^{-2 kappa tau})/2: no overflow at long
+            # windows and no cancellation near critical damping
+            half = 0.5 * math.exp((kappa - 0.75) * tau)
+            m = math.expm1(-2.0 * kappa * tau)
+            ec, es = half * (2.0 + m), -half * m / kappa
+        elif kappa2 < 0.0:
+            decay = math.exp(-0.75 * tau)
+            ec = decay * math.cos(kappa * tau)
+            es = decay * math.sin(kappa * tau) / kappa
+        else:
+            decay = math.exp(-0.75 * tau)
+            ec, es = decay, decay * tau
+        j = (tau - es - 1.5 * (1.0 - ec - 0.75 * es) / g) / g
+    return 0.5 * w2 * j
+
+
 def removal_photon_threshold(trap_depth_er: float) -> float:
     """Photons needed to heat an atom out of a trap of depth U0 (in E_R):
     n_p = U0 / 2E_R."""
@@ -143,11 +194,13 @@ def solve_removal_drive(linewidth: float, threshold: float,
 
     The scattering rate saturates at Gamma/2, so a request needing an average
     excited population above the cap is extended to the minimal feasible
-    duration before the drive is solved by bisection (photon count is
-    monotone in Omega_L on resonance).
+    duration.  The drive is then solved by Brent's method in log Omega_L,
+    each step one closed-form resonant_photon_count, between a lower end
+    that scatters at most half the threshold and Omega_L = 1e3 Gamma.
     """
-    if threshold < 0 or requested_duration <= 0:
-        raise PhysicsDomainError("need threshold >= 0 and a positive duration")
+    if threshold < 0 or requested_duration <= 0 or linewidth <= 0:
+        raise PhysicsDomainError(
+            "need threshold >= 0, a positive duration and a positive linewidth")
     if threshold == 0.0:
         return RemovalPlan(rabi_frequency=0.0, duration=requested_duration,
                            requested_duration=requested_duration,
@@ -158,14 +211,19 @@ def solve_removal_drive(linewidth: float, threshold: float,
                 else threshold / (linewidth * excited_population_cap))
 
     def deficit(log_omega: float) -> float:
-        params = ObeParams(linewidth=linewidth, rabi_frequency=math.exp(log_omega),
-                           detuning=0.0, duration=duration)
-        return photon_count(params) - threshold
+        return resonant_photon_count(linewidth, math.exp(log_omega), duration) - threshold
 
-    lo, hi = math.log(linewidth * 1e-3), math.log(linewidth * 1e3)
+    # below Omega = Gamma/4 rho_ee rises to rho_ss < Omega^2/Gamma^2 without
+    # overshoot, so n_p < T Omega^2/Gamma: half the threshold at the lower end
+    lo = math.log(min(linewidth * 1e-3,
+                      math.sqrt(linewidth * threshold / (2.0 * duration))))
+    hi = math.log(linewidth * 1e3)
     if deficit(hi) < 0:
         raise PhysicsDomainError(
-            "photon threshold unreachable in the window even at saturation")
+            f"photon threshold {threshold:.6g} (removal.trap_depth_er / 2) is "
+            f"unreachable in the {duration * 1e6:.6g} us window even at "
+            f"Omega = 1e3 Gamma; lower removal.trap_depth_er or "
+            f"removal.excited_population_cap, or lengthen removal.duration_us")
     log_omega = solve_scalar(deficit, (lo, hi), tol=1e-12)
     return RemovalPlan(rabi_frequency=math.exp(log_omega), duration=duration,
                        requested_duration=requested_duration,

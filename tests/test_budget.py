@@ -131,8 +131,9 @@ def _optimizing():
     (RunConfig(), "transfer.xi", [0.0025, 0.005, 0.0025, 0.01]),
     (RunConfig(), "lattice.delta_target_er", [44.0, 52.0, 44.0]),
     (RunConfig(), "pulse.detuning_er", [45.0, 52.0]),
+    (RunConfig(), "removal.trap_depth_er", [30.0, 50.0, 30.0]),
     (_optimizing(), "transfer.xi", [0.0025, 0.01]),
-], ids=["xi", "delta", "detuning", "xi-optimize"])
+], ids=["xi", "delta", "detuning", "depth", "xi-optimize"])
 def test_sweep_rows_equal_independent_runs(cfg, parameter, values):
     rows = sweep(cfg, parameter, values)
     assert rows == [_independent_row(cfg, parameter, v) for v in values]

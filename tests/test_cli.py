@@ -160,6 +160,48 @@ def test_cli_remove_json(capsys):
     assert report["feasible"] is False
 
 
+@pytest.mark.parametrize("settings", [
+    # drives below the 1e-3 Gamma end of the operating-point bracket
+    ("removal.trap_depth_er=1e-9",),
+    ("removal.trap_depth_er=7e-5",),
+    ("removal.duration_us=1e6",),
+    ("removal.duration_us=1e7",),
+    ("removal.duration_us=1e6", "removal.trap_depth_er=1e-9"),
+    # residuals near 1e-280, whose products underflow in the root finder
+    ("removal.trap_depth_er=1e-280",),
+])
+def test_cli_remove_solves_weak_drives(capsys, settings):
+    argv = [a for s in settings for a in ("--set", s)]
+    code, out = _run(capsys, *argv, "remove")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["feasible"] is True
+    # n_p_B comes from the matrix exponential, whose scaling and squaring
+    # drifts by 3.7e-9 of the count at a 1 s window and 3e-8 at 10 s
+    assert report["n_p_B"] == pytest.approx(report["threshold"], rel=1e-7, abs=0.0)
+
+
+def test_cli_remove_short_window_drive(capsys):
+    # Gamma T = 3.8e-4: the photon count comes from the short-window series
+    code, out = _run(capsys, "--set", "output.float_digits=17",
+                     "--set", "removal.duration_us=1e-5",
+                     "--set", "removal.trap_depth_er=1e-6", "remove")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["rabi_frequency_rad_s"] == pytest.approx(12548544730.939957,
+                                                           rel=1e-11, abs=0.0)
+    assert report["n_p_B"] == pytest.approx(5e-7, rel=1e-12, abs=0.0)
+
+
+def test_cli_remove_unreachable_threshold_names_the_fields(capsys):
+    assert main(["--set", "removal.excited_population_cap=0.4999999", "remove"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("physics domain error: photon threshold")
+    for field in ("removal.trap_depth_er", "removal.duration_us",
+                  "removal.excited_population_cap"):
+        assert field in err
+
+
 def test_cli_lattice_csv(capsys, tmp_path):
     out_csv = tmp_path / "sites.csv"
     code, _ = _run(capsys, "--out", str(out_csv), "lattice", "--sites", "6")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mottreg.errors import PhysicsDomainError
+from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg.numerics import expm, solve_scalar
 
 
@@ -20,6 +20,22 @@ def test_solve_scalar_sqrt2():
 def test_solve_scalar_requires_sign_change():
     with pytest.raises(PhysicsDomainError, match="sign change"):
         solve_scalar(lambda x: x * x + 1.0, (0.0, 1.0))
+
+
+def test_solve_scalar_sign_tests_survive_tiny_values():
+    # products of residuals near 1e-160 underflow to zero
+    root = solve_scalar(lambda x: 1e-160 * (x * x - 2.0), (0.0, 100.0))
+    assert abs(root - math.sqrt(2.0)) < 1e-12
+    with pytest.raises(PhysicsDomainError, match="sign change"):
+        solve_scalar(lambda x: 1e-160 * (x * x + 1.0), (0.0, 1.0))
+
+
+def test_solve_scalar_refuses_nan():
+    # a NaN fails every sign test, so Brent would stop at an arbitrary point
+    with pytest.raises(NumericsError, match="NaN"):
+        solve_scalar(lambda x: math.nan if x > 0.5 else x - 1.0, (0.0, 2.0))
+    with pytest.raises(NumericsError, match="NaN"):
+        solve_scalar(lambda x: math.nan, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

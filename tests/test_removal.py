@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from mottreg.errors import PhysicsDomainError
 from mottreg.removal import (ObeParams, collision_probability, obe_evolve,
                              photon_count, removal_photon_threshold,
-                             solve_removal_drive)
+                             resonant_photon_count, solve_removal_drive)
 from mottreg.units import RB87
 
 GAMMA = RB87.gamma2
@@ -96,7 +96,33 @@ def _photon_count_mpmath(params):
 def test_photon_count_matches_high_precision_oracle(detuning, rel):
     plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
     params = ObeParams(GAMMA, plan.rabi_frequency, detuning, plan.duration)
-    assert photon_count(params) == pytest.approx(_photon_count_mpmath(params), rel=rel)
+    assert photon_count(params) == pytest.approx(_photon_count_mpmath(params), rel=rel,
+                                                  abs=0.0)
+
+
+# Omega/Gamma from weak drives through critical damping (Gamma/4 and 1e-7 to
+# either side) to deep saturation
+_RESONANT_W = (1e-4, 1e-2, 0.2, 0.25 - 1e-7, 0.25, 0.25 + 1e-7, 0.3, 1.0, 10.0, 1e3)
+
+
+# Gamma T from 1e-9 to 4000, with both sides of the short-window series
+# switch at (3/4 + |kappa|) Gamma T = 1 (Gamma T = 1 for weak drives)
+@pytest.mark.parametrize("gamma_t", [1e-9, 1e-4, 1e-3, 0.3, 0.999, 1.001, 4.0, 60.0, 4000.0])
+def test_resonant_photon_count_matches_high_precision_oracle(gamma_t):
+    for w in _RESONANT_W:
+        params = ObeParams(GAMMA, w * GAMMA, 0.0, gamma_t / GAMMA)
+        got = resonant_photon_count(GAMMA, params.rabi_frequency, params.duration)
+        assert math.isfinite(got)
+        assert got == pytest.approx(_photon_count_mpmath(params), rel=1e-13, abs=0.0)
+
+
+def test_resonant_photon_count_finite_and_rising_in_the_window():
+    # rho_ee > 0 after t = 0, so the count rises with the window at any drive
+    for w in np.logspace(-6, 6, 49):
+        counts = [resonant_photon_count(GAMMA, w * GAMMA, gamma_t / GAMMA)
+                  for gamma_t in np.logspace(-12, 9, 43)]
+        assert all(math.isfinite(c) and c > 0.0 for c in counts)
+        assert all(a < b for a, b in zip(counts, counts[1:]))
 
 
 def test_far_detuned_photon_count_stays_positive():
@@ -183,6 +209,27 @@ def test_solve_removal_drive_keeps_feasible_window():
     assert plan.duration == 2e-6
     resonant = photon_count(ObeParams(GAMMA, plan.rabi_frequency, 0.0, plan.duration))
     assert resonant == pytest.approx(10.0, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_depth=st.floats(-9.0, 3.0), log_window_us=st.floats(-2.0, 5.0),
+       cap=st.floats(0.05, 0.49))
+def test_solved_drive_meets_the_threshold_on_the_exact_propagator(log_depth, log_window_us,
+                                                                   cap):
+    threshold = removal_photon_threshold(10.0 ** log_depth)
+    requested = 10.0 ** log_window_us * 1e-6
+    plan = solve_removal_drive(GAMMA, threshold, requested, cap)
+    assert plan.duration >= requested
+    assert plan.feasible_at_request == (plan.duration == requested)
+    resonant = photon_count(ObeParams(GAMMA, plan.rabi_frequency, 0.0, plan.duration))
+    assert resonant == pytest.approx(threshold, rel=1e-9, abs=0.0)
+
+
+def test_solve_removal_drive_validation():
+    for linewidth, threshold, duration in ((0.0, 25.0, 1e-6), (-GAMMA, 25.0, 1e-6),
+                                           (GAMMA, -1.0, 1e-6), (GAMMA, 25.0, 0.0)):
+        with pytest.raises(PhysicsDomainError):
+            solve_removal_drive(linewidth, threshold, duration)
 
 
 def test_params_validation():
