@@ -202,7 +202,7 @@ def _cmd_pulse(args, cfg: RunConfig):
     validate_config(cfg)
     pulse = pi_pulse(cfg)
     t_f = pulse.cutoff
-    outcome = rabi_evolve(pulse)
+    outcome = rabi_evolve(pulse, trajectory=bool(args.trajectory_out))
     report = {"omega0": pulse.envelope_width, "t_f": t_f, "Omega0": pulse.peak_rabi,
               "detuning": pulse.detuning, "p_flip": outcome.p_flip,
               "p_stay": outcome.p_stay,

@@ -11,8 +11,11 @@ rabi_evolve propagates this 2x2 problem by the two-point Gauss-Legendre
 fourth-order Magnus method (Magnus 1954; Blanes, Casas, Oteo & Ros, Phys.
 Rep. 470:151, 2009).  Each step's su(2) exponent has a closed-form
 exponential, so all steps are built at once as Cayley-Klein pairs and
-multiplied pairwise; the step count follows from the pulse, and the flip
-probability at half the steps bounds the discretisation error.
+multiplied pairwise.  Only the final pairs on n and n/2 steps are formed: n
+starts at 3200 or more, set by the pulse, and doubles until the two flip
+probabilities agree, and the reported amplitudes are their Richardson value
+(16 U(n) - U(n/2))/15, which cancels the h^4 error.  The amplitudes at 801
+sample times are built, the same way, only when a trajectory is asked for.
 """
 from __future__ import annotations
 
@@ -56,13 +59,14 @@ class GaussianPulse:
 
 @dataclass(frozen=True)
 class TwoLevelOutcome:
-    """Rabi evolution from |0>: the amplitudes (c0, c1) at 801 even times on
-    [-t_f, t_f], and the gap |p_flip(n) - p_flip(n/2)| of the n steps taken."""
+    """Rabi evolution from |0>: the final probabilities, the amplitudes
+    (c0, c1) at 801 even times on [-t_f, t_f] when asked for (else None), and
+    the gap |p_flip(n) - p_flip(n/2)| of the n steps taken."""
 
     p_flip: float
     p_stay: float
-    times: np.ndarray
-    states: np.ndarray
+    times: np.ndarray | None
+    states: np.ndarray | None
     n_steps: int
     flip_gap: float
 
@@ -83,12 +87,14 @@ def design_pi_pulse(delta: float, detuning: float = 0.0) -> GaussianPulse:
                          envelope_width=omega0, cutoff=t_f, detuning=detuning)
 
 
-# Step counts are multiples of the 800 trajectory intervals, at least 8000,
-# with at least 800 steps per 1/omega_0 and at most 1 rad of detuning phase
-# per step; the upper bound keeps the step arrays to about 110 MB.
-_SAMPLES, _MIN_STEPS, _MAX_STEPS = 800, 8000, 800_000
+# Step counts are multiples of 1600, so that both the n-step grid and its
+# n/2-step check sample the 800 trajectory intervals.  The first rung has at
+# least 3200 steps, at least 300 steps per 1/omega_0 and at most 1 rad of
+# detuning phase per step; the cap keeps the step arrays to about 110 MB.
+_SAMPLES, _RUNG, _MIN_STEPS, _MAX_STEPS = 800, 1600, 3200, 800_000
 # accepted |p(n) - p(n/2)|: the Magnus-4 error falls 16x per doubling, so it
-# is ~gap/15 at n; the absolute floor is the roundoff of |c1|^2
+# is ~gap/15 at n, and the Richardson value removes it; the absolute floor is
+# the roundoff of |c1|^2
 _GAP_REL, _GAP_ABS = 1e-8, 1e-15
 _GAUSS = math.sqrt(3.0) / 6.0
 
@@ -132,38 +138,63 @@ def _product(steps: np.ndarray) -> np.ndarray:
     return steps[..., 0, :]
 
 
-def _magnus_evolve(pulse: GaussianPulse, n_steps: int) -> TwoLevelOutcome:
-    """Propagate |0> over n_steps, a multiple of 800, and check p_flip
-    against n_steps / 2 steps."""
+def _sampled(pulse: GaussianPulse, n_steps: int) -> np.ndarray:
+    """Pairs (alpha - 1, beta) of the propagators from -t_f to the 801 sample
+    times, over n_steps."""
     # the propagator of each sample interval, then their prefix products
     blocks = _product(_magnus_steps(pulse, n_steps).reshape(_SAMPLES, -1, 2))
     shift = 1
     while shift < _SAMPLES:
         blocks[shift:] = _compose(blocks[shift:], blocks[:-shift])
         shift *= 2
-    times = np.linspace(-pulse.cutoff, pulse.cutoff, _SAMPLES + 1)
-    # the states are the first columns (alpha, beta), times the phase of the
-    # identity part -(Delta/2) I of H = diag(0, -Delta) + (Omega/2) sigma_x
-    states = (np.concatenate([[[0.0j, 0.0j]], blocks]) + [1.0, 0.0]) * np.exp(
-        0.5j * pulse.detuning * (times - times[0]))[:, None]
-    p_flip = float(abs(states[-1, 1]) ** 2)
-    gap = abs(p_flip - float(abs(_product(_magnus_steps(pulse, n_steps // 2))[1]) ** 2))
-    if gap > _GAP_REL * p_flip + _GAP_ABS:
-        raise NumericsError(f"pi pulse not converged at {n_steps} Magnus steps: "
-                            f"|p(n) - p(n/2)| = {gap:.3g} for p_flip = {p_flip:.6g}")
-    return TwoLevelOutcome(p_flip=p_flip, p_stay=float(abs(states[-1, 0]) ** 2),
-                           times=times, states=states, n_steps=n_steps, flip_gap=gap)
+    return np.concatenate([[[0.0j, 0.0j]], blocks])
 
 
-def rabi_evolve(pulse: GaussianPulse) -> TwoLevelOutcome:
-    """Evolve the driven two-level system from |0> across the pulse, on a
-    Magnus grid worked out from omega_0 t_f and |Delta| t_f."""
-    need = max(_MIN_STEPS, 1600.0 * pulse.envelope_width * pulse.cutoff,
+def _richardson(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """First columns (alpha, beta) of U(n) + (U(n) - U(n/2))/15, from the
+    pairs (alpha - 1, beta) on n and n/2 steps; it cancels the h^4 error."""
+    return fine + (fine - coarse) / 15.0 + [1.0, 0.0]
+
+
+def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutcome:
+    """Evolve the driven two-level system from |0> across the pulse.
+
+    The final pairs on n and n/2 Magnus steps give p(n) and p(n/2); n starts
+    from omega_0 t_f and |Delta| t_f and doubles, the old n-step pair serving
+    as the new half grid, until |p(n) - p(n/2)| passes the gap check.  The
+    probabilities are those of the Richardson pair U(n) + (U(n) - U(n/2))/15,
+    which stay >= 0 where p_flip passes through zero; the amplitudes at the
+    801 sample times are built only if `trajectory` asks for them.
+    """
+    need = max(_MIN_STEPS, 600.0 * pulse.envelope_width * pulse.cutoff,
                2.0 * abs(pulse.detuning) * pulse.cutoff)
     if need > _MAX_STEPS:
         raise NumericsError(f"the pi pulse needs {need:.3g} > {_MAX_STEPS} Magnus steps: "
                             "pulse.cutoff is too long for pulse.omega0_er or detuning_er")
-    return _magnus_evolve(pulse, _SAMPLES * math.ceil(need / _SAMPLES))
+    n = _RUNG * math.ceil(need / _RUNG)
+    # the fine grid reduced one level, stacked with the half grid: one product
+    steps = _magnus_steps(pulse, n)
+    pairs = _product(np.stack([_compose(steps[1::2], steps[0::2]), _magnus_steps(pulse, n // 2)]))
+    while True:
+        p_fine, p_coarse = np.abs(pairs[:, 1]) ** 2
+        gap = abs(float(p_fine - p_coarse))
+        if gap <= _GAP_REL * p_fine + _GAP_ABS:
+            break
+        if 2 * n > _MAX_STEPS:
+            raise NumericsError(f"pi pulse not converged at {n} Magnus steps: "
+                                f"|p(n) - p(n/2)| = {gap:.3g} for p_flip = {p_fine:.6g}")
+        n *= 2
+        pairs = np.stack([_product(_magnus_steps(pulse, n)), pairs[0]])
+    p_stay, p_flip = np.abs(_richardson(*pairs)) ** 2
+    times = states = None
+    if trajectory:
+        times = np.linspace(-pulse.cutoff, pulse.cutoff, _SAMPLES + 1)
+        # the states are the first columns (alpha, beta), times the phase of the
+        # identity part -(Delta/2) I of H = diag(0, -Delta) + (Omega/2) sigma_x
+        states = _richardson(_sampled(pulse, n), _sampled(pulse, n // 2)) * np.exp(
+            0.5j * pulse.detuning * (times - times[0]))[:, None]
+    return TwoLevelOutcome(p_flip=float(p_flip), p_stay=float(p_stay), times=times,
+                           states=states, n_steps=n, flip_gap=gap)
 
 
 def step2_scattering_probability(intensity: float, species: AtomSpecies,

@@ -36,7 +36,7 @@ def test_scheme1_durations_come_from_modules(scheme1):
     assert by_name["selective_depop"] * 1e6 == pytest.approx(126.9, rel=0.02)
     assert by_name["removal"] * 1e6 == pytest.approx(1.46, rel=0.05)
     assert by_name["transfer"] * 1e6 == pytest.approx(94.0, rel=0.02)
-    assert scheme1.total_time == pytest.approx(sum(by_name.values()), rel=1e-12)
+    assert scheme1.total_time == pytest.approx(sum(by_name.values()), rel=1e-12, abs=0.0)
 
 
 def test_scheme1_product_rule_vs_sum(scheme1):
@@ -72,7 +72,7 @@ def test_scheme2_single_cycle_yield():
 def test_sweep_xi_rows_follow_closed_form():
     rows = sweep(RunConfig(), "transfer.xi", [0.0025, 0.005, 0.01])
     for row, xi in zip(rows, (0.0025, 0.005, 0.01)):
-        assert row["p_transfer_excitation"] == pytest.approx(4 * xi ** 2, rel=1e-12)
+        assert row["p_transfer_excitation"] == pytest.approx(4 * xi ** 2, rel=1e-12, abs=0.0)
 
 
 def test_sweep_pattern_period_fractions():

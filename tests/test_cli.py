@@ -244,7 +244,7 @@ def test_cli_pulse_trajectory_side_file(capsys, tmp_path):
     assert [r[0] for r in rows] == [float(format(t, ".12g"))
                                     for t in np.linspace(-t_f, t_f, 801)]
     assert rows[0][1:] == [1.0, 0.0, 0.0, 0.0]
-    assert rows[-1][3] ** 2 + rows[-1][4] ** 2 == pytest.approx(report["p_flip"], rel=1e-9)
+    assert rows[-1][3] ** 2 + rows[-1][4] ** 2 == pytest.approx(report["p_flip"], rel=1e-9, abs=0.0)
 
 
 def test_cli_speedup_side_files(capsys, tmp_path):
@@ -264,7 +264,7 @@ def test_cli_flag_overrides_win(capsys):
     code, out = _run(capsys, "--set", "transfer.xi=0.0025", "transfer")
     assert code == 0
     report = json.loads(out)["report"]
-    assert report["max_Pe_analytic"] == pytest.approx(4 * 0.0025 ** 2, rel=1e-12)
+    assert report["max_Pe_analytic"] == pytest.approx(4 * 0.0025 ** 2, rel=1e-12, abs=0.0)
 
 
 def test_cli_exit_codes(capsys, tmp_path):
@@ -362,8 +362,8 @@ def test_cli_unresolvable_or_oversized_run_is_a_numerics_error(capsys, setting, 
 
 
 def test_cli_refuses_a_non_finite_report_value(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr("mottreg.cli.rabi_evolve", lambda pulse: dataclasses.replace(
-        rabi_evolve(pulse), p_flip=float("nan")))
+    monkeypatch.setattr("mottreg.cli.rabi_evolve", lambda pulse, **kw: dataclasses.replace(
+        rabi_evolve(pulse, **kw), p_flip=float("nan")))
     monkeypatch.setenv("MOTTREG_OUTDIR", str(tmp_path))
     assert main(["--out", "pulse.json", "pulse"]) == 4
     assert capsys.readouterr().err.startswith("numerics error: report value 'p_flip' is nan")

@@ -187,7 +187,7 @@ def test_removal_threshold_values():
 
 
 def test_collision_probability_values():
-    assert collision_probability(1e-6, 100e-3) == pytest.approx(1e-5)
+    assert collision_probability(1e-6, 100e-3) == pytest.approx(1e-5, rel=1e-6, abs=0.0)
     assert collision_probability(5.0, 5.0) == 1.0
     assert collision_probability(0.0, 1.0) == 0.0
     with pytest.raises(PhysicsDomainError):

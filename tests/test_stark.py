@@ -13,9 +13,9 @@ from mottreg.stark import (default_search_band, eta, light_shifts,
                            optimize_lpol_wavelength, wavelength_scan)
 from mottreg.units import RB87
 
-# independent oracle constants
+# independent oracle constants (CODATA 2018, h exact)
 C_ORACLE = 299792458.0
-HBAR_ORACLE = 1.054571817e-34
+HBAR_ORACLE = 6.62607015e-34 / (2 * math.pi)
 
 
 def _oracle_terms(lam_l, intensity):
@@ -47,21 +47,21 @@ def test_fine_shift_plus_depends_only_on_d2():
     altered = dataclasses.replace(RB87, gamma1=RB87.gamma1 * 3.0,
                                   d1_wavelength=RB87.d1_wavelength * 1.01)
     assert _plus_shift(altered, 787.6e-9, 1e3) == pytest.approx(
-        _plus_shift(RB87, 787.6e-9, 1e3), rel=1e-13)
+        _plus_shift(RB87, 787.6e-9, 1e3), rel=1e-13, abs=0.0)
 
 
 def test_fine_shifts_linear_in_intensity():
     one = light_shifts(RB87, 787.6e-9, 1e3)
     two = light_shifts(RB87, 787.6e-9, 2e3)
     for a, b in zip(one, two):
-        assert b == pytest.approx(2 * a, rel=1e-14)
+        assert b == pytest.approx(2 * a, rel=1e-14, abs=0.0)
 
 
 def test_fine_shifts_against_term_oracle():
     d0, d1 = light_shifts(RB87, 787.6e-9, 1e3)[:2]
     o_plus, o_minus, _, _, _ = _oracle_terms(787.6e-9, 1e3)
-    assert d1 == pytest.approx(o_minus, rel=1e-10)
-    assert d0 == pytest.approx(0.25 * o_minus + 0.75 * o_plus, rel=1e-10)
+    assert d1 == pytest.approx(o_minus, rel=1e-10, abs=0.0)
+    assert d0 == pytest.approx(0.25 * o_minus + 0.75 * o_plus, rel=1e-10, abs=0.0)
 
 
 def test_fine_shifts_resonance_error():
@@ -76,7 +76,7 @@ def test_hyperfine_equal_shifts_degenerate():
     merged = dataclasses.replace(RB87, d1_wavelength=RB87.d2_wavelength,
                                  gamma1=RB87.gamma2)
     d0, d1, diff, _, _ = light_shifts(merged, 787.6e-9, 1e3)
-    assert d0 == pytest.approx(d1, rel=1e-14)
+    assert d0 == pytest.approx(d1, rel=1e-14, abs=0.0)
     assert abs(diff) <= 1e-14 * abs(d0)
 
 
@@ -86,15 +86,15 @@ def test_hyperfine_stated_mixture():
     d0, d1, diff, _, _ = light_shifts(RB87, lams, 1e3)
     for lam, e0, e1 in zip(lams, d0, d1):
         o_plus, o_minus, _, _, _ = _oracle_terms(lam, 1e3)
-        assert e1 == pytest.approx(o_minus, rel=1e-10)
-        assert e0 == pytest.approx(0.25 * o_minus + 0.75 * o_plus, rel=1e-10)
+        assert e1 == pytest.approx(o_minus, rel=1e-10, abs=0.0)
+        assert e0 == pytest.approx(0.25 * o_minus + 0.75 * o_plus, rel=1e-10, abs=0.0)
     assert np.array_equal(diff, d1 - d0)
 
 
 def test_hyperfine_closed_form_oracle():
     d0, d1, diff, _, _ = light_shifts(RB87, 787.6e-9, 2.5e6)
     closed = _oracle_terms(787.6e-9, 2.5e6)[4]
-    assert diff == pytest.approx(closed, rel=1e-10)
+    assert diff == pytest.approx(closed, rel=1e-10, abs=0.0)
     assert diff == d1 - d0
 
 
@@ -125,8 +125,8 @@ def test_scattering_positive_and_oracle():
     g0, g1 = light_shifts(RB87, 787.6e-9, 1e3)[3:]
     assert g0 > 0 and g1 > 0
     _, _, o0, o1, _ = _oracle_terms(787.6e-9, 1e3)
-    assert g0 == pytest.approx(o0, rel=1e-10)
-    assert g1 == pytest.approx(o1, rel=1e-10)
+    assert g0 == pytest.approx(o0, rel=1e-10, abs=0.0)
+    assert g1 == pytest.approx(o1, rel=1e-10, abs=0.0)
 
 
 def test_scattering_monotone_in_d2_detuning():

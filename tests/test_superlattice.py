@@ -30,7 +30,7 @@ def test_lpol_commensurability_identity(n, lam_s, lam_l):
     theta = lpol_angle(n, lam_s, lam_l)
     eta_l = lam_l / (2 * math.sin(theta / 2))
     assert eta_l / (lam_s / 2) == pytest.approx(n, rel=1e-12)
-    assert lpol_period(n, lam_s) == pytest.approx(eta_l, rel=1e-12)
+    assert lpol_period(n, lam_s) == pytest.approx(eta_l, rel=1e-12, abs=0.0)
 
 
 def test_lpol_angle_geometry_error():
