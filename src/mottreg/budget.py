@@ -237,7 +237,7 @@ class _StepTwo:
     step: tuple[str, float, tuple]
     lattice_config: lattice_mod.SuperlatticeConfig
     delta_realized: float
-    ramp: lattice_mod.RampPlan
+    ramp_time: float
     pulse: GaussianPulse
 
 
@@ -251,17 +251,18 @@ def _run_step_two(cfg: RunConfig, species: AtomSpecies, units: UnitSystem) -> _S
     p_flip = rabi_evolve(pulse).p_flip
 
     # ramp up, hold at full intensity for the pulse, ramp down (time-reversed)
+    ramp_time = units.time_from_natural(ramp.duration)
     hold = units.time_from_natural(2.0 * pulse.cutoff)
-    duration = 2.0 * ramp.duration + hold
+    duration = 2.0 * ramp_time + hold
     p_scatter = step2_scattering_probability(
         lattice_config.lpol_intensity, species, lattice_config.lpol_wavelength,
-        2.0 * ramp.intensity_weight + hold)
+        2.0 * units.time_from_natural(lattice_mod.lpol_exposure(ramp)) + hold)
     channels = (("lpol_ramp_excitation", cfg.lattice.ramp_target_excitation),
                 ("pulse_flip_error", p_flip),
                 ("step2_scattering", p_scatter))
     return _StepTwo(step=("selective_depop", duration, channels),
                     lattice_config=lattice_config, delta_realized=delta_realized,
-                    ramp=ramp, pulse=pulse)
+                    ramp_time=ramp_time, pulse=pulse)
 
 
 def _reuse(stages: dict, cfg: RunConfig, stage: str, sections: tuple[str, ...], compute):
@@ -307,7 +308,7 @@ def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
         "lpol_wavelength_nm": two.lattice_config.lpol_wavelength * 1e9,
         "lpol_intensity_w_m2": two.lattice_config.lpol_intensity,
         "delta_realized_er": two.delta_realized,
-        "lpol_ramp_us": two.ramp.duration * 1e6,
+        "lpol_ramp_us": two.ramp_time * 1e6,
         "pulse_omega0_er": two.pulse.envelope_width,
         "pulse_peak_rabi_er": two.pulse.peak_rabi,
         "removal_rabi_rad_s": plan.rabi_frequency,

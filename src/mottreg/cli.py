@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import removal as removal_mod
 from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
@@ -232,7 +233,8 @@ def _cmd_remove(args, cfg: RunConfig):
                           f"{species.d2_angular_frequency / (2e9 * np.pi):.6g} GHz, "
                           f"got {args.detuning_ghz}")
     plan = removal_drive(cfg, species)
-    report = {"n_p_B": removal_photons(species, plan, 0.0),
+    report = {"n_p_B": removal_mod.resonant_photon_count(species.gamma2, plan.rabi_frequency,
+                                                         plan.duration),
               "n_p_A": removal_photons(species, plan, detuning),
               "threshold": plan.threshold,
               "feasible": plan.feasible_at_request,

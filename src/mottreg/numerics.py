@@ -1,7 +1,7 @@
 """Small dense numerical kernels behind the physics modules.
 
 solve_scalar is Brent root finding (the removing-laser drive) and expm a
-Pade-13 matrix exponential (off-resonant Bloch propagation).
+Pade-13 matrix exponential (the off-resonant photon count).
 Eigenproblems go straight to numpy.linalg, the pi pulse has its own Magnus
 propagator in pulse, and the LPOL wavelength optimum is taken from its exact
 candidates in stark.  All kernels are pure and reentrant.
@@ -97,7 +97,7 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 
 def expm(matrix: np.ndarray) -> np.ndarray:
     """exp(A) for a small dense real matrix, used for constant-coefficient
-    linear propagation (optical Bloch steps)."""
+    linear propagation (the photon count's optical Bloch window)."""
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):

@@ -32,7 +32,6 @@ __all__ = [
     "GaussianPulse",
     "TwoLevelOutcome",
     "pi_pulse_amplitude",
-    "design_pi_pulse",
     "rabi_evolve",
     "step2_scattering_probability",
 ]
@@ -77,14 +76,6 @@ def pi_pulse_amplitude(omega0: float, t_f: float) -> float:
     if t_f < 3.0 / omega0:
         raise PhysicsDomainError("cutoff must be >= 3/omega_0")
     return math.pi * omega0 / (math.sqrt(math.pi) * math.erf(omega0 * t_f))
-
-
-def design_pi_pulse(delta: float, detuning: float = 0.0) -> GaussianPulse:
-    """Pulse with omega_0 = delta/4 and t_f = 5/omega_0, pi area on resonance."""
-    omega0 = delta / 4.0
-    t_f = 5.0 / omega0
-    return GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
-                         envelope_width=omega0, cutoff=t_f, detuning=detuning)
 
 
 # Step counts are multiples of 1600, so that both the n-step grid and its

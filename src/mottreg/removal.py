@@ -2,13 +2,15 @@
 for non-target atoms, the off-resonant impact on targets, and the collision
 estimate.
 
-All quantities here are SI (rates in 1/s, times in s).  The drive is
-constant over the window, so the affine Bloch system is propagated by an
-exact matrix exponential; an augmented component accumulates the photon
-integral int Gamma rho_ee dt in the same exponential.  That route serves
-any detuning.  On resonance the damped Bloch equations have Torrey's
-closed-form transient (Phys. Rev. 76, 1059, 1949), and the drive solver
-counts photons with it; the exponential then checks the solved drive.
+All quantities here are SI (rates in 1/s, times in s).  Only photon counts
+over the window are formed, never a Bloch trajectory.  On resonance the
+damped Bloch equations have Torrey's closed-form transient (Phys. Rev. 76,
+1059, 1949): the drive solver counts photons with it, and the non-target
+count of the `remove` report is that same count.  At any detuning the drive
+is constant over the window, so photon_count propagates the affine Bloch
+system to its end by one exact matrix exponential, in which an augmented
+component accumulates the photon integral int Gamma rho_ee dt; the targets'
+off-resonant impact is counted this way.
 """
 from __future__ import annotations
 
@@ -22,9 +24,7 @@ from .numerics import expm, solve_scalar
 
 __all__ = [
     "ObeParams",
-    "BlochState",
     "RemovalPlan",
-    "obe_evolve",
     "photon_count",
     "resonant_photon_count",
     "removal_photon_threshold",
@@ -52,13 +52,6 @@ class ObeParams:
             raise PhysicsDomainError("rabi_frequency must be >= 0")
 
 
-@dataclass(frozen=True)
-class BlochState:
-    population_excited: float
-    population_ground: float
-    coherence: complex
-
-
 def _bloch_generator(params: ObeParams) -> np.ndarray:
     """Affine generator for z = (u, v, rho_ee, 1, X) with X' = rho_ee; rho_ee
     in place of w = 2 rho_ee - 1 keeps far-detuned counts free of cancellation."""
@@ -74,33 +67,6 @@ def _bloch_generator(params: ObeParams) -> np.ndarray:
     m[2, 2] = -g
     m[4, 2] = 1.0
     return m
-
-
-def _state_from_vector(z: np.ndarray) -> BlochState:
-    u, v, rho_ee = z[0], z[1], z[2]
-    return BlochState(population_excited=rho_ee,
-                      population_ground=1.0 - rho_ee,
-                      coherence=0.5 * (u + 1j * v))
-
-
-def obe_evolve(params: ObeParams, n_samples: int = 400,
-               ) -> tuple[np.ndarray, list[BlochState]]:
-    """Trajectory of the Bloch state from the ground state.
-
-    Returns (times, states) at n_samples points including both endpoints;
-    each sample is exact for the constant drive.
-    """
-    times = np.linspace(0.0, params.duration, n_samples)
-    z = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    states = [_state_from_vector(z)]
-    if params.duration > 0.0:
-        step = expm(_bloch_generator(params) * (times[1] - times[0]))
-        for _ in range(n_samples - 1):
-            z = step @ z
-            states.append(_state_from_vector(z))
-    else:
-        states = [states[0]] * n_samples
-    return times, states
 
 
 def photon_count(params: ObeParams) -> float:

@@ -1,10 +1,12 @@
 """Short/long-period lattice geometry, site-resolved hyperfine detunings,
-A/B site classification, the long-lattice ramp-time estimate, and patterned
+A/B site classification, the long-lattice turn-on ramp, and patterned
 extraction counting.
 
 The long lattice (LPOL) is formed by two beams intersecting at the angle
 that makes its period exactly n short-lattice periods; its intensity
-envelope cos^2(pi x / eta_l) peaks on the target (A) sites.
+envelope cos^2(pi x / eta_l) peaks on the target (A) sites.  Its turn-on
+is a transfer.HarmonicRamp of the A-site frequency, so the transfer module's
+schedule and exact propagator serve it as they serve the microtrap handoff.
 """
 from __future__ import annotations
 
@@ -16,18 +18,19 @@ import numpy as np
 
 from .errors import PhysicsDomainError
 from .stark import light_shifts
+from .transfer import HarmonicRamp
 from .units import AtomSpecies, UnitSystem
 
 __all__ = [
     "SuperlatticeConfig",
     "SitePattern",
     "SiteDetunings",
-    "RampPlan",
     "lpol_angle",
     "lpol_period",
     "site_hyperfine_detunings",
     "solve_intensity_for_delta",
     "lpol_ramp_time",
+    "lpol_exposure",
     "pattern_yield",
 ]
 
@@ -152,43 +155,15 @@ def solve_intensity_for_delta(config: SuperlatticeConfig, species: AtomSpecies,
     return target_delta / per_unit
 
 
-@dataclass(frozen=True)
-class RampPlan:
-    """Adiabatic LPOL ramp: site frequency follows the rate-saturating
-    schedule omega(t) = omega_i / (1 - 4 sqrt(2) xi omega_i t).
-
-    Frequencies in E_R/hbar, duration in seconds; intensity_weight is
-    int I(t) dt / I_peak in seconds, the full-intensity-equivalent exposure
-    of one ramp (used in the scattering budget).
-    """
-
-    duration: float
-    xi: float
-    omega_initial: float
-    omega_final: float
-    intensity_weight: float
-    base_time: float
-
-    def omega_at(self, t_natural: float) -> float:
-        b = 4.0 * math.sqrt(2.0) * self.xi * self.omega_initial
-        return self.omega_initial / (1.0 - b * t_natural)
-
-    def intensity_fraction(self, t_second: float) -> float:
-        """Instantaneous LPOL intensity over its peak value, 0 <= f <= 1."""
-        t = min(max(t_second, 0.0), self.duration) / self.base_time
-        w_i, w_f = self.omega_initial, self.omega_final
-        return (self.omega_at(t) ** 2 - w_i ** 2) / (w_f ** 2 - w_i ** 2)
-
-
 def lpol_ramp_time(config: SuperlatticeConfig, species: AtomSpecies,
                    target_excitation: float = 1e-4,
-                   delta_target: float | None = None) -> RampPlan:
-    """Ramp duration keeping band excitation below target during LPOL turn-on.
+                   delta_target: float | None = None) -> HarmonicRamp:
+    """The LPOL turn-on ramp keeping band excitation below target, in natural
+    units.
 
-    The site-local frequency runs from 2 sqrt(V_s) to 2 sqrt(V_s + |dE_A|)
-    (E_R/hbar) where dE_A is the full differential shift on A sites, and the
-    ramp follows the adiabatic schedule whose excitation ceiling is
-    4 xi^2 = target.
+    The site-local frequency deepens from 2 sqrt(V_s) to 2 sqrt(V_s + |dE_A|)
+    (E_R/hbar) where dE_A is the full differential shift on A sites, along
+    the adiabatic schedule whose excitation ceiling is 4 xi^2 = target.
     """
     if not 0.0 < target_excitation < 0.1:
         raise PhysicsDomainError("target excitation must lie in (0, 0.1)")
@@ -196,23 +171,23 @@ def lpol_ramp_time(config: SuperlatticeConfig, species: AtomSpecies,
         delta_target = site_hyperfine_detunings(config, species).delta
     if delta_target <= 0:
         raise PhysicsDomainError("ramp target unreachable: differential shift is zero")
-    n = config.pattern_period
-    shift_a = delta_target / (1.0 - math.cos(math.pi / n) ** 2)
+    shift_a = delta_target / (1.0 - math.cos(math.pi / config.pattern_period) ** 2)
+    return HarmonicRamp(initial_frequency=2.0 * math.sqrt(config.spol_depth),
+                        adiabaticity=math.sqrt(target_excitation) / 2.0,
+                        direction="deepen",
+                        final_frequency=2.0 * math.sqrt(config.spol_depth + shift_a))
 
-    xi = math.sqrt(target_excitation) / 2.0
-    w_i = 2.0 * math.sqrt(config.spol_depth)
-    w_f = 2.0 * math.sqrt(config.spol_depth + shift_a)
-    b = 4.0 * math.sqrt(2.0) * xi * w_i
-    duration_nat = (1.0 - w_i / w_f) / b
-    # int (omega(t)^2 - w_i^2) dt in closed form gives the intensity exposure
-    depth_integral = w_i ** 2 * ((1.0 / b) * (w_f / w_i - 1.0) - duration_nat)
-    weight_nat = depth_integral / (4.0 * shift_a)     # w_f^2 - w_i^2, without cancellation
 
-    units = UnitSystem.for_lattice(species, config.spol_wavelength)
-    return RampPlan(duration=units.time_from_natural(duration_nat), xi=xi,
-                    omega_initial=w_i, omega_final=w_f,
-                    intensity_weight=units.time_from_natural(weight_nat),
-                    base_time=units.base_time)
+def lpol_exposure(ramp: HarmonicRamp) -> float:
+    """Full-intensity-equivalent time int I dt / I_peak of one LPOL ramp, in
+    natural units.
+
+    The site depth omega^2/4 is linear in the LPOL intensity, so I / I_peak =
+    (omega^2 - omega_i^2)/(omega_f^2 - omega_i^2), whose integral along the
+    schedule is exactly T omega_i / (omega_i + omega_f).
+    """
+    w_i, w_f = ramp.initial_frequency, ramp.final_frequency
+    return ramp.duration * w_i / (w_i + w_f)
 
 
 def pattern_yield(total_sites: int, n: int, dimensions: int = 1) -> tuple[int, float]:

@@ -23,10 +23,8 @@ __all__ = [
     "TransferResult",
     "initial_frequency",
     "matched_microtrap_depth",
-    "combined_frequency",
     "microtrap_depth_kelvin",
     "ramp_schedule",
-    "ramp_rate",
     "excitation_analytic",
     "max_excitation_analytic",
     "excitation_numeric",
@@ -35,14 +33,16 @@ __all__ = [
     "hopping_time",
 ]
 
-_LATTICE_MASS = 2.0 * PI ** 2   # natural-unit mass from E_R = 1, hbar = 1
-_LATTICE_K = 2.0 * PI           # lattice wavevector in 1/lambda_s
+# the largest xi admitted, where the excitation ceiling 4 xi^2 reaches 0.1:
+# the LPOL ramp takes xi = sqrt(target)/2 for any target below 0.1
+_MAX_XI = math.sqrt(0.1) / 2.0
 
 
 @dataclass(frozen=True)
 class HarmonicRamp:
     """Trapping-frequency schedule omega(t) = omega0 / (1 -/+ 4 sqrt(2) xi
-    omega0 t), deepening (-) or opening (+) the trap."""
+    omega0 t), deepening (-) or opening (+) the trap.  The lattice-to-microtrap
+    transfer and the LPOL turn-on (superlattice.lpol_ramp_time) both follow it."""
 
     initial_frequency: float
     adiabaticity: float
@@ -50,8 +50,9 @@ class HarmonicRamp:
     final_frequency: float
 
     def __post_init__(self):
-        if not 0.0 < self.adiabaticity < 0.1:
-            raise PhysicsDomainError("adiabaticity must lie in (0, 0.1)")
+        if not 0.0 < self.adiabaticity <= _MAX_XI:
+            raise PhysicsDomainError("adiabaticity must lie in (0, sqrt(0.1)/2], "
+                                     "an excitation ceiling 4 xi^2 of at most 0.1")
         if self.initial_frequency <= 0 or self.final_frequency <= 0:
             raise PhysicsDomainError("frequencies must be positive")
         if self.direction not in ("deepen", "shallow"):
@@ -88,15 +89,6 @@ def matched_microtrap_depth(lattice_depth: float, waist: float, lambda_s: float)
     return lattice_depth * k_w ** 2 / 2.0
 
 
-def combined_frequency(microtrap_depth: float, lattice_depth: float,
-                       waist: float, lambda_s: float) -> float:
-    """omega = sqrt((4 V_f / w^2 + 2 V_L k^2) / m) with depths in E_R and
-    the waist in meters alongside lambda_s."""
-    w_nat = waist / lambda_s
-    return math.sqrt((4.0 * microtrap_depth / w_nat ** 2
-                      + 2.0 * lattice_depth * _LATTICE_K ** 2) / _LATTICE_MASS)
-
-
 def microtrap_depth_kelvin(depth_er: float, units: UnitSystem) -> float:
     """Equivalent temperature of a trap depth, quoted as U / (2 kB)."""
     return depth_er * units.base_energy / (2.0 * K_BOLTZMANN)
@@ -111,12 +103,6 @@ def ramp_schedule(ramp: HarmonicRamp, t: float) -> float:
     if t < 0 or t > ramp.duration * (1.0 + 1e-12):
         raise PhysicsDomainError(f"t = {t} outside the ramp domain [0, {ramp.duration}]")
     return ramp.initial_frequency / (1.0 - _signed_rate(ramp) * t)
-
-
-def ramp_rate(ramp: HarmonicRamp, t: float) -> float:
-    """d omega / dt, analytic; equals 4 sqrt(2) xi omega^2 in magnitude."""
-    omega = ramp_schedule(ramp, t)
-    return _signed_rate(ramp) * omega ** 2 / ramp.initial_frequency
 
 
 def transfer_time(omega_initial: float, omega_final: float, xi: float) -> float:

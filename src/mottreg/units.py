@@ -2,8 +2,8 @@
 
 Internally every dynamics module works in natural units: the short-lattice
 recoil energy E_R is the energy unit, hbar/E_R the time unit, the
-short-lattice wavelength the length unit, and hbar = 1.  SI values enter and
-leave only through :class:`UnitSystem`.
+short-lattice wavelength the length unit, and hbar = 1.  SI energies enter
+and times leave through :class:`UnitSystem`.
 """
 from __future__ import annotations
 
@@ -97,48 +97,25 @@ def detuning_from_wavelength(laser_wavelength, line_wavelength: float):
 class UnitSystem:
     """Natural-unit conversions anchored on the lattice recoil energy.
 
-    base_energy is E_R in joules, base_length the lattice wavelength in
-    meters; base_time is hbar / E_R by construction.
+    base_energy is E_R in joules; base_time is hbar / E_R by construction.
     """
 
     base_energy: float
-    base_length: float
 
     def __post_init__(self):
-        if self.base_energy <= 0 or self.base_length <= 0:
+        if self.base_energy <= 0:
             raise PhysicsDomainError("unit system scales must be positive")
 
     @classmethod
     def for_lattice(cls, species: AtomSpecies, lattice_wavelength: float) -> "UnitSystem":
-        return cls(base_energy=recoil_energy(lattice_wavelength, species.mass),
-                   base_length=lattice_wavelength)
+        return cls(base_energy=recoil_energy(lattice_wavelength, species.mass))
 
     @property
     def base_time(self) -> float:
         return HBAR / self.base_energy
 
-    # SI -> natural
     def energy_to_natural(self, value_joule: float) -> float:
         return value_joule / self.base_energy
 
-    def time_to_natural(self, value_second: float) -> float:
-        return value_second / self.base_time
-
-    def length_to_natural(self, value_meter: float) -> float:
-        return value_meter / self.base_length
-
-    def angular_frequency_to_natural(self, value_rad_s: float) -> float:
-        return value_rad_s * self.base_time
-
-    # natural -> SI
-    def energy_from_natural(self, value_er: float) -> float:
-        return value_er * self.base_energy
-
     def time_from_natural(self, value_nat: float) -> float:
         return value_nat * self.base_time
-
-    def length_from_natural(self, value_nat: float) -> float:
-        return value_nat * self.base_length
-
-    def angular_frequency_from_natural(self, value_nat: float) -> float:
-        return value_nat / self.base_time

@@ -13,7 +13,7 @@ import pytest
 from mottreg.budget import run_scheme1, run_scheme2
 from mottreg.cli import main
 from mottreg.config import RunConfig
-from mottreg.pulse import design_pi_pulse, pi_pulse_amplitude, rabi_evolve
+from mottreg.pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve
 from mottreg.removal import ObeParams, photon_count, removal_photon_threshold, \
     solve_removal_drive
 from mottreg import speedup as sp
@@ -29,6 +29,14 @@ from mottreg.units import HBAR, RB87, UnitSystem, detuning_from_wavelength
 UNITS = UnitSystem.for_lattice(RB87, 850e-9)
 
 
+def _pi_pulse(delta: float, detuning: float = 0.0) -> GaussianPulse:
+    """The budget's pulse rule: omega_0 = delta/4, t_f = 5/omega_0, pi area."""
+    omega0 = delta / 4.0
+    t_f = 5.0 / omega0
+    return GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
+                         envelope_width=omega0, cutoff=t_f, detuning=detuning)
+
+
 @contextlib.contextmanager
 def criterion(number: int, name: str):
     try:
@@ -42,8 +50,8 @@ def criterion(number: int, name: str):
 def test_criterion_01_pi_pulse_selectivity():
     with criterion(1, "pi-pulse selectivity"):
         start = time.perf_counter()
-        detuned = rabi_evolve(design_pi_pulse(52.0, detuning=52.0)).p_flip
-        resonant_error = 1.0 - rabi_evolve(design_pi_pulse(52.0, detuning=0.0)).p_flip
+        detuned = rabi_evolve(_pi_pulse(52.0, detuning=52.0)).p_flip
+        resonant_error = 1.0 - rabi_evolve(_pi_pulse(52.0, detuning=0.0)).p_flip
         elapsed = time.perf_counter() - start
         assert 3e-6 <= detuned <= 1.2e-5
         assert resonant_error <= 1e-6
@@ -171,7 +179,7 @@ def test_criterion_11_properties(tmp_path, capsys, monkeypatch):
         rel_tol = 1e-11
         # norm conservation: driven Rabi pulse
         for detuning in (0.0, 52.0):
-            out = rabi_evolve(design_pi_pulse(52.0, detuning=detuning), trajectory=True)
+            out = rabi_evolve(_pi_pulse(52.0, detuning=detuning), trajectory=True)
             states = out.states
             norms = np.abs(states[:, 0]) ** 2 + np.abs(states[:, 1]) ** 2
             assert np.max(np.abs(norms - 1.0)) <= 10 * rel_tol
@@ -179,12 +187,14 @@ def test_criterion_11_properties(tmp_path, capsys, monkeypatch):
         w0 = initial_frequency(50.0)
         result = excitation_numeric(HarmonicRamp(w0, 0.005, "deepen", 4 * w0))
         assert result.norm_drift <= 10 * rel_tol
-        # trace preservation: Bloch trajectory
-        from mottreg.removal import obe_evolve
-        _, states = obe_evolve(ObeParams(RB87.gamma2, 8e7, 0.0, 1.5e-6))
-        for s in states:
-            assert s.population_excited + s.population_ground == \
-                pytest.approx(1.0, abs=1e-10)
+        # trace preservation: the removing laser's Bloch vector (u, v, 2 rho_ee - 1)
+        # stays in the unit ball along the exact propagator of photon_count
+        from mottreg.numerics import expm
+        from mottreg.removal import _bloch_generator
+        generator = _bloch_generator(ObeParams(RB87.gamma2, 8e7, 0.0, 1.5e-6))
+        for t in np.linspace(0.0, 1.5e-6, 41):
+            u, v, rho_ee = (expm(generator * t) @ [0.0, 0.0, 0.0, 1.0, 0.0])[:3]
+            assert u * u + v * v + (2.0 * rho_ee - 1.0) ** 2 <= 1.0 + 1e-10
 
         # determinism: byte-identical reruns of every subcommand
         monkeypatch.setenv("MOTTREG_OUTDIR", str(tmp_path))

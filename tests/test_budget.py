@@ -1,8 +1,12 @@
 """Scheme orchestration: step durations, channel aggregation, sweeps."""
 import copy
 import math
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mottreg.budget as budget_mod
 from mottreg.budget import resolved_config_echo, run_scheme1, run_scheme2, sweep
@@ -39,10 +43,37 @@ def test_scheme1_durations_come_from_modules(scheme1):
     assert scheme1.total_time == pytest.approx(sum(by_name.values()), rel=1e-12, abs=0.0)
 
 
+def test_scheme1_runs_at_the_largest_ramp_targets(scheme1):
+    # a target of 0.09 takes the LPOL ramp to xi = 0.15, 30x the default
+    cfg = RunConfig()
+    cfg.lattice.ramp_target_excitation = 0.09
+    budget = run_scheme1(cfg)
+    channels = {lbl: p for s in budget.steps for lbl, p in s.failure_channels}
+    assert channels["lpol_ramp_excitation"] == 0.09
+    assert budget.extras["lpol_ramp_us"] * 30.0 == pytest.approx(
+        scheme1.extras["lpol_ramp_us"], rel=1e-12, abs=0.0)
+
+
 def test_scheme1_product_rule_vs_sum(scheme1):
     assert scheme1.total_failure <= scheme1.channel_sum
     # all channels < 1e-3, so the two composition rules agree to first order
     assert abs(scheme1.total_failure / scheme1.channel_sum - 1.0) < 1e-2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(probs=st.lists(st.floats(0.0, 1e-2), min_size=1, max_size=12))
+def test_composed_failure_bounds_over_generated_channels(probs):
+    # independent channels: sum(p) - sum(p)^2/2 <= 1 - prod(1 - p) <= sum(p).
+    # The float 1 - prod(1 - p) rounds each of the n factors near 1, so it
+    # is within n ulps of 1 of the exact value, and below ~1e-16 it is 0
+    steps = [("removal", 0.0, tuple((f"c{i}", p) for i, p in enumerate(probs)))]
+    budget = budget_mod._compose(steps, 1, 1.0, {})
+    total, channel_sum = budget.total_failure, budget.channel_sum
+    slack = len(probs) * sys.float_info.epsilon
+    exact = 1 - math.prod(1 - Fraction(p) for p in probs)
+    assert abs(total - exact) <= slack
+    assert -slack <= channel_sum - total <= channel_sum ** 2 / 2.0 + slack
+    assert total <= channel_sum + slack
 
 
 def test_scheme1_deterministic():

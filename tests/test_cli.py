@@ -169,16 +169,15 @@ def test_cli_remove_json(capsys):
     ("removal.duration_us=1e6", "removal.trap_depth_er=1e-9"),
     # residuals near 1e-280, whose products underflow in the root finder
     ("removal.trap_depth_er=1e-280",),
+    ("removal.duration_us=1e4",),
 ])
 def test_cli_remove_solves_weak_drives(capsys, settings):
     argv = [a for s in settings for a in ("--set", s)]
-    code, out = _run(capsys, *argv, "remove")
+    code, out = _run(capsys, "--set", "output.float_digits=17", *argv, "remove")
     assert code == 0
     report = json.loads(out)["report"]
     assert report["feasible"] is True
-    # n_p_B comes from the matrix exponential, whose scaling and squaring
-    # drifts by 3.7e-9 of the count at a 1 s window and 3e-8 at 10 s
-    assert report["n_p_B"] == pytest.approx(report["threshold"], rel=1e-7, abs=0.0)
+    assert report["n_p_B"] == pytest.approx(report["threshold"], rel=1e-12, abs=0.0)
 
 
 def test_cli_remove_short_window_drive(capsys):
@@ -276,6 +275,10 @@ def test_cli_exit_codes(capsys, tmp_path):
     bad.write_text('{"lattice": {"pattern_period": 2}}', encoding="utf-8")
     assert main(["--config", str(bad), "pulse"]) == 2
     capsys.readouterr()
+    # config error: xi = 0.1 lies outside transfer.xi's range, though a
+    # HarmonicRamp admits xi up to sqrt(0.1)/2 for the LPOL ramp
+    assert main(["--set", "transfer.xi=0.1", "transfer"]) == 2
+    assert "transfer.xi" in capsys.readouterr().err
     # physics domain error: cutoff below 3/omega0
     assert main(["pulse", "--tf", "0.01"]) == 3
     capsys.readouterr()

@@ -10,9 +10,17 @@ from scipy.integrate import solve_ivp
 
 from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg import pulse as pulse_mod
-from mottreg.pulse import (GaussianPulse, _magnus_steps, _product, design_pi_pulse,
-                           pi_pulse_amplitude, rabi_evolve, step2_scattering_probability)
+from mottreg.pulse import (GaussianPulse, _magnus_steps, _product, pi_pulse_amplitude,
+                           rabi_evolve, step2_scattering_probability)
 from mottreg.units import RB87, UnitSystem
+
+
+def _pi_pulse(delta: float, detuning: float = 0.0) -> GaussianPulse:
+    """The budget's pulse rule: omega_0 = delta/4, t_f = 5/omega_0, pi area."""
+    omega0 = delta / 4.0
+    t_f = 5.0 / omega0
+    return GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
+                         envelope_width=omega0, cutoff=t_f, detuning=detuning)
 
 
 def test_pi_pulse_amplitude_reference_value():
@@ -45,38 +53,38 @@ def test_pulse_cutoff_validation():
 
 
 def test_resonant_pulse_inverts():
-    outcome = rabi_evolve(design_pi_pulse(52.0, detuning=0.0))
+    outcome = rabi_evolve(_pi_pulse(52.0, detuning=0.0))
     assert outcome.p_flip >= 1.0 - 1e-6
     assert outcome.p_flip + outcome.p_stay == pytest.approx(1.0, abs=1e-10)
 
 
 def test_detuned_flip_error_near_reference_value():
-    outcome = rabi_evolve(design_pi_pulse(52.0, detuning=52.0))
+    outcome = rabi_evolve(_pi_pulse(52.0, detuning=52.0))
     assert 0.5 * 5.9e-6 <= outcome.p_flip <= 2.0 * 5.9e-6
 
 
 def test_far_detuned_flip_error_negligible():
-    pulse = design_pi_pulse(52.0, detuning=13_000.0)
+    pulse = _pi_pulse(52.0, detuning=13_000.0)
     outcome = rabi_evolve(pulse)
     assert outcome.p_flip < 1e-10
 
 
 def test_norm_conservation_along_trajectory():
-    outcome = rabi_evolve(design_pi_pulse(52.0, detuning=52.0), trajectory=True)
+    outcome = rabi_evolve(_pi_pulse(52.0, detuning=52.0), trajectory=True)
     states = outcome.states
     norms = np.abs(states[:, 0]) ** 2 + np.abs(states[:, 1]) ** 2
     assert np.max(np.abs(norms - 1.0)) < 1e-13
 
 
 def test_flip_probability_even_in_detuning():
-    plus = rabi_evolve(design_pi_pulse(52.0, detuning=52.0)).p_flip
-    minus = rabi_evolve(design_pi_pulse(52.0, detuning=-52.0)).p_flip
+    plus = rabi_evolve(_pi_pulse(52.0, detuning=52.0)).p_flip
+    minus = rabi_evolve(_pi_pulse(52.0, detuning=-52.0)).p_flip
     assert plus == pytest.approx(minus, rel=1e-9, abs=0.0)
 
 
 def _flip(ratio):
     # omega_0 = 13 at the pi pulse of delta = 52, detuned by ratio * omega_0
-    return rabi_evolve(design_pi_pulse(52.0, detuning=ratio * 13.0)).p_flip
+    return rabi_evolve(_pi_pulse(52.0, detuning=ratio * 13.0)).p_flip
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -92,7 +100,7 @@ def test_flip_probability_dip_and_tail_maximum_vs_dop853():
     # again near 4.537 omega_0, 6.6x above the operating point 4 omega_0
     dip, peak, operating = _flip(3.885), _flip(4.537), _flip(4.0)
     for ratio, value in ((3.885, dip), (4.537, peak)):
-        pulse = design_pi_pulse(52.0, detuning=ratio * 13.0)
+        pulse = _pi_pulse(52.0, detuning=ratio * 13.0)
         assert value == pytest.approx(_dop853_flip(pulse, rtol=2.3e-14, atol=1e-22),
                                       rel=1e-8, abs=0.0)
     assert dip == pytest.approx(6.059e-10, rel=1e-3, abs=0.0)
@@ -105,11 +113,11 @@ def test_flip_probability_dip_and_tail_maximum_vs_dop853():
 def test_rabi_evolve_solver_work_at_operating_point():
     # omega_0 t_f = 5 and |Delta| t_f = 20 take the 3200-step floor; the
     # half-grid gap is ~9.7e-9 of p_flip there, and no samples are built
-    outcome = rabi_evolve(design_pi_pulse(52.0, detuning=52.0))
+    outcome = rabi_evolve(_pi_pulse(52.0, detuning=52.0))
     assert outcome.n_steps == 3200
     assert 0.0 < outcome.flip_gap < 1e-8 * outcome.p_flip
     assert outcome.times is None and outcome.states is None
-    sampled = rabi_evolve(design_pi_pulse(52.0, detuning=52.0), trajectory=True)
+    sampled = rabi_evolve(_pi_pulse(52.0, detuning=52.0), trajectory=True)
     assert sampled.states.shape == (801, 2)
     assert np.array_equal(sampled.times, np.linspace(-5 / 13, 5 / 13, 801))
     assert (sampled.p_flip, sampled.n_steps) == (outcome.p_flip, outcome.n_steps)
@@ -118,10 +126,10 @@ def test_rabi_evolve_solver_work_at_operating_point():
     short = GaussianPulse(peak_rabi=pi_pulse_amplitude(13.0, 3.0 / 13.0),
                           envelope_width=13.0, cutoff=3.0 / 13.0, detuning=52.0)
     assert rabi_evolve(short).n_steps == 3200
-    assert rabi_evolve(design_pi_pulse(52.0, detuning=13_000.0)).n_steps == 11200
+    assert rabi_evolve(_pi_pulse(52.0, detuning=13_000.0)).n_steps == 11200
     # just inside the operating point the 3200-step gap fails, and one doubling
     # passes it
-    assert rabi_evolve(design_pi_pulse(52.0, detuning=50.0)).n_steps == 6400
+    assert rabi_evolve(_pi_pulse(52.0, detuning=50.0)).n_steps == 6400
 
 
 def _dop853(pulse, times=None, rtol=1e-13, atol=1e-15):
@@ -141,7 +149,7 @@ def _dop853_flip(pulse, **tolerances):
 
 
 def test_detuned_flip_error_vs_scipy_dop853():
-    pulse = design_pi_pulse(52.0, detuning=52.0)
+    pulse = _pi_pulse(52.0, detuning=52.0)
     outcome = rabi_evolve(pulse, trajectory=True)
     assert outcome.p_flip == pytest.approx(_dop853_flip(pulse), rel=1e-8, abs=0.0)
     # the sampled amplitudes, phases included, in the frame of H = diag(0, -Delta) + ...
@@ -150,7 +158,7 @@ def test_detuned_flip_error_vs_scipy_dop853():
 
 @pytest.mark.parametrize("detuning", [26.0, 52.0, 80.0, 104.0])
 def test_flip_error_vs_fine_magnus_and_tight_dop853(detuning):
-    pulse = design_pi_pulse(52.0, detuning=detuning)
+    pulse = _pi_pulse(52.0, detuning=detuning)
     outcome = rabi_evolve(pulse, trajectory=True)
     p_flip = outcome.p_flip
     # 160,000 Magnus-4 steps leave an h^4 error near 1e-16 of p_flip
@@ -184,7 +192,7 @@ def test_magnus_states_unitary_and_flip_matches_dop853(omega0, width, ratio):
 
 
 def test_magnus_error_falls_fourth_order_at_operating_point():
-    pulse = design_pi_pulse(52.0, detuning=52.0)
+    pulse = _pi_pulse(52.0, detuning=52.0)
 
     def p_flip(n):
         return abs(_product(_magnus_steps(pulse, n))[1]) ** 2
@@ -202,7 +210,7 @@ def test_coarse_magnus_grid_fails_its_residual_check(monkeypatch):
     # at Delta = 50 the 3200-step gap fails; a cap of 3200 leaves no rung to climb
     monkeypatch.setattr(pulse_mod, "_MAX_STEPS", 3200)
     with pytest.raises(NumericsError, match="not converged at 3200 Magnus steps"):
-        rabi_evolve(design_pi_pulse(52.0, detuning=50.0))
+        rabi_evolve(_pi_pulse(52.0, detuning=50.0))
 
 
 def test_step2_scattering_zero_intensity():
@@ -218,8 +226,9 @@ def test_step2_scattering_linear_in_duration():
 
 def test_step2_scattering_over_operating_timeline():
     # ramp up + pulse hold + ramp down at the delta = 52 E_R intensity
-    from mottreg.superlattice import SuperlatticeConfig, lpol_ramp_time, \
-        solve_intensity_for_delta
+    from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure, lpol_ramp_time,
+                                      solve_intensity_for_delta)
+    from mottreg.transfer import ramp_schedule
 
     base = SuperlatticeConfig()
     intensity = solve_intensity_for_delta(base, RB87, 52.0)
@@ -227,12 +236,16 @@ def test_step2_scattering_over_operating_timeline():
     ramp = lpol_ramp_time(cfg, RB87, 1e-4)
     units = UnitSystem.for_lattice(RB87, 850e-9)
     hold = units.time_from_natural(10.0 / 13.0)
-    exposure = 2 * ramp.intensity_weight + hold
+    exposure = 2 * units.time_from_natural(lpol_exposure(ramp)) + hold
 
-    # oracle: the closed-form ramp exposure against the sampled schedule
+    # oracle: the closed-form ramp exposure against the sampled schedule,
+    # whose intensity fraction is (omega^2 - omega_i^2)/(omega_f^2 - omega_i^2)
+    w_i, w_f = ramp.initial_frequency, ramp.final_frequency
     ts = np.linspace(0.0, ramp.duration, 20001)
-    sampled = np.trapezoid([ramp.intensity_fraction(t) for t in ts], ts)
-    assert ramp.intensity_weight == pytest.approx(sampled, rel=1e-7, abs=0.0)
+    fraction = [(ramp_schedule(ramp, float(t)) ** 2 - w_i ** 2) / (w_f ** 2 - w_i ** 2)
+                for t in ts]
+    sampled = np.trapezoid(fraction, ts)
+    assert lpol_exposure(ramp) == pytest.approx(sampled, rel=1e-7, abs=0.0)
 
     p = step2_scattering_probability(intensity, RB87, 787.6e-9, exposure)
     assert 0.5e-4 <= p <= 2e-4

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from mottreg.errors import PhysicsDomainError
-from mottreg.removal import (ObeParams, collision_probability, obe_evolve,
+from mottreg.numerics import expm
+from mottreg.removal import (ObeParams, _bloch_generator, collision_probability,
                              photon_count, removal_photon_threshold,
                              resonant_photon_count, solve_removal_drive)
 from mottreg.units import RB87
@@ -17,17 +18,37 @@ from mottreg.units import RB87
 GAMMA = RB87.gamma2
 
 
+def _bloch_trajectory(params, n_samples=400):
+    """Times, rho_ee and the coherence (u + i v)/2 from the ground state at
+    n_samples even times, stepped by the exact exponential of photon_count's
+    Bloch generator."""
+    times = np.linspace(0.0, params.duration, n_samples)
+    z = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    states = [z]
+    step = expm(_bloch_generator(params) * (times[1] - times[0]))
+    for _ in range(n_samples - 1):
+        states.append(step @ states[-1])
+    states = np.array(states)
+    return times, states[:, 2], 0.5 * (states[:, 0] + 1j * states[:, 1])
+
+
+def _assert_physical(rho_ee, coherence):
+    # a density matrix: 0 <= rho_ee <= 1 and |rho_eg|^2 <= rho_ee rho_gg
+    assert np.all(rho_ee >= 0.0) and np.all(rho_ee <= 1.0)
+    assert np.all(np.abs(coherence) ** 2 <= rho_ee * (1.0 - rho_ee) + 1e-12)
+
+
 def test_obe_no_drive_stays_ground():
-    times, states = obe_evolve(ObeParams(GAMMA, 0.0, 0.0, 2e-6))
-    assert all(s.population_excited == pytest.approx(0.0, abs=1e-12) for s in states)
+    _, rho_ee, _ = _bloch_trajectory(ObeParams(GAMMA, 0.0, 0.0, 2e-6))
+    assert np.all(np.abs(rho_ee) <= 1e-12)
 
 
 def test_obe_resonant_steady_state_closed_form():
     # oracle: rho_ee -> s / (2 (1 + s)) with s = 2 Omega^2 / Gamma^2
     omega = 2.0 * GAMMA
     s = 2 * omega ** 2 / GAMMA ** 2
-    _, states = obe_evolve(ObeParams(GAMMA, omega, 0.0, 60.0 / GAMMA))
-    assert states[-1].population_excited == pytest.approx(s / (2 * (1 + s)), abs=1e-6)
+    _, rho_ee, _ = _bloch_trajectory(ObeParams(GAMMA, omega, 0.0, 60.0 / GAMMA))
+    assert rho_ee[-1] == pytest.approx(s / (2 * (1 + s)), abs=1e-6)
 
 
 def test_obe_detuned_steady_state_closed_form():
@@ -35,27 +56,23 @@ def test_obe_detuned_steady_state_closed_form():
     delta = 4.0 * GAMMA
     s = 2 * omega ** 2 / GAMMA ** 2
     expected = (s / 2) / (1 + s + (2 * delta / GAMMA) ** 2)
-    _, states = obe_evolve(ObeParams(GAMMA, omega, delta, 60.0 / GAMMA))
-    assert states[-1].population_excited == pytest.approx(expected, rel=1e-5)
+    _, rho_ee, _ = _bloch_trajectory(ObeParams(GAMMA, omega, delta, 60.0 / GAMMA))
+    assert rho_ee[-1] == pytest.approx(expected, rel=1e-5)
 
 
 def test_obe_weak_decay_matches_rabi_oracle():
     # Gamma -> 0 limit: undamped Rabi oscillation sin^2(Omega t / 2)
     omega = 1e7
     gamma = 1e-4 * omega
-    times, states = obe_evolve(ObeParams(gamma, omega, 0.0, 4 * math.pi / omega), 801)
-    got = np.array([s.population_excited for s in states])
+    times, rho_ee, _ = _bloch_trajectory(ObeParams(gamma, omega, 0.0, 4 * math.pi / omega),
+                                         801)
     expected = np.sin(0.5 * omega * times) ** 2
-    assert np.max(np.abs(got - expected)) < 2e-3
+    assert np.max(np.abs(rho_ee - expected)) < 2e-3
 
 
 def test_obe_trace_and_purity_along_trajectory():
-    _, states = obe_evolve(ObeParams(GAMMA, 3.0 * GAMMA, 0.5 * GAMMA, 20 / GAMMA))
-    for s in states:
-        assert s.population_excited + s.population_ground == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= s.population_excited <= 1.0
-        assert (abs(s.coherence) ** 2
-                <= s.population_excited * s.population_ground + 1e-12)
+    _assert_physical(*_bloch_trajectory(
+        ObeParams(GAMMA, 3.0 * GAMMA, 0.5 * GAMMA, 20 / GAMMA))[1:])
 
 
 @settings(max_examples=25, deadline=None)
@@ -64,12 +81,7 @@ def test_obe_trace_and_purity_along_trajectory():
 def test_obe_trace_and_positivity_over_generated_drives(omega, delta, duration):
     # Omega and Delta in units of Gamma, the duration in units of 1/Gamma
     params = ObeParams(GAMMA, omega * GAMMA, delta * GAMMA, duration / GAMMA)
-    _, states = obe_evolve(params, 41)
-    for s in states:
-        assert s.population_excited + s.population_ground == pytest.approx(1.0, abs=1e-12)
-        assert s.population_excited >= 0.0
-        assert (abs(s.coherence) ** 2
-                <= s.population_excited * s.population_ground + 1e-12)
+    _assert_physical(*_bloch_trajectory(params, 41)[1:])
     assert photon_count(params) >= 0.0
 
 
@@ -150,8 +162,8 @@ def test_obe_matches_rk45_kernel():
                         method="DOP853", rtol=1e-11, atol=1e-13)
         assert sol.success
         rho_rk = 0.5 * (1.0 + sol.y[2, -1])
-        _, states = obe_evolve(params, 3)
-        assert states[-1].population_excited == pytest.approx(rho_rk, abs=1e-8)
+        _, rho_ee, _ = _bloch_trajectory(params, 3)
+        assert rho_ee[-1] == pytest.approx(rho_rk, abs=1e-8)
 
 
 def test_photon_count_zero_duration():

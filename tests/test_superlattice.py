@@ -1,16 +1,18 @@
 """Superlattice geometry, site detunings, ramp time, and pattern counting."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from mottreg.errors import PhysicsDomainError
-from mottreg.superlattice import (SuperlatticeConfig, lpol_angle, lpol_period,
-                                  lpol_ramp_time, pattern_yield,
+from mottreg.superlattice import (SuperlatticeConfig, lpol_angle, lpol_exposure,
+                                  lpol_period, lpol_ramp_time, pattern_yield,
                                   site_hyperfine_detunings,
                                   solve_intensity_for_delta)
 from mottreg.stark import light_shifts
+from mottreg.transfer import excitation_numeric, ramp_schedule
 from mottreg.units import RB87, UnitSystem
 
 
@@ -117,9 +119,16 @@ def test_solve_intensity_round_trip_52er():
 
 def test_ramp_time_near_reference_value():
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    plan = lpol_ramp_time(_configured(intensity), RB87, 1e-4)
-    assert plan.duration * 1e6 == pytest.approx(44.0, rel=0.5)
-    assert plan.xi == pytest.approx(0.005)
+    ramp = lpol_ramp_time(_configured(intensity), RB87, 1e-4)
+    units = UnitSystem.for_lattice(RB87, 850e-9)
+    assert units.time_from_natural(ramp.duration) * 1e6 == pytest.approx(44.0, rel=0.5)
+    assert ramp.adiabaticity == pytest.approx(0.005)
+    # the A-site frequency deepens from 2 sqrt(V_s) by the full A shift,
+    # delta / (1 - cos^2(pi/3)) at n = 3
+    assert ramp.direction == "deepen"
+    assert ramp.initial_frequency == pytest.approx(2.0 * math.sqrt(50.0), rel=1e-15)
+    assert ramp.final_frequency == pytest.approx(2.0 * math.sqrt(50.0 + 52.0 / 0.75),
+                                                 rel=1e-12)
 
 
 def test_ramp_time_monotone_in_target():
@@ -138,36 +147,78 @@ def test_ramp_time_infeasible_target():
         lpol_ramp_time(_configured(0.0), RB87, 1e-4)
 
 
+def test_lpol_ramp_admits_every_accepted_target():
+    # xi = sqrt(target)/2 reaches 0.158 as the target nears 0.1
+    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
+    for target in (0.09, math.nextafter(0.1, 0.0)):
+        ramp = lpol_ramp_time(_configured(intensity), RB87, target)
+        assert ramp.adiabaticity == math.sqrt(target) / 2.0
+        assert excitation_numeric(ramp, n_samples=200).max_excitation <= target
+    with pytest.raises(PhysicsDomainError):
+        lpol_ramp_time(_configured(intensity), RB87, 0.1)
+
+
 def test_ramp_two_level_integration_stays_below_target():
     """Oracle: integrate the adiabatic-frame two-level system along the
     returned ramp; excitation must stay within 1.5x the design target."""
     target = 1e-4
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    plan = lpol_ramp_time(_configured(intensity), RB87, target)
-    units = UnitSystem.for_lattice(RB87, 850e-9)
-    duration_nat = units.time_to_natural(plan.duration)
-    xi = plan.xi
+    ramp = lpol_ramp_time(_configured(intensity), RB87, target)
+    xi = ramp.adiabaticity
 
     def rhs(t, c):
-        w = plan.omega_at(float(t))
+        w = ramp_schedule(ramp, float(t))
         return np.array([-1j * (0.5 * w * c[0] + 1j * xi * 2 * w * c[1]),
                          -1j * (-1j * xi * 2 * w * c[0] + 2.5 * w * c[1])])
 
-    sol = solve_ivp(rhs, (0.0, duration_nat), [1.0 + 0j, 0j],
+    sol = solve_ivp(rhs, (0.0, ramp.duration), [1.0 + 0j, 0j],
                     method="DOP853", rtol=1e-11, atol=1e-13)
     assert sol.success
     p_exc = np.abs(sol.y[1]) ** 2
     assert float(np.max(p_exc)) <= 1.5 * target
-    # the final frequency matches the plan
-    assert plan.omega_at(duration_nat) == pytest.approx(plan.omega_final, rel=1e-12)
+    # the final frequency matches the ramp's
+    assert ramp_schedule(ramp, ramp.duration) == pytest.approx(ramp.final_frequency,
+                                                               rel=1e-12)
+
+
+def test_lpol_ramp_exact_propagator_stays_below_target():
+    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
+    results = {target: excitation_numeric(lpol_ramp_time(_configured(intensity), RB87,
+                                                         target))
+               for target in (1e-4, 1e-2)}
+    for target, result in results.items():
+        assert result.max_excitation <= target
+    # the charged 4 xi^2 = 1e-4 is reached to 1e-4 of itself, and the ramp
+    # ends a tenth of the way up
+    assert results[1e-4].max_excitation == pytest.approx(9.999e-5, abs=1e-9)
+    assert results[1e-4].excitation_numeric[-1] == pytest.approx(1.046e-5, abs=5e-9)
 
 
 def test_ramp_intensity_fraction_endpoints():
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    plan = lpol_ramp_time(_configured(intensity), RB87, 1e-4)
-    assert plan.intensity_fraction(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert plan.intensity_fraction(plan.duration) == pytest.approx(1.0, rel=1e-12)
-    assert 0.0 < plan.intensity_weight < plan.duration
+    ramp = lpol_ramp_time(_configured(intensity), RB87, 1e-4)
+    w_i, w_f = ramp.initial_frequency, ramp.final_frequency
+
+    def fraction(t):
+        return (ramp_schedule(ramp, t) ** 2 - w_i ** 2) / (w_f ** 2 - w_i ** 2)
+    assert fraction(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert fraction(ramp.duration) == pytest.approx(1.0, rel=1e-12)
+    assert 0.0 < lpol_exposure(ramp) < ramp.duration
+
+
+@pytest.mark.parametrize("delta", [1e-3, 52.0, 1e5])
+def test_lpol_exposure_matches_quadrature(delta):
+    # oracle: int_0^T (omega(t)^2 - omega_i^2)/(omega_f^2 - omega_i^2) dt in
+    # 40-digit arithmetic; at delta = 1e-3 E_R the old depth-integral form
+    # cancelled to 1e-7 of the exposure
+    ramp = lpol_ramp_time(_configured(), RB87, 1e-4, delta_target=delta)
+    with mpmath.workdps(40):
+        w_i, w_f, rate, duration = (mpmath.mpf(x) for x in (
+            ramp.initial_frequency, ramp.final_frequency, ramp.rate_constant,
+            ramp.duration))
+        exact = mpmath.quad(lambda t: ((w_i / (1 - rate * t)) ** 2 - w_i ** 2)
+                            / (w_f ** 2 - w_i ** 2), [0, duration])
+    assert lpol_exposure(ramp) == pytest.approx(float(exact), rel=1e-10, abs=0.0)
 
 
 def test_pattern_yield_reference_counts():

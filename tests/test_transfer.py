@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from mottreg.errors import NumericsError, PhysicsDomainError
-from mottreg.transfer import (HarmonicRamp, band_tunneling, combined_frequency,
-                              excitation_analytic, excitation_numeric,
-                              hopping_time, initial_frequency,
+from mottreg.transfer import (HarmonicRamp, band_tunneling, excitation_analytic,
+                              excitation_numeric, hopping_time, initial_frequency,
                               matched_microtrap_depth, max_excitation_analytic,
-                              microtrap_depth_kelvin, ramp_rate, ramp_schedule,
-                              transfer_time)
+                              microtrap_depth_kelvin, ramp_schedule, transfer_time)
 from mottreg.units import RB87, UnitSystem
 
 UNITS = UnitSystem.for_lattice(RB87, 850e-9)
@@ -27,7 +25,7 @@ def test_initial_frequency_values():
     w0 = initial_frequency(50.0)
     assert w0 == pytest.approx(2 * math.sqrt(50.0), rel=1e-14)
     # oracle: unit conversion to SI gives about 2 pi x 45 kHz
-    si = UNITS.angular_frequency_from_natural(w0)
+    si = w0 / UNITS.base_time
     assert si / (2 * math.pi) == pytest.approx(45e3, rel=2e-2)
     assert initial_frequency(1.0) == pytest.approx(2.0)
     assert initial_frequency(200.0) == pytest.approx(2 * initial_frequency(50.0))
@@ -43,10 +41,18 @@ def test_matched_microtrap_depth_reference_value():
     assert kelvin * 1e6 == pytest.approx(104.0, rel=2e-2)
 
 
+def _combined_frequency(microtrap_depth, lattice_depth, waist, lambda_s):
+    """omega = sqrt((4 V_f / w^2 + 2 V_L k^2) / m) in natural units, where
+    E_R = 1 makes the mass 2 pi^2 and the lattice wavevector 2 pi."""
+    w_nat = waist / lambda_s
+    return math.sqrt((4.0 * microtrap_depth / w_nat ** 2
+                      + 2.0 * lattice_depth * (2.0 * math.pi) ** 2) / (2.0 * math.pi ** 2))
+
+
 def test_matched_depth_frequency_round_trip():
     # feeding V_f back with V_L = 0 reproduces omega(0)
     depth = matched_microtrap_depth(50.0, 1e-6, 850e-9)
-    w = combined_frequency(depth, 0.0, 1e-6, 850e-9)
+    w = _combined_frequency(depth, 0.0, 1e-6, 850e-9)
     assert w == pytest.approx(initial_frequency(50.0), rel=1e-10)
 
 
@@ -62,13 +68,14 @@ def test_ramp_schedule_start_and_domain():
 
 
 def test_ramp_satisfies_adiabatic_identity_pointwise():
-    # |d omega/dt| = xi (2 omega)^2 / (1/sqrt(2)) identically
-    ramp = _operating_ramp()
-    for t in np.linspace(0.0, ramp.duration, 41):
-        omega = ramp_schedule(ramp, float(t))
-        lhs = abs(ramp_rate(ramp, float(t)))
-        rhs = ramp.adiabaticity * (2 * omega) ** 2 * math.sqrt(2.0)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    # |d omega/dt| = xi (2 omega)^2 / (1/sqrt(2)) identically, that is
+    # 1/omega(0) - 1/omega(t) = +-4 sqrt(2) xi t along the whole ramp
+    w0 = initial_frequency(50.0)
+    for direction, ratio, sign in (("deepen", 4.0, 1.0), ("shallow", 0.25, -1.0)):
+        ramp = HarmonicRamp(w0, 0.005, direction, ratio * w0)
+        for t in np.linspace(0.0, ramp.duration, 41):
+            lhs = 1.0 / w0 - 1.0 / ramp_schedule(ramp, float(t))
+            assert lhs == pytest.approx(sign * 4.0 * math.sqrt(2.0) * 0.005 * t, rel=1e-10)
 
 
 def test_transfer_time_reference_value():
@@ -92,6 +99,11 @@ def test_ramp_direction_validation():
         HarmonicRamp(w0, 0.005, "shallow", 2.0 * w0)
     with pytest.raises(PhysicsDomainError):
         HarmonicRamp(w0, 0.5, "deepen", 2.0 * w0)
+    # xi reaches sqrt(0.1)/2, the LPOL ramp's at a target just below 0.1
+    xi_max = math.sqrt(0.1) / 2.0
+    assert HarmonicRamp(w0, xi_max, "deepen", 2.0 * w0).adiabaticity == xi_max
+    with pytest.raises(PhysicsDomainError):
+        HarmonicRamp(w0, math.nextafter(xi_max, 1.0), "deepen", 2.0 * w0)
 
 
 def test_excitation_analytic_start_and_ceiling():
