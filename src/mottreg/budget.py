@@ -17,8 +17,7 @@ from . import removal as removal_mod
 from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
-from .config import (RunConfig, build_species, config_to_dict, resolve_pulse_rules,
-                     resolve_xi_bar, set_by_path)
+from .config import RunConfig, build_species, config_to_dict, resolve_pulse_rules, set_by_path
 from .errors import NumericsError, PhysicsDomainError
 from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve, step2_scattering_probability
 from .stark import optimize_lpol_wavelength
@@ -208,13 +207,13 @@ class FocusMove:
 
 
 def moving_focus(cfg: RunConfig, species: AtomSpecies) -> FocusMove:
-    """The focus move over the configured displacement at the resolved xi_bar."""
+    """The focus move over the configured displacement at xi_bar = sqrt(target / 4)."""
     spd = cfg.speedup
     potential = speedup_mod.DoubleGaussianPotential(
         confine_depth=spd.confine_depth, focus_depth=spd.focus_depth,
         confine_waist=1.0, focus_waist=spd.focus_waist_ratio)
     schedule = speedup_mod.build_moving_schedule(
-        potential, spd.final_displacement_sigma, resolve_xi_bar(cfg),
+        potential, spd.final_displacement_sigma, math.sqrt(spd.target_excitation / 4.0),
         n_points=spd.profile_points, basis_size=spd.basis_size)
     sp_units = speedup_mod.SpeedupUnits(sigma_c=spd.sigma_c_um * 1e-6,
                                         mass=species.mass)
@@ -398,5 +397,4 @@ def resolved_config_echo(cfg: RunConfig) -> dict:
     echo["pulse"]["omega0_er"] = omega0
     echo["pulse"]["cutoff"] = t_f
     echo["pulse"]["detuning_er"] = detuning
-    echo["speedup"]["xi_bar"] = resolve_xi_bar(cfg)
     return echo

@@ -1,5 +1,7 @@
 """Command-line front end: one subcommand per reported quantity, one config
-file plus --set overrides (flags win), deterministic JSON/CSV emission.
+file plus --set overrides, deterministic JSON/CSV emission.  A subcommand
+flag that names a quantity is an alias of its config field, applied after
+every --set, so the flag wins.
 
 Every run prints a JSON envelope with the fully resolved configuration; the
 primary artifact goes to --out (resolved against $MOTTREG_OUTDIR for
@@ -24,7 +26,7 @@ from . import transfer as transfer_mod
 from .budget import (moving_focus, patterned_lattice, pi_pulse, removal_drive,
                      removal_photons, resolve_lpol_wavelength, resolved_config_echo,
                      run_scheme1, run_scheme2, species_and_units, sweep, transfer_ramp)
-from .config import RunConfig, load_config, set_by_path, validate_config
+from .config import RunConfig, load_config, set_by_path, set_field, validate_config
 from .errors import ConfigError, NumericsError, PhysicsDomainError
 from .pulse import rabi_evolve
 from .stark import default_search_band, wavelength_scan
@@ -177,12 +179,11 @@ def _cmd_lattice(args, cfg: RunConfig):
     side = []
     if args.profile_out:
         lam_s = config.spol_wavelength
-        eta_l = lattice_mod.lpol_period(config.pattern_period, lam_s)
         span = sites.pattern.site_positions[-1]
         xs = np.linspace(0.0, span if span > 0 else lam_s, 601)
         shift0 = sites.delta_e0[0]
         shift1 = sites.delta_e1[0]
-        envelope = np.cos(np.pi * (xs - config.lpol_phase) / eta_l) ** 2
+        envelope = lattice_mod.intensity_envelope(config, xs)
         vs = cfg.lattice.depth_er * np.sin(2 * np.pi * xs / lam_s) ** 2
         profile = [{"x_um": x * 1e6,
                     "v0_er": float(v + shift0 * e),
@@ -194,13 +195,6 @@ def _cmd_lattice(args, cfg: RunConfig):
 
 def _cmd_pulse(args, cfg: RunConfig):
     _, units = species_and_units(cfg)
-    if args.omega0 is not None:
-        cfg.pulse.omega0_er = args.omega0
-    if args.tf is not None:
-        cfg.pulse.cutoff = args.tf
-    if args.detuning is not None:
-        cfg.pulse.detuning_er = args.detuning
-    validate_config(cfg)
     pulse = pi_pulse(cfg)
     t_f = pulse.cutoff
     outcome = rabi_evolve(pulse, trajectory=bool(args.trajectory_out))
@@ -220,11 +214,6 @@ def _cmd_pulse(args, cfg: RunConfig):
 
 def _cmd_remove(args, cfg: RunConfig):
     species, _ = species_and_units(cfg)
-    if args.trap_depth is not None:
-        cfg.removal.trap_depth_er = args.trap_depth
-    if args.duration is not None:
-        cfg.removal.duration_us = args.duration
-    validate_config(cfg)
     detuning = (2 * np.pi * args.detuning_ghz * 1e9 if args.detuning_ghz is not None
                 else species.hyperfine_splitting)
     # the rotating-wave model of the drive ends near the optical frequency
@@ -245,15 +234,6 @@ def _cmd_remove(args, cfg: RunConfig):
 
 def _cmd_transfer(args, cfg: RunConfig):
     _, units = species_and_units(cfg)
-    if args.xi is not None:
-        cfg.transfer.xi = args.xi
-    if args.ratio is not None:
-        cfg.transfer.frequency_ratio = args.ratio
-    if args.direction is not None:
-        cfg.transfer.direction = args.direction
-    if args.depth is not None:
-        cfg.lattice.depth_er = args.depth
-    validate_config(cfg)
     ramp = transfer_ramp(cfg)
     result = transfer_mod.excitation_numeric(ramp)
     matched = transfer_mod.matched_microtrap_depth(
@@ -270,11 +250,11 @@ def _cmd_transfer(args, cfg: RunConfig):
                   units.time_from_natural(transfer_mod.hopping_time(cfg.lattice.depth_er))}
     side = []
     if args.trajectory_out:
-        rows = [{"t": float(t),
-                 "omega": transfer_mod.ramp_schedule(ramp, float(t)),
+        omegas = transfer_mod.ramp_schedule(ramp, result.times)
+        rows = [{"t": float(t), "omega": float(w),
                  "Pe_analytic": float(pa), "Pe_numeric": float(pn)}
-                for t, pa, pn in zip(result.times, result.excitation_analytic,
-                                     result.excitation_numeric)]
+                for t, w, pa, pn in zip(result.times, omegas, result.excitation_analytic,
+                                        result.excitation_numeric)]
         side.append((_resolve_out(args, cfg, args.trajectory_out), rows))
     _deliver(args, cfg, report, "json", side_files=side)
 
@@ -331,6 +311,13 @@ def _cmd_sweep(args, cfg: RunConfig):
 # parser
 # ---------------------------------------------------------------------------
 
+def _alias(parser, flag: str, path: str, meaning: str, kind=float):
+    """A subcommand flag that writes the config field at path; its dest is
+    the path, which is how main tells it from the flags that are no field."""
+    parser.add_argument(flag, dest=path, type=kind, metavar=flag[2:].upper(),
+                        help=f"{meaning}; alias of {path}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mottreg",
@@ -353,24 +340,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lattice)
 
     p = sub.add_parser("pulse", help="microwave pi-pulse flip probabilities")
-    p.add_argument("--omega0", type=float, help="envelope width, E_R/hbar")
-    p.add_argument("--tf", type=float, help="cutoff time, hbar/E_R")
-    p.add_argument("--detuning", type=float, help="detuning, E_R/hbar")
+    _alias(p, "--omega0", "pulse.omega0_er", "envelope width, E_R/hbar")
+    _alias(p, "--tf", "pulse.cutoff", "cutoff time, hbar/E_R")
+    _alias(p, "--detuning", "pulse.detuning_er", "detuning, E_R/hbar")
     p.add_argument("--trajectory-out", help="amplitude trajectory CSV path")
     p.set_defaults(handler=_cmd_pulse)
 
     p = sub.add_parser("remove", help="removing-laser photon counts")
-    p.add_argument("--trap-depth", type=float, help="trap depth, E_R")
-    p.add_argument("--duration", type=float, help="requested window, us")
+    _alias(p, "--trap-depth", "removal.trap_depth_er", "trap depth, E_R")
+    _alias(p, "--duration", "removal.duration_us", "requested window, us")
     p.add_argument("--detuning-ghz", type=float,
                    help="target-atom detuning over 2 pi, GHz")
     p.set_defaults(handler=_cmd_remove)
 
     p = sub.add_parser("transfer", help="lattice-to-microtrap adiabatic ramp")
-    p.add_argument("--xi", type=float)
-    p.add_argument("--ratio", type=float, help="final/initial frequency ratio")
-    p.add_argument("--direction", choices=("deepen", "shallow"))
-    p.add_argument("--depth", type=float, help="lattice depth, E_R")
+    _alias(p, "--xi", "transfer.xi", "adiabaticity")
+    _alias(p, "--ratio", "transfer.frequency_ratio", "final/initial frequency ratio")
+    _alias(p, "--direction", "transfer.direction", "deepen or shallow", kind=str)
+    _alias(p, "--depth", "lattice.depth_er", "lattice depth, E_R")
     p.add_argument("--trajectory-out", help="ramp trajectory CSV path")
     p.set_defaults(handler=_cmd_transfer)
 
@@ -403,6 +390,10 @@ def main(argv=None) -> int:
             if not sep:
                 raise ConfigError(f"override '{override}' must look like KEY=VALUE")
             set_by_path(cfg, key, value)
+        for path, value in vars(args).items():
+            if "." in path and value is not None:
+                set_field(cfg, path, value)
+        validate_config(cfg)
         args.handler(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,10 +1,13 @@
 """Run configuration: defaults, JSON loading with strict key checking,
-rule resolution (omega0 = delta/4 and friends), and serialization.
+one table of admissible values, rule resolution (omega0 = delta/4 and
+friends), and serialization.
 
 Every physics default equals the reference operating point, so an empty
-config file reproduces the headline numbers.  Unknown keys are rejected
-with their dotted path; rule strings are expanded to numbers in the
-resolved echo that accompanies every report.
+config file reproduces the headline numbers.  Each field is declared once:
+its annotation gives its kind, _WORDS the words of a rule-or-word field, and
+_RANGES the interval of a number.  Every refusal, of a value or of an
+unknown key, names the field's dotted path.  Rule strings are expanded to
+numbers in the resolved echo that accompanies every report.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "set_by_path",
+    "set_field",
     "validate_config",
     "build_species",
 ]
@@ -37,9 +41,8 @@ __all__ = [
 
 @dataclass
 class SpeciesConfig:
-    """Atomic species; None fields fall back to the named builtin."""
+    """Rb-87 line and mass data; a None field keeps the builtin value."""
 
-    name: str = "Rb87"
     mass_kg: float | None = None
     d1_wavelength_nm: float | None = None
     d2_wavelength_nm: float | None = None
@@ -92,7 +95,6 @@ class SpeedupConfig:
     sigma_c_um: float = 0.93
     focus_waist_ratio: float = 0.5
     final_displacement_sigma: float = 2.0
-    xi_bar: float | str = "calibrate"
     target_excitation: float = 7e-3
     effective_linewidth_rad_s: float = 2.0 * PI * 5.0e6   # calibrated, not derived
     focus_detuning_rad_s: float = -2.0 * PI * 780.0e9
@@ -120,17 +122,26 @@ class RunConfig:
 
 
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
+_KEYS = {name: frozenset(f.name for f in dataclasses.fields(cls))
+         for name, cls in _SECTIONS.items()}
 
 
-def _fill_section(cls, data: dict, path: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    section = cls()
-    for key, value in data.items():
-        if key not in names:
-            valid = ", ".join(sorted(names))
-            raise ConfigError(f"unknown key '{path}.{key}' (valid keys: {valid})")
-        setattr(section, key, value)
-    return section
+def _keys(section: str) -> frozenset:
+    """The keys of a RunConfig section; a section it lacks is refused."""
+    if section not in _KEYS:
+        raise ConfigError(f"unknown section '{section}' "
+                          f"(valid sections: {', '.join(sorted(_KEYS))})")
+    return _KEYS[section]
+
+
+def set_field(cfg: RunConfig, dotted: str, value):
+    """Write one field by its 'section.key' path, refusing a path that
+    RunConfig lacks; the caller validates the result."""
+    section, _, key = dotted.partition(".")
+    keys = _keys(section)
+    if key not in keys:
+        raise ConfigError(f"unknown key '{dotted}' (valid keys: {', '.join(sorted(keys))})")
+    setattr(getattr(cfg, section), key, value)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -138,13 +149,12 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     cfg = RunConfig()
-    for key, value in data.items():
-        if key not in _SECTIONS:
-            valid = ", ".join(sorted(_SECTIONS))
-            raise ConfigError(f"unknown section '{key}' (valid sections: {valid})")
-        if not isinstance(value, dict):
-            raise ConfigError(f"section '{key}' must be an object")
-        setattr(cfg, key, _fill_section(_SECTIONS[key], value, key))
+    for section, values in data.items():
+        _keys(section)
+        if not isinstance(values, dict):
+            raise ConfigError(f"section '{section}' must be an object")
+        for key, value in values.items():
+            set_field(cfg, f"{section}.{key}", value)
     validate_config(cfg)
     return cfg
 
@@ -167,6 +177,78 @@ def load_config(path) -> RunConfig:
     return config_from_dict(data)
 
 
+# the words a rule-or-word field accepts; a field whose annotation admits a
+# number takes a number in place of its rule
+_WORDS = {
+    "lattice.lpol_wavelength_nm": ("optimize",),
+    "pulse.omega0_er": ("delta/4",),
+    "pulse.cutoff": ("5/omega0",),
+    "pulse.detuning_er": ("delta",),
+    "transfer.direction": ("deepen", "shallow"),
+}
+
+# the interval each number lies in, with "(" ")" open and "[" "]" closed
+# ends, and why where a finite end marks the edge of the model: beyond it a
+# derived scale overflows or underflows.  band_exclusion_nm, total_sites and
+# the focus detuning and linewidth have no row, as only the cross-field
+# checks in validate_config bound them; lattice.lpol_phase_nm has none, as
+# any finite offset serves.
+_RANGES = {
+    "species.mass_kg": ("[1e-27, 1e-24]", "an atomic mass"),
+    "species.d1_wavelength_nm": ("[100, 1e5]", "an optical line"),
+    "species.d2_wavelength_nm": ("[100, 1e5]", "an optical line"),
+    "species.gamma1_rad_s": ("[1, 1e12]", "far below the optical frequency"),
+    "species.gamma2_rad_s": ("[1, 1e12]", "far below the optical frequency"),
+    "species.hyperfine_splitting_rad_s": ("[1, 1e12]", "far below the optical frequency"),
+    "lattice.lambda_s_nm": ("[100, 1e5]", "an optical wavelength"),
+    "lattice.depth_er": ("(0, inf)", ""),
+    "lattice.pattern_period": ("[3, inf)", ""),
+    "lattice.lpol_wavelength_nm": ("[100, 1e5]", "an optical wavelength"),
+    "lattice.delta_target_er": ("(0, 1e6]", "a light shift far below the optical detunings"),
+    "lattice.ramp_target_excitation": ("(0, 0.1)", ""),
+    "lattice.dimensions": ("[1, 2]", ""),
+    "pulse.omega0_er": ("(0, inf)", ""),
+    "pulse.cutoff": ("(0, inf)", ""),
+    "pulse.detuning_er": ("(0, inf)", ""),
+    "removal.trap_depth_er": ("[0, inf)", ""),
+    "removal.duration_us": ("(0, inf)", ""),
+    "removal.excited_population_cap": ("(0, 0.5)", ""),
+    "removal.tunneling_time_ms": ("(0, inf)", ""),
+    "transfer.xi": ("(0, 0.1)", ""),
+    "transfer.frequency_ratio": ("(1, 1e6]", ""),
+    "transfer.waist_um": ("[1e-3, 1e3]", "a nanometre to a millimetre"),
+    "speedup.confine_depth": ("[0, 1e6]", "in hbar^2/(2 m sigma_c^2)"),
+    "speedup.focus_depth": ("[0, 1e6]", "in hbar^2/(2 m sigma_c^2)"),
+    "speedup.sigma_c_um": ("[1e-3, 1e3]", "a nanometre to a millimetre"),
+    "speedup.focus_waist_ratio": ("[1e-3, 1e3]", "a waist on the scale of sigma_c"),
+    "speedup.final_displacement_sigma": ("[0, 100]", "in sigma_c"),
+    "speedup.target_excitation": ("(0, 1)", "P_exc = 4 xi_bar^2 below 1"),
+    "speedup.cycles": ("[0, inf)", ""),
+    "speedup.per_cycle_fraction": ("[0, 1]", ""),
+    "speedup.profile_points": ("[9, inf)", ""),
+    "speedup.basis_size": ("[3, inf)", ""),
+    "output.float_digits": ("[6, 17]", ""),
+}
+
+
+def _field_rule(section: str, f: dataclasses.Field) -> tuple:
+    """(section, key, path, the kinds its annotation admits, its words, its
+    bounds) of one field, the path split once at import; the bounds are (lo,
+    hi, lo closed, hi closed, the message's tail) of its _RANGES row."""
+    path = f"{section}.{f.name}"
+    bounds = None
+    if path in _RANGES:
+        interval, why = _RANGES[path]
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        bounds = (lo, hi, interval[0] == "[", interval[-1] == "]",
+                  interval + (f" ({why})" if why else ""))
+    return section, f.name, path, frozenset(f.type.split(" | ")), _WORDS.get(path), bounds
+
+
+_FIELDS = tuple(_field_rule(section, f)
+                for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls))
+
+
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
@@ -179,20 +261,19 @@ def _finite(value) -> bool:
         return False
 
 
-# (section, field, the kinds its annotation admits) of every config field
-_FIELD_KINDS = tuple((section_name, f.name, frozenset(f.type.split(" | ")))
-                     for section_name, cls in _SECTIONS.items()
-                     for f in dataclasses.fields(cls))
-
-
-def _require_types(cfg: RunConfig):
-    """Every field holds a value of its annotated kind: a string where the
-    annotation admits one (or None where it admits None), else a finite real
-    number (not a bool), and an int where the annotation has no float."""
-    for section_name, name, kinds in _FIELD_KINDS:
-        value = getattr(getattr(cfg, section_name), name)
-        if (value is None and "None" in kinds) or (isinstance(value, str)
-                                                  and "str" in kinds):
+def validate_config(cfg: RunConfig):
+    """Refuse, with a message that starts with a field's dotted path, a value
+    not of its annotated kind (a string, None, a finite real number that is
+    no bool, an int where no float is admitted), not one of its words or
+    outside its interval, then the combinations the models cannot take."""
+    for section, key, path, kinds, words, bounds in _FIELDS:
+        value = getattr(getattr(cfg, section), key)
+        if isinstance(value, str) and "str" in kinds:
+            if words is not None and value not in words:
+                admitted = ["a number"] * ("float" in kinds) + [repr(w) for w in words]
+                raise ConfigError(f"{path} must be {' or '.join(admitted)}, got {value!r}")
+            continue
+        if value is None and "None" in kinds:
             continue
         if "float" not in kinds and "int" not in kinds:
             problem = "a string"
@@ -202,130 +283,45 @@ def _require_types(cfg: RunConfig):
             problem = "finite"
         elif "float" not in kinds and not isinstance(value, int):
             problem = "an integer"
-        else:
+        elif bounds is None:
             continue
-        raise ConfigError(f"{section_name}.{name} must be {problem}, got {value!r}")
+        else:
+            lo, hi, lo_closed, hi_closed, interval = bounds
+            if ((lo < value or lo_closed and value == lo)
+                    and (value < hi or hi_closed and value == hi)):
+                continue
+            raise ConfigError(f"{path} must lie in {interval}, got {value!r}")
+        raise ConfigError(f"{path} must be {problem}, got {value!r}")
 
-
-# the closed range of each number the models describe, beyond which a derived
-# scale overflows or underflows; None and rule strings are not numbers here
-_RANGES = {
-    "species.mass_kg": (1e-27, 1e-24, "an atomic mass"),
-    "species.d1_wavelength_nm": (100.0, 1e5, "an optical line"),
-    "species.d2_wavelength_nm": (100.0, 1e5, "an optical line"),
-    "species.gamma1_rad_s": (1.0, 1e12, "far below the optical frequency"),
-    "species.gamma2_rad_s": (1.0, 1e12, "far below the optical frequency"),
-    "species.hyperfine_splitting_rad_s": (1.0, 1e12, "far below the optical frequency"),
-    "lattice.lambda_s_nm": (100.0, 1e5, "an optical wavelength"),
-    "lattice.lpol_wavelength_nm": (100.0, 1e5, "an optical wavelength"),
-    "transfer.waist_um": (1e-3, 1e3, "a nanometre to a millimetre"),
-    "speedup.confine_depth": (0.0, 1e6, "in hbar^2/(2 m sigma_c^2)"),
-    "speedup.focus_depth": (0.0, 1e6, "in hbar^2/(2 m sigma_c^2)"),
-    "speedup.sigma_c_um": (1e-3, 1e3, "a nanometre to a millimetre"),
-    "speedup.focus_waist_ratio": (1e-3, 1e3, "a waist on the scale of sigma_c"),
-    "speedup.final_displacement_sigma": (0.0, 100.0, "in sigma_c"),
-}
-
-
-def validate_config(cfg: RunConfig):
-    """Reject physically invalid values with their field path."""
-    _require_types(cfg)
-    for path, (lo, hi, why) in _RANGES.items():
-        section, key = path.split(".")
-        value = getattr(getattr(cfg, section), key)
-        if not isinstance(value, (str, type(None))) and not lo <= value <= hi:
-            raise ConfigError(f"{path} must lie in [{lo:g}, {hi:g}] ({why}), got {value!r}")
     species = build_species(cfg.species)
     _require(species.d2_wavelength < species.d1_wavelength,
              "species.d2_wavelength_nm must be below species.d1_wavelength_nm")
-
     lat = cfg.lattice
-    _require(lat.depth_er > 0, "lattice.depth_er must be positive")
-    _require(lat.pattern_period >= 3, "lattice.pattern_period must be an integer >= 3")
-    _require(0 < lat.delta_target_er <= 1e6, "lattice.delta_target_er must lie in (0, 1e6] "
-             "(a light shift far below the optical detunings)")
     gap_nm = (species.d1_wavelength - species.d2_wavelength) * 1e9
     if not 0 < 2 * lat.band_exclusion_nm < gap_nm:
         raise ConfigError(f"lattice.band_exclusion_nm must be positive and below half "
                           f"the {gap_nm:.6g} nm D1-D2 gap, got {lat.band_exclusion_nm!r}")
-    _require(0.0 < lat.ramp_target_excitation < 0.1,
-             "lattice.ramp_target_excitation must lie in (0, 0.1)")
-    _require(lat.dimensions in (1, 2), "lattice.dimensions must be 1 or 2")
     _require(lat.total_sites >= lat.pattern_period,
              "lattice.total_sites must cover at least one lattice.pattern_period")
-    if isinstance(lat.lpol_wavelength_nm, str):
-        _require(lat.lpol_wavelength_nm == "optimize",
-                 "lattice.lpol_wavelength_nm must be a number or 'optimize'")
-
-    rem = cfg.removal
-    _require(rem.trap_depth_er >= 0, "removal.trap_depth_er must be >= 0")
-    _require(rem.duration_us > 0, "removal.duration_us must be positive")
-    _require(0.0 < rem.excited_population_cap < 0.5,
-             "removal.excited_population_cap must lie in (0, 0.5)")
-    _require(rem.tunneling_time_ms > 0, "removal.tunneling_time_ms must be positive")
-
-    tra = cfg.transfer
-    _require(0.0 < tra.xi < 0.1, "transfer.xi must lie in (0, 0.1)")
-    _require(1 < tra.frequency_ratio <= 1e6, "transfer.frequency_ratio must lie in (1, 1e6]")
-    _require(tra.direction in ("deepen", "shallow"),
-             "transfer.direction must be 'deepen' or 'shallow'")
-
     spd = cfg.speedup
-    _require(spd.cycles >= 0, "speedup.cycles must be >= 0")
-    _require(0.0 <= spd.per_cycle_fraction <= 1.0,
-             "speedup.per_cycle_fraction must lie in [0, 1]")
-    _require(0 < spd.target_excitation < 1, "speedup.target_excitation must lie in (0, 1)")
     _require(abs(spd.focus_detuning_rad_s) > spd.effective_linewidth_rad_s > 0,
              "speedup.focus_detuning_rad_s must exceed the positive "
              "speedup.effective_linewidth_rad_s in magnitude (a far-detuned focus)")
-    _require(spd.profile_points >= 9, "speedup.profile_points must be >= 9")
-    _require(spd.basis_size >= 3, "speedup.basis_size must be >= 3")
-    if isinstance(spd.xi_bar, str):
-        _require(spd.xi_bar == "calibrate", "speedup.xi_bar must be a number or 'calibrate'")
-    else:
-        _require(0 < spd.xi_bar < 0.5, "speedup.xi_bar must lie in (0, 0.5), so that "
-                 "P_exc = 4 xi_bar^2 < 1")
-
-    _require(6 <= cfg.output.float_digits <= 17, "output.float_digits must lie in [6, 17]")
-
-    pul = cfg.pulse
-    for name in ("omega0_er", "cutoff", "detuning_er"):
-        val = getattr(pul, name)
-        if isinstance(val, str):
-            allowed = {"omega0_er": "delta/4", "cutoff": "5/omega0",
-                       "detuning_er": "delta"}[name]
-            _require(val == allowed, f"pulse.{name} must be a number or '{allowed}'")
-        else:
-            _require(val > 0, f"pulse.{name} must be positive")
 
 
 def set_by_path(cfg: RunConfig, dotted: str, raw_value: str):
     """Apply a --set override like 'transfer.xi=0.0025'; values are parsed
     as JSON scalars so strings, ints and floats all work."""
-    parts = dotted.split(".")
-    if len(parts) != 2:
-        raise ConfigError(f"override path '{dotted}' must look like section.key")
-    section_name, key = parts
-    if section_name not in _SECTIONS:
-        raise ConfigError(f"unknown section '{section_name}' in override "
-                          f"(valid: {', '.join(sorted(_SECTIONS))})")
-    section = getattr(cfg, section_name)
-    names = {f.name for f in dataclasses.fields(section)}
-    if key not in names:
-        raise ConfigError(f"unknown key '{dotted}' (valid keys: "
-                          f"{', '.join(sorted(names))})")
     try:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value  # bare string
-    setattr(section, key, value)
+    set_field(cfg, dotted, value)
     validate_config(cfg)
 
 
 def build_species(cfg: SpeciesConfig) -> AtomSpecies:
     """Materialise the species, overriding builtin fields where given."""
-    if cfg.name != "Rb87":
-        raise ConfigError(f"unknown species '{cfg.name}' (builtin: Rb87)")
     base = RB87
     return AtomSpecies(
         name=base.name,
@@ -356,8 +352,3 @@ def resolve_pulse_rules(cfg: RunConfig) -> tuple[float, float, float]:
                 else float(cfg.pulse.detuning_er))
     return omega0, t_f, detuning
 
-
-def resolve_xi_bar(cfg: RunConfig) -> float:
-    if cfg.speedup.xi_bar == "calibrate":
-        return math.sqrt(cfg.speedup.target_excitation / 4.0)
-    return float(cfg.speedup.xi_bar)

@@ -27,6 +27,7 @@ __all__ = [
     "SiteDetunings",
     "lpol_angle",
     "lpol_period",
+    "intensity_envelope",
     "site_hyperfine_detunings",
     "solve_intensity_for_delta",
     "lpol_ramp_time",
@@ -94,7 +95,8 @@ def lpol_angle(n: int, lambda_s: float, lambda_l: float) -> float:
     return 2.0 * math.asin(ratio)
 
 
-def _intensity_envelope(config: SuperlatticeConfig, x: np.ndarray) -> np.ndarray:
+def intensity_envelope(config: SuperlatticeConfig, x: np.ndarray) -> np.ndarray:
+    """The LPOL envelope cos^2(pi (x - phase) / eta_l), 1 on the A sites at phase 0."""
     eta_l = lpol_period(config.pattern_period, config.spol_wavelength)
     return np.cos(np.pi * (x - config.lpol_phase) / eta_l) ** 2
 
@@ -114,7 +116,7 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
         raise PhysicsDomainError("need at least one full pattern period of sites")
     units = UnitSystem.for_lattice(species, config.spol_wavelength)
     xs = np.arange(count) * config.spol_wavelength / 2.0
-    intensities = config.lpol_intensity * _intensity_envelope(config, xs)
+    intensities = config.lpol_intensity * intensity_envelope(config, xs)
     e0, e1, diff = (units.energy_to_natural(shift) for shift in
                     light_shifts(species, config.lpol_wavelength, intensities)[:3])
 

@@ -98,11 +98,12 @@ def _signed_rate(ramp: HarmonicRamp) -> float:
     return ramp.rate_constant if ramp.direction == "deepen" else -ramp.rate_constant
 
 
-def ramp_schedule(ramp: HarmonicRamp, t: float) -> float:
-    """omega(t) along the ramp; only defined for 0 <= t <= duration."""
-    if t < 0 or t > ramp.duration * (1.0 + 1e-12):
-        raise PhysicsDomainError(f"t = {t} outside the ramp domain [0, {ramp.duration}]")
-    return ramp.initial_frequency / (1.0 - _signed_rate(ramp) * t)
+def ramp_schedule(ramp: HarmonicRamp, t) -> np.ndarray:
+    """omega(t) along the ramp at each time; only defined for 0 <= t <= duration."""
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0) or np.any(t_arr > ramp.duration * (1.0 + 1e-12)):
+        raise PhysicsDomainError(f"t outside the ramp domain [0, {ramp.duration}]")
+    return ramp.initial_frequency / (1.0 - _signed_rate(ramp) * t_arr)
 
 
 def transfer_time(omega_initial: float, omega_final: float, xi: float) -> float:

@@ -131,7 +131,9 @@ def test_resolved_echo_expands_rules():
     assert echo["pulse"]["omega0_er"] == pytest.approx(13.0)
     assert echo["pulse"]["cutoff"] == pytest.approx(5 / 13)
     assert echo["pulse"]["detuning_er"] == pytest.approx(52.0)
-    assert echo["speedup"]["xi_bar"] == pytest.approx(math.sqrt(7e-3 / 4))
+    # xi_bar is no config key: the move runs at sqrt(target_excitation / 4)
+    assert "xi_bar" not in echo["speedup"]
+    assert run_scheme2(RunConfig()).extras["xi_bar"] == math.sqrt(7e-3 / 4)
 
 
 # ---------------------------------------------------------------------------

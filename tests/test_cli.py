@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mottreg import config as config_mod
 from mottreg.budget import run_scheme1, run_scheme2
 from mottreg.cli import emit, main
 from mottreg.config import (RunConfig, config_from_dict, config_to_dict,
-                            load_config, set_by_path)
+                            load_config, set_by_path, validate_config)
 from mottreg.errors import ConfigError
 from mottreg.pulse import rabi_evolve
 
@@ -47,6 +48,11 @@ def test_unknown_key_rejected_with_location():
         config_from_dict({"lattice": {"depth_typo": 50.0}})
     with pytest.raises(ConfigError, match="unknown section"):
         config_from_dict({"lettuce": {}})
+    # keys that only ever held one value are gone
+    with pytest.raises(ConfigError, match="unknown key 'species.name'"):
+        config_from_dict({"species": {"name": "Rb87"}})
+    with pytest.raises(ConfigError, match="unknown key 'speedup.xi_bar'"):
+        set_by_path(RunConfig(), "speedup.xi_bar", "calibrate")
 
 
 def test_parse_error_reports_line_and_column(tmp_path):
@@ -108,6 +114,99 @@ def test_set_by_path_number_fields_hold_finite_values_of_their_kind(field, value
     else:
         assert not isinstance(held, bool) and math.isfinite(held)
         assert isinstance(held, (int, float) if "float" in kinds else int)
+
+
+# the interval of every number field, as the models admit it; a changed end
+# in config._RANGES is a change of what runs
+EXPECTED_RANGES = {
+    "species.mass_kg": "[1e-27, 1e-24]",
+    "species.d1_wavelength_nm": "[100, 1e5]",
+    "species.d2_wavelength_nm": "[100, 1e5]",
+    "species.gamma1_rad_s": "[1, 1e12]",
+    "species.gamma2_rad_s": "[1, 1e12]",
+    "species.hyperfine_splitting_rad_s": "[1, 1e12]",
+    "lattice.lambda_s_nm": "[100, 1e5]",
+    "lattice.depth_er": "(0, inf)",
+    "lattice.pattern_period": "[3, inf)",
+    "lattice.lpol_wavelength_nm": "[100, 1e5]",
+    "lattice.delta_target_er": "(0, 1e6]",
+    "lattice.ramp_target_excitation": "(0, 0.1)",
+    "lattice.dimensions": "[1, 2]",
+    "pulse.omega0_er": "(0, inf)",
+    "pulse.cutoff": "(0, inf)",
+    "pulse.detuning_er": "(0, inf)",
+    "removal.trap_depth_er": "[0, inf)",
+    "removal.duration_us": "(0, inf)",
+    "removal.excited_population_cap": "(0, 0.5)",
+    "removal.tunneling_time_ms": "(0, inf)",
+    "transfer.xi": "(0, 0.1)",
+    "transfer.frequency_ratio": "(1, 1e6]",
+    "transfer.waist_um": "[1e-3, 1e3]",
+    "speedup.confine_depth": "[0, 1e6]",
+    "speedup.focus_depth": "[0, 1e6]",
+    "speedup.sigma_c_um": "[1e-3, 1e3]",
+    "speedup.focus_waist_ratio": "[1e-3, 1e3]",
+    "speedup.final_displacement_sigma": "[0, 100]",
+    "speedup.target_excitation": "(0, 1)",
+    "speedup.cycles": "[0, inf)",
+    "speedup.per_cycle_fraction": "[0, 1]",
+    "speedup.profile_points": "[9, inf)",
+    "speedup.basis_size": "[3, inf)",
+    "output.float_digits": "[6, 17]",
+}
+
+# the number fields that only the four cross-field checks of validate_config
+# bound, and the one that any finite value serves
+CROSS_FIELD = {"species.d1_wavelength_nm", "species.d2_wavelength_nm",
+               "lattice.band_exclusion_nm", "lattice.total_sites",
+               "lattice.pattern_period", "speedup.focus_detuning_rad_s",
+               "speedup.effective_linewidth_rad_s"}
+FREE = {"lattice.lpol_phase_nm"}
+
+
+def test_every_number_field_has_a_range_row():
+    fields = {path for path, _ in NUMBER_FIELDS}
+    assert fields - set(config_mod._RANGES) - CROSS_FIELD == FREE
+    assert set(config_mod._RANGES) == set(EXPECTED_RANGES)
+    all_fields = {f"{section}.{key}" for section, keys in config_to_dict(RunConfig()).items()
+                  for key in keys}
+    assert set(config_mod._WORDS) <= all_fields
+
+
+def _range_cases():
+    kinds = dict(NUMBER_FIELDS)
+    for path, interval in EXPECTED_RANGES.items():
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        integer = "float" not in kinds[path]
+        for bound, closed, outward in ((lo, interval[0] == "[", -math.inf),
+                                       (hi, interval[-1] == "]", math.inf)):
+            if math.isinf(bound):
+                continue
+            if integer:
+                step = 1 if outward > 0 else -1
+                values = (int(bound) + step, int(bound), int(bound) - step)
+            else:
+                values = (math.nextafter(bound, outward), bound,
+                          math.nextafter(bound, -outward))
+            for value, accepted in zip(values, (False, closed, True)):
+                yield pytest.param(path, value, accepted, id=f"{path}={value!r}")
+
+
+@pytest.mark.parametrize("path, value, accepted", _range_cases())
+def test_range_row_ends(path, value, accepted):
+    # another field's check may refuse an accepted value (d1 = 100 nm lies
+    # below the D2 line), but only this row refuses with its interval
+    cfg = RunConfig()
+    section, key = path.split(".")
+    setattr(getattr(cfg, section), key, value)
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        message = str(exc)
+    else:
+        message = ""
+    refused = message.startswith(f"{path} must lie in {EXPECTED_RANGES[path]}")
+    assert refused != accepted, message
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +359,16 @@ def test_cli_speedup_side_files(capsys, tmp_path):
 
 
 def test_cli_flag_overrides_win(capsys):
-    code, out = _run(capsys, "--set", "transfer.xi=0.0025", "transfer")
-    assert code == 0
-    report = json.loads(out)["report"]
-    assert report["max_Pe_analytic"] == pytest.approx(4 * 0.0025 ** 2, rel=1e-12, abs=0.0)
+    # each handler's flags write their config fields after every --set
+    for argv, key, expected in [
+            ("--set transfer.xi=0.004 transfer --xi 0.0025", "max_Pe_analytic",
+             4 * 0.0025 ** 2),
+            ("--set removal.trap_depth_er=30 remove --trap-depth 45", "threshold", 22.5),
+            ("--set pulse.omega0_er=13 pulse --omega0 12", "omega0", 12.0)]:
+        code, out = _run(capsys, *argv.split())
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report[key] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_cli_exit_codes(capsys, tmp_path):
@@ -319,12 +424,12 @@ def test_cli_non_numeric_value_is_a_config_error(capsys):
     ("speedup.basis_size=11.5", "scheme2"),
     ("output.float_digits=100000000000", "pulse"),
     ("output.directory=5", "--out x.json remove"),
-    ("species.name=5", "pulse"),
     ("transfer.direction=5", "transfer"),
     # a bare field is written by the command's own flag, not by --set
     ("removal.trap_depth_er", "remove --trap-depth inf"),
     ("pulse.omega0_er", "pulse --omega0 nan"),
     ("transfer.xi", "transfer --xi nan"),
+    ("transfer.direction", "transfer --direction sideways"),
     # a flag that is no config field is named itself
     ("--points", "stark-scan --points 0"),
     ("--values", "sweep --parameter transfer.xi --values x"),
@@ -392,10 +497,27 @@ def _no_constant(name):
 @given(field=st.sampled_from(NUMBER_FIELDS), value=FUZZ_VALUES,
        command=st.sampled_from(FUZZ_COMMANDS))
 def test_cli_fuzz_number_fields(field, value, command):
+    _assert_runs_or_exits_cleanly([(field[0], value)], command)
+
+
+# pairs reach sizes that only overflow together, such as pattern_period and
+# total_sites, or profile_points and basis_size
+@pytest.mark.filterwarnings("default:lattice depth below:UserWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(first=st.sampled_from(NUMBER_FIELDS), first_value=FUZZ_VALUES,
+       second=st.sampled_from(NUMBER_FIELDS), second_value=FUZZ_VALUES,
+       command=st.sampled_from(FUZZ_COMMANDS))
+def test_cli_fuzz_pairs_of_number_fields(first, first_value, second, second_value,
+                                         command):
+    _assert_runs_or_exits_cleanly([(first[0], first_value), (second[0], second_value)],
+                                  command)
+
+
+def _assert_runs_or_exits_cleanly(overrides, command):
     out, err = io.StringIO(), io.StringIO()
+    argv = [a for path, value in overrides for a in ("--set", f"{path}={json.dumps(value)}")]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["--format", "json", "--set", f"{field[0]}={json.dumps(value)}",
-                     *command.split()])
+        code = main(["--format", "json", *argv, *command.split()])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     if code == 0:

@@ -65,6 +65,13 @@ def test_ramp_schedule_start_and_domain():
         ramp_schedule(ramp, 1.1 * ramp.duration)
     with pytest.raises(PhysicsDomainError):
         ramp_schedule(ramp, -0.1)
+    # an array of times gives each time's value, and one time outside the
+    # domain refuses the whole array
+    ts = np.linspace(0.0, ramp.duration, 7)
+    assert list(ramp_schedule(ramp, ts)) == [ramp.initial_frequency / (
+        1.0 - ramp.rate_constant * float(t)) for t in ts]
+    with pytest.raises(PhysicsDomainError):
+        ramp_schedule(ramp, np.append(ts, 1.1 * ramp.duration))
 
 
 def test_ramp_satisfies_adiabatic_identity_pointwise():
