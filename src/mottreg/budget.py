@@ -17,11 +17,11 @@ from . import removal as removal_mod
 from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
-from .config import RunConfig, build_species, config_to_dict, resolve_pulse_rules, set_by_path
+from .config import RunConfig, config_to_dict, resolve_pulse_rules, set_by_path
 from .errors import NumericsError, PhysicsDomainError
 from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve, step2_scattering_probability
 from .stark import optimize_lpol_wavelength
-from .units import AtomSpecies, UnitSystem
+from .units import RB87, UnitSystem
 
 __all__ = [
     "StepReport",
@@ -31,7 +31,7 @@ __all__ = [
     "sweep",
     "resolve_lpol_wavelength",
     "resolved_config_echo",
-    "species_and_units",
+    "lattice_units",
     "patterned_lattice",
     "pi_pulse",
     "removal_drive",
@@ -114,11 +114,11 @@ def _compose(steps: list[tuple[str, float, tuple]], atoms: int, fraction: float,
                           extraction_fraction=fraction, cycles=cycles, extras=extras)
 
 
-def _lpol_wavelength_m(cfg: RunConfig, species) -> float:
+def _lpol_wavelength_m(cfg: RunConfig) -> float:
     lam = cfg.lattice.lpol_wavelength_nm
     if lam == "optimize":
         exclusion = cfg.lattice.band_exclusion_nm * 1e-9
-        return optimize_lpol_wavelength(species, exclusion=exclusion)[0]
+        return optimize_lpol_wavelength(RB87, exclusion=exclusion)[0]
     return float(lam) * 1e-9
 
 
@@ -129,22 +129,21 @@ def resolve_lpol_wavelength(cfg: RunConfig) -> RunConfig:
     if cfg.lattice.lpol_wavelength_nm != "optimize":
         return cfg
     resolved = copy.deepcopy(cfg)
-    resolved.lattice.lpol_wavelength_nm = (
-        _lpol_wavelength_m(cfg, build_species(cfg.species)) * 1e9)
+    resolved.lattice.lpol_wavelength_nm = _lpol_wavelength_m(cfg) * 1e9
     return resolved
 
 
 # ---------------------------------------------------------------------------
-# one builder per protocol step, shared by the budgets and the CLI reports
+# one builder per protocol step, shared by the budgets and the CLI reports;
+# the atom is always Rb-87
 # ---------------------------------------------------------------------------
 
-def species_and_units(cfg: RunConfig) -> tuple[AtomSpecies, UnitSystem]:
-    """The species and the natural units of its short lattice."""
-    species = build_species(cfg.species)
-    return species, UnitSystem.for_lattice(species, cfg.lattice.lambda_s_nm * 1e-9)
+def lattice_units(cfg: RunConfig) -> UnitSystem:
+    """The natural units of the short lattice."""
+    return UnitSystem.for_lattice(RB87, cfg.lattice.lambda_s_nm * 1e-9)
 
 
-def patterned_lattice(cfg: RunConfig, species: AtomSpecies) -> lattice_mod.SuperlatticeConfig:
+def patterned_lattice(cfg: RunConfig) -> lattice_mod.SuperlatticeConfig:
     """The superlattice with the LPOL intensity that gives the delta target."""
     if cfg.lattice.pattern_period > _MAX_PERIOD:
         raise NumericsError(f"lattice.pattern_period = {cfg.lattice.pattern_period} "
@@ -153,10 +152,9 @@ def patterned_lattice(cfg: RunConfig, species: AtomSpecies) -> lattice_mod.Super
         spol_wavelength=cfg.lattice.lambda_s_nm * 1e-9,
         spol_depth=cfg.lattice.depth_er,
         pattern_period=cfg.lattice.pattern_period,
-        lpol_wavelength=_lpol_wavelength_m(cfg, species),
+        lpol_wavelength=_lpol_wavelength_m(cfg),
         lpol_phase=cfg.lattice.lpol_phase_nm * 1e-9)
-    intensity = lattice_mod.solve_intensity_for_delta(base, species,
-                                                      cfg.lattice.delta_target_er)
+    intensity = lattice_mod.solve_intensity_for_delta(base, RB87, cfg.lattice.delta_target_er)
     return dataclasses.replace(base, lpol_intensity=intensity)
 
 
@@ -167,19 +165,18 @@ def pi_pulse(cfg: RunConfig) -> GaussianPulse:
                          envelope_width=omega0, cutoff=t_f, detuning=detuning)
 
 
-def removal_drive(cfg: RunConfig, species: AtomSpecies) -> removal_mod.RemovalPlan:
+def removal_drive(cfg: RunConfig) -> removal_mod.RemovalPlan:
     """The removing-laser drive that scatters the trap depth's photon threshold."""
     threshold = removal_mod.removal_photon_threshold(cfg.removal.trap_depth_er)
     return removal_mod.solve_removal_drive(
-        species.gamma2, threshold, cfg.removal.duration_us * 1e-6,
+        RB87.gamma2, threshold, cfg.removal.duration_us * 1e-6,
         cfg.removal.excited_population_cap)
 
 
-def removal_photons(species: AtomSpecies, plan: removal_mod.RemovalPlan,
-                    detuning: float) -> float:
+def removal_photons(plan: removal_mod.RemovalPlan, detuning: float) -> float:
     """Photons an atom at `detuning` (rad/s) scatters under the drive."""
     return removal_mod.photon_count(removal_mod.ObeParams(
-        linewidth=species.gamma2, rabi_frequency=plan.rabi_frequency,
+        linewidth=RB87.gamma2, rabi_frequency=plan.rabi_frequency,
         detuning=detuning, duration=plan.duration))
 
 
@@ -206,7 +203,7 @@ class FocusMove:
     p_scatter: float
 
 
-def moving_focus(cfg: RunConfig, species: AtomSpecies) -> FocusMove:
+def moving_focus(cfg: RunConfig) -> FocusMove:
     """The focus move over the configured displacement at xi_bar = sqrt(target / 4)."""
     spd = cfg.speedup
     potential = speedup_mod.DoubleGaussianPotential(
@@ -215,8 +212,7 @@ def moving_focus(cfg: RunConfig, species: AtomSpecies) -> FocusMove:
     schedule = speedup_mod.build_moving_schedule(
         potential, spd.final_displacement_sigma, math.sqrt(spd.target_excitation / 4.0),
         n_points=spd.profile_points, basis_size=spd.basis_size)
-    sp_units = speedup_mod.SpeedupUnits(sigma_c=spd.sigma_c_um * 1e-6,
-                                        mass=species.mass)
+    sp_units = speedup_mod.SpeedupUnits(sigma_c=spd.sigma_c_um * 1e-6, mass=RB87.mass)
     move_time = speedup_mod.moving_time(schedule) * sp_units.time
     laser = speedup_mod.FocusLaserModel(
         effective_linewidth=spd.effective_linewidth_rad_s,
@@ -240,10 +236,10 @@ class _StepTwo:
     pulse: GaussianPulse
 
 
-def _run_step_two(cfg: RunConfig, species: AtomSpecies, units: UnitSystem) -> _StepTwo:
-    lattice_config = patterned_lattice(cfg, species)
-    delta_realized = lattice_mod.site_hyperfine_detunings(lattice_config, species).delta
-    ramp = lattice_mod.lpol_ramp_time(lattice_config, species,
+def _run_step_two(cfg: RunConfig, units: UnitSystem) -> _StepTwo:
+    lattice_config = patterned_lattice(cfg)
+    delta_realized = lattice_mod.site_hyperfine_detunings(lattice_config, RB87).delta
+    ramp = lattice_mod.lpol_ramp_time(lattice_config, RB87,
                                       cfg.lattice.ramp_target_excitation,
                                       delta_target=delta_realized)
     pulse = pi_pulse(cfg)
@@ -254,7 +250,7 @@ def _run_step_two(cfg: RunConfig, species: AtomSpecies, units: UnitSystem) -> _S
     hold = units.time_from_natural(2.0 * pulse.cutoff)
     duration = 2.0 * ramp_time + hold
     p_scatter = step2_scattering_probability(
-        lattice_config.lpol_intensity, species, lattice_config.lpol_wavelength,
+        lattice_config.lpol_intensity, RB87, lattice_config.lpol_wavelength,
         2.0 * units.time_from_natural(lattice_mod.lpol_exposure(ramp)) + hold)
     channels = (("lpol_ramp_excitation", cfg.lattice.ramp_target_excitation),
                 ("pulse_flip_error", p_flip),
@@ -267,25 +263,26 @@ def _run_step_two(cfg: RunConfig, species: AtomSpecies, units: UnitSystem) -> _S
 def _reuse(stages: dict, cfg: RunConfig, stage: str, sections: tuple[str, ...], compute):
     """The stage's result, computed on first use.  It is keyed by the values
     of the config sections the stage reads, so every later call whose
-    sections match gets the same result.  Section fields are scalars or
-    strings, so a shallow tuple of their values is the key."""
+    sections match gets the same result.  The atom is always Rb-87, so the
+    config sections are all a stage depends on.  Section fields are scalars
+    or strings, so a shallow tuple of their values is the key."""
     key = (stage,) + tuple(tuple(vars(getattr(cfg, name)).values()) for name in sections)
     if key not in stages:
         stages[key] = compute()
     return stages[key]
 
 
-def _removal_stage(cfg: RunConfig, species: AtomSpecies):
-    plan = removal_drive(cfg, species)
-    return plan, min(1.0, removal_photons(species, plan, species.hyperfine_splitting))
+def _removal_stage(cfg: RunConfig):
+    plan = removal_drive(cfg)
+    return plan, min(1.0, removal_photons(plan, RB87.hyperfine_splitting))
 
 
 def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
-    species, units = species_and_units(cfg)
-    two = _reuse(stages, cfg, "step_two", ("species", "lattice", "pulse"),
-                 lambda: _run_step_two(cfg, species, units))
-    plan, p_impact = _reuse(stages, cfg, "removal", ("species", "removal"),
-                            lambda: _removal_stage(cfg, species))
+    units = lattice_units(cfg)
+    two = _reuse(stages, cfg, "step_two", ("lattice", "pulse"),
+                 lambda: _run_step_two(cfg, units))
+    plan, p_impact = _reuse(stages, cfg, "removal", ("removal",),
+                            lambda: _removal_stage(cfg))
     p_collision = removal_mod.collision_probability(
         plan.duration, cfg.removal.tunneling_time_ms * 1e-3)
 
@@ -332,9 +329,8 @@ def run_scheme2(cfg: RunConfig) -> ProtocolBudget:
     """Cyclic moving-focus extraction: steps I-II plus the adiabatic move,
     repeated over melt/re-form cycles; per-atom failure is dominated by the
     move's excitation and scattering."""
-    species, units = species_and_units(cfg)
-    two = _run_step_two(cfg, species, units)
-    move = moving_focus(cfg, species)
+    two = _run_step_two(cfg, lattice_units(cfg))
+    move = moving_focus(cfg)
 
     spd = cfg.speedup
     steps = [
@@ -361,10 +357,9 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
     Rows are returned in grid order, and each equals the row of an
     independent run_scheme1 on that row's config.  Within one call, the
     selective-depopulation step (lattice, LPOL ramp, pi pulse, step-II
-    scattering) is computed once per distinct species, lattice and pulse
-    sections, and the removal drive once per distinct species and removal
-    sections; a transfer.xi sweep thus integrates its pulse once.  Nothing
-    is kept between calls.
+    scattering) is computed once per distinct lattice and pulse sections,
+    and the removal drive once per distinct removal section; a transfer.xi
+    sweep thus integrates its pulse once.  Nothing is kept between calls.
     """
     stages: dict = {}
     rows = []

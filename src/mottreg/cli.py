@@ -23,13 +23,14 @@ from . import removal as removal_mod
 from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
-from .budget import (moving_focus, patterned_lattice, pi_pulse, removal_drive,
+from .budget import (lattice_units, moving_focus, patterned_lattice, pi_pulse, removal_drive,
                      removal_photons, resolve_lpol_wavelength, resolved_config_echo,
-                     run_scheme1, run_scheme2, species_and_units, sweep, transfer_ramp)
-from .config import RunConfig, load_config, set_by_path, set_field, validate_config
+                     run_scheme1, run_scheme2, sweep, transfer_ramp)
+from .config import RunConfig, load_config, parse_value, set_field, validate_config
 from .errors import ConfigError, NumericsError, PhysicsDomainError
 from .pulse import rabi_evolve
 from .stark import default_search_band, wavelength_scan
+from .units import RB87
 
 __all__ = ["main"]
 
@@ -153,9 +154,8 @@ def _cmd_stark_scan(args, cfg: RunConfig):
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     _require_rows("--points", args.points)
-    species, units = species_and_units(cfg)
-    band = default_search_band(species, cfg.lattice.band_exclusion_nm * 1e-9)
-    columns = wavelength_scan(species, band, args.points, units.base_energy)
+    band = default_search_band(RB87, cfg.lattice.band_exclusion_nm * 1e-9)
+    columns = wavelength_scan(RB87, band, args.points, lattice_units(cfg).base_energy)
     _deliver(args, cfg, [dict(zip(columns, row)) for row in zip(*columns.values())], "csv")
 
 
@@ -166,9 +166,8 @@ def _cmd_lattice(args, cfg: RunConfig):
                           f"got {args.sites}")
     _require_rows("--sites", args.sites)
     cfg = resolve_lpol_wavelength(cfg)
-    species, _ = species_and_units(cfg)
-    config = patterned_lattice(cfg, species)
-    sites = lattice_mod.site_hyperfine_detunings(config, species, n_sites=args.sites)
+    config = patterned_lattice(cfg)
+    sites = lattice_mod.site_hyperfine_detunings(config, RB87, n_sites=args.sites)
     rows = [{"index": j,
              "position_um": sites.pattern.site_positions[j] * 1e6,
              "deltaE0_ER": sites.delta_e0[j],
@@ -194,7 +193,7 @@ def _cmd_lattice(args, cfg: RunConfig):
 
 
 def _cmd_pulse(args, cfg: RunConfig):
-    _, units = species_and_units(cfg)
+    units = lattice_units(cfg)
     pulse = pi_pulse(cfg)
     t_f = pulse.cutoff
     outcome = rabi_evolve(pulse, trajectory=bool(args.trajectory_out))
@@ -213,18 +212,17 @@ def _cmd_pulse(args, cfg: RunConfig):
 
 
 def _cmd_remove(args, cfg: RunConfig):
-    species, _ = species_and_units(cfg)
     detuning = (2 * np.pi * args.detuning_ghz * 1e9 if args.detuning_ghz is not None
-                else species.hyperfine_splitting)
+                else RB87.hyperfine_splitting)
     # the rotating-wave model of the drive ends near the optical frequency
-    if not abs(detuning) <= species.d2_angular_frequency:
+    if not abs(detuning) <= RB87.d2_angular_frequency:
         raise ConfigError(f"--detuning-ghz must lie within the D2 optical frequency, "
-                          f"{species.d2_angular_frequency / (2e9 * np.pi):.6g} GHz, "
+                          f"{RB87.d2_angular_frequency / (2e9 * np.pi):.6g} GHz, "
                           f"got {args.detuning_ghz}")
-    plan = removal_drive(cfg, species)
-    report = {"n_p_B": removal_mod.resonant_photon_count(species.gamma2, plan.rabi_frequency,
+    plan = removal_drive(cfg)
+    report = {"n_p_B": removal_mod.resonant_photon_count(RB87.gamma2, plan.rabi_frequency,
                                                          plan.duration),
-              "n_p_A": removal_photons(species, plan, detuning),
+              "n_p_A": removal_photons(plan, detuning),
               "threshold": plan.threshold,
               "feasible": plan.feasible_at_request,
               "duration_used": plan.duration,
@@ -233,7 +231,7 @@ def _cmd_remove(args, cfg: RunConfig):
 
 
 def _cmd_transfer(args, cfg: RunConfig):
-    _, units = species_and_units(cfg)
+    units = lattice_units(cfg)
     ramp = transfer_ramp(cfg)
     result = transfer_mod.excitation_numeric(ramp)
     matched = transfer_mod.matched_microtrap_depth(
@@ -260,8 +258,7 @@ def _cmd_transfer(args, cfg: RunConfig):
 
 
 def _cmd_speedup(args, cfg: RunConfig):
-    species, _ = species_and_units(cfg)
-    move = moving_focus(cfg, species)
+    move = moving_focus(cfg)
     schedule = move.schedule
     report = {"T_ms": move.move_time * 1e3, "P_exc": move.p_exc,
               "P_scatter": move.p_scatter, "xi_bar_used": schedule.adiabaticity,
@@ -385,11 +382,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
+        # every --set, then every flag, is written before the one validation,
+        # so the order of the overrides does not matter
         for override in args.set or []:
             key, sep, value = override.partition("=")
             if not sep:
                 raise ConfigError(f"override '{override}' must look like KEY=VALUE")
-            set_by_path(cfg, key, value)
+            set_field(cfg, key, parse_value(value))
         for path, value in vars(args).items():
             if "." in path and value is not None:
                 set_field(cfg, path, value)

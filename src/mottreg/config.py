@@ -3,7 +3,8 @@ one table of admissible values, rule resolution (omega0 = delta/4 and
 friends), and serialization.
 
 Every physics default equals the reference operating point, so an empty
-config file reproduces the headline numbers.  Each field is declared once:
+config file reproduces the headline numbers.  The atom is always Rb-87
+(units.RB87), so no section describes it.  Each field is declared once:
 its annotation gives its kind, _WORDS the words of a rule-or-word field, and
 _RANGES the interval of a number.  Every refusal, of a value or of an
 unknown key, names the field's dotted path.  Rule strings are expanded to
@@ -18,10 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .units import PI, RB87, AtomSpecies
+from .units import PI, RB87
 
 __all__ = [
-    "SpeciesConfig",
     "LatticeConfig",
     "PulseConfig",
     "RemovalConfig",
@@ -32,23 +32,11 @@ __all__ = [
     "load_config",
     "config_from_dict",
     "config_to_dict",
+    "parse_value",
     "set_by_path",
     "set_field",
     "validate_config",
-    "build_species",
 ]
-
-
-@dataclass
-class SpeciesConfig:
-    """Rb-87 line and mass data; a None field keeps the builtin value."""
-
-    mass_kg: float | None = None
-    d1_wavelength_nm: float | None = None
-    d2_wavelength_nm: float | None = None
-    gamma1_rad_s: float | None = None
-    gamma2_rad_s: float | None = None
-    hyperfine_splitting_rad_s: float | None = None
 
 
 @dataclass
@@ -112,7 +100,6 @@ class OutputConfig:
 
 @dataclass
 class RunConfig:
-    species: SpeciesConfig = field(default_factory=SpeciesConfig)
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
     pulse: PulseConfig = field(default_factory=PulseConfig)
     removal: RemovalConfig = field(default_factory=RemovalConfig)
@@ -194,12 +181,6 @@ _WORDS = {
 # checks in validate_config bound them; lattice.lpol_phase_nm has none, as
 # any finite offset serves.
 _RANGES = {
-    "species.mass_kg": ("[1e-27, 1e-24]", "an atomic mass"),
-    "species.d1_wavelength_nm": ("[100, 1e5]", "an optical line"),
-    "species.d2_wavelength_nm": ("[100, 1e5]", "an optical line"),
-    "species.gamma1_rad_s": ("[1, 1e12]", "far below the optical frequency"),
-    "species.gamma2_rad_s": ("[1, 1e12]", "far below the optical frequency"),
-    "species.hyperfine_splitting_rad_s": ("[1, 1e12]", "far below the optical frequency"),
     "lattice.lambda_s_nm": ("[100, 1e5]", "an optical wavelength"),
     "lattice.depth_er": ("(0, inf)", ""),
     "lattice.pattern_period": ("[3, inf)", ""),
@@ -229,6 +210,11 @@ _RANGES = {
     "speedup.basis_size": ("[3, inf)", ""),
     "output.float_digits": ("[6, 17]", ""),
 }
+
+
+# the Rb-87 D1-D2 gap in nm; the LPOL search band is this gap less
+# band_exclusion_nm at each end
+_D_GAP_NM = (RB87.d1_wavelength - RB87.d2_wavelength) * 1e9
 
 
 def _field_rule(section: str, f: dataclasses.Field) -> tuple:
@@ -263,8 +249,8 @@ def _finite(value) -> bool:
 
 def validate_config(cfg: RunConfig):
     """Refuse, with a message that starts with a field's dotted path, a value
-    not of its annotated kind (a string, None, a finite real number that is
-    no bool, an int where no float is admitted), not one of its words or
+    not of its annotated kind (a string, a finite real number that is no
+    bool, an int where no float is admitted), not one of its words or
     outside its interval, then the combinations the models cannot take."""
     for section, key, path, kinds, words, bounds in _FIELDS:
         value = getattr(getattr(cfg, section), key)
@@ -272,8 +258,6 @@ def validate_config(cfg: RunConfig):
             if words is not None and value not in words:
                 admitted = ["a number"] * ("float" in kinds) + [repr(w) for w in words]
                 raise ConfigError(f"{path} must be {' or '.join(admitted)}, got {value!r}")
-            continue
-        if value is None and "None" in kinds:
             continue
         if "float" not in kinds and "int" not in kinds:
             problem = "a string"
@@ -293,14 +277,10 @@ def validate_config(cfg: RunConfig):
             raise ConfigError(f"{path} must lie in {interval}, got {value!r}")
         raise ConfigError(f"{path} must be {problem}, got {value!r}")
 
-    species = build_species(cfg.species)
-    _require(species.d2_wavelength < species.d1_wavelength,
-             "species.d2_wavelength_nm must be below species.d1_wavelength_nm")
     lat = cfg.lattice
-    gap_nm = (species.d1_wavelength - species.d2_wavelength) * 1e9
-    if not 0 < 2 * lat.band_exclusion_nm < gap_nm:
+    if not 0 < 2 * lat.band_exclusion_nm < _D_GAP_NM:
         raise ConfigError(f"lattice.band_exclusion_nm must be positive and below half "
-                          f"the {gap_nm:.6g} nm D1-D2 gap, got {lat.band_exclusion_nm!r}")
+                          f"the {_D_GAP_NM:.6g} nm D1-D2 gap, got {lat.band_exclusion_nm!r}")
     _require(lat.total_sites >= lat.pattern_period,
              "lattice.total_sites must cover at least one lattice.pattern_period")
     spd = cfg.speedup
@@ -309,33 +289,19 @@ def validate_config(cfg: RunConfig):
              "speedup.effective_linewidth_rad_s in magnitude (a far-detuned focus)")
 
 
-def set_by_path(cfg: RunConfig, dotted: str, raw_value: str):
-    """Apply a --set override like 'transfer.xi=0.0025'; values are parsed
-    as JSON scalars so strings, ints and floats all work."""
+def parse_value(raw_value: str):
+    """A --set value as a JSON scalar, so strings, ints and floats all work;
+    text that is no JSON is a bare string."""
     try:
-        value = json.loads(raw_value)
+        return json.loads(raw_value)
     except json.JSONDecodeError:
-        value = raw_value  # bare string
-    set_field(cfg, dotted, value)
+        return raw_value
+
+
+def set_by_path(cfg: RunConfig, dotted: str, raw_value: str):
+    """Apply one --set override like 'transfer.xi=0.0025' and validate."""
+    set_field(cfg, dotted, parse_value(raw_value))
     validate_config(cfg)
-
-
-def build_species(cfg: SpeciesConfig) -> AtomSpecies:
-    """Materialise the species, overriding builtin fields where given."""
-    base = RB87
-    return AtomSpecies(
-        name=base.name,
-        mass=cfg.mass_kg if cfg.mass_kg is not None else base.mass,
-        d1_wavelength=(cfg.d1_wavelength_nm * 1e-9 if cfg.d1_wavelength_nm is not None
-                       else base.d1_wavelength),
-        d2_wavelength=(cfg.d2_wavelength_nm * 1e-9 if cfg.d2_wavelength_nm is not None
-                       else base.d2_wavelength),
-        gamma1=cfg.gamma1_rad_s if cfg.gamma1_rad_s is not None else base.gamma1,
-        gamma2=cfg.gamma2_rad_s if cfg.gamma2_rad_s is not None else base.gamma2,
-        hyperfine_splitting=(cfg.hyperfine_splitting_rad_s
-                             if cfg.hyperfine_splitting_rad_s is not None
-                             else base.hyperfine_splitting),
-    )
 
 
 def resolve_pulse_rules(cfg: RunConfig) -> tuple[float, float, float]:

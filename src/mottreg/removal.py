@@ -75,7 +75,9 @@ def photon_count(params: ObeParams) -> float:
         return 0.0
     z = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     z = expm(_bloch_generator(params) * params.duration) @ z
-    return params.linewidth * float(z[4])
+    # at subnormal drives the Pade-13 rounding leaves z[4] a few ulps below
+    # 0 (ROADMAP item 5); a photon count is never negative
+    return max(0.0, params.linewidth * float(z[4]))
 
 
 def resonant_photon_count(linewidth: float, rabi_frequency: float,

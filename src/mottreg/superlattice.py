@@ -25,7 +25,6 @@ __all__ = [
     "SuperlatticeConfig",
     "SitePattern",
     "SiteDetunings",
-    "lpol_angle",
     "lpol_period",
     "intensity_envelope",
     "site_hyperfine_detunings",
@@ -85,14 +84,6 @@ class SiteDetunings:
 def lpol_period(n: int, lambda_s: float) -> float:
     """Long-lattice period eta_l = n lambda_s / 2."""
     return n * lambda_s / 2.0
-
-
-def lpol_angle(n: int, lambda_s: float, lambda_l: float) -> float:
-    """Beam intersection angle theta = 2 arcsin(lambda_l / (n lambda_s))."""
-    ratio = lambda_l / (n * lambda_s)
-    if ratio > 1.0:
-        raise PhysicsDomainError(f"lpol_angle: lambda_l/(n lambda_s) = {ratio:.4f} > 1")
-    return 2.0 * math.asin(ratio)
 
 
 def intensity_envelope(config: SuperlatticeConfig, x: np.ndarray) -> np.ndarray:

@@ -187,11 +187,9 @@ def band_tunneling(lattice_depth: float, n_waves: int = 12) -> float:
 
     def ground_energy(q: float) -> float:
         ms = np.arange(-n_waves, n_waves + 1)
-        mat = np.diag((q + 2.0 * ms) ** 2 + lattice_depth / 2.0)
-        off = -lattice_depth / 4.0
-        for j in range(len(ms) - 1):
-            mat[j, j + 1] = off
-            mat[j + 1, j] = off
+        off = np.full(2 * n_waves, -lattice_depth / 4.0)
+        mat = (np.diag((q + 2.0 * ms) ** 2 + lattice_depth / 2.0)
+               + np.diag(off, 1) + np.diag(off, -1))
         return np.linalg.eigvalsh(mat)[0]
 
     bandwidth = ground_energy(1.0) - ground_energy(0.0)

@@ -43,7 +43,6 @@ class AtomSpecies:
     wavelengths are in meters, mass in kg.
     """
 
-    name: str
     mass: float
     d1_wavelength: float
     d2_wavelength: float
@@ -68,7 +67,6 @@ class AtomSpecies:
 
 # Rb-87 D-line values; mass from the 86.909180531 u isotope mass.
 RB87 = AtomSpecies(
-    name="Rb87",
     mass=86.909180531 * 1.66053906660e-27,
     d1_wavelength=794.98e-9,
     d2_wavelength=780.24e-9,

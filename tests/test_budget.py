@@ -173,7 +173,6 @@ def test_sweep_rows_equal_independent_runs(cfg, parameter, values):
 
 
 @pytest.mark.parametrize("parameter, value", [
-    ("species.gamma2_rad_s", 4.0e7),
     ("lattice.delta_target_er", 44.0),
     ("pulse.detuning_er", 45.0),
     ("removal.duration_us", 2.0),

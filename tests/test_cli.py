@@ -21,6 +21,7 @@ from mottreg.config import (RunConfig, config_from_dict, config_to_dict,
                             load_config, set_by_path, validate_config)
 from mottreg.errors import ConfigError
 from mottreg.pulse import rabi_evolve
+from mottreg.units import RB87
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +49,9 @@ def test_unknown_key_rejected_with_location():
         config_from_dict({"lattice": {"depth_typo": 50.0}})
     with pytest.raises(ConfigError, match="unknown section"):
         config_from_dict({"lettuce": {}})
-    # keys that only ever held one value are gone
-    with pytest.raises(ConfigError, match="unknown key 'species.name'"):
+    # keys that only ever held one value are gone, and so is the species
+    # section: the atom is always Rb-87
+    with pytest.raises(ConfigError, match="unknown section 'species'"):
         config_from_dict({"species": {"name": "Rb87"}})
     with pytest.raises(ConfigError, match="unknown key 'speedup.xi_bar'"):
         set_by_path(RunConfig(), "speedup.xi_bar", "calibrate")
@@ -107,9 +109,7 @@ def test_set_by_path_number_fields_hold_finite_values_of_their_kind(field, value
         return
     section, key = path.split(".")
     held = getattr(getattr(cfg, section), key)
-    if held is None:
-        assert "None" in kinds
-    elif isinstance(held, str):
+    if isinstance(held, str):
         assert "str" in kinds
     else:
         assert not isinstance(held, bool) and math.isfinite(held)
@@ -119,12 +119,6 @@ def test_set_by_path_number_fields_hold_finite_values_of_their_kind(field, value
 # the interval of every number field, as the models admit it; a changed end
 # in config._RANGES is a change of what runs
 EXPECTED_RANGES = {
-    "species.mass_kg": "[1e-27, 1e-24]",
-    "species.d1_wavelength_nm": "[100, 1e5]",
-    "species.d2_wavelength_nm": "[100, 1e5]",
-    "species.gamma1_rad_s": "[1, 1e12]",
-    "species.gamma2_rad_s": "[1, 1e12]",
-    "species.hyperfine_splitting_rad_s": "[1, 1e12]",
     "lattice.lambda_s_nm": "[100, 1e5]",
     "lattice.depth_er": "(0, inf)",
     "lattice.pattern_period": "[3, inf)",
@@ -155,10 +149,9 @@ EXPECTED_RANGES = {
     "output.float_digits": "[6, 17]",
 }
 
-# the number fields that only the four cross-field checks of validate_config
+# the number fields that only the three cross-field checks of validate_config
 # bound, and the one that any finite value serves
-CROSS_FIELD = {"species.d1_wavelength_nm", "species.d2_wavelength_nm",
-               "lattice.band_exclusion_nm", "lattice.total_sites",
+CROSS_FIELD = {"lattice.band_exclusion_nm", "lattice.total_sites",
                "lattice.pattern_period", "speedup.focus_detuning_rad_s",
                "speedup.effective_linewidth_rad_s"}
 FREE = {"lattice.lpol_phase_nm"}
@@ -387,11 +380,49 @@ def test_cli_exit_codes(capsys, tmp_path):
     # physics domain error: cutoff below 3/omega0
     assert main(["pulse", "--tf", "0.01"]) == 3
     capsys.readouterr()
+    # physics domain error: lambda_l > 3 lambda_s leaves no LPOL beam angle
+    assert main(["--set", "lattice.lpol_wavelength_nm=3000", "scheme1"]) == 3
+    assert "no intersection angle exists" in capsys.readouterr().err
     # numerics error: the tracked focus well merges away
     assert main(["--set", "speedup.focus_depth=120",
                  "--set", "speedup.focus_waist_ratio=0.35",
                  "--set", "speedup.final_displacement_sigma=3.0", "speedup"]) == 4
     capsys.readouterr()
+
+
+def test_cli_refuses_the_species_section(capsys, tmp_path):
+    # the atom is always Rb-87, so no config section describes it
+    path = tmp_path / "species.json"
+    path.write_text('{"species": {"mass_kg": 1e-25}}', encoding="utf-8")
+    for argv in (["--config", str(path), "pulse"], ["--set", "species.mass_kg=1e-25", "pulse"]):
+        assert main(argv) == 2
+        assert "unknown section 'species'" in capsys.readouterr().err
+
+
+def test_cli_set_order_does_not_matter(capsys):
+    # every --set is written before the one validation, so two overrides
+    # that only hold together pass in either order
+    period, sites = "lattice.pattern_period=400", "lattice.total_sites=1000"
+    first = _run(capsys, "--set", period, "--set", sites, "pulse")
+    assert first[0] == 0
+    assert _run(capsys, "--set", sites, "--set", period, "pulse") == first
+    assert main(["--set", "lattice.total_sites=2", "pulse"]) == 2
+    assert capsys.readouterr().err.startswith("config error: lattice.total_sites")
+
+
+@pytest.mark.parametrize("depth", ["1e-305", "1e-307"])
+def test_cli_subnormal_trap_depth_scatters_no_target_photons(capsys, depth):
+    # the Pade-13 exponential leaves these photon counts a few ulps below 0
+    setting = ("--set", f"removal.trap_depth_er={depth}", "--set", "output.float_digits=17")
+    code, out = _run(capsys, *setting, "scheme1")
+    assert code == 0
+    steps = json.loads(out)["report"]["steps"]
+    impact = [c["p"] for s in steps for c in s["channels"]
+              if c["label"] == "removal_target_impact"]
+    assert impact == [0.0]
+    code, out = _run(capsys, *setting, "remove")
+    assert code == 0
+    assert json.loads(out)["report"]["n_p_A"] == 0.0
 
 
 def test_cli_byte_identical_reruns(capsys, tmp_path, monkeypatch):
@@ -410,8 +441,8 @@ def test_cli_byte_identical_reruns(capsys, tmp_path, monkeypatch):
 def test_cli_non_numeric_value_is_a_config_error(capsys):
     assert main(["--set", "lattice.depth_er=abc", "scheme1"]) == 2
     assert "lattice.depth_er must be a number" in capsys.readouterr().err
-    assert main(["--set", 'species.mass_kg="x"', "pulse"]) == 2
-    assert "species.mass_kg must be a number" in capsys.readouterr().err
+    assert main(["--set", 'removal.duration_us="x"', "pulse"]) == 2
+    assert "removal.duration_us must be a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting, command", [
@@ -565,7 +596,7 @@ def test_cli_optimizes_lpol_wavelength_once(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(budget_mod, "optimize_lpol_wavelength", counted)
-    optimum_nm = original(budget_mod.build_species(RunConfig().species))[0] * 1e9
+    optimum_nm = original(RB87)[0] * 1e9
     for command in ("lattice", "scheme1"):
         calls.clear()
         code, out = _run(capsys, "--set", "lattice.lpol_wavelength_nm=optimize", command)

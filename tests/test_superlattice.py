@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from mottreg.errors import PhysicsDomainError
-from mottreg.superlattice import (SuperlatticeConfig, lpol_angle, lpol_exposure,
+from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure,
                                   lpol_period, lpol_ramp_time, pattern_yield,
                                   site_hyperfine_detunings,
                                   solve_intensity_for_delta)
@@ -16,28 +16,23 @@ from mottreg.transfer import excitation_numeric, ramp_schedule
 from mottreg.units import RB87, UnitSystem
 
 
-def test_lpol_angle_counterpropagating_limit():
-    assert lpol_angle(3, 850e-9, 3 * 850e-9) == pytest.approx(math.pi)
-
-
-def test_lpol_angle_operating_geometry():
-    theta = lpol_angle(3, 850e-9, 787.6e-9)
-    assert math.degrees(theta) == pytest.approx(36.0, abs=0.1)
-
-
 @pytest.mark.parametrize("n,lam_s,lam_l", [(3, 850e-9, 787.6e-9),
                                            (4, 850e-9, 787.6e-9),
                                            (5, 1064e-9, 800e-9)])
 def test_lpol_commensurability_identity(n, lam_s, lam_l):
-    theta = lpol_angle(n, lam_s, lam_l)
+    # beams crossing at theta = 2 arcsin(lambda_l / (n lambda_s)) make a
+    # lattice of period lambda_l / (2 sin(theta / 2))
+    theta = 2.0 * math.asin(lam_l / (n * lam_s))
     eta_l = lam_l / (2 * math.sin(theta / 2))
     assert eta_l / (lam_s / 2) == pytest.approx(n, rel=1e-12)
     assert lpol_period(n, lam_s) == pytest.approx(eta_l, rel=1e-12, abs=0.0)
 
 
 def test_lpol_angle_geometry_error():
-    with pytest.raises(PhysicsDomainError):
-        lpol_angle(3, 250e-9, 800e-9)
+    # lambda_l > n lambda_s: no beam angle gives the period n lambda_s / 2
+    with pytest.raises(PhysicsDomainError, match="no intersection angle exists"):
+        SuperlatticeConfig(pattern_period=3, lpol_wavelength=4 * 850e-9)
+    SuperlatticeConfig(pattern_period=3, lpol_wavelength=3 * 850e-9)
 
 
 def _configured(intensity=0.0, n=3, phase=0.0):

@@ -68,7 +68,7 @@ def test_species_validation_and_defaults():
     assert RB87.d1_wavelength > RB87.d2_wavelength
     assert RB87.mass == pytest.approx(RB87_MASS_ORACLE, rel=1e-12, abs=0.0)
     with pytest.raises(PhysicsDomainError):
-        AtomSpecies(name="bad", mass=-1.0, d1_wavelength=795e-9,
+        AtomSpecies(mass=-1.0, d1_wavelength=795e-9,
                     d2_wavelength=780e-9, gamma1=1.0, gamma2=1.0,
                     hyperfine_splitting=1.0)
 
