@@ -17,7 +17,7 @@ from . import removal as removal_mod
 from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
-from .config import RunConfig, config_to_dict, resolve_pulse_rules, set_by_path
+from .config import RunConfig, config_to_dict, resolve_pulse_rules, set_field, validate_config
 from .errors import NumericsError, PhysicsDomainError
 from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve, step2_scattering_probability
 from .stark import optimize_lpol_wavelength
@@ -35,7 +35,6 @@ __all__ = [
     "patterned_lattice",
     "pi_pulse",
     "removal_drive",
-    "removal_photons",
     "transfer_ramp",
     "FocusMove",
     "moving_focus",
@@ -46,9 +45,6 @@ __all__ = [
 # may hold
 _MAX_PERIOD = 1_200_000
 
-STEP_NAMES = ("mott_prep", "selective_depop", "removal", "transfer", "speedup_move")
-
-
 @dataclass(frozen=True)
 class StepReport:
     """One protocol step: duration in seconds and its failure channels."""
@@ -58,8 +54,6 @@ class StepReport:
     failure_channels: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        if self.name not in STEP_NAMES:
-            raise PhysicsDomainError(f"unknown step name '{self.name}'")
         if self.duration < 0:
             raise PhysicsDomainError("step duration must be >= 0")
         for label, p in self.failure_channels:
@@ -173,13 +167,6 @@ def removal_drive(cfg: RunConfig) -> removal_mod.RemovalPlan:
         cfg.removal.excited_population_cap)
 
 
-def removal_photons(plan: removal_mod.RemovalPlan, detuning: float) -> float:
-    """Photons an atom at `detuning` (rad/s) scatters under the drive."""
-    return removal_mod.photon_count(removal_mod.ObeParams(
-        linewidth=RB87.gamma2, rabi_frequency=plan.rabi_frequency,
-        detuning=detuning, duration=plan.duration))
-
-
 def transfer_ramp(cfg: RunConfig) -> transfer_mod.HarmonicRamp:
     """The lattice-to-microtrap frequency ramp (natural units)."""
     omega_i = transfer_mod.initial_frequency(cfg.lattice.depth_er)
@@ -212,12 +199,10 @@ def moving_focus(cfg: RunConfig) -> FocusMove:
     schedule = speedup_mod.build_moving_schedule(
         potential, spd.final_displacement_sigma, math.sqrt(spd.target_excitation / 4.0),
         n_points=spd.profile_points, basis_size=spd.basis_size)
-    sp_units = speedup_mod.SpeedupUnits(sigma_c=spd.sigma_c_um * 1e-6, mass=RB87.mass)
-    move_time = speedup_mod.moving_time(schedule) * sp_units.time
-    laser = speedup_mod.FocusLaserModel(
-        effective_linewidth=spd.effective_linewidth_rad_s,
-        detuning=spd.focus_detuning_rad_s)
-    p_exc, p_scatter = speedup_mod.excitation_and_scattering(schedule, laser)
+    move_time = (speedup_mod.moving_time(schedule)
+                 * speedup_mod.time_unit(spd.sigma_c_um * 1e-6, RB87.mass))
+    p_exc, p_scatter = speedup_mod.excitation_and_scattering(
+        schedule, spd.effective_linewidth_rad_s, spd.focus_detuning_rad_s)
     return FocusMove(potential, schedule, move_time, p_exc, p_scatter)
 
 
@@ -274,7 +259,8 @@ def _reuse(stages: dict, cfg: RunConfig, stage: str, sections: tuple[str, ...], 
 
 def _removal_stage(cfg: RunConfig):
     plan = removal_drive(cfg)
-    return plan, min(1.0, removal_photons(plan, RB87.hyperfine_splitting))
+    return plan, min(1.0, removal_mod.photon_count(RB87.gamma2, plan.rabi_frequency,
+                                                   RB87.hyperfine_splitting, plan.duration))
 
 
 def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
@@ -366,12 +352,13 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
     section = parameter.partition(".")[0]
     known = section in {f.name for f in dataclasses.fields(cfg)}
     for value in values:
-        # set_by_path writes one field of the named section, so only that
+        # set_field writes one field of the named section, so only that
         # section needs a copy of its own
         trial = copy.copy(cfg)
         if known:
             setattr(trial, section, copy.copy(getattr(cfg, section)))
-        set_by_path(trial, parameter, repr(value) if not isinstance(value, str) else value)
+        set_field(trial, parameter, value)
+        validate_config(trial)
         budget = _scheme1(trial, stages)
         row = {"parameter": parameter, "value": value,
                "total_time_us": budget.total_time * 1e6,

@@ -24,8 +24,8 @@ from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
 from .budget import (lattice_units, moving_focus, patterned_lattice, pi_pulse, removal_drive,
-                     removal_photons, resolve_lpol_wavelength, resolved_config_echo,
-                     run_scheme1, run_scheme2, sweep, transfer_ramp)
+                     resolve_lpol_wavelength, resolved_config_echo, run_scheme1,
+                     run_scheme2, sweep, transfer_ramp)
 from .config import RunConfig, load_config, parse_value, set_field, validate_config
 from .errors import ConfigError, NumericsError, PhysicsDomainError
 from .pulse import rabi_evolve
@@ -169,16 +169,16 @@ def _cmd_lattice(args, cfg: RunConfig):
     config = patterned_lattice(cfg)
     sites = lattice_mod.site_hyperfine_detunings(config, RB87, n_sites=args.sites)
     rows = [{"index": j,
-             "position_um": sites.pattern.site_positions[j] * 1e6,
+             "position_um": sites.site_positions[j] * 1e6,
              "deltaE0_ER": sites.delta_e0[j],
              "deltaE1_ER": sites.delta_e1[j],
-             "label": sites.pattern.labels[j]}
-            for j in range(len(sites.pattern.labels))]
+             "label": sites.labels[j]}
+            for j in range(len(sites.labels))]
 
     side = []
     if args.profile_out:
         lam_s = config.spol_wavelength
-        span = sites.pattern.site_positions[-1]
+        span = sites.site_positions[-1]
         xs = np.linspace(0.0, span if span > 0 else lam_s, 601)
         shift0 = sites.delta_e0[0]
         shift1 = sites.delta_e1[0]
@@ -222,7 +222,8 @@ def _cmd_remove(args, cfg: RunConfig):
     plan = removal_drive(cfg)
     report = {"n_p_B": removal_mod.resonant_photon_count(RB87.gamma2, plan.rabi_frequency,
                                                          plan.duration),
-              "n_p_A": removal_photons(plan, detuning),
+              "n_p_A": removal_mod.photon_count(RB87.gamma2, plan.rabi_frequency,
+                                                detuning, plan.duration),
               "threshold": plan.threshold,
               "feasible": plan.feasible_at_request,
               "duration_used": plan.duration,

@@ -151,8 +151,12 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    """Parse a JSON config file; parse errors carry line and column."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a JSON config file; parse errors carry line and column, and a
+    file that cannot be read as UTF-8 text is a config error naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config '{path}': {exc}") from exc
     if not text.strip():
         return RunConfig()
     try:

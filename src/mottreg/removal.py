@@ -23,7 +23,6 @@ from .errors import PhysicsDomainError
 from .numerics import expm, solve_scalar
 
 __all__ = [
-    "ObeParams",
     "RemovalPlan",
     "photon_count",
     "resonant_photon_count",
@@ -33,29 +32,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObeParams:
-    """Two-level atom with decay: linewidth Gamma, drive Omega_L, detuning
-    Delta (all rad/s) over a duration in seconds."""
-
-    linewidth: float
-    rabi_frequency: float
-    detuning: float
-    duration: float
-
-    def __post_init__(self):
-        if self.linewidth <= 0:
-            raise PhysicsDomainError("linewidth must be positive")
-        if self.duration < 0:
-            raise PhysicsDomainError("duration must be >= 0")
-        if self.rabi_frequency < 0:
-            raise PhysicsDomainError("rabi_frequency must be >= 0")
-
-
-def _bloch_generator(params: ObeParams) -> np.ndarray:
+def _bloch_generator(linewidth: float, rabi_frequency: float,
+                     detuning: float) -> np.ndarray:
     """Affine generator for z = (u, v, rho_ee, 1, X) with X' = rho_ee; rho_ee
-    in place of w = 2 rho_ee - 1 keeps far-detuned counts free of cancellation."""
-    g, om, dt = params.linewidth, params.rabi_frequency, params.detuning
+    in place of w = 2 rho_ee - 1 keeps far-detuned counts free of cancellation.
+    Linewidth Gamma, drive Omega_L and detuning Delta are all rad/s."""
+    g, om, dt = linewidth, rabi_frequency, detuning
     m = np.zeros((5, 5))
     m[0, 0] = -g / 2.0
     m[0, 1] = dt
@@ -69,15 +51,23 @@ def _bloch_generator(params: ObeParams) -> np.ndarray:
     return m
 
 
-def photon_count(params: ObeParams) -> float:
-    """n_p = int Gamma rho_ee dt over the window, from the exact propagator."""
-    if params.duration == 0.0:
+def photon_count(linewidth: float, rabi_frequency: float, detuning: float,
+                 duration: float) -> float:
+    """n_p = int Gamma rho_ee dt over a window of `duration` seconds, from the
+    exact propagator of the two-level atom with decay (rates in rad/s)."""
+    if linewidth <= 0:
+        raise PhysicsDomainError("linewidth must be positive")
+    if duration < 0:
+        raise PhysicsDomainError("duration must be >= 0")
+    if rabi_frequency < 0:
+        raise PhysicsDomainError("rabi_frequency must be >= 0")
+    if duration == 0.0:
         return 0.0
     z = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    z = expm(_bloch_generator(params) * params.duration) @ z
+    z = expm(_bloch_generator(linewidth, rabi_frequency, detuning) * duration) @ z
     # at subnormal drives the Pade-13 rounding leaves z[4] a few ulps below
     # 0 (ROADMAP item 5); a photon count is never negative
-    return max(0.0, params.linewidth * float(z[4]))
+    return max(0.0, linewidth * float(z[4]))
 
 
 def resonant_photon_count(linewidth: float, rabi_frequency: float,
@@ -150,7 +140,6 @@ class RemovalPlan:
 
     rabi_frequency: float
     duration: float
-    requested_duration: float
     feasible_at_request: bool
     threshold: float
 
@@ -171,7 +160,6 @@ def solve_removal_drive(linewidth: float, threshold: float,
             "need threshold >= 0, a positive duration and a positive linewidth")
     if threshold == 0.0:
         return RemovalPlan(rabi_frequency=0.0, duration=requested_duration,
-                           requested_duration=requested_duration,
                            feasible_at_request=True, threshold=threshold)
     needed_population = threshold / (linewidth * requested_duration)
     feasible = needed_population <= excited_population_cap
@@ -194,5 +182,4 @@ def solve_removal_drive(linewidth: float, threshold: float,
             f"removal.excited_population_cap, or lengthen removal.duration_us")
     log_omega = solve_scalar(deficit, (lo, hi), tol=1e-12)
     return RemovalPlan(rabi_frequency=math.exp(log_omega), duration=duration,
-                       requested_duration=requested_duration,
                        feasible_at_request=feasible, threshold=threshold)

@@ -12,7 +12,7 @@ hbar over the energy unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermvander
@@ -23,15 +23,13 @@ from .units import HBAR
 __all__ = [
     "MASS",
     "DoubleGaussianPotential",
-    "BasisExpansion",
     "MovingSchedule",
-    "SpeedupUnits",
+    "time_unit",
     "track_minimum",
     "local_basis",
     "gap_and_element",
     "build_moving_schedule",
     "moving_time",
-    "FocusLaserModel",
     "excitation_and_scattering",
     "cycle_yield",
 ]
@@ -46,20 +44,10 @@ _NEWTON_ITERATIONS = 50
 _MAX_PROFILE = 3_400_000
 
 
-@dataclass(frozen=True)
-class SpeedupUnits:
-    """SI anchors for the (sigma_c, hbar^2/2m sigma_c^2) unit system."""
-
-    sigma_c: float      # m
-    mass: float         # kg
-
-    @property
-    def energy(self) -> float:
-        return HBAR ** 2 / (2.0 * self.mass * self.sigma_c ** 2)
-
-    @property
-    def time(self) -> float:
-        return HBAR / self.energy
+def time_unit(sigma_c: float, mass: float) -> float:
+    """The time unit hbar / (hbar^2 / 2 m sigma_c^2) in s, for the waist
+    sigma_c in m and the atom mass in kg."""
+    return HBAR / (HBAR ** 2 / (2.0 * mass * sigma_c ** 2))
 
 
 @dataclass(frozen=True)
@@ -169,18 +157,10 @@ def _newton_minimum(wells: tuple[float, float, float, float], a: float,
     return None
 
 
-@dataclass(frozen=True)
-class BasisExpansion:
-    """Hamiltonian and dH/da matrices of the full potential in a
-    harmonic-oscillator basis around a potential minimum; with arrays of
-    minima the matrices stack along leading axes."""
-
-    hamiltonian: np.ndarray
-    coupling_operator: np.ndarray = field(repr=False)
-
-
-def local_basis(p: DoubleGaussianPotential, y_min, size: int = 11) -> BasisExpansion:
-    """Basis of `size` oscillator states at y_min with H_nm by quadrature.
+def local_basis(p: DoubleGaussianPotential, y_min,
+                size: int = 11) -> tuple[np.ndarray, np.ndarray]:
+    """(H, dH/da): the Hamiltonian and displacement-coupling matrices of the
+    full potential in `size` oscillator states at y_min, by quadrature.
 
     The local frequency is omega = sqrt(V''(y_min)/m); matrix elements of V
     and dV/da use Gauss-Hermite nodes matched to the basis Gaussian, the
@@ -212,8 +192,7 @@ def local_basis(p: DoubleGaussianPotential, y_min, size: int = 11) -> BasisExpan
 
     ladder = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / 4.0
     kinetic = np.diag((2.0 * n + 1.0) / 4.0) - np.diag(ladder, 2) - np.diag(ladder, -2)
-    return BasisExpansion(hamiltonian=matrix(p.value) + omega[..., None] * kinetic,
-                          coupling_operator=matrix(p.displacement_gradient))
+    return matrix(p.value) + omega[..., None] * kinetic, matrix(p.displacement_gradient)
 
 
 def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int = 11):
@@ -225,10 +204,10 @@ def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int = 11):
     back as arrays of that shape from one stacked eigh call.
     """
     a = np.asarray(a, dtype=float)
-    basis = local_basis(p.at(a[..., None]), y_min, size)
-    energies, vectors = np.linalg.eigh(basis.hamiltonian)
+    hamiltonian, coupling = local_basis(p.at(a[..., None]), y_min, size)
+    energies, vectors = np.linalg.eigh(hamiltonian)
     excited = np.swapaxes(vectors[..., 1:], -1, -2)
-    couplings = np.abs(excited @ basis.coupling_operator @ vectors[..., :1])[..., 0]
+    couplings = np.abs(excited @ coupling @ vectors[..., :1])[..., 0]
     top = np.max(couplings, axis=-1, keepdims=True)
     if np.any(top == 0.0):
         uncoupled = np.broadcast_to(a, top.shape[:-1])[top[..., 0] == 0.0]
@@ -299,39 +278,26 @@ def moving_time(schedule: MovingSchedule) -> float:
     return full / schedule.adiabaticity
 
 
-@dataclass(frozen=True)
-class FocusLaserModel:
-    """Scattering model of the focused beam: an effective linewidth for the
-    detuned transition (a calibrated constant, not derived) and the beam
-    detuning, both rad/s."""
-
-    effective_linewidth: float
-    detuning: float
-
-    def __post_init__(self):
-        if self.effective_linewidth <= 0 or self.detuning == 0.0:
-            raise PhysicsDomainError("laser model needs a linewidth and nonzero detuning")
-
-
-def excitation_and_scattering(schedule: MovingSchedule,
-                              laser: FocusLaserModel) -> tuple[float, float]:
-    """(P_exc, P_scatter) for one extraction move.
+def excitation_and_scattering(schedule: MovingSchedule, effective_linewidth: float,
+                              detuning: float) -> tuple[float, float]:
+    """(P_exc, P_scatter) for one extraction move by a focused beam of
+    `detuning` (rad/s), whose detuned transition scatters at
+    `effective_linewidth` (rad/s, a calibrated constant, not derived).
 
     P_exc is the adiabatic amplitude ceiling 4 xi_bar^2.  P_scatter is
     int Gamma_eff V(t)/(hbar |Delta_0|) dt along the move; with dt taken from
     the adiabatic schedule this reduces to (Gamma_eff/|Delta_0|) times the
     natural-units integral of |V(y_min)| over time.
     """
-    if laser is None:
-        raise PhysicsDomainError("a focus laser model is required")
+    if effective_linewidth <= 0 or detuning == 0.0:
+        raise PhysicsDomainError("the focus laser needs a linewidth and nonzero detuning")
     p_exc = 4.0 * schedule.adiabaticity ** 2
     if schedule.final_displacement == 0.0:
         return p_exc, 0.0
     integrand = (schedule.depth_profile * schedule.element_profile
                  / schedule.gap_profile ** 2)
     depth_time = float(np.trapezoid(integrand, schedule.displacements))
-    p_scatter = (laser.effective_linewidth / abs(laser.detuning)
-                 * depth_time / schedule.adiabaticity)
+    p_scatter = effective_linewidth / abs(detuning) * depth_time / schedule.adiabaticity
     return p_exc, p_scatter
 
 

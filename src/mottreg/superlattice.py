@@ -23,7 +23,6 @@ from .units import AtomSpecies, UnitSystem
 
 __all__ = [
     "SuperlatticeConfig",
-    "SitePattern",
     "SiteDetunings",
     "lpol_period",
     "intensity_envelope",
@@ -63,18 +62,12 @@ class SuperlatticeConfig:
 
 
 @dataclass(frozen=True)
-class SitePattern:
-    """Periodic A/B labels over site indices, A marking extraction targets."""
+class SiteDetunings:
+    """Per-site A/B labels (A marks the extraction targets), positions (m) and
+    logical-state shifts (E_R), and the worst-case A-B differential."""
 
     labels: tuple[str, ...]
     site_positions: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SiteDetunings:
-    """Per-site logical-state shifts (E_R) and the worst-case A-B differential."""
-
-    pattern: SitePattern
     delta_e0: tuple[float, ...]
     delta_e1: tuple[float, ...]
     delta_diff: tuple[float, ...]
@@ -124,8 +117,7 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
     labels = np.where(np.arange(count) % n == a_index, "A", "B")
     delta = float(top - np.sort(period_diff)[-2])     # A minus the largest B shift
 
-    return SiteDetunings(pattern=SitePattern(labels=tuple(labels.tolist()),
-                                             site_positions=tuple(xs.tolist())),
+    return SiteDetunings(labels=tuple(labels.tolist()), site_positions=tuple(xs.tolist()),
                          delta_e0=tuple(e0.tolist()), delta_e1=tuple(e1.tolist()),
                          delta_diff=tuple(diff.tolist()), delta=delta)
 

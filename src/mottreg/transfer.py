@@ -138,7 +138,6 @@ def max_excitation_analytic(ramp: HarmonicRamp) -> float:
 
 @dataclass(frozen=True)
 class TransferResult:
-    duration: float
     max_excitation: float
     times: np.ndarray
     excitation_numeric: np.ndarray
@@ -161,8 +160,7 @@ def excitation_numeric(ramp: HarmonicRamp, n_samples: int = 1500) -> TransferRes
     xi = ramp.adiabaticity
     a = np.array([[0.5, 2j * xi], [-2j * xi, 2.5]])
     energies, vectors = np.linalg.eigh(a)
-    duration = ramp.duration
-    ts = np.linspace(0.0, duration, n_samples)
+    ts = np.linspace(0.0, ramp.duration, n_samples)
     rate = _signed_rate(ramp)
     tau = -(ramp.initial_frequency / rate) * np.log1p(-rate * ts)
     weights = vectors[0].conj()   # V^dagger c0 for c0 = |g>
@@ -170,8 +168,7 @@ def excitation_numeric(ramp: HarmonicRamp, n_samples: int = 1500) -> TransferRes
     p_num = np.abs(states[:, 1]) ** 2
     p_ana = excitation_analytic(ramp, ts)
     norms = np.abs(states[:, 0]) ** 2 + p_num
-    return TransferResult(duration=duration,
-                          max_excitation=float(np.max(p_num)),
+    return TransferResult(max_excitation=float(np.max(p_num)),
                           times=ts, excitation_numeric=p_num,
                           excitation_analytic=p_ana,
                           analytic_numeric_gap=float(np.max(np.abs(p_num - p_ana))),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import mottreg.budget as budget_mod
 from mottreg.budget import resolved_config_echo, run_scheme1, run_scheme2, sweep
 from mottreg.config import RunConfig, set_by_path
-from mottreg.errors import ConfigError
+from mottreg.errors import ConfigError, PhysicsDomainError
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,19 @@ def test_composed_failure_bounds_over_generated_channels(probs):
     assert abs(total - exact) <= slack
     assert -slack <= channel_sum - total <= channel_sum ** 2 / 2.0 + slack
     assert total <= channel_sum + slack
+
+
+@pytest.mark.parametrize("p", [-1e-312, 1.0 + 2.2e-16, math.nan])
+def test_compose_refuses_a_probability_outside_the_unit_interval(p):
+    steps = [("removal", 1e-6, (("collision", 1e-5), ("removal_target_impact", p)))]
+    with pytest.raises(PhysicsDomainError,
+                       match=r"channel 'removal_target_impact' probability outside \[0, 1\]"):
+        budget_mod._compose(steps, 1, 1.0, {})
+
+
+def test_compose_refuses_a_negative_step_duration():
+    with pytest.raises(PhysicsDomainError, match="step duration must be >= 0"):
+        budget_mod._compose([("transfer", -1e-9, ())], 1, 1.0, {})
 
 
 def test_scheme1_deterministic():

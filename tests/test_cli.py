@@ -64,6 +64,16 @@ def test_parse_error_reports_line_and_column(tmp_path):
         load_config(path)
 
 
+def test_cli_unreadable_config_file_is_a_config_error(capsys, tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"output": {"directory": "caf\u00e9"}}'.encode("latin-1"))
+    for path in (tmp_path / "missing.json", tmp_path, latin1):
+        assert main(["--config", str(path), "pulse"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config '{path}'")
+        assert "Traceback" not in err
+
+
 def test_config_round_trip(tmp_path):
     cfg = RunConfig()
     cfg.transfer.xi = 0.0025
@@ -310,6 +320,20 @@ def test_cli_sweep_csv_row_count(capsys, tmp_path):
     assert code == 0
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("value, message", [
+    ("NaN", "transfer.xi must be finite, got nan"),
+    ('"0.005"', "transfer.xi must be a number, got '0.005'"),
+])
+def test_cli_sweep_values_are_checked_as_set_values(capsys, value, message):
+    # a sweep value is written as it was parsed, so it meets the check that
+    # the same value meets through --set
+    assert main(["sweep", "--parameter", "transfer.xi", "--values", value]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert main(["--set", f"transfer.xi={value}", "transfer"]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_cli_transfer_trajectory_side_file(capsys, tmp_path):

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from mottreg.errors import PhysicsDomainError
 from mottreg.numerics import expm
-from mottreg.removal import (ObeParams, _bloch_generator, collision_probability,
+from mottreg.removal import (_bloch_generator, collision_probability,
                              photon_count, removal_photon_threshold,
                              resonant_photon_count, solve_removal_drive)
 from mottreg.units import RB87
@@ -20,12 +20,14 @@ GAMMA = RB87.gamma2
 
 def _bloch_trajectory(params, n_samples=400):
     """Times, rho_ee and the coherence (u + i v)/2 from the ground state at
-    n_samples even times, stepped by the exact exponential of photon_count's
-    Bloch generator."""
-    times = np.linspace(0.0, params.duration, n_samples)
+    n_samples even times over params = (linewidth, rabi_frequency, detuning,
+    duration), stepped by the exact exponential of photon_count's Bloch
+    generator."""
+    *drive, duration = params
+    times = np.linspace(0.0, duration, n_samples)
     z = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     states = [z]
-    step = expm(_bloch_generator(params) * (times[1] - times[0]))
+    step = expm(_bloch_generator(*drive) * (times[1] - times[0]))
     for _ in range(n_samples - 1):
         states.append(step @ states[-1])
     states = np.array(states)
@@ -39,7 +41,7 @@ def _assert_physical(rho_ee, coherence):
 
 
 def test_obe_no_drive_stays_ground():
-    _, rho_ee, _ = _bloch_trajectory(ObeParams(GAMMA, 0.0, 0.0, 2e-6))
+    _, rho_ee, _ = _bloch_trajectory((GAMMA, 0.0, 0.0, 2e-6))
     assert np.all(np.abs(rho_ee) <= 1e-12)
 
 
@@ -47,7 +49,7 @@ def test_obe_resonant_steady_state_closed_form():
     # oracle: rho_ee -> s / (2 (1 + s)) with s = 2 Omega^2 / Gamma^2
     omega = 2.0 * GAMMA
     s = 2 * omega ** 2 / GAMMA ** 2
-    _, rho_ee, _ = _bloch_trajectory(ObeParams(GAMMA, omega, 0.0, 60.0 / GAMMA))
+    _, rho_ee, _ = _bloch_trajectory((GAMMA, omega, 0.0, 60.0 / GAMMA))
     assert rho_ee[-1] == pytest.approx(s / (2 * (1 + s)), abs=1e-6)
 
 
@@ -56,7 +58,7 @@ def test_obe_detuned_steady_state_closed_form():
     delta = 4.0 * GAMMA
     s = 2 * omega ** 2 / GAMMA ** 2
     expected = (s / 2) / (1 + s + (2 * delta / GAMMA) ** 2)
-    _, rho_ee, _ = _bloch_trajectory(ObeParams(GAMMA, omega, delta, 60.0 / GAMMA))
+    _, rho_ee, _ = _bloch_trajectory((GAMMA, omega, delta, 60.0 / GAMMA))
     assert rho_ee[-1] == pytest.approx(expected, rel=1e-5)
 
 
@@ -64,7 +66,7 @@ def test_obe_weak_decay_matches_rabi_oracle():
     # Gamma -> 0 limit: undamped Rabi oscillation sin^2(Omega t / 2)
     omega = 1e7
     gamma = 1e-4 * omega
-    times, rho_ee, _ = _bloch_trajectory(ObeParams(gamma, omega, 0.0, 4 * math.pi / omega),
+    times, rho_ee, _ = _bloch_trajectory((gamma, omega, 0.0, 4 * math.pi / omega),
                                          801)
     expected = np.sin(0.5 * omega * times) ** 2
     assert np.max(np.abs(rho_ee - expected)) < 2e-3
@@ -72,7 +74,7 @@ def test_obe_weak_decay_matches_rabi_oracle():
 
 def test_obe_trace_and_purity_along_trajectory():
     _assert_physical(*_bloch_trajectory(
-        ObeParams(GAMMA, 3.0 * GAMMA, 0.5 * GAMMA, 20 / GAMMA))[1:])
+        (GAMMA, 3.0 * GAMMA, 0.5 * GAMMA, 20 / GAMMA))[1:])
 
 
 @settings(max_examples=25, deadline=None)
@@ -80,17 +82,16 @@ def test_obe_trace_and_purity_along_trajectory():
        duration=st.floats(0.0, 60.0))
 def test_obe_trace_and_positivity_over_generated_drives(omega, delta, duration):
     # Omega and Delta in units of Gamma, the duration in units of 1/Gamma
-    params = ObeParams(GAMMA, omega * GAMMA, delta * GAMMA, duration / GAMMA)
+    params = (GAMMA, omega * GAMMA, delta * GAMMA, duration / GAMMA)
     _assert_physical(*_bloch_trajectory(params, 41)[1:])
-    assert photon_count(params) >= 0.0
+    assert photon_count(*params) >= 0.0
 
 
 def _photon_count_mpmath(params):
     """Oracle: the (u, v, w, 1, N) Bloch system with N' = Gamma (1 + w)/2,
     exponentiated in 80-digit arithmetic."""
     with mpmath.workdps(80):
-        g, om, dt, t = (mpmath.mpf(x) for x in (params.linewidth, params.rabi_frequency,
-                                                params.detuning, params.duration))
+        g, om, dt, t = (mpmath.mpf(x) for x in params)
         m = mpmath.matrix([[-g / 2, dt, 0, 0, 0],
                            [-dt, -g / 2, om, 0, 0],
                            [0, -om, -g, -g, 0],
@@ -107,9 +108,9 @@ def _photon_count_mpmath(params):
 ])
 def test_photon_count_matches_high_precision_oracle(detuning, rel):
     plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
-    params = ObeParams(GAMMA, plan.rabi_frequency, detuning, plan.duration)
-    assert photon_count(params) == pytest.approx(_photon_count_mpmath(params), rel=rel,
-                                                  abs=0.0)
+    params = (GAMMA, plan.rabi_frequency, detuning, plan.duration)
+    assert photon_count(*params) == pytest.approx(_photon_count_mpmath(params), rel=rel,
+                                                   abs=0.0)
 
 
 # Omega/Gamma from weak drives through critical damping (Gamma/4 and 1e-7 to
@@ -122,10 +123,11 @@ _RESONANT_W = (1e-4, 1e-2, 0.2, 0.25 - 1e-7, 0.25, 0.25 + 1e-7, 0.3, 1.0, 10.0, 
 @pytest.mark.parametrize("gamma_t", [1e-9, 1e-4, 1e-3, 0.3, 0.999, 1.001, 4.0, 60.0, 4000.0])
 def test_resonant_photon_count_matches_high_precision_oracle(gamma_t):
     for w in _RESONANT_W:
-        params = ObeParams(GAMMA, w * GAMMA, 0.0, gamma_t / GAMMA)
-        got = resonant_photon_count(GAMMA, params.rabi_frequency, params.duration)
+        omega, duration = w * GAMMA, gamma_t / GAMMA
+        got = resonant_photon_count(GAMMA, omega, duration)
         assert math.isfinite(got)
-        assert got == pytest.approx(_photon_count_mpmath(params), rel=1e-13, abs=0.0)
+        assert got == pytest.approx(_photon_count_mpmath((GAMMA, omega, 0.0, duration)),
+                                    rel=1e-13, abs=0.0)
 
 
 def test_resonant_photon_count_finite_and_rising_in_the_window():
@@ -140,50 +142,49 @@ def test_resonant_photon_count_finite_and_rising_in_the_window():
 def test_far_detuned_photon_count_stays_positive():
     plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
     for ghz in (1e6, 1e10):
-        params = ObeParams(GAMMA, plan.rabi_frequency, 2 * math.pi * ghz * 1e9,
-                           plan.duration)
-        assert photon_count(params) > 0.0
+        assert photon_count(GAMMA, plan.rabi_frequency, 2 * math.pi * ghz * 1e9,
+                            plan.duration) > 0.0
 
 
 def test_obe_matches_rk45_kernel():
     """Cross-check the exact-exponential propagation against scipy's adaptive
     DOP853 on resonant and moderately detuned drives."""
     for delta in (0.0, 20.0 * GAMMA):
-        params = ObeParams(GAMMA, 2.5 * GAMMA, delta, 3.0 / GAMMA)
+        omega, duration = 2.5 * GAMMA, 3.0 / GAMMA
 
         def rhs(t, z):
             u, v, w = z
             return np.array([
-                params.detuning * v - 0.5 * GAMMA * u,
-                -params.detuning * u + params.rabi_frequency * w - 0.5 * GAMMA * v,
-                -params.rabi_frequency * v - GAMMA * (w + 1.0)])
+                delta * v - 0.5 * GAMMA * u,
+                -delta * u + omega * w - 0.5 * GAMMA * v,
+                -omega * v - GAMMA * (w + 1.0)])
 
-        sol = solve_ivp(rhs, (0.0, params.duration), [0.0, 0.0, -1.0],
+        sol = solve_ivp(rhs, (0.0, duration), [0.0, 0.0, -1.0],
                         method="DOP853", rtol=1e-11, atol=1e-13)
         assert sol.success
         rho_rk = 0.5 * (1.0 + sol.y[2, -1])
-        _, rho_ee, _ = _bloch_trajectory(params, 3)
+        _, rho_ee, _ = _bloch_trajectory((GAMMA, omega, delta, duration), 3)
         assert rho_ee[-1] == pytest.approx(rho_rk, abs=1e-8)
 
 
 def test_photon_count_zero_duration():
-    assert photon_count(ObeParams(GAMMA, 1e8, 0.0, 0.0)) == 0.0
+    assert photon_count(GAMMA, 1e8, 0.0, 0.0) == 0.0
 
 
 def test_photon_count_monotone_in_duration_and_drive():
-    counts_t = [photon_count(ObeParams(GAMMA, 8e7, 0.0, d * 1e-6))
+    counts_t = [photon_count(GAMMA, 8e7, 0.0, d * 1e-6)
                 for d in (0.25, 0.5, 1.0, 2.0)]
     assert all(a < b for a, b in zip(counts_t, counts_t[1:]))
-    counts_o = [photon_count(ObeParams(GAMMA, o, 0.0, 1e-6))
+    counts_o = [photon_count(GAMMA, o, 0.0, 1e-6)
                 for o in (1e7, 3e7, 8e7, 2e8)]
     assert all(a < b for a, b in zip(counts_o, counts_o[1:]))
 
 
 def test_detuned_suppression_matches_steady_state_ratio():
     plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
-    resonant = photon_count(ObeParams(GAMMA, plan.rabi_frequency, 0.0, plan.duration))
-    detuned = photon_count(ObeParams(GAMMA, plan.rabi_frequency,
-                                     RB87.hyperfine_splitting, plan.duration))
+    resonant = photon_count(GAMMA, plan.rabi_frequency, 0.0, plan.duration)
+    detuned = photon_count(GAMMA, plan.rabi_frequency, RB87.hyperfine_splitting,
+                           plan.duration)
     s = 2 * plan.rabi_frequency ** 2 / GAMMA ** 2
     predicted = (1 + s) / (1 + s + (2 * RB87.hyperfine_splitting / GAMMA) ** 2)
     ratio = detuned / resonant
@@ -211,7 +212,7 @@ def test_solve_removal_drive_extends_infeasible_window():
     plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
     assert not plan.feasible_at_request
     assert 1e-6 < plan.duration <= 1.5e-6
-    resonant = photon_count(ObeParams(GAMMA, plan.rabi_frequency, 0.0, plan.duration))
+    resonant = photon_count(GAMMA, plan.rabi_frequency, 0.0, plan.duration)
     assert resonant == pytest.approx(25.0, rel=1e-9)
 
 
@@ -219,7 +220,7 @@ def test_solve_removal_drive_keeps_feasible_window():
     plan = solve_removal_drive(GAMMA, 10.0, 2e-6)
     assert plan.feasible_at_request
     assert plan.duration == 2e-6
-    resonant = photon_count(ObeParams(GAMMA, plan.rabi_frequency, 0.0, plan.duration))
+    resonant = photon_count(GAMMA, plan.rabi_frequency, 0.0, plan.duration)
     assert resonant == pytest.approx(10.0, rel=1e-9)
 
 
@@ -233,7 +234,7 @@ def test_solved_drive_meets_the_threshold_on_the_exact_propagator(log_depth, log
     plan = solve_removal_drive(GAMMA, threshold, requested, cap)
     assert plan.duration >= requested
     assert plan.feasible_at_request == (plan.duration == requested)
-    resonant = photon_count(ObeParams(GAMMA, plan.rabi_frequency, 0.0, plan.duration))
+    resonant = photon_count(GAMMA, plan.rabi_frequency, 0.0, plan.duration)
     assert resonant == pytest.approx(threshold, rel=1e-9, abs=0.0)
 
 
@@ -245,7 +246,11 @@ def test_solve_removal_drive_validation():
 
 
 def test_params_validation():
-    with pytest.raises(PhysicsDomainError):
-        ObeParams(0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(PhysicsDomainError):
-        ObeParams(1.0, 1.0, 0.0, -1.0)
+    for linewidth, rabi_frequency, duration, field in ((0.0, 1.0, 1.0, "linewidth"),
+                                                        (1.0, 1.0, -1.0, "duration"),
+                                                        (1.0, -1.0, 1.0, "rabi_frequency")):
+        with pytest.raises(PhysicsDomainError, match=field):
+            photon_count(linewidth, rabi_frequency, 0.0, duration)
+    # the refusals come before the empty window's count of 0
+    with pytest.raises(PhysicsDomainError, match="linewidth"):
+        photon_count(0.0, 1.0, 0.0, 0.0)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from mottreg.errors import NumericsError, PhysicsDomainError
-from mottreg.speedup import (MASS, DoubleGaussianPotential, FocusLaserModel,
-                             MovingSchedule, build_moving_schedule, cycle_yield,
+from mottreg.speedup import (MASS, DoubleGaussianPotential, MovingSchedule,
+                             build_moving_schedule, cycle_yield,
                              excitation_and_scattering, gap_and_element,
                              local_basis, moving_time, track_minimum)
 
@@ -126,19 +126,19 @@ class _Harmonic:
 
 def test_local_basis_exact_on_pure_harmonic():
     omega = 7.3
-    basis = local_basis(_Harmonic(omega), 0.0, size=11)
-    levels = np.sort(np.diagonal(basis.hamiltonian))
+    hamiltonian, _ = local_basis(_Harmonic(omega), 0.0, size=11)
+    levels = np.sort(np.diagonal(hamiltonian))
     expected = omega * (np.arange(11) + 0.5)
-    off_diag = basis.hamiltonian - np.diag(np.diagonal(basis.hamiltonian))
+    off_diag = hamiltonian - np.diag(np.diagonal(hamiltonian))
     assert np.max(np.abs(off_diag)) < 1e-10 * omega
     assert np.max(np.abs(levels / expected - 1.0)) < 1e-10
 
 
 def test_local_basis_hermitian_and_bound():
     minima = track_minimum(WELLS, np.linspace(0.0, 0.2, 17))
-    basis = local_basis(WELLS.at(0.2), float(minima[-1]), size=11)
-    assert np.array_equal(basis.hamiltonian, basis.hamiltonian.T)
-    energies, _ = np.linalg.eigh(basis.hamiltonian)
+    hamiltonian, _ = local_basis(WELLS.at(0.2), float(minima[-1]), size=11)
+    assert np.array_equal(hamiltonian, hamiltonian.T)
+    energies, _ = np.linalg.eigh(hamiltonian)
     # ground state bound below the confinement depth alone
     assert energies[0] < -400.0
     assert energies[1] - energies[0] > 0
@@ -146,8 +146,8 @@ def test_local_basis_hermitian_and_bound():
 
 def test_local_basis_matches_fd_oracle():
     minima = track_minimum(WELLS, np.linspace(0.0, 0.2, 17))
-    basis = local_basis(WELLS.at(0.2), float(minima[-1]), size=14)
-    energies, _ = np.linalg.eigh(basis.hamiltonian)
+    hamiltonian, _ = local_basis(WELLS.at(0.2), float(minima[-1]), size=14)
+    energies, _ = np.linalg.eigh(hamiltonian)
     fd = _fd_levels(WELLS, 0.2, n_levels=3)
     assert energies[0] == pytest.approx(fd[0], abs=0.05)
     assert energies[1] == pytest.approx(fd[1], abs=0.2)
@@ -160,9 +160,9 @@ def test_local_basis_rejects_concave_point():
 
 def test_gap_parity_at_zero_displacement():
     # dV/da is odd at a = 0, so the first excited state carries the coupling
-    basis = local_basis(WELLS.at(0.0), 0.0, size=11)
-    energies, vectors = np.linalg.eigh(basis.hamiltonian)
-    couplings = np.abs(vectors[:, 1:].T @ basis.coupling_operator @ vectors[:, 0])
+    hamiltonian, coupling = local_basis(WELLS.at(0.0), 0.0, size=11)
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    couplings = np.abs(vectors[:, 1:].T @ coupling @ vectors[:, 0])
     gap, element = gap_and_element(WELLS, 0.0, 0.0, size=11)
     assert gap == pytest.approx(energies[1] - energies[0], rel=1e-12)
     assert element == pytest.approx(couplings[0], rel=1e-12)
@@ -258,8 +258,8 @@ def test_ground_energy_variational_monotone():
     minima = track_minimum(WELLS, np.linspace(0.0, 0.8, 65))
     energies = []
     for size in (6, 11, 16):
-        basis = local_basis(WELLS.at(0.8), float(minima[-1]), size=size)
-        energies.append(np.linalg.eigh(basis.hamiltonian)[0][0])
+        hamiltonian, _ = local_basis(WELLS.at(0.8), float(minima[-1]), size=size)
+        energies.append(np.linalg.eigh(hamiltonian)[0][0])
     assert energies[0] >= energies[1] - 1e-9
     assert energies[1] >= energies[2] - 1e-9
 
@@ -301,33 +301,33 @@ def test_schedule_validation_rejects_vanishing_gap():
                        depth_profile=np.array([500.0, 500.0]))
 
 
+LASER = (2 * math.pi * 5e6, -2 * math.pi * 780e9)  # effective linewidth, detuning
+
+
 def test_excitation_and_scattering_limits():
-    laser = FocusLaserModel(effective_linewidth=2 * math.pi * 5e6,
-                            detuning=-2 * math.pi * 780e9)
     small = build_moving_schedule(WELLS, 2.0, 1e-4, n_points=81)
-    p_exc, _ = excitation_and_scattering(small, laser)
+    p_exc, _ = excitation_and_scattering(small, *LASER)
     assert p_exc == pytest.approx(4e-8, rel=1e-12, abs=0.0)
     # halving xi_bar doubles the move duration and hence the scattering
     xi = math.sqrt(7e-3 / 4.0)
     full = build_moving_schedule(WELLS, 2.0, xi, n_points=81)
     half = build_moving_schedule(WELLS, 2.0, xi / 2, n_points=81)
-    _, scatter_full = excitation_and_scattering(full, laser)
-    _, scatter_half = excitation_and_scattering(half, laser)
+    _, scatter_full = excitation_and_scattering(full, *LASER)
+    _, scatter_half = excitation_and_scattering(half, *LASER)
     assert scatter_half == pytest.approx(2 * scatter_full, rel=1e-12)
 
 
-def test_excitation_requires_laser_model():
+def test_excitation_refuses_zero_detuning():
     sched = build_moving_schedule(WELLS, 1.0, 0.04, n_points=41)
-    with pytest.raises(PhysicsDomainError):
-        excitation_and_scattering(sched, None)
+    for linewidth, detuning in ((LASER[0], 0.0), (0.0, LASER[1]), (-LASER[0], LASER[1])):
+        with pytest.raises(PhysicsDomainError, match="nonzero detuning"):
+            excitation_and_scattering(sched, linewidth, detuning)
 
 
 def test_operating_point_orders_of_magnitude():
-    laser = FocusLaserModel(effective_linewidth=2 * math.pi * 5e6,
-                            detuning=-2 * math.pi * 780e9)
     xi = math.sqrt(7e-3 / 4.0)
     sched = build_moving_schedule(WELLS, 2.0, xi)
-    p_exc, p_scatter = excitation_and_scattering(sched, laser)
+    p_exc, p_scatter = excitation_and_scattering(sched, *LASER)
     assert p_exc == pytest.approx(7e-3, rel=1e-12)
     assert 1e-3 < p_scatter < 1e-1
 

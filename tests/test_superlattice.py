@@ -47,7 +47,7 @@ def test_site_detunings_equal_per_site_calls(n, phase):
     config = _configured(intensity, n=n, phase=phase)
     sites = site_hyperfine_detunings(config, RB87, n_sites=2 * n)
     units = UnitSystem.for_lattice(RB87, 850e-9)
-    xs = np.array(sites.pattern.site_positions)
+    xs = np.array(sites.site_positions)
     envelope = np.cos(np.pi * (xs - phase) / (n * 850e-9 / 2)) ** 2
     for j, env in enumerate(envelope):
         d0, d1, diff = light_shifts(RB87, 787.6e-9, intensity * float(env))[:3]
@@ -65,7 +65,7 @@ def test_site_detunings_cos2_pattern():
     peak = units.energy_to_natural(
         light_shifts(RB87, 787.6e-9, intensity)[2])
     assert sites.delta == pytest.approx(0.75 * peak, rel=1e-12)
-    assert sites.pattern.labels == ("A", "B", "B") * 3
+    assert sites.labels == ("A", "B", "B") * 3
     # the two B sites in each period are degenerate by cos^2 symmetry
     assert sites.delta_diff[1] == pytest.approx(sites.delta_diff[2], rel=1e-12)
     assert sites.delta_diff[1] == pytest.approx(0.25 * peak, rel=1e-12)
@@ -81,7 +81,7 @@ def test_site_detunings_periodicity():
     sites = site_hyperfine_detunings(_configured(intensity), RB87, n_sites=12)
     for j in range(9):
         assert sites.delta_diff[j] == pytest.approx(sites.delta_diff[j + 3], rel=1e-12)
-        assert sites.pattern.labels[j] == sites.pattern.labels[j + 3]
+        assert sites.labels[j] == sites.labels[j + 3]
 
 
 def test_site_detunings_linearity_and_label_invariance():
@@ -89,7 +89,7 @@ def test_site_detunings_linearity_and_label_invariance():
     one = site_hyperfine_detunings(_configured(base), RB87)
     two = site_hyperfine_detunings(_configured(2 * base), RB87)
     assert two.delta == pytest.approx(2 * one.delta, rel=1e-12)
-    assert one.pattern.labels == two.pattern.labels
+    assert one.labels == two.labels
 
 
 def test_site_detunings_ambiguity_error():
