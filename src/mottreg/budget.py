@@ -101,9 +101,11 @@ def _compose(steps: list[tuple[str, float, tuple]], atoms: int, fraction: float,
     reports = tuple(StepReport(name=name, duration=duration, failure_channels=channels)
                     for name, duration, channels in steps)
     probs = [p for s in reports for _, p in s.failure_channels]
+    # 1 - prod(1 - p) as -expm1(sum log1p(-p)), which does not cancel against 1
+    survival = math.fsum(math.log1p(-p) if p < 1.0 else -math.inf for p in probs)
     return ProtocolBudget(steps=reports,
                           total_time=cycles * sum(s.duration for s in reports),
-                          total_failure=1.0 - math.prod(1.0 - p for p in probs),
+                          total_failure=0.0 - math.expm1(survival),  # never -0.0
                           channel_sum=sum(probs), atoms_extracted=atoms,
                           extraction_fraction=fraction, cycles=cycles, extras=extras)
 
@@ -198,7 +200,7 @@ def moving_focus(cfg: RunConfig) -> FocusMove:
         confine_waist=1.0, focus_waist=spd.focus_waist_ratio)
     schedule = speedup_mod.build_moving_schedule(
         potential, spd.final_displacement_sigma, math.sqrt(spd.target_excitation / 4.0),
-        n_points=spd.profile_points, basis_size=spd.basis_size)
+        basis_size=spd.basis_size)
     move_time = (speedup_mod.moving_time(schedule)
                  * speedup_mod.time_unit(spd.sigma_c_um * 1e-6, RB87.mass))
     p_exc, p_scatter = speedup_mod.excitation_and_scattering(

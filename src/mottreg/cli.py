@@ -259,18 +259,22 @@ def _cmd_transfer(args, cfg: RunConfig):
 
 
 def _cmd_speedup(args, cfg: RunConfig):
+    spd = cfg.speedup
+    # the profile grid is refused whether or not --profile-out writes it
+    _require_rows("speedup.profile_points", spd.profile_points)
     move = moving_focus(cfg)
-    schedule = move.schedule
     report = {"T_ms": move.move_time * 1e3, "P_exc": move.p_exc,
-              "P_scatter": move.p_scatter, "xi_bar_used": schedule.adiabaticity,
-              "yield_5_cycles": speedup_mod.cycle_yield(5, cfg.speedup.per_cycle_fraction)}
+              "P_scatter": move.p_scatter, "xi_bar_used": move.schedule.adiabaticity,
+              "yield_5_cycles": speedup_mod.cycle_yield(5, spd.per_cycle_fraction)}
     side = []
     if args.profile_out:
+        profile = speedup_mod.build_moving_schedule(
+            move.potential, spd.final_displacement_sigma, move.schedule.adiabaticity,
+            n_points=spd.profile_points, basis_size=spd.basis_size)
         rows = [{"a": float(a), "y_min": float(y), "gap": float(g),
                  "element": float(m)}
-                for a, y, g, m in zip(schedule.displacements, schedule.minima,
-                                      schedule.gap_profile,
-                                      schedule.element_profile)]
+                for a, y, g, m in zip(profile.displacements, profile.minima,
+                                      profile.gap_profile, profile.element_profile)]
         side.append((_resolve_out(args, cfg, args.profile_out), rows))
     if args.potential_out:
         ys = np.linspace(-2.0, 3.5, 551)
@@ -297,10 +301,12 @@ def _cmd_scheme2(args, cfg: RunConfig):
 
 
 def _cmd_sweep(args, cfg: RunConfig):
-    try:
-        values = [json.loads(v) for v in args.values]
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--values entry {exc.doc!r} is not a JSON value") from exc
+    values = []
+    for value in args.values:
+        try:
+            values.append(json.loads(value))
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"--values entry {value!r} is not a JSON value") from exc
     rows = sweep(cfg, args.parameter, values)
     _deliver(args, cfg, rows, "csv")
 

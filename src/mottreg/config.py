@@ -165,6 +165,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:   # nested deeper than the parser recurses
+        raise ConfigError(f"{path}: parse error: {exc}") from exc
     return config_from_dict(data)
 
 
@@ -295,10 +297,10 @@ def validate_config(cfg: RunConfig):
 
 def parse_value(raw_value: str):
     """A --set value as a JSON scalar, so strings, ints and floats all work;
-    text that is no JSON is a bare string."""
+    text that is no JSON, or nests too deep to parse, is a bare string."""
     try:
         return json.loads(raw_value)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return raw_value
 
 

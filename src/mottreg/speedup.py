@@ -1,9 +1,9 @@
 """Moving-focused-laser extraction: the double-Gaussian channel potential,
 Newton tracking of its minimum (a continuation along the path in plain
 floats, V' and V'' from one pair of Gaussians per iterate), the gap and
-coupling profiles of every path point from one stacked harmonic-basis
-eigensolve, the adiabatic moving-time integral, excitation/scattering
-estimates, and the multi-cycle yield.
+coupling profiles at the Gauss-Legendre nodes of the path from one stacked
+harmonic-basis eigensolve per level, the adiabatic moving-time integral,
+excitation/scattering estimates, and the multi-cycle yield.
 
 Units: lengths in the confinement waist sigma_c, energies in
 hbar^2 / (2 m sigma_c^2), so hbar = 1 and the mass is 1/2; times come out in
@@ -11,11 +11,13 @@ hbar over the energy unit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermvander
+from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericsError, PhysicsDomainError
 from .units import HBAR
@@ -39,6 +41,9 @@ MASS = 0.5  # in units where hbar = 1 and energies are hbar^2/(2 m sigma_c^2)
 _GH_NODES, _GH_WEIGHTS = hermgauss(96)
 _COUPLING_FLOOR = 1e-8  # relative threshold for "nonzero" transition elements
 _NEWTON_ITERATIONS = 50
+_MIN_STEP = 1e-3  # in s_c: the shortest step minimum tracking halves down to
+_FIRST_NODES = 32  # Gauss-Legendre nodes of the first level, checked against 16
+_leggauss = functools.cache(leggauss)   # read-only nodes and weights per level
 # a profile holds ~32 bytes per element of n_points x (basis_size^2 + 128), the
 # stacks and each point's rows at the nodes: at most the pi pulse's ~110 MB
 _MAX_PROFILE = 3_400_000
@@ -77,14 +82,6 @@ class DoubleGaussianPotential:
                 - self.focus_depth * np.exp(-2.0 * (y - self.displacement) ** 2
                                             / self.focus_waist ** 2))
 
-    def gradient(self, y):
-        y = np.asarray(y, dtype=float)
-        u = y - self.displacement
-        return (self.confine_depth * (4.0 * y / self.confine_waist ** 2)
-                * np.exp(-2.0 * y ** 2 / self.confine_waist ** 2)
-                + self.focus_depth * (4.0 * u / self.focus_waist ** 2)
-                * np.exp(-2.0 * u ** 2 / self.focus_waist ** 2))
-
     def curvature(self, y):
         y = np.asarray(y, dtype=float)
         u = y - self.displacement
@@ -106,29 +103,37 @@ def track_minimum(p: DoubleGaussianPotential, a_path) -> np.ndarray:
     """Follow the potential minimum continuously connected to the focus well.
 
     a_path must increase from 0.  Each minimum is a Newton root of dV/dy
-    started from the previous one, moved along the slope of the last two;
-    if the tracked well merges away a NumericsError reports the last valid
-    displacement.
+    started from the previous one, moved along the slope of the last two.  A
+    step whose root fails or jumps by more than max(3 step, 0.1 s_c) is
+    halved, down to _MIN_STEP s_c; below that the tracked well has merged
+    away, and a NumericsError reports the last valid displacement.
     """
     a_path = np.asarray(a_path, dtype=float)
     if a_path[0] != 0.0 or np.any(np.diff(a_path) < 0):
         raise PhysicsDomainError("a_path must increase monotonically from 0")
     wells = (float(p.confine_depth), float(p.focus_depth),
              float(p.confine_waist) ** 2, float(p.focus_waist) ** 2)
-    path = a_path.tolist()
     minima = []
-    y_prev = slope = 0.0
-    for i, a in enumerate(path):
-        step = a - path[i - 1] if i else 0.0
-        root = _newton_minimum(wells, a, y_prev + slope * step)
-        max_jump = max(3.0 * step, 0.1 * p.confine_waist)
-        if root is None or (i and abs(root - y_prev) > max_jump):
-            raise NumericsError(
-                f"tracked well lost at a = {a}: the minimum merged away "
-                f"(last valid a = {path[max(i - 1, 0)]})")
-        if step > 0.0:
-            slope = (root - y_prev) / step
-        y_prev = root
+    a_prev = y_prev = slope = 0.0
+    for a in a_path.tolist():
+        target = a
+        while True:
+            step = target - a_prev
+            root = _newton_minimum(wells, target, y_prev + slope * step)
+            if root is None or (minima and abs(root - y_prev)
+                                > max(3.0 * step, 0.1 * p.confine_waist)):
+                if step <= _MIN_STEP * p.confine_waist:
+                    raise NumericsError(
+                        f"tracked well lost at a = {target}: the minimum merged away "
+                        f"(last valid a = {a_prev})")
+                target = a_prev + 0.5 * step
+                continue
+            if step > 0.0:
+                slope = (root - y_prev) / step
+            a_prev, y_prev = target, root
+            if target == a:
+                break
+            target = a
         minima.append(y_prev)
     return np.array(minima)
 
@@ -137,9 +142,9 @@ def _newton_minimum(wells: tuple[float, float, float, float], a: float,
                     y: float) -> float | None:
     """Newton root of dV/dy from y at displacement a, or None when an iterate
     has V'' <= 0 or the iteration does not converge (no local minimum to
-    follow).  wells is (V_c, V_f, s_c^2, s_f^2); V' and V'' are the
-    expressions of DoubleGaussianPotential.gradient and .curvature in floats,
-    sharing one pair of Gaussians per iterate."""
+    follow).  wells is (V_c, V_f, s_c^2, s_f^2); V' and V'' (the expression
+    of DoubleGaussianPotential.curvature) are evaluated in floats, sharing one
+    pair of Gaussians per iterate."""
     vc, vf, sc2, sf2 = wells
     kc, kf = vc * (4.0 / sc2), vf * (4.0 / sf2)
     for _ in range(_NEWTON_ITERATIONS):
@@ -222,11 +227,12 @@ def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int = 11):
 
 @dataclass(frozen=True)
 class MovingSchedule:
-    """Sampled gap/coupling profiles along the focus displacement path."""
+    """Gap, coupling and depth profiles at the points of a quadrature rule
+    for int da over [0, a_f], with the rule's weights."""
 
-    final_displacement: float
     adiabaticity: float
     displacements: np.ndarray
+    weights: np.ndarray
     minima: np.ndarray
     gap_profile: np.ndarray
     element_profile: np.ndarray
@@ -236,11 +242,48 @@ class MovingSchedule:
         if np.any(self.gap_profile <= 0.0):
             raise PhysicsDomainError("gap profile must be strictly positive")
 
+    def integral(self, factor=1.0) -> float:
+        """int factor |<e|dH/da|g>| / gap^2 da by the rule."""
+        return float(np.dot(self.weights,
+                            factor * self.element_profile / self.gap_profile ** 2))
+
+
+def _schedules(p: DoubleGaussianPotential, adiabaticity: float, rules,
+               basis_size: int) -> list[MovingSchedule]:
+    """One schedule per (points, weights) rule.  All points are tracked in one
+    pass from 0, with uniform points inserted where two neighbours lie more
+    than the jump check's floor 0.1 s_c apart, and profiled in one eigh."""
+    a = np.concatenate([points for points, _ in rules])
+    knots = np.unique(np.append(0.0, a))
+    pieces = np.ceil(np.diff(knots) / (0.1 * p.confine_waist)).astype(int)
+    path = np.sort(np.concatenate([knots] + [
+        np.linspace(x0, x1, k + 1)[1:-1] for x0, x1, k in zip(knots, knots[1:], pieces)
+        if k > 1]))
+    minima = track_minimum(p, path)[np.searchsorted(path, a)]
+    gaps, elements = gap_and_element(p, a, minima, basis_size)
+    table = np.array([a, minima, gaps, elements, np.abs(p.at(a).value(minima))])
+    cuts = np.cumsum([len(weights) for _, weights in rules])[:-1]
+    return [MovingSchedule(adiabaticity, a, weights, *profiles)
+            for (_, weights), (a, *profiles) in zip(rules, np.split(table, cuts, axis=1))]
+
+
+def _gauss_legendre(m: int, final_displacement: float):
+    x, w = _leggauss(m)
+    return 0.5 * final_displacement * (x + 1.0), 0.5 * final_displacement * w
+
 
 def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
-                          adiabaticity: float, n_points: int = 161,
+                          adiabaticity: float, n_points: int | None = None,
                           basis_size: int = 11) -> MovingSchedule:
-    """Track the focus well over [0, a_f] and profile gap, coupling, depth."""
+    """Track the focus well over [0, a_f] and profile gap, coupling and depth
+    at the points of a quadrature rule.
+
+    The rule is Gauss-Legendre: 32 nodes, profiled in one stack with 16, then
+    doubled, one stack per level, until the moving-time integral of a level
+    is within 1% of the level before; a level beyond the memory guard is a
+    NumericsError.  With n_points the rule is instead the trapezoid on that
+    many uniform points, unchecked: the profile of speedup --profile-out.
+    """
     if final_displacement < 0:
         raise PhysicsDomainError("final displacement must be >= 0")
     if adiabaticity <= 0:
@@ -248,34 +291,36 @@ def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
     if basis_size > len(_GH_NODES):
         raise NumericsError(f"speedup.basis_size = {basis_size} exceeds the "
                             f"{len(_GH_NODES)} Gauss-Hermite nodes")
-    if n_points * (basis_size ** 2 + 128) > _MAX_PROFILE:
-        raise NumericsError(f"speedup.profile_points x (speedup.basis_size^2 + 128) = "
-                            f"{n_points * (basis_size ** 2 + 128)} exceeds {_MAX_PROFILE} "
-                            "(about 110 MB of arrays)")
-    a_grid = np.linspace(0.0, final_displacement, n_points)
-    minima = track_minimum(p, a_grid)
-    gaps, elements = gap_and_element(p, a_grid, minima, basis_size)
-    depths = np.abs(p.at(a_grid).value(minima))
-    return MovingSchedule(final_displacement=final_displacement,
-                          adiabaticity=adiabaticity, displacements=a_grid,
-                          minima=minima, gap_profile=gaps,
-                          element_profile=elements, depth_profile=depths)
+    if n_points is not None:
+        if n_points * (basis_size ** 2 + 128) > _MAX_PROFILE:
+            raise NumericsError(f"speedup.profile_points x (speedup.basis_size^2 + 128) = "
+                                f"{n_points * (basis_size ** 2 + 128)} exceeds {_MAX_PROFILE} "
+                                "(about 110 MB of arrays)")
+        a = np.linspace(0.0, final_displacement, n_points)
+        steps = np.diff(a, prepend=a[0], append=a[-1])
+        return _schedules(p, adiabaticity, [(a, (steps[:-1] + steps[1:]) / 2.0)],
+                          basis_size)[0]
+    m = _FIRST_NODES
+    half, schedule = _schedules(p, adiabaticity, [_gauss_legendre(n, final_displacement)
+                                                  for n in (m // 2, m)], basis_size)
+    previous, current = half.integral(), schedule.integral()
+    while not abs(current - previous) <= 0.01 * abs(current):   # a NaN never passes
+        if 2 * m * (basis_size ** 2 + 128) > _MAX_PROFILE:
+            raise NumericsError(
+                f"moving-time integral not converged: {m} Gauss-Legendre nodes give "
+                f"{current:.6g} and {m // 2} give {previous:.6g}, and {2 * m} nodes x "
+                f"(speedup.basis_size^2 + 128) exceed {_MAX_PROFILE}")
+        m *= 2
+        (schedule,) = _schedules(p, adiabaticity, [_gauss_legendre(m, final_displacement)],
+                                 basis_size)
+        previous, current = current, schedule.integral()
+    return schedule
 
 
 def moving_time(schedule: MovingSchedule) -> float:
-    """T = int |<e|dH/da|g>| / (xi_bar gap^2) da by trapezoid, with a
-    half-grid consistency check (< 1% change required)."""
-    if schedule.final_displacement == 0.0:
-        return 0.0
-    integrand = schedule.element_profile / schedule.gap_profile ** 2
-    a = schedule.displacements
-    full = float(np.trapezoid(integrand, a))
-    half = float(np.trapezoid(integrand[::2], a[::2]))
-    if abs(full - half) > 0.01 * abs(full):
-        raise NumericsError(
-            f"moving-time integral not converged on this grid "
-            f"(full {full:.6g} vs half {half:.6g}); increase profile points")
-    return full / schedule.adiabaticity
+    """T = int |<e|dH/da|g>| / (xi_bar gap^2) da, the schedule's quadrature
+    sum; build_moving_schedule converges its Gauss-Legendre rule."""
+    return schedule.integral() / schedule.adiabaticity
 
 
 def excitation_and_scattering(schedule: MovingSchedule, effective_linewidth: float,
@@ -292,11 +337,7 @@ def excitation_and_scattering(schedule: MovingSchedule, effective_linewidth: flo
     if effective_linewidth <= 0 or detuning == 0.0:
         raise PhysicsDomainError("the focus laser needs a linewidth and nonzero detuning")
     p_exc = 4.0 * schedule.adiabaticity ** 2
-    if schedule.final_displacement == 0.0:
-        return p_exc, 0.0
-    integrand = (schedule.depth_profile * schedule.element_profile
-                 / schedule.gap_profile ** 2)
-    depth_time = float(np.trapezoid(integrand, schedule.displacements))
+    depth_time = schedule.integral(schedule.depth_profile)
     p_scatter = effective_linewidth / abs(detuning) * depth_time / schedule.adiabaticity
     return p_exc, p_scatter
 

@@ -64,16 +64,36 @@ def test_scheme1_product_rule_vs_sum(scheme1):
 @given(probs=st.lists(st.floats(0.0, 1e-2), min_size=1, max_size=12))
 def test_composed_failure_bounds_over_generated_channels(probs):
     # independent channels: sum(p) - sum(p)^2/2 <= 1 - prod(1 - p) <= sum(p).
-    # The float 1 - prod(1 - p) rounds each of the n factors near 1, so it
-    # is within n ulps of 1 of the exact value, and below ~1e-16 it is 0
+    # -expm1(sum log1p(-p)) rounds each of the n logarithms relative to
+    # itself, so it is within n ulps of the exact value relative to that value
     steps = [("removal", 0.0, tuple((f"c{i}", p) for i, p in enumerate(probs)))]
     budget = budget_mod._compose(steps, 1, 1.0, {})
     total, channel_sum = budget.total_failure, budget.channel_sum
-    slack = len(probs) * sys.float_info.epsilon
     exact = 1 - math.prod(1 - Fraction(p) for p in probs)
+    slack = len(probs) * sys.float_info.epsilon * float(exact)
     assert abs(total - exact) <= slack
     assert -slack <= channel_sum - total <= channel_sum ** 2 / 2.0 + slack
     assert total <= channel_sum + slack
+
+
+@pytest.mark.parametrize("run", [run_scheme1, run_scheme2])
+def test_composed_failure_matches_the_exact_product(run):
+    # the cancelling 1 - prod(1 - p) was 5.3e-13 relative off at scheme 1
+    budget = run(RunConfig())
+    probs = [p for step in budget.steps for _, p in step.failure_channels]
+    exact = 1 - math.prod(1 - Fraction(p) for p in probs)
+    assert budget.total_failure == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+def test_a_lone_tiny_channel_survives_composition():
+    # 1 - (1 - 3.7e-81) is 0 in floats; the logarithmic form keeps the channel
+    budget = budget_mod._compose([("removal", 0.0, (("collision", 3.7e-81),))], 1, 1.0, {})
+    assert budget.total_failure == 3.7e-81
+
+
+def test_a_certain_channel_composes_to_certain_failure():
+    steps = [("removal", 0.0, (("collision", 1e-5), ("removal_target_impact", 1.0)))]
+    assert budget_mod._compose(steps, 1, 1.0, {}).total_failure == 1.0
 
 
 @pytest.mark.parametrize("p", [-1e-312, 1.0 + 2.2e-16, math.nan])

@@ -21,6 +21,7 @@ from mottreg.config import (RunConfig, config_from_dict, config_to_dict,
                             load_config, set_by_path, validate_config)
 from mottreg.errors import ConfigError
 from mottreg.pulse import rabi_evolve
+from mottreg.speedup import DoubleGaussianPotential, gap_and_element, track_minimum
 from mottreg.units import RB87
 
 
@@ -72,6 +73,23 @@ def test_cli_unreadable_config_file_is_a_config_error(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot read config '{path}'")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--set", "transfer.xi=" + "[" * 5000, "transfer"], "transfer.xi must be a number"),
+    (["sweep", "--parameter", "transfer.xi", "--values", "[" * 5000], "--values entry"),
+    (["--config", "{path}", "pulse"], "{path}: parse error"),
+])
+def test_cli_json_nested_beyond_the_parser_is_a_config_error(capsys, tmp_path, argv,
+                                                             message):
+    # the parser recurses once per level and gives up long before these depths
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    argv = [a.replace("{path}", str(path)) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message.replace("{path}", str(path)))
+    assert "Traceback" not in err
 
 
 def test_config_round_trip(tmp_path):
@@ -373,6 +391,36 @@ def test_cli_speedup_side_files(capsys, tmp_path):
     summary = json.loads((tmp_path / "s.json").read_text())
     assert 2.5 <= summary["T_ms"] <= 10.0
     assert summary["yield_5_cycles"] == pytest.approx(0.8683, abs=1e-4)
+
+
+def test_cli_speedup_profile_is_the_uniform_grid_of_profile_points(capsys, tmp_path):
+    # the side file is the 161-point uniform profile, tracked and
+    # diagonalised point by point on that grid alone, whatever rule the move
+    # time uses
+    prof = tmp_path / "profile.csv"
+    code, _ = _run(capsys, "--out", str(tmp_path / "s.json"), "speedup",
+                   "--profile-out", str(prof))
+    assert code == 0
+    wells = DoubleGaussianPotential(400.0, 560.0, focus_waist=0.5)
+    a = np.linspace(0.0, 2.0, 161)
+    minima = track_minimum(wells, a)
+    gaps, elements = gap_and_element(wells, a, minima, 11)
+    rows = [{"a": float(x), "y_min": float(y), "gap": float(g), "element": float(m)}
+            for x, y, g, m in zip(a, minima, gaps, elements)]
+    assert prof.read_bytes() == emit(rows, "csv", None).encode()
+
+
+@pytest.mark.parametrize("command", ["speedup", "scheme2"])
+def test_cli_unconverged_move_time_is_a_numerics_error(capsys, monkeypatch, command):
+    # at focus depth 300 and basis 15, 32 and 16 nodes differ by 2.9%; with
+    # room for the first stack alone the doubling cannot go on
+    monkeypatch.setattr("mottreg.speedup._MAX_PROFILE", 48 * (15 ** 2 + 128))
+    assert main(["--set", "speedup.focus_depth=300", "--set", "speedup.basis_size=15",
+                 command]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerics error: moving-time integral not converged: "
+                          "32 Gauss-Legendre nodes")
+    assert "speedup.basis_size" in err
 
 
 def test_cli_flag_overrides_win(capsys):

@@ -1,5 +1,6 @@
 """Moving-focus extraction: potential, minimum tracking, basis spectra
-against finite-difference oracles, moving time, and cycle yield."""
+against finite-difference oracles, the Gauss-Legendre moving time, and
+cycle yield."""
 import math
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from mottreg import speedup
+from mottreg.budget import moving_focus
+from mottreg.config import RunConfig
 from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg.speedup import (MASS, DoubleGaussianPotential, MovingSchedule,
                              build_moving_schedule, cycle_yield,
@@ -16,6 +20,16 @@ from mottreg.speedup import (MASS, DoubleGaussianPotential, MovingSchedule,
 
 WELLS = DoubleGaussianPotential(confine_depth=400.0, focus_depth=560.0,
                                 confine_waist=1.0, focus_waist=0.5)
+
+
+def _gradient(p, y):
+    """Oracle: dV/dy of p, the analytic derivative of both Gaussians."""
+    y = np.asarray(y, dtype=float)
+    u = y - p.displacement
+    return (p.confine_depth * (4.0 * y / p.confine_waist ** 2)
+            * np.exp(-2.0 * y ** 2 / p.confine_waist ** 2)
+            + p.focus_depth * (4.0 * u / p.focus_waist ** 2)
+            * np.exp(-2.0 * u ** 2 / p.focus_waist ** 2))
 
 
 def _fd_levels(pot, a, n_levels=5, span=(-4.0, 5.5), n=6000):
@@ -44,7 +58,7 @@ def test_double_well_emerges_with_displacement():
     # count strict sign changes of V' from - to + on a fine grid
     def minima_count(a):
         ys = np.linspace(-1.5, a + 1.5, 4001)
-        g = WELLS.at(a).gradient(ys)
+        g = _gradient(WELLS.at(a), ys)
         return int(np.sum((g[:-1] < 0) & (g[1:] > 0)))
 
     assert minima_count(0.2) == 1
@@ -85,6 +99,15 @@ def test_track_minimum_reports_branch_merge():
         track_minimum(weak, np.linspace(0.0, 3.0, 241))
 
 
+def test_track_minimum_halves_a_step_that_loses_the_well():
+    # a wide focus pulls the minimum from 0.48 to 1.14 between a = 1.0 and
+    # 1.25, past the jump check of that step; halved steps keep the well
+    wide = DoubleGaussianPotential(confine_depth=400.0, focus_depth=560.0, focus_waist=1.33)
+    coarse = track_minimum(wide, np.linspace(0.0, 2.0, 9))
+    dense = track_minimum(wide, np.linspace(0.0, 2.0, 161))[::20]
+    assert np.all(np.abs(coarse - dense) <= 1e-15 * np.maximum(1.0, np.abs(dense)))
+
+
 # a focus well whose peak restoring force V_f/s_f exceeds the confinement's
 # (ratio > 1) survives the whole move; 1.5 leaves margin for its curvature
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -99,7 +122,7 @@ def test_tracked_minima_are_newton_fixed_points(confine_depth, ratio, focus_wais
     a = np.linspace(0.0, a_final, n_points)
     minima = track_minimum(wells, a)
     assert minima[0] == 0.0
-    gradient = wells.at(a).gradient(minima)
+    gradient = _gradient(wells.at(a), minima)
     curvature = wells.at(a).curvature(minima)
     assert np.all(curvature > 0.0)
     force_scale = wells.confine_depth + wells.focus_depth / focus_waist
@@ -213,7 +236,7 @@ def _per_point_gap_and_element(p, a, y_min, size):
 
 @pytest.mark.parametrize("basis_size", [11, 15])
 def test_schedule_profiles_match_per_point_reference(basis_size):
-    sched = build_moving_schedule(WELLS, 2.0, 0.04, n_points=41, basis_size=basis_size)
+    sched = build_moving_schedule(WELLS, 2.0, 0.04, basis_size=basis_size)
     for a, y_min, gap, element in zip(sched.displacements, sched.minima,
                                       sched.gap_profile, sched.element_profile):
         ref_gap, ref_element = _per_point_gap_and_element(WELLS, a, y_min, basis_size)
@@ -242,8 +265,10 @@ def test_schedule_makes_one_eigh_call(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    build_moving_schedule(WELLS, 2.0, 0.04)
-    assert calls == [(161, 11, 11)]
+    sched = build_moving_schedule(WELLS, 2.0, 0.04)
+    # the 16 and 32 node levels share one stack, and 32 nodes converge
+    assert calls == [(48, 11, 11)]
+    assert sched.displacements.shape == (32,)
 
 
 def test_gap_basis_size_convergence():
@@ -266,10 +291,10 @@ def test_ground_energy_variational_monotone():
 
 def test_moving_time_linearity_and_trivial_zero():
     xi = math.sqrt(7e-3 / 4.0)
-    sched = build_moving_schedule(WELLS, 2.0, xi, n_points=81)
-    sched2 = build_moving_schedule(WELLS, 2.0, 2 * xi, n_points=81)
+    sched = build_moving_schedule(WELLS, 2.0, xi)
+    sched2 = build_moving_schedule(WELLS, 2.0, 2 * xi)
     assert moving_time(sched2) == pytest.approx(moving_time(sched) / 2, rel=1e-12)
-    empty = build_moving_schedule(WELLS, 0.0, xi, n_points=9)
+    empty = build_moving_schedule(WELLS, 0.0, xi)
     assert moving_time(empty) == 0.0
 
 
@@ -278,23 +303,79 @@ def test_moving_time_linearity_and_trivial_zero():
 def test_moving_time_inverse_in_adiabaticity(xi, focus_depth):
     wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=focus_depth,
                                     confine_waist=1.0, focus_waist=0.5)
-    unit = moving_time(build_moving_schedule(wells, 2.0, 1.0, n_points=81))
+    unit = moving_time(build_moving_schedule(wells, 2.0, 1.0))
     assert unit > 0.0
-    assert moving_time(build_moving_schedule(wells, 2.0, xi, n_points=81)) == \
+    assert moving_time(build_moving_schedule(wells, 2.0, xi)) == \
         pytest.approx(unit / xi, rel=1e-12)
 
 
-def test_moving_time_grid_refinement_invariance():
+def test_moving_time_grid_refinement_invariance(monkeypatch):
+    # starting the doubling at 64 or 128 nodes changes the move time by
+    # rounding alone
     xi = math.sqrt(7e-3 / 4.0)
-    coarse = moving_time(build_moving_schedule(WELLS, 2.0, xi, n_points=81))
-    fine = moving_time(build_moving_schedule(WELLS, 2.0, xi, n_points=161))
-    assert abs(coarse / fine - 1.0) < 0.01
+    times = []
+    for first in (32, 64, 128):
+        monkeypatch.setattr(speedup, "_FIRST_NODES", first)
+        sched = build_moving_schedule(WELLS, 2.0, xi)
+        assert sched.displacements.shape == (first,)
+        times.append(moving_time(sched))
+    assert times[1] == pytest.approx(times[0], rel=1e-12, abs=0.0)
+    assert times[2] == pytest.approx(times[0], rel=1e-12, abs=0.0)
+
+
+def test_default_move_time_matches_64_nodes(monkeypatch):
+    cfg = RunConfig()
+    move = moving_focus(cfg)
+    assert move.schedule.displacements.shape == (32,)
+    monkeypatch.setattr(speedup, "_FIRST_NODES", 64)
+    reference = moving_focus(cfg)
+    assert move.move_time == pytest.approx(reference.move_time, rel=1e-12, abs=0.0)
+    assert move.p_scatter == pytest.approx(reference.p_scatter, rel=1e-12, abs=0.0)
+
+
+def test_node_doubling_continues_past_a_kinked_integrand():
+    # the first coupled excited state switches along this path, so 32 and 16
+    # nodes differ by more than 1% and the levels double on
+    wells = DoubleGaussianPotential(confine_depth=1000.0, focus_depth=580.0,
+                                    focus_waist=0.5)
+    sched = build_moving_schedule(wells, 2.0, 0.04)
+    assert sched.displacements.size > 32
+    finer = build_moving_schedule(wells, 2.0, 0.04, n_points=4001)
+    assert moving_time(sched) == pytest.approx(moving_time(finer), rel=0.01)
+
+
+def test_unconverged_node_doubling_is_a_numerics_error(monkeypatch):
+    # room for the first stack of 16 + 32 nodes only
+    monkeypatch.setattr(speedup, "_MAX_PROFILE", 48 * (15 ** 2 + 128))
+    wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=300.0,
+                                    focus_waist=0.5)
+    with pytest.raises(NumericsError, match=r"not converged: 32 Gauss-Legendre nodes .*"
+                                            r"speedup\.basis_size"):
+        build_moving_schedule(wells, 2.0, 0.04, basis_size=15)
+
+
+# tracking through the nodes alone, with uniform points only where they lie
+# more than 0.1 s_c apart, finds the minima of a dense uniform track; both end
+# on a Newton step below 1e-12, so they agree to rounding
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(confine_depth=st.floats(50.0, 1000.0), ratio=st.floats(1.5, 3.0),
+       focus_waist=st.floats(0.3, 0.8), a_final=st.floats(0.1, 10.0))
+def test_node_minima_match_a_dense_uniform_track(confine_depth, ratio, focus_waist,
+                                                 a_final):
+    wells = DoubleGaussianPotential(confine_depth=confine_depth,
+                                    focus_depth=ratio * confine_depth * focus_waist,
+                                    focus_waist=focus_waist)
+    sched = build_moving_schedule(wells, a_final, 0.04)
+    path = np.union1d(np.linspace(0.0, a_final, 4001), sched.displacements)
+    dense = track_minimum(wells, path)[np.searchsorted(path, sched.displacements)]
+    assert np.all(np.abs(sched.minima - dense) <= 1e-15 * np.maximum(1.0, np.abs(dense)))
 
 
 def test_schedule_validation_rejects_vanishing_gap():
     with pytest.raises(PhysicsDomainError, match="gap"):
-        MovingSchedule(final_displacement=1.0, adiabaticity=0.04,
+        MovingSchedule(adiabaticity=0.04,
                        displacements=np.array([0.0, 1.0]),
+                       weights=np.array([0.5, 0.5]),
                        minima=np.array([0.0, 1.0]),
                        gap_profile=np.array([100.0, 0.0]),
                        element_profile=np.array([1.0, 1.0]),
@@ -305,20 +386,20 @@ LASER = (2 * math.pi * 5e6, -2 * math.pi * 780e9)  # effective linewidth, detuni
 
 
 def test_excitation_and_scattering_limits():
-    small = build_moving_schedule(WELLS, 2.0, 1e-4, n_points=81)
+    small = build_moving_schedule(WELLS, 2.0, 1e-4)
     p_exc, _ = excitation_and_scattering(small, *LASER)
     assert p_exc == pytest.approx(4e-8, rel=1e-12, abs=0.0)
     # halving xi_bar doubles the move duration and hence the scattering
     xi = math.sqrt(7e-3 / 4.0)
-    full = build_moving_schedule(WELLS, 2.0, xi, n_points=81)
-    half = build_moving_schedule(WELLS, 2.0, xi / 2, n_points=81)
+    full = build_moving_schedule(WELLS, 2.0, xi)
+    half = build_moving_schedule(WELLS, 2.0, xi / 2)
     _, scatter_full = excitation_and_scattering(full, *LASER)
     _, scatter_half = excitation_and_scattering(half, *LASER)
     assert scatter_half == pytest.approx(2 * scatter_full, rel=1e-12)
 
 
 def test_excitation_refuses_zero_detuning():
-    sched = build_moving_schedule(WELLS, 1.0, 0.04, n_points=41)
+    sched = build_moving_schedule(WELLS, 1.0, 0.04)
     for linewidth, detuning in ((LASER[0], 0.0), (0.0, LASER[1]), (-LASER[0], LASER[1])):
         with pytest.raises(PhysicsDomainError, match="nonzero detuning"):
             excitation_and_scattering(sched, linewidth, detuning)
