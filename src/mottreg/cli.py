@@ -40,15 +40,11 @@ __all__ = ["main"]
 _MAX_ROWS = 150_000
 
 
-def _fmt_float(value: float, digits: int) -> float:
-    return float(format(float(value), f".{digits}g"))
-
-
 def _round_floats(obj, digits: int):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj, digits)
+        return float(format(float(obj), f".{digits}g"))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, dict):
@@ -140,6 +136,11 @@ def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
         sys.stdout.write(_csv_text(report, digits))
 
 
+def _rows(**columns) -> list[dict]:
+    """Report rows from equal-length columns, keyed in the order given."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 def _require_rows(flag: str, rows: int):
     if rows > _MAX_ROWS:
         raise NumericsError(f"{flag} = {rows} exceeds {_MAX_ROWS} report rows "
@@ -156,7 +157,7 @@ def _cmd_stark_scan(args, cfg: RunConfig):
     _require_rows("--points", args.points)
     band = default_search_band(RB87, cfg.lattice.band_exclusion_nm * 1e-9)
     columns = wavelength_scan(RB87, band, args.points, lattice_units(cfg).base_energy)
-    _deliver(args, cfg, [dict(zip(columns, row)) for row in zip(*columns.values())], "csv")
+    _deliver(args, cfg, _rows(**columns), "csv")
 
 
 def _cmd_lattice(args, cfg: RunConfig):
@@ -180,15 +181,11 @@ def _cmd_lattice(args, cfg: RunConfig):
         lam_s = config.spol_wavelength
         span = sites.site_positions[-1]
         xs = np.linspace(0.0, span if span > 0 else lam_s, 601)
-        shift0 = sites.delta_e0[0]
-        shift1 = sites.delta_e1[0]
         envelope = lattice_mod.intensity_envelope(config, xs)
         vs = cfg.lattice.depth_er * np.sin(2 * np.pi * xs / lam_s) ** 2
-        profile = [{"x_um": x * 1e6,
-                    "v0_er": float(v + shift0 * e),
-                    "v1_er": float(v + shift1 * e)}
-                   for x, v, e in zip(xs, vs, envelope)]
-        side.append((_resolve_out(args, cfg, args.profile_out), profile))
+        side.append((_resolve_out(args, cfg, args.profile_out),
+                     _rows(x_um=xs * 1e6, v0_er=vs + sites.delta_e0[0] * envelope,
+                           v1_er=vs + sites.delta_e1[0] * envelope)))
     _deliver(args, cfg, rows, "csv", side_files=side)
 
 
@@ -203,11 +200,10 @@ def _cmd_pulse(args, cfg: RunConfig):
               "pulse_duration_us": units.time_from_natural(2 * t_f) * 1e6}
     side = []
     if args.trajectory_out:
-        rows = [{"t": float(t),
-                 "re_c0": float(a[0].real), "im_c0": float(a[0].imag),
-                 "re_c1": float(a[1].real), "im_c1": float(a[1].imag)}
-                for t, a in zip(outcome.times, outcome.states)]
-        side.append((_resolve_out(args, cfg, args.trajectory_out), rows))
+        c0, c1 = outcome.states[:, 0], outcome.states[:, 1]
+        side.append((_resolve_out(args, cfg, args.trajectory_out),
+                     _rows(t=outcome.times, re_c0=c0.real, im_c0=c0.imag,
+                           re_c1=c1.real, im_c1=c1.imag)))
     _deliver(args, cfg, report, "json", side_files=side)
 
 
@@ -249,12 +245,11 @@ def _cmd_transfer(args, cfg: RunConfig):
                   units.time_from_natural(transfer_mod.hopping_time(cfg.lattice.depth_er))}
     side = []
     if args.trajectory_out:
-        omegas = transfer_mod.ramp_schedule(ramp, result.times)
-        rows = [{"t": float(t), "omega": float(w),
-                 "Pe_analytic": float(pa), "Pe_numeric": float(pn)}
-                for t, w, pa, pn in zip(result.times, omegas, result.excitation_analytic,
-                                        result.excitation_numeric)]
-        side.append((_resolve_out(args, cfg, args.trajectory_out), rows))
+        side.append((_resolve_out(args, cfg, args.trajectory_out),
+                     _rows(t=result.times,
+                           omega=transfer_mod.ramp_schedule(ramp, result.times),
+                           Pe_analytic=result.excitation_analytic,
+                           Pe_numeric=result.excitation_numeric)))
     _deliver(args, cfg, report, "json", side_files=side)
 
 
@@ -268,23 +263,15 @@ def _cmd_speedup(args, cfg: RunConfig):
               "yield_5_cycles": speedup_mod.cycle_yield(5, spd.per_cycle_fraction)}
     side = []
     if args.profile_out:
-        profile = speedup_mod.build_moving_schedule(
-            move.potential, spd.final_displacement_sigma, move.schedule.adiabaticity,
-            n_points=spd.profile_points, basis_size=spd.basis_size)
-        rows = [{"a": float(a), "y_min": float(y), "gap": float(g),
-                 "element": float(m)}
-                for a, y, g, m in zip(profile.displacements, profile.minima,
-                                      profile.gap_profile, profile.element_profile)]
-        side.append((_resolve_out(args, cfg, args.profile_out), rows))
+        grid = np.linspace(0.0, spd.final_displacement_sigma, spd.profile_points)
+        y_min, gap, element = speedup_mod.path_profile(move.potential, grid, spd.basis_size)
+        side.append((_resolve_out(args, cfg, args.profile_out),
+                     _rows(a=grid, y_min=y_min, gap=gap, element=element)))
     if args.potential_out:
         ys = np.linspace(-2.0, 3.5, 551)
-        curves = {a: move.potential.at(a).value(ys) for a in (0.2, 0.8, 1.5)}
-        rows = [{"y": float(y),
-                 "v_a_0p2": float(curves[0.2][i]),
-                 "v_a_0p8": float(curves[0.8][i]),
-                 "v_a_1p5": float(curves[1.5][i])}
-                for i, y in enumerate(ys)]
-        side.append((_resolve_out(args, cfg, args.potential_out), rows))
+        curves = {f"v_a_{a}".replace(".", "p"): move.potential.at(a).value(ys)
+                  for a in (0.2, 0.8, 1.5)}
+        side.append((_resolve_out(args, cfg, args.potential_out), _rows(y=ys, **curves)))
     _deliver(args, cfg, report, "json", side_files=side)
 
 

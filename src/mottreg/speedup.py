@@ -30,6 +30,7 @@ __all__ = [
     "track_minimum",
     "local_basis",
     "gap_and_element",
+    "path_profile",
     "build_moving_schedule",
     "moving_time",
     "excitation_and_scattering",
@@ -42,10 +43,11 @@ _GH_NODES, _GH_WEIGHTS = hermgauss(96)
 _COUPLING_FLOOR = 1e-8  # relative threshold for "nonzero" transition elements
 _NEWTON_ITERATIONS = 50
 _MIN_STEP = 1e-3  # in s_c: the shortest step minimum tracking halves down to
-_FIRST_NODES = 32  # Gauss-Legendre nodes of the first level, checked against 16
+_FIRST_NODES = 32  # the first level that can be taken, checked against 16 and 8
 _leggauss = functools.cache(leggauss)   # read-only nodes and weights per level
-# a profile holds ~32 bytes per element of n_points x (basis_size^2 + 128), the
-# stacks and each point's rows at the nodes: at most the pi pulse's ~110 MB
+# a profile holds ~32 bytes per element of points x (basis_size^2 + 128), and
+# m Gauss-Legendre nodes solve an m x m companion matrix of about as many
+# bytes per element: either stays within the pi pulse's ~110 MB
 _MAX_PROFILE = 3_400_000
 
 
@@ -103,25 +105,26 @@ def track_minimum(p: DoubleGaussianPotential, a_path) -> np.ndarray:
     """Follow the potential minimum continuously connected to the focus well.
 
     a_path must increase from 0.  Each minimum is a Newton root of dV/dy
-    started from the previous one, moved along the slope of the last two.  A
-    step whose root fails or jumps by more than max(3 step, 0.1 s_c) is
-    halved, down to _MIN_STEP s_c; below that the tracked well has merged
-    away, and a NumericsError reports the last valid displacement.
+    started from the previous one, moved along the slope of the last two, in
+    steps of at most 0.1 s_c.  A step whose root fails or jumps by more than
+    max(3 step, 0.1 s_c) is halved, down to _MIN_STEP s_c; below that the
+    tracked well has merged away, and a NumericsError reports the last valid
+    displacement.
     """
     a_path = np.asarray(a_path, dtype=float)
     if a_path[0] != 0.0 or np.any(np.diff(a_path) < 0):
         raise PhysicsDomainError("a_path must increase monotonically from 0")
     wells = (float(p.confine_depth), float(p.focus_depth),
              float(p.confine_waist) ** 2, float(p.focus_waist) ** 2)
+    longest = 0.1 * p.confine_waist
     minima = []
     a_prev = y_prev = slope = 0.0
     for a in a_path.tolist():
-        target = a
+        target = min(a, a_prev + longest)
         while True:
             step = target - a_prev
             root = _newton_minimum(wells, target, y_prev + slope * step)
-            if root is None or (minima and abs(root - y_prev)
-                                > max(3.0 * step, 0.1 * p.confine_waist)):
+            if root is None or (minima and abs(root - y_prev) > max(3.0 * step, longest)):
                 if step <= _MIN_STEP * p.confine_waist:
                     raise NumericsError(
                         f"tracked well lost at a = {target}: the minimum merged away "
@@ -133,7 +136,7 @@ def track_minimum(p: DoubleGaussianPotential, a_path) -> np.ndarray:
             a_prev, y_prev = target, root
             if target == a:
                 break
-            target = a
+            target = min(a, a_prev + longest)
         minima.append(y_prev)
     return np.array(minima)
 
@@ -227,8 +230,8 @@ def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int = 11):
 
 @dataclass(frozen=True)
 class MovingSchedule:
-    """Gap, coupling and depth profiles at the points of a quadrature rule
-    for int da over [0, a_f], with the rule's weights."""
+    """Gap, coupling and depth profiles at the Gauss-Legendre nodes of
+    [0, a_f], with the nodes' weights for int da."""
 
     adiabaticity: float
     displacements: np.ndarray
@@ -248,72 +251,68 @@ class MovingSchedule:
                             factor * self.element_profile / self.gap_profile ** 2))
 
 
-def _schedules(p: DoubleGaussianPotential, adiabaticity: float, rules,
-               basis_size: int) -> list[MovingSchedule]:
-    """One schedule per (points, weights) rule.  All points are tracked in one
-    pass from 0, with uniform points inserted where two neighbours lie more
-    than the jump check's floor 0.1 s_c apart, and profiled in one eigh."""
-    a = np.concatenate([points for points, _ in rules])
-    knots = np.unique(np.append(0.0, a))
-    pieces = np.ceil(np.diff(knots) / (0.1 * p.confine_waist)).astype(int)
-    path = np.sort(np.concatenate([knots] + [
-        np.linspace(x0, x1, k + 1)[1:-1] for x0, x1, k in zip(knots, knots[1:], pieces)
-        if k > 1]))
-    minima = track_minimum(p, path)[np.searchsorted(path, a)]
-    gaps, elements = gap_and_element(p, a, minima, basis_size)
+def path_profile(p: DoubleGaussianPotential, a, basis_size: int = 11):
+    """(minima, gaps, elements) at the displacements a >= 0, in any order:
+    the focus well tracked from 0 through the sorted points, then the gap and
+    coupling at every point from one stacked eigh."""
+    a = np.asarray(a, dtype=float)
+    if basis_size > len(_GH_NODES):
+        raise NumericsError(f"speedup.basis_size = {basis_size} exceeds the "
+                            f"{len(_GH_NODES)} Gauss-Hermite nodes")
+    if a.size * (basis_size ** 2 + 128) > _MAX_PROFILE:
+        raise NumericsError(f"{a.size} path points x (speedup.basis_size^2 + 128) = "
+                            f"{a.size * (basis_size ** 2 + 128)} exceeds {_MAX_PROFILE} "
+                            "(about 110 MB of arrays)")
+    order = np.argsort(a, kind="stable")
+    minima = np.empty_like(a)
+    minima[order] = track_minimum(p, np.append(0.0, a[order]))[1:]
+    return (minima, *gap_and_element(p, a, minima, basis_size))
+
+
+def _levels(p: DoubleGaussianPotential, adiabaticity: float, sizes,
+            final_displacement: float, basis_size: int) -> list[MovingSchedule]:
+    """The schedules on the Gauss-Legendre nodes of [0, a_f], one per size,
+    profiled in one stack, since each stack has a fixed cost per call."""
+    rules = [_leggauss(m) for m in sizes]
+    half = 0.5 * final_displacement
+    a = half * (np.concatenate([x for x, _ in rules]) + 1.0)
+    minima, gaps, elements = path_profile(p, a, basis_size)
     table = np.array([a, minima, gaps, elements, np.abs(p.at(a).value(minima))])
-    cuts = np.cumsum([len(weights) for _, weights in rules])[:-1]
-    return [MovingSchedule(adiabaticity, a, weights, *profiles)
-            for (_, weights), (a, *profiles) in zip(rules, np.split(table, cuts, axis=1))]
-
-
-def _gauss_legendre(m: int, final_displacement: float):
-    x, w = _leggauss(m)
-    return 0.5 * final_displacement * (x + 1.0), 0.5 * final_displacement * w
+    return [MovingSchedule(adiabaticity, a, half * w, *profiles) for (_, w), (a, *profiles)
+            in zip(rules, np.split(table, np.cumsum(sizes)[:-1], axis=1))]
 
 
 def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
-                          adiabaticity: float, n_points: int | None = None,
-                          basis_size: int = 11) -> MovingSchedule:
+                          adiabaticity: float, basis_size: int = 11) -> MovingSchedule:
     """Track the focus well over [0, a_f] and profile gap, coupling and depth
-    at the points of a quadrature rule.
+    at the Gauss-Legendre nodes of the path.
 
-    The rule is Gauss-Legendre: 32 nodes, profiled in one stack with 16, then
-    doubled, one stack per level, until the moving-time integral of a level
-    is within 1% of the level before; a level beyond the memory guard is a
-    NumericsError.  With n_points the rule is instead the trapezoid on that
-    many uniform points, unchecked: the profile of speedup --profile-out.
+    The levels of 8, 16 and 32 nodes come first, in one stack, then doubling
+    ones, a stack each.  A level is taken once the moving-time integrals of
+    successive levels differ less than the two before, which differ by at
+    most 1%: one close pair alone can be a chance meeting of two rules that
+    both miss a sharp feature.  A level whose nodes or profile would pass
+    the memory guard is a NumericsError.
     """
     if final_displacement < 0:
         raise PhysicsDomainError("final displacement must be >= 0")
     if adiabaticity <= 0:
         raise PhysicsDomainError("adiabaticity must be positive")
-    if basis_size > len(_GH_NODES):
-        raise NumericsError(f"speedup.basis_size = {basis_size} exceeds the "
-                            f"{len(_GH_NODES)} Gauss-Hermite nodes")
-    if n_points is not None:
-        if n_points * (basis_size ** 2 + 128) > _MAX_PROFILE:
-            raise NumericsError(f"speedup.profile_points x (speedup.basis_size^2 + 128) = "
-                                f"{n_points * (basis_size ** 2 + 128)} exceeds {_MAX_PROFILE} "
-                                "(about 110 MB of arrays)")
-        a = np.linspace(0.0, final_displacement, n_points)
-        steps = np.diff(a, prepend=a[0], append=a[-1])
-        return _schedules(p, adiabaticity, [(a, (steps[:-1] + steps[1:]) / 2.0)],
-                          basis_size)[0]
     m = _FIRST_NODES
-    half, schedule = _schedules(p, adiabaticity, [_gauss_legendre(n, final_displacement)
-                                                  for n in (m // 2, m)], basis_size)
-    previous, current = half.integral(), schedule.integral()
-    while not abs(current - previous) <= 0.01 * abs(current):   # a NaN never passes
-        if 2 * m * (basis_size ** 2 + 128) > _MAX_PROFILE:
+    levels = _levels(p, adiabaticity, (m // 4, m // 2, m), final_displacement, basis_size)
+    schedule = levels[-1]
+    i3, i2, i1 = (level.integral() for level in levels)
+    while not abs(i1 - i2) <= abs(i2 - i3) <= 0.01 * abs(i2):   # a NaN never passes
+        # numpy's leggauss solves a dense 2m x 2m matrix for the next nodes
+        if 2 * m * max(2 * m, basis_size ** 2 + 128) > _MAX_PROFILE:
             raise NumericsError(
                 f"moving-time integral not converged: {m} Gauss-Legendre nodes give "
-                f"{current:.6g} and {m // 2} give {previous:.6g}, and {2 * m} nodes x "
-                f"(speedup.basis_size^2 + 128) exceed {_MAX_PROFILE}")
+                f"{i1:.6g}, {m // 2} give {i2:.6g} and {m // 4} give {i3:.6g}; "
+                f"{2 * m} nodes would pass {_MAX_PROFILE} as ({2 * m})^2 or as "
+                f"{2 * m} x (speedup.basis_size^2 + 128)")
         m *= 2
-        (schedule,) = _schedules(p, adiabaticity, [_gauss_legendre(m, final_displacement)],
-                                 basis_size)
-        previous, current = current, schedule.integral()
+        (schedule,) = _levels(p, adiabaticity, (m,), final_displacement, basis_size)
+        i3, i2, i1 = i2, i1, schedule.integral()
     return schedule
 
 

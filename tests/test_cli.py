@@ -414,7 +414,7 @@ def test_cli_speedup_profile_is_the_uniform_grid_of_profile_points(capsys, tmp_p
 def test_cli_unconverged_move_time_is_a_numerics_error(capsys, monkeypatch, command):
     # at focus depth 300 and basis 15, 32 and 16 nodes differ by 2.9%; with
     # room for the first stack alone the doubling cannot go on
-    monkeypatch.setattr("mottreg.speedup._MAX_PROFILE", 48 * (15 ** 2 + 128))
+    monkeypatch.setattr("mottreg.speedup._MAX_PROFILE", 56 * (15 ** 2 + 128))
     assert main(["--set", "speedup.focus_depth=300", "--set", "speedup.basis_size=15",
                  command]) == 4
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 
 from mottreg import speedup
@@ -16,7 +17,7 @@ from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg.speedup import (MASS, DoubleGaussianPotential, MovingSchedule,
                              build_moving_schedule, cycle_yield,
                              excitation_and_scattering, gap_and_element,
-                             local_basis, moving_time, track_minimum)
+                             local_basis, moving_time, path_profile, track_minimum)
 
 WELLS = DoubleGaussianPotential(confine_depth=400.0, focus_depth=560.0,
                                 confine_waist=1.0, focus_waist=0.5)
@@ -101,7 +102,7 @@ def test_track_minimum_reports_branch_merge():
 
 def test_track_minimum_halves_a_step_that_loses_the_well():
     # a wide focus pulls the minimum from 0.48 to 1.14 between a = 1.0 and
-    # 1.25, past the jump check of that step; halved steps keep the well
+    # 1.25, past the jump check of a 0.1 step; halved steps keep the well
     wide = DoubleGaussianPotential(confine_depth=400.0, focus_depth=560.0, focus_waist=1.33)
     coarse = track_minimum(wide, np.linspace(0.0, 2.0, 9))
     dense = track_minimum(wide, np.linspace(0.0, 2.0, 161))[::20]
@@ -266,8 +267,8 @@ def test_schedule_makes_one_eigh_call(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sched = build_moving_schedule(WELLS, 2.0, 0.04)
-    # the 16 and 32 node levels share one stack, and 32 nodes converge
-    assert calls == [(48, 11, 11)]
+    # the 8, 16 and 32 node levels share one stack, and 32 nodes converge
+    assert calls == [(56, 11, 11)]
     assert sched.displacements.shape == (32,)
 
 
@@ -334,19 +335,21 @@ def test_default_move_time_matches_64_nodes(monkeypatch):
 
 
 def test_node_doubling_continues_past_a_kinked_integrand():
-    # the first coupled excited state switches along this path, so 32 and 16
-    # nodes differ by more than 1% and the levels double on
+    # |<e|dH/da|g>| passes through zero along this path, so the integrand has
+    # kinks, 32 and 16 nodes differ by more than 1% and the levels double on
     wells = DoubleGaussianPotential(confine_depth=1000.0, focus_depth=580.0,
                                     focus_waist=0.5)
     sched = build_moving_schedule(wells, 2.0, 0.04)
     assert sched.displacements.size > 32
-    finer = build_moving_schedule(wells, 2.0, 0.04, n_points=4001)
-    assert moving_time(sched) == pytest.approx(moving_time(finer), rel=0.01)
+    a = np.linspace(0.0, 2.0, 4001)
+    _, gaps, elements = path_profile(wells, a)
+    reference = np.trapezoid(elements / gaps ** 2, a) / 0.04
+    assert moving_time(sched) == pytest.approx(reference, rel=0.01)
 
 
 def test_unconverged_node_doubling_is_a_numerics_error(monkeypatch):
-    # room for the first stack of 16 + 32 nodes only
-    monkeypatch.setattr(speedup, "_MAX_PROFILE", 48 * (15 ** 2 + 128))
+    # room for the first stack of 8 + 16 + 32 nodes only
+    monkeypatch.setattr(speedup, "_MAX_PROFILE", 56 * (15 ** 2 + 128))
     wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=300.0,
                                     focus_waist=0.5)
     with pytest.raises(NumericsError, match=r"not converged: 32 Gauss-Legendre nodes .*"
@@ -354,9 +357,23 @@ def test_unconverged_node_doubling_is_a_numerics_error(monkeypatch):
         build_moving_schedule(wells, 2.0, 0.04, basis_size=15)
 
 
-# tracking through the nodes alone, with uniform points only where they lie
-# more than 0.1 s_c apart, finds the minima of a dense uniform track; both end
-# on a Newton step below 1e-12, so they agree to rounding
+def test_chance_agreement_of_two_levels_is_not_convergence(monkeypatch):
+    # a narrow dip of the gap near a = 1.28: 128 and 256 nodes agree to 0.05%
+    # while both are 7% off; 512 nodes move 9% and 1024 another 2%, and the
+    # companion matrix of 2048 nodes would pass the real memory guard
+    sizes = []
+    monkeypatch.setattr(speedup, "_leggauss", lambda m: sizes.append(m) or leggauss(m))
+    wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=200.78102451888083,
+                                    focus_waist=0.5)
+    with pytest.raises(NumericsError, match=r"not converged: 1024 Gauss-Legendre nodes"):
+        build_moving_schedule(wells, 5.192438247232971, 1.0, basis_size=15)
+    assert max(sizes) == 1024
+    assert 1024 ** 2 <= speedup._MAX_PROFILE < 2048 ** 2
+
+
+# tracking through the nodes alone, in steps of at most 0.1 s_c, finds the
+# minima of a dense uniform track; both end on a Newton step below 1e-12, so
+# they agree to rounding
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(confine_depth=st.floats(50.0, 1000.0), ratio=st.floats(1.5, 3.0),
        focus_waist=st.floats(0.3, 0.8), a_final=st.floats(0.1, 10.0))
