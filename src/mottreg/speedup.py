@@ -1,8 +1,8 @@
 """Moving-focused-laser extraction: the double-Gaussian channel potential,
 Newton tracking of its minimum (a continuation along the path in plain
 floats, V' and V'' from one pair of Gaussians per iterate), the gap and
-coupling profiles at the Gauss-Legendre nodes of the path from one stacked
-harmonic-basis eigensolve per level, the adiabatic moving-time integral,
+coupling profiles at the Gauss-Legendre nodes of the path from stacked
+harmonic-basis eigensolves, the adiabatic moving-time integral,
 excitation/scattering estimates, and the multi-cycle yield.
 
 Units: lengths in the confinement waist sigma_c, energies in
