@@ -3,10 +3,11 @@ file plus --set overrides, deterministic JSON/CSV emission.  A subcommand
 flag that names a quantity is an alias of its config field, applied after
 every --set, so the flag wins.
 
-Every run prints a JSON envelope with the fully resolved configuration; the
-primary artifact goes to --out (resolved against $MOTTREG_OUTDIR for
-relative paths) or to stdout.  Exit codes: 0 ok, 2 config error, 3 physics
-domain error, 4 numerics error.
+The primary artifact goes to --out (relative paths under $MOTTREG_OUTDIR),
+and stdout then carries a JSON envelope of the resolved config and the path;
+without --out, a JSON report is printed in that envelope and a CSV report
+bare.  Every output is formatted and checked before any file is written.
+Exit codes: 0 ok, 2 config error, 3 physics domain error, 4 numerics error.
 """
 from __future__ import annotations
 
@@ -34,66 +35,80 @@ from .units import RB87
 
 __all__ = ["main"]
 
-# a report row costs about 700 bytes on its way out (floats, row dicts, text),
-# so a report holds at most the ~110 MB the pi pulse and the moving-focus
-# profile may hold
+# a CSV report row costs about 700 bytes on its way out (tracemalloc peak of
+# stark-scan --points 150000), so a report holds at most the ~110 MB the pi
+# pulse and the moving-focus profile may hold; --format json takes 1.8 kB a row
 _MAX_ROWS = 150_000
 
 
-def _round_floats(obj, digits: int):
+def _finite(value, key: str):
+    if not math.isfinite(value):
+        raise NumericsError(f"report value '{key}' is {value}, not a finite number")
+    return value
+
+
+def _plain(obj, digits: int, key: str = "report"):
+    """obj as JSON data with every float at `digits` significant digits; a
+    NaN or infinity is refused, naming its key."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return float(format(float(obj), f".{digits}g"))
-    if isinstance(obj, (np.integer,)):
+        return float(format(float(_finite(obj, key)), f".{digits}g"))
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _plain(v, digits, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_plain(v, digits, key) for v in obj]
     return obj
 
 
 def _json_text(report, digits: int) -> str:
-    return json.dumps(_round_floats(report, digits), indent=2) + "\n"
+    return json.dumps(_plain(report, digits), indent=2) + "\n"
 
 
-def _csv_text(rows, digits: int) -> str:
-    if isinstance(rows, dict):
-        rows = [rows]
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            value = row[key]
-            if isinstance(value, bool):
-                cells.append(str(value).lower())
-            elif isinstance(value, (float, np.floating)):
-                cells.append(format(float(value), f".{digits}g"))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv_text(table, digits: int) -> str:
+    """CSV of a table, a dict of name -> column: bools as true/false, floats
+    at `digits` significant digits, any other cell (ints too) by str; a NaN
+    or infinity, or a nested value, is refused, naming its column."""
+    fmt = f"%.{digits}g"
+
+    def cell(value, name):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (float, np.floating)):
+            return fmt % _finite(value, name)
+        if isinstance(value, (dict, list, tuple)):
+            raise ConfigError(f"--format csv cannot hold the nested report value '{name}'")
+        return str(value)
+
+    columns = [[cell(v, name) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+               for name, c in table.items()]
+    return "\n".join([",".join(table), *map(",".join, zip(*columns))]) + "\n"
+
+
+def _write(path, text: str):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output '{path}': {exc}") from exc
 
 
 def emit(report, fmt: str, path, digits: int = 12) -> str:
-    """Serialize a report (dict or list of dicts) deterministically.
+    """Serialize a report deterministically: a dict or list as JSON, or a
+    table (name -> column) as CSV.
 
     Returns the text; writes it to path when given.  Floats carry `digits`
     significant digits, so identical reports give byte-identical files.
     """
     text = _json_text(report, digits) if fmt == "json" else _csv_text(report, digits)
     if path is not None:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output '{path}': {exc}") from exc
+        _write(path, text)
     return text
 
 
-def _resolve_out(args, cfg: RunConfig, name: str | None = None):
-    out = name if name is not None else args.out
+def _resolve_out(cfg: RunConfig, out):
+    """out, when relative, under $MOTTREG_OUTDIR or else output.directory."""
     if out is None:
         return None
     out = Path(out)
@@ -103,42 +118,29 @@ def _resolve_out(args, cfg: RunConfig, name: str | None = None):
     return out
 
 
-def _require_finite(report, key: str = "report"):
-    """Refuse a report that holds NaN or infinity, naming the value's key."""
-    if isinstance(report, dict):
-        for k, value in report.items():
-            _require_finite(value, k)
-    elif isinstance(report, (list, tuple)):
-        for value in report:
-            _require_finite(value, key)
-    elif isinstance(report, (float, np.floating)) and not math.isfinite(report):
-        raise NumericsError(f"report value '{key}' is {report}, not a finite number")
-
-
 def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
-    """Write the primary artifact and print the envelope with the resolved
-    config; report may be a dict (json) or rows (csv).  Nothing is written
-    when a value is not finite."""
-    _require_finite([report, *(rows for _, rows in side_files)])
+    """Format the side tables (path, table), the primary artifact and the
+    stdout text, then write them.  report is a table (name -> column) when
+    default_fmt is csv and a dict when it is json; in the other format a
+    table is one JSON object per row and a dict is one CSV row."""
     digits = cfg.output.float_digits
     fmt = args.format or default_fmt
-    out = _resolve_out(args, cfg)
-    for side_path, side_rows in side_files:
-        emit(side_rows, "csv", side_path, digits)
+    if fmt == "json" and default_fmt == "csv":
+        report = [dict(zip(report, row)) for row in zip(*report.values())]
+    elif fmt == "csv" and default_fmt == "json":
+        report = {key: (value,) for key, value in report.items()}
+    files = [(_resolve_out(cfg, path), _csv_text(table, digits)) for path, table in side_files]
+    out = _resolve_out(cfg, args.out)
     if out is not None:
-        emit(report, fmt, out, digits)
-        envelope = {"config": resolved_config_echo(cfg), "out": str(out)}
-        sys.stdout.write(_json_text(envelope, digits))
+        files.append((out, emit(report, fmt, None, digits)))
+        stdout = _json_text({"config": resolved_config_echo(cfg), "out": str(out)}, digits)
     elif fmt == "json":
-        envelope = {"config": resolved_config_echo(cfg), "report": report}
-        sys.stdout.write(_json_text(envelope, digits))
+        stdout = _json_text({"config": resolved_config_echo(cfg), "report": report}, digits)
     else:
-        sys.stdout.write(_csv_text(report, digits))
-
-
-def _rows(**columns) -> list[dict]:
-    """Report rows from equal-length columns, keyed in the order given."""
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+        stdout = _csv_text(report, digits)
+    for path, text in files:
+        _write(path, text)
+    sys.stdout.write(stdout)
 
 
 def _require_rows(flag: str, rows: int):
@@ -156,8 +158,8 @@ def _cmd_stark_scan(args, cfg: RunConfig):
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     _require_rows("--points", args.points)
     band = default_search_band(RB87, cfg.lattice.band_exclusion_nm * 1e-9)
-    columns = wavelength_scan(RB87, band, args.points, lattice_units(cfg).base_energy)
-    _deliver(args, cfg, _rows(**columns), "csv")
+    _deliver(args, cfg, wavelength_scan(RB87, band, args.points,
+                                        lattice_units(cfg).base_energy), "csv")
 
 
 def _cmd_lattice(args, cfg: RunConfig):
@@ -169,24 +171,15 @@ def _cmd_lattice(args, cfg: RunConfig):
     cfg = resolve_lpol_wavelength(cfg)
     config = patterned_lattice(cfg)
     sites = lattice_mod.site_hyperfine_detunings(config, RB87, n_sites=args.sites)
-    rows = [{"index": j,
-             "position_um": sites.site_positions[j] * 1e6,
-             "deltaE0_ER": sites.delta_e0[j],
-             "deltaE1_ER": sites.delta_e1[j],
-             "label": sites.labels[j]}
-            for j in range(len(sites.labels))]
-
+    table = {"index": range(args.sites), "position_um": np.multiply(sites.site_positions, 1e6),
+             "deltaE0_ER": sites.delta_e0, "deltaE1_ER": sites.delta_e1, "label": sites.labels}
     side = []
     if args.profile_out:
-        lam_s = config.spol_wavelength
-        span = sites.site_positions[-1]
-        xs = np.linspace(0.0, span if span > 0 else lam_s, 601)
-        envelope = lattice_mod.intensity_envelope(config, xs)
-        vs = cfg.lattice.depth_er * np.sin(2 * np.pi * xs / lam_s) ** 2
-        side.append((_resolve_out(args, cfg, args.profile_out),
-                     _rows(x_um=xs * 1e6, v0_er=vs + sites.delta_e0[0] * envelope,
-                           v1_er=vs + sites.delta_e1[0] * envelope)))
-    _deliver(args, cfg, rows, "csv", side_files=side)
+        xs = np.linspace(0.0, sites.site_positions[-1], 601)
+        vs = cfg.lattice.depth_er * np.sin(2 * np.pi * xs / config.spol_wavelength) ** 2
+        e0, e1, _ = lattice_mod.lpol_light_shifts(config, RB87, xs)
+        side.append((args.profile_out, {"x_um": xs * 1e6, "v0_er": vs + e0, "v1_er": vs + e1}))
+    _deliver(args, cfg, table, "csv", side_files=side)
 
 
 def _cmd_pulse(args, cfg: RunConfig):
@@ -201,9 +194,9 @@ def _cmd_pulse(args, cfg: RunConfig):
     side = []
     if args.trajectory_out:
         c0, c1 = outcome.states[:, 0], outcome.states[:, 1]
-        side.append((_resolve_out(args, cfg, args.trajectory_out),
-                     _rows(t=outcome.times, re_c0=c0.real, im_c0=c0.imag,
-                           re_c1=c1.real, im_c1=c1.imag)))
+        side.append((args.trajectory_out,
+                     {"t": outcome.times, "re_c0": c0.real, "im_c0": c0.imag,
+                      "re_c1": c1.real, "im_c1": c1.imag}))
     _deliver(args, cfg, report, "json", side_files=side)
 
 
@@ -245,11 +238,11 @@ def _cmd_transfer(args, cfg: RunConfig):
                   units.time_from_natural(transfer_mod.hopping_time(cfg.lattice.depth_er))}
     side = []
     if args.trajectory_out:
-        side.append((_resolve_out(args, cfg, args.trajectory_out),
-                     _rows(t=result.times,
-                           omega=transfer_mod.ramp_schedule(ramp, result.times),
-                           Pe_analytic=result.excitation_analytic,
-                           Pe_numeric=result.excitation_numeric)))
+        side.append((args.trajectory_out,
+                     {"t": result.times,
+                      "omega": transfer_mod.ramp_schedule(ramp, result.times),
+                      "Pe_analytic": result.excitation_analytic,
+                      "Pe_numeric": result.excitation_numeric}))
     _deliver(args, cfg, report, "json", side_files=side)
 
 
@@ -265,26 +258,19 @@ def _cmd_speedup(args, cfg: RunConfig):
     if args.profile_out:
         grid = np.linspace(0.0, spd.final_displacement_sigma, spd.profile_points)
         y_min, gap, element = speedup_mod.path_profile(move.potential, grid, spd.basis_size)
-        side.append((_resolve_out(args, cfg, args.profile_out),
-                     _rows(a=grid, y_min=y_min, gap=gap, element=element)))
+        side.append((args.profile_out,
+                     {"a": grid, "y_min": y_min, "gap": gap, "element": element}))
     if args.potential_out:
         ys = np.linspace(-2.0, 3.5, 551)
         curves = {f"v_a_{a}".replace(".", "p"): move.potential.at(a).value(ys)
                   for a in (0.2, 0.8, 1.5)}
-        side.append((_resolve_out(args, cfg, args.potential_out), _rows(y=ys, **curves)))
+        side.append((args.potential_out, {"y": ys, **curves}))
     _deliver(args, cfg, report, "json", side_files=side)
 
 
-def _cmd_scheme1(args, cfg: RunConfig):
+def _cmd_scheme(args, cfg: RunConfig):
     cfg = resolve_lpol_wavelength(cfg)
-    budget = run_scheme1(cfg)
-    _deliver(args, cfg, budget.to_dict(), "json")
-
-
-def _cmd_scheme2(args, cfg: RunConfig):
-    cfg = resolve_lpol_wavelength(cfg)
-    budget = run_scheme2(cfg)
-    _deliver(args, cfg, budget.to_dict(), "json")
+    _deliver(args, cfg, args.budget(cfg).to_dict(), "json")
 
 
 def _cmd_sweep(args, cfg: RunConfig):
@@ -295,7 +281,7 @@ def _cmd_sweep(args, cfg: RunConfig):
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"--values entry {value!r} is not a JSON value") from exc
     rows = sweep(cfg, args.parameter, values)
-    _deliver(args, cfg, rows, "csv")
+    _deliver(args, cfg, {key: [row[key] for row in rows] for key in rows[0]}, "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_speedup)
 
     p = sub.add_parser("scheme1", help="full four-step budget")
-    p.set_defaults(handler=_cmd_scheme1)
+    p.set_defaults(handler=_cmd_scheme, budget=run_scheme1)
 
     p = sub.add_parser("scheme2", help="cyclic speedup budget")
-    p.set_defaults(handler=_cmd_scheme2)
+    p.set_defaults(handler=_cmd_scheme, budget=run_scheme2)
 
     p = sub.add_parser("sweep", help="scheme-1 budgets over a parameter grid")
     p.add_argument("--parameter", required=True, metavar="SECTION.KEY")

@@ -40,6 +40,7 @@ __all__ = [
 MASS = 0.5  # in units where hbar = 1 and energies are hbar^2/(2 m sigma_c^2)
 
 _GH_NODES, _GH_WEIGHTS = hermgauss(96)
+_GH_WEIGHTS /= math.sqrt(math.pi)   # for the basis Gaussian's weight, summing to 1
 _COUPLING_FLOOR = 1e-8  # relative threshold for "nonzero" transition elements
 _NEWTON_ITERATIONS = 50
 _MIN_STEP = 1e-3  # in s_c: the shortest step minimum tracking halves down to
@@ -183,24 +184,32 @@ def local_basis(p: DoubleGaussianPotential, y_min,
         raise PhysicsDomainError(f"V''({concave[0]}) <= 0: no local oscillator basis")
     omega = np.sqrt(curv / MASS)
     x = _GH_NODES / np.sqrt(MASS * omega) + y
+    rows, cols, pairs, kinetic = _basis_tables(size)
 
+    def matrix(f):
+        """<psi_m| f |psi_n> at every point, filled symmetric from one product."""
+        m = np.empty(x.shape[:-1] + (size, size))
+        m[..., rows, cols] = m[..., cols, rows] = (_GH_WEIGHTS * f(x)) @ pairs
+        return m
+
+    return matrix(p.value) + omega[..., None] * kinetic, matrix(p.displacement_gradient)
+
+
+@functools.cache
+def _basis_tables(size: int) -> tuple[np.ndarray, ...]:
+    """The read-only point-independent tables of `size` oscillator states: the
+    upper-triangle indices, the pair products and the kinetic matrix K."""
     # phi[k, n] = H_n(node_k) / sqrt(2^n n!), the point-independent part of psi_n;
     # column j of pairs is phi[:, m] phi[:, n] for the j-th upper-triangle (m, n)
     n = np.arange(size)
     phi = hermvander(_GH_NODES, size - 1) / np.sqrt(np.cumprod(np.maximum(2.0 * n, 1.0)))
     rows, cols = np.triu_indices(size)
-    pairs = phi[:, rows] * phi[:, cols]
-    weights = _GH_WEIGHTS / math.sqrt(math.pi)
-
-    def matrix(f):
-        """<psi_m| f |psi_n> at every point, filled symmetric from one product."""
-        m = np.empty(x.shape[:-1] + (size, size))
-        m[..., rows, cols] = m[..., cols, rows] = (weights * f(x)) @ pairs
-        return m
-
     ladder = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / 4.0
     kinetic = np.diag((2.0 * n + 1.0) / 4.0) - np.diag(ladder, 2) - np.diag(ladder, -2)
-    return matrix(p.value) + omega[..., None] * kinetic, matrix(p.displacement_gradient)
+    tables = (rows, cols, phi[:, rows] * phi[:, cols], kinetic)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int = 11):

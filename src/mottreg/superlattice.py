@@ -25,7 +25,7 @@ __all__ = [
     "SuperlatticeConfig",
     "SiteDetunings",
     "lpol_period",
-    "intensity_envelope",
+    "lpol_light_shifts",
     "site_hyperfine_detunings",
     "solve_intensity_for_delta",
     "lpol_ramp_time",
@@ -79,10 +79,15 @@ def lpol_period(n: int, lambda_s: float) -> float:
     return n * lambda_s / 2.0
 
 
-def intensity_envelope(config: SuperlatticeConfig, x: np.ndarray) -> np.ndarray:
-    """The LPOL envelope cos^2(pi (x - phase) / eta_l), 1 on the A sites at phase 0."""
+def lpol_light_shifts(config: SuperlatticeConfig, species: AtomSpecies,
+                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The LPOL shifts (dE0, dE1, dE1 - dE0) in E_R at positions x (m), under
+    the envelope cos^2(pi (x - phase) / eta_l), 1 on the A sites at phase 0."""
+    units = UnitSystem.for_lattice(species, config.spol_wavelength)
     eta_l = lpol_period(config.pattern_period, config.spol_wavelength)
-    return np.cos(np.pi * (x - config.lpol_phase) / eta_l) ** 2
+    intensities = config.lpol_intensity * np.cos(np.pi * (x - config.lpol_phase) / eta_l) ** 2
+    return tuple(units.energy_to_natural(shift) for shift in
+                 light_shifts(species, config.lpol_wavelength, intensities)[:3])
 
 
 def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
@@ -98,11 +103,8 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
     count = n if n_sites is None else n_sites
     if count < n:
         raise PhysicsDomainError("need at least one full pattern period of sites")
-    units = UnitSystem.for_lattice(species, config.spol_wavelength)
     xs = np.arange(count) * config.spol_wavelength / 2.0
-    intensities = config.lpol_intensity * intensity_envelope(config, xs)
-    e0, e1, diff = (units.energy_to_natural(shift) for shift in
-                    light_shifts(species, config.lpol_wavelength, intensities)[:3])
+    e0, e1, diff = lpol_light_shifts(config, species, xs)
 
     # classify within the first period, then tile
     period_diff = diff[:n]

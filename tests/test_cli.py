@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mottreg import config as config_mod
+from mottreg import transfer as transfer_mod
 from mottreg.budget import run_scheme1, run_scheme2
 from mottreg.cli import emit, main
 from mottreg.config import (RunConfig, config_from_dict, config_to_dict,
@@ -246,9 +247,9 @@ def test_emit_json_deterministic_and_reparsable(tmp_path):
 
 
 def test_emit_csv_shape(tmp_path):
-    rows = [{"x": 1.0, "label": "A"}, {"x": 2.0, "label": "B"}]
+    table = {"x": [1.0, 2.0], "label": ["A", "B"]}
     path = tmp_path / "rows.csv"
-    emit(rows, "csv", path)
+    emit(table, "csv", path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,label"
     assert len(lines) == 3
@@ -405,9 +406,8 @@ def test_cli_speedup_profile_is_the_uniform_grid_of_profile_points(capsys, tmp_p
     a = np.linspace(0.0, 2.0, 161)
     minima = track_minimum(wells, a)
     gaps, elements = gap_and_element(wells, a, minima, 11)
-    rows = [{"a": float(x), "y_min": float(y), "gap": float(g), "element": float(m)}
-            for x, y, g, m in zip(a, minima, gaps, elements)]
-    assert prof.read_bytes() == emit(rows, "csv", None).encode()
+    table = {"a": a, "y_min": minima, "gap": gaps, "element": elements}
+    assert prof.read_bytes() == emit(table, "csv", None).encode()
 
 
 @pytest.mark.parametrize("command", ["speedup", "scheme2"])
@@ -579,6 +579,82 @@ def test_cli_refuses_a_non_finite_report_value(capsys, monkeypatch, tmp_path):
     assert main(["--out", "pulse.json", "pulse"]) == 4
     assert capsys.readouterr().err.startswith("numerics error: report value 'p_flip' is nan")
     assert not (tmp_path / "pulse.json").exists()
+
+
+def test_cli_refuses_a_non_finite_side_table_value(capsys, monkeypatch, tmp_path):
+    original = transfer_mod.excitation_numeric
+
+    def with_nan(ramp, **kw):
+        result = original(ramp, **kw)
+        pe = result.excitation_numeric.copy()
+        pe[700] = float("nan")
+        return dataclasses.replace(result, excitation_numeric=pe)
+
+    monkeypatch.setattr(transfer_mod, "excitation_numeric", with_nan)
+    monkeypatch.setenv("MOTTREG_OUTDIR", str(tmp_path))
+    assert main(["--out", "t.json", "transfer", "--trajectory-out", "traj.csv"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "numerics error: report value 'Pe_numeric' is nan")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["scheme1", "scheme2"])
+def test_cli_csv_of_a_nested_report_is_a_config_error(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.setenv("MOTTREG_OUTDIR", str(tmp_path))
+    for argv in (["--format", "csv", command], ["--format", "csv", "--out", "b.csv", command]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --format csv")
+        assert "'steps'" in captured.err
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_csv_of_a_flat_report_is_one_row(capsys):
+    code, out = _run(capsys, "--format", "csv", "--set", "removal.trap_depth_er=1e-9", "remove")
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "n_p_B,n_p_A,threshold,feasible,duration_used,rabi_frequency_rad_s"
+    assert row.split(",")[3] == "true"
+
+
+def test_cli_json_of_a_table_is_one_object_per_row(capsys, tmp_path):
+    code, _ = _run(capsys, "--out", str(tmp_path / "sites.csv"), "lattice", "--sites", "6")
+    assert code == 0
+    code, out = _run(capsys, "--format", "json", "lattice", "--sites", "6")
+    assert code == 0
+    rows = json.loads(out)["report"]
+    lines = (tmp_path / "sites.csv").read_text().splitlines()
+    assert len(rows) == len(lines) - 1 == 6
+    for row, line in zip(rows, lines[1:]):
+        assert list(row) == ["index", "position_um", "deltaE0_ER", "deltaE1_ER", "label"]
+        index, position, e0, e1, label = line.split(",")
+        assert row["index"] == int(index)
+        assert row["label"] == label
+        for key, text in (("position_um", position), ("deltaE0_ER", e0), ("deltaE1_ER", e1)):
+            assert isinstance(row[key], float)
+            assert row[key] == float(format(row[key], ".12g")) == float(text)
+
+
+@pytest.mark.parametrize("phase_nm", [0, 50])
+def test_cli_lattice_profile_holds_the_site_shifts(capsys, tmp_path, phase_nm):
+    # the profile's LPOL shifts at the site centres are the sites file's,
+    # whatever the LPOL phase
+    sites, prof = tmp_path / "sites.csv", tmp_path / "profile.csv"
+    code, _ = _run(capsys, "--set", "output.float_digits=17",
+                   "--set", f"lattice.lpol_phase_nm={phase_nm}",
+                   "--out", str(sites), "lattice", "--profile-out", str(prof))
+    assert code == 0
+    site_rows = [line.split(",") for line in sites.read_text().splitlines()[1:]]
+    grid = [[float(v) for v in line.split(",")] for line in prof.read_text().splitlines()[1:]]
+    assert len(site_rows) == 9 and len(grid) == 601
+    depth, lambda_s_um = RunConfig().lattice.depth_er, RunConfig().lattice.lambda_s_nm * 1e-3
+    for j, (_, position, e0, e1, _) in enumerate(site_rows):
+        x_um, v0, v1 = grid[75 * j]
+        assert x_um == pytest.approx(float(position), rel=1e-12, abs=1e-12)
+        v_s = depth * math.sin(2 * math.pi * x_um / lambda_s_um) ** 2
+        assert v0 - v_s == pytest.approx(float(e0), rel=1e-12, abs=0.0)
+        assert v1 - v_s == pytest.approx(float(e1), rel=1e-12, abs=0.0)
 
 
 FUZZ_COMMANDS = ["stark-scan --points 5", "lattice", "pulse", "remove", "transfer",

@@ -177,6 +177,15 @@ def test_local_basis_matches_fd_oracle():
     assert energies[1] == pytest.approx(fd[1], abs=0.2)
 
 
+def test_local_basis_tables_are_cached_read_only():
+    tables = speedup._basis_tables(11)
+    assert speedup._basis_tables(11) is tables
+    for table in tables:
+        assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tables[3][0, 0] = 0.0
+
+
 def test_local_basis_rejects_concave_point():
     with pytest.raises(PhysicsDomainError):
         local_basis(WELLS.at(1.5), 0.75, size=11)  # near the barrier top
