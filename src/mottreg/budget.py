@@ -176,36 +176,40 @@ def transfer_ramp(cfg: RunConfig) -> transfer_mod.HarmonicRamp:
     omega_f = omega_i * ratio if cfg.transfer.direction == "deepen" else omega_i / ratio
     return transfer_mod.HarmonicRamp(initial_frequency=omega_i,
                                      adiabaticity=cfg.transfer.xi,
-                                     direction=cfg.transfer.direction,
                                      final_frequency=omega_f)
 
 
 @dataclass(frozen=True)
 class FocusMove:
     """One moving-focus extraction: the channel potential, its schedule, the
-    move time in seconds, and the excitation and scattering probabilities."""
+    adiabaticity xi_bar, the move time in seconds, and the excitation and
+    scattering probabilities."""
 
     potential: speedup_mod.DoubleGaussianPotential
     schedule: speedup_mod.MovingSchedule
+    xi_bar: float
     move_time: float
     p_exc: float
     p_scatter: float
 
 
 def moving_focus(cfg: RunConfig) -> FocusMove:
-    """The focus move over the configured displacement at xi_bar = sqrt(target / 4)."""
+    """The focus move over the configured displacement at xi_bar = sqrt(target / 4):
+    T = int |<e|dH/da|g>| / (xi_bar gap^2) da, the amplitude ceiling P_exc =
+    4 xi_bar^2, and P_scatter = (Gamma_eff/|Delta_0|) int |V(y_min)| dt along
+    the move, for the focus detuning Delta_0 and its calibrated linewidth."""
     spd = cfg.speedup
     potential = speedup_mod.DoubleGaussianPotential(
         confine_depth=spd.confine_depth, focus_depth=spd.focus_depth,
-        confine_waist=1.0, focus_waist=spd.focus_waist_ratio)
+        focus_waist=spd.focus_waist_ratio)
     schedule = speedup_mod.build_moving_schedule(
-        potential, spd.final_displacement_sigma, math.sqrt(spd.target_excitation / 4.0),
-        basis_size=spd.basis_size)
-    move_time = (speedup_mod.moving_time(schedule)
+        potential, spd.final_displacement_sigma, basis_size=spd.basis_size)
+    xi_bar = math.sqrt(spd.target_excitation / 4.0)
+    move_time = (schedule.integral() / xi_bar
                  * speedup_mod.time_unit(spd.sigma_c_um * 1e-6, RB87.mass))
-    p_exc, p_scatter = speedup_mod.excitation_and_scattering(
-        schedule, spd.effective_linewidth_rad_s, spd.focus_detuning_rad_s)
-    return FocusMove(potential, schedule, move_time, p_exc, p_scatter)
+    p_scatter = (spd.effective_linewidth_rad_s / abs(spd.focus_detuning_rad_s)
+                 * schedule.integral(schedule.depth_profile) / xi_bar)
+    return FocusMove(potential, schedule, xi_bar, move_time, 4.0 * xi_bar ** 2, p_scatter)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +229,9 @@ class _StepTwo:
 
 def _run_step_two(cfg: RunConfig, units: UnitSystem) -> _StepTwo:
     lattice_config = patterned_lattice(cfg)
-    delta_realized = lattice_mod.site_hyperfine_detunings(lattice_config, RB87).delta
-    ramp = lattice_mod.lpol_ramp_time(lattice_config, RB87,
-                                      cfg.lattice.ramp_target_excitation,
-                                      delta_target=delta_realized)
+    sites = lattice_mod.site_hyperfine_detunings(lattice_config, RB87)
+    ramp = lattice_mod.lpol_ramp_time(lattice_config, max(sites.delta_diff),
+                                      cfg.lattice.ramp_target_excitation)
     pulse = pi_pulse(cfg)
     p_flip = rabi_evolve(pulse).p_flip
 
@@ -243,7 +246,7 @@ def _run_step_two(cfg: RunConfig, units: UnitSystem) -> _StepTwo:
                 ("pulse_flip_error", p_flip),
                 ("step2_scattering", p_scatter))
     return _StepTwo(step=("selective_depop", duration, channels),
-                    lattice_config=lattice_config, delta_realized=delta_realized,
+                    lattice_config=lattice_config, delta_realized=sites.delta,
                     ramp_time=ramp_time, pulse=pulse)
 
 
@@ -286,8 +289,7 @@ def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
         ("transfer", transfer_duration, (("transfer_excitation", p_transfer),)),
     ]
     targets, fraction = lattice_mod.pattern_yield(cfg.lattice.total_sites,
-                                                  cfg.lattice.pattern_period,
-                                                  cfg.lattice.dimensions)
+                                                  cfg.lattice.pattern_period)
     extras = {
         "lpol_wavelength_nm": two.lattice_config.lpol_wavelength * 1e9,
         "lpol_intensity_w_m2": two.lattice_config.lpol_intensity,
@@ -330,7 +332,7 @@ def run_scheme2(cfg: RunConfig) -> ProtocolBudget:
     fraction = speedup_mod.cycle_yield(spd.cycles, spd.per_cycle_fraction)
     atoms = int(math.floor(fraction * cfg.lattice.total_sites))
     extras = {
-        "xi_bar": move.schedule.adiabaticity,
+        "xi_bar": move.xi_bar,
         "move_time_ms": move.move_time * 1e3,
         "p_exc": move.p_exc,
         "p_scatter": move.p_scatter,

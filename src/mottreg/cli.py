@@ -35,10 +35,11 @@ from .units import RB87
 
 __all__ = ["main"]
 
-# a CSV report row costs about 700 bytes on its way out (tracemalloc peak of
-# stark-scan --points 150000), so a report holds at most the ~110 MB the pi
-# pulse and the moving-focus profile may hold; --format json takes 1.8 kB a row
-_MAX_ROWS = 150_000
+# a report row costs about 700 bytes on its way out as CSV and 1.8 kB as a
+# JSON object (tracemalloc peaks of stark-scan --points 20000 at 17 digits),
+# so a report holds at most the ~110 MB the pi pulse and the moving-focus
+# profile may hold
+_MAX_ROWS = {"csv": 150_000, "json": 60_000}
 
 
 def _finite(value, key: str):
@@ -143,10 +144,10 @@ def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
     sys.stdout.write(stdout)
 
 
-def _require_rows(flag: str, rows: int):
-    if rows > _MAX_ROWS:
-        raise NumericsError(f"{flag} = {rows} exceeds {_MAX_ROWS} report rows "
-                            "(about 110 MB)")
+def _require_rows(flag: str, rows: int, fmt: str):
+    if rows > _MAX_ROWS[fmt]:
+        raise NumericsError(f"{flag} = {rows} exceeds {_MAX_ROWS[fmt]} report rows "
+                            f"as {fmt} (about 110 MB)")
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def _require_rows(flag: str, rows: int):
 def _cmd_stark_scan(args, cfg: RunConfig):
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
-    _require_rows("--points", args.points)
+    _require_rows("--points", args.points, args.format or "csv")
     band = default_search_band(RB87, cfg.lattice.band_exclusion_nm * 1e-9)
     _deliver(args, cfg, wavelength_scan(RB87, band, args.points,
                                         lattice_units(cfg).base_energy), "csv")
@@ -167,7 +168,7 @@ def _cmd_lattice(args, cfg: RunConfig):
     if args.sites < period:
         raise ConfigError(f"--sites must be >= {period} (one pattern period), "
                           f"got {args.sites}")
-    _require_rows("--sites", args.sites)
+    _require_rows("--sites", args.sites, args.format or "csv")
     cfg = resolve_lpol_wavelength(cfg)
     config = patterned_lattice(cfg)
     sites = lattice_mod.site_hyperfine_detunings(config, RB87, n_sites=args.sites)
@@ -249,10 +250,10 @@ def _cmd_transfer(args, cfg: RunConfig):
 def _cmd_speedup(args, cfg: RunConfig):
     spd = cfg.speedup
     # the profile grid is refused whether or not --profile-out writes it
-    _require_rows("speedup.profile_points", spd.profile_points)
+    _require_rows("speedup.profile_points", spd.profile_points, "csv")
     move = moving_focus(cfg)
     report = {"T_ms": move.move_time * 1e3, "P_exc": move.p_exc,
-              "P_scatter": move.p_scatter, "xi_bar_used": move.schedule.adiabaticity,
+              "P_scatter": move.p_scatter, "xi_bar_used": move.xi_bar,
               "yield_5_cycles": speedup_mod.cycle_yield(5, spd.per_cycle_fraction)}
     side = []
     if args.profile_out:

@@ -50,7 +50,6 @@ class LatticeConfig:
     ramp_target_excitation: float = 1e-4
     band_exclusion_nm: float = 0.2
     total_sites: int = 300
-    dimensions: int = 1
 
 
 @dataclass
@@ -193,7 +192,6 @@ _RANGES = {
     "lattice.lpol_wavelength_nm": ("[100, 1e5]", "an optical wavelength"),
     "lattice.delta_target_er": ("(0, 1e6]", "a light shift far below the optical detunings"),
     "lattice.ramp_target_excitation": ("(0, 0.1)", ""),
-    "lattice.dimensions": ("[1, 2]", ""),
     "pulse.omega0_er": ("(0, inf)", ""),
     "pulse.cutoff": ("(0, inf)", ""),
     "pulse.detuning_er": ("(0, inf)", ""),
@@ -218,8 +216,9 @@ _RANGES = {
 }
 
 
-# the Rb-87 D1-D2 gap in nm; the LPOL search band is this gap less
-# band_exclusion_nm at each end
+# the Rb-87 D lines and their gap in nm; the LPOL search band is the gap
+# less band_exclusion_nm at each end, and no LPOL wavelength comes nearer a line
+_D_LINES_NM = (RB87.d2_wavelength * 1e9, RB87.d1_wavelength * 1e9)
 _D_GAP_NM = (RB87.d1_wavelength - RB87.d2_wavelength) * 1e9
 
 
@@ -287,6 +286,11 @@ def validate_config(cfg: RunConfig):
     if not 0 < 2 * lat.band_exclusion_nm < _D_GAP_NM:
         raise ConfigError(f"lattice.band_exclusion_nm must be positive and below half "
                           f"the {_D_GAP_NM:.6g} nm D1-D2 gap, got {lat.band_exclusion_nm!r}")
+    lam = lat.lpol_wavelength_nm
+    if lam != "optimize" and min(abs(lam - line) for line in _D_LINES_NM) < lat.band_exclusion_nm:
+        raise ConfigError(f"lattice.lpol_wavelength_nm must lie at least lattice.band_exclusion_nm "
+                          f"= {lat.band_exclusion_nm!r} nm from the D lines at "
+                          f"{_D_LINES_NM[0]:.6g} and {_D_LINES_NM[1]:.6g} nm, got {lam!r}")
     _require(lat.total_sites >= lat.pattern_period,
              "lattice.total_sites must cover at least one lattice.pattern_period")
     spd = cfg.speedup

@@ -2,8 +2,8 @@
 Newton tracking of its minimum (a continuation along the path in plain
 floats, V' and V'' from one pair of Gaussians per iterate), the gap and
 coupling profiles at the Gauss-Legendre nodes of the path from stacked
-harmonic-basis eigensolves, the adiabatic moving-time integral,
-excitation/scattering estimates, and the multi-cycle yield.
+harmonic-basis eigensolves, the adiabatic moving-time integral, and the
+multi-cycle yield.
 
 Units: lengths in the confinement waist sigma_c, energies in
 hbar^2 / (2 m sigma_c^2), so hbar = 1 and the mass is 1/2; times come out in
@@ -32,8 +32,6 @@ __all__ = [
     "gap_and_element",
     "path_profile",
     "build_moving_schedule",
-    "moving_time",
-    "excitation_and_scattering",
     "cycle_yield",
 ]
 
@@ -43,6 +41,7 @@ _GH_NODES, _GH_WEIGHTS = hermgauss(96)
 _GH_WEIGHTS /= math.sqrt(math.pi)   # for the basis Gaussian's weight, summing to 1
 _COUPLING_FLOOR = 1e-8  # relative threshold for "nonzero" transition elements
 _NEWTON_ITERATIONS = 50
+_LONGEST_STEP = 0.1  # in s_c: the longest step of minimum tracking
 _MIN_STEP = 1e-3  # in s_c: the shortest step minimum tracking halves down to
 _FIRST_NODES = 32  # the first level that can be taken, checked against 16 and 8
 _leggauss = functools.cache(leggauss)   # read-only nodes and weights per level
@@ -60,37 +59,36 @@ def time_unit(sigma_c: float, mass: float) -> float:
 
 @dataclass(frozen=True)
 class DoubleGaussianPotential:
-    """V(y) = -V_c exp(-2 y^2/s_c^2) - V_f exp(-2 (y-a)^2/s_f^2), with y
-    broadcast against a when the displacement a is an array."""
+    """V(y) = -V_c exp(-2 y^2) - V_f exp(-2 (y-a)^2/s_f^2), with y broadcast
+    against a when the displacement a is an array; the confinement waist is
+    the length unit."""
 
     confine_depth: float
     focus_depth: float
-    confine_waist: float = 1.0
     focus_waist: float = 0.5
     displacement: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.confine_depth < 0 or self.focus_depth < 0:
             raise PhysicsDomainError("well depths must be >= 0")
-        if self.confine_waist <= 0 or self.focus_waist <= 0:
-            raise PhysicsDomainError("waists must be positive")
+        if self.focus_waist <= 0:
+            raise PhysicsDomainError("the focus waist must be positive")
 
     def at(self, a) -> "DoubleGaussianPotential":
         return DoubleGaussianPotential(self.confine_depth, self.focus_depth,
-                                       self.confine_waist, self.focus_waist, a)
+                                       self.focus_waist, a)
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
-        return (-self.confine_depth * np.exp(-2.0 * y ** 2 / self.confine_waist ** 2)
+        return (-self.confine_depth * np.exp(-2.0 * y ** 2)
                 - self.focus_depth * np.exp(-2.0 * (y - self.displacement) ** 2
                                             / self.focus_waist ** 2))
 
     def curvature(self, y):
         y = np.asarray(y, dtype=float)
         u = y - self.displacement
-        sc2, sf2 = self.confine_waist ** 2, self.focus_waist ** 2
-        return (self.confine_depth * (4.0 / sc2) * (1.0 - 4.0 * y ** 2 / sc2)
-                * np.exp(-2.0 * y ** 2 / sc2)
+        sf2 = self.focus_waist ** 2
+        return (self.confine_depth * 4.0 * (1.0 - 4.0 * y ** 2) * np.exp(-2.0 * y ** 2)
                 + self.focus_depth * (4.0 / sf2) * (1.0 - 4.0 * u ** 2 / sf2)
                 * np.exp(-2.0 * u ** 2 / sf2))
 
@@ -115,18 +113,16 @@ def track_minimum(p: DoubleGaussianPotential, a_path) -> np.ndarray:
     a_path = np.asarray(a_path, dtype=float)
     if a_path[0] != 0.0 or np.any(np.diff(a_path) < 0):
         raise PhysicsDomainError("a_path must increase monotonically from 0")
-    wells = (float(p.confine_depth), float(p.focus_depth),
-             float(p.confine_waist) ** 2, float(p.focus_waist) ** 2)
-    longest = 0.1 * p.confine_waist
+    wells = (float(p.confine_depth), float(p.focus_depth), float(p.focus_waist) ** 2)
     minima = []
     a_prev = y_prev = slope = 0.0
     for a in a_path.tolist():
-        target = min(a, a_prev + longest)
+        target = min(a, a_prev + _LONGEST_STEP)
         while True:
             step = target - a_prev
             root = _newton_minimum(wells, target, y_prev + slope * step)
-            if root is None or (minima and abs(root - y_prev) > max(3.0 * step, longest)):
-                if step <= _MIN_STEP * p.confine_waist:
+            if root is None or (minima and abs(root - y_prev) > max(3.0 * step, _LONGEST_STEP)):
+                if step <= _MIN_STEP:
                     raise NumericsError(
                         f"tracked well lost at a = {target}: the minimum merged away "
                         f"(last valid a = {a_prev})")
@@ -137,29 +133,29 @@ def track_minimum(p: DoubleGaussianPotential, a_path) -> np.ndarray:
             a_prev, y_prev = target, root
             if target == a:
                 break
-            target = min(a, a_prev + longest)
+            target = min(a, a_prev + _LONGEST_STEP)
         minima.append(y_prev)
     return np.array(minima)
 
 
-def _newton_minimum(wells: tuple[float, float, float, float], a: float,
+def _newton_minimum(wells: tuple[float, float, float], a: float,
                     y: float) -> float | None:
     """Newton root of dV/dy from y at displacement a, or None when an iterate
     has V'' <= 0 or the iteration does not converge (no local minimum to
-    follow).  wells is (V_c, V_f, s_c^2, s_f^2); V' and V'' (the expression
-    of DoubleGaussianPotential.curvature) are evaluated in floats, sharing one
+    follow).  wells is (V_c, V_f, s_f^2); V' and V'' (the expression of
+    DoubleGaussianPotential.curvature) are evaluated in floats, sharing one
     pair of Gaussians per iterate."""
-    vc, vf, sc2, sf2 = wells
-    kc, kf = vc * (4.0 / sc2), vf * (4.0 / sf2)
+    vc, vf, sf2 = wells
+    kc, kf = vc * 4.0, vf * (4.0 / sf2)
     for _ in range(_NEWTON_ITERATIONS):
         u = y - a
         y2, u2 = y * y, u * u
-        gc = math.exp(-2.0 * y2 / sc2)
+        gc = math.exp(-2.0 * y2)
         gf = math.exp(-2.0 * u2 / sf2)
-        curv = kc * (1.0 - 4.0 * y2 / sc2) * gc + kf * (1.0 - 4.0 * u2 / sf2) * gf
+        curv = kc * (1.0 - 4.0 * y2) * gc + kf * (1.0 - 4.0 * u2 / sf2) * gf
         if curv <= 0.0:
             return None
-        step = (vc * (4.0 * y / sc2) * gc + vf * (4.0 * u / sf2) * gf) / curv
+        step = (vc * (4.0 * y) * gc + vf * (4.0 * u / sf2) * gf) / curv
         y -= step
         if abs(step) <= 1e-12 * max(1.0, abs(y)):
             return y
@@ -242,7 +238,6 @@ class MovingSchedule:
     """Gap, coupling and depth profiles at the Gauss-Legendre nodes of
     [0, a_f], with the nodes' weights for int da."""
 
-    adiabaticity: float
     displacements: np.ndarray
     weights: np.ndarray
     minima: np.ndarray
@@ -278,8 +273,8 @@ def path_profile(p: DoubleGaussianPotential, a, basis_size: int = 11):
     return (minima, *gap_and_element(p, a, minima, basis_size))
 
 
-def _levels(p: DoubleGaussianPotential, adiabaticity: float, sizes,
-            final_displacement: float, basis_size: int) -> list[MovingSchedule]:
+def _levels(p: DoubleGaussianPotential, sizes, final_displacement: float,
+            basis_size: int) -> list[MovingSchedule]:
     """The schedules on the Gauss-Legendre nodes of [0, a_f], one per size,
     profiled in one stack, since each stack has a fixed cost per call."""
     rules = [_leggauss(m) for m in sizes]
@@ -287,12 +282,12 @@ def _levels(p: DoubleGaussianPotential, adiabaticity: float, sizes,
     a = half * (np.concatenate([x for x, _ in rules]) + 1.0)
     minima, gaps, elements = path_profile(p, a, basis_size)
     table = np.array([a, minima, gaps, elements, np.abs(p.at(a).value(minima))])
-    return [MovingSchedule(adiabaticity, a, half * w, *profiles) for (_, w), (a, *profiles)
+    return [MovingSchedule(a, half * w, *profiles) for (_, w), (a, *profiles)
             in zip(rules, np.split(table, np.cumsum(sizes)[:-1], axis=1))]
 
 
 def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
-                          adiabaticity: float, basis_size: int = 11) -> MovingSchedule:
+                          basis_size: int = 11) -> MovingSchedule:
     """Track the focus well over [0, a_f] and profile gap, coupling and depth
     at the Gauss-Legendre nodes of the path.
 
@@ -305,10 +300,8 @@ def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
     """
     if final_displacement < 0:
         raise PhysicsDomainError("final displacement must be >= 0")
-    if adiabaticity <= 0:
-        raise PhysicsDomainError("adiabaticity must be positive")
     m = _FIRST_NODES
-    levels = _levels(p, adiabaticity, (m // 4, m // 2, m), final_displacement, basis_size)
+    levels = _levels(p, (m // 4, m // 2, m), final_displacement, basis_size)
     schedule = levels[-1]
     i3, i2, i1 = (level.integral() for level in levels)
     while not abs(i1 - i2) <= abs(i2 - i3) <= 0.01 * abs(i2):   # a NaN never passes
@@ -320,34 +313,9 @@ def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
                 f"{2 * m} nodes would pass {_MAX_PROFILE} as ({2 * m})^2 or as "
                 f"{2 * m} x (speedup.basis_size^2 + 128)")
         m *= 2
-        (schedule,) = _levels(p, adiabaticity, (m,), final_displacement, basis_size)
+        (schedule,) = _levels(p, (m,), final_displacement, basis_size)
         i3, i2, i1 = i2, i1, schedule.integral()
     return schedule
-
-
-def moving_time(schedule: MovingSchedule) -> float:
-    """T = int |<e|dH/da|g>| / (xi_bar gap^2) da, the schedule's quadrature
-    sum; build_moving_schedule converges its Gauss-Legendre rule."""
-    return schedule.integral() / schedule.adiabaticity
-
-
-def excitation_and_scattering(schedule: MovingSchedule, effective_linewidth: float,
-                              detuning: float) -> tuple[float, float]:
-    """(P_exc, P_scatter) for one extraction move by a focused beam of
-    `detuning` (rad/s), whose detuned transition scatters at
-    `effective_linewidth` (rad/s, a calibrated constant, not derived).
-
-    P_exc is the adiabatic amplitude ceiling 4 xi_bar^2.  P_scatter is
-    int Gamma_eff V(t)/(hbar |Delta_0|) dt along the move; with dt taken from
-    the adiabatic schedule this reduces to (Gamma_eff/|Delta_0|) times the
-    natural-units integral of |V(y_min)| over time.
-    """
-    if effective_linewidth <= 0 or detuning == 0.0:
-        raise PhysicsDomainError("the focus laser needs a linewidth and nonzero detuning")
-    p_exc = 4.0 * schedule.adiabaticity ** 2
-    depth_time = schedule.integral(schedule.depth_profile)
-    p_scatter = effective_linewidth / abs(detuning) * depth_time / schedule.adiabaticity
-    return p_exc, p_scatter
 
 
 def cycle_yield(cycles: int, per_cycle_fraction: float = 1.0 / 3.0) -> float:

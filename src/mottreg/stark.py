@@ -62,9 +62,8 @@ def default_search_band(species: AtomSpecies, exclusion: float = 0.2e-9) -> tupl
 
 
 def optimize_lpol_wavelength(species: AtomSpecies,
-                             search_band: tuple[float, float] | None = None,
                              exclusion: float = 0.2e-9) -> tuple[float, float]:
-    """Wavelength maximising eta inside the band, and eta there.
+    """Wavelength maximising eta inside the default_search_band, and eta there.
 
     In the scaled D1 detuning x = Delta1 / (omega2 - omega1), which runs
     over (0, 1) between the lines, eta = min(eta0, eta1) with eta_k =
@@ -75,14 +74,9 @@ def optimize_lpol_wavelength(species: AtomSpecies,
     of one of the quartics N' D_k - N D_k' that make eta_k stationary; eta
     is evaluated at these at most 11 points.
     """
-    if search_band is None:
-        search_band = default_search_band(species, exclusion)
-    lo, hi = search_band
+    lo, hi = default_search_band(species, exclusion)
     if not (species.d2_wavelength < lo < hi < species.d1_wavelength):
-        raise PhysicsDomainError("search band must lie strictly between the D2 and D1 lines")
-    if (lo - species.d2_wavelength < exclusion - 1e-15
-            or species.d1_wavelength - hi < exclusion - 1e-15):
-        raise PhysicsDomainError("search band touches a resonance neighbourhood")
+        raise PhysicsDomainError("the exclusion leaves no band between the D2 and D1 lines")
 
     w1, w2 = species.d1_angular_frequency, species.d2_angular_frequency
     gammas = species.gamma2 / species.gamma1

@@ -115,7 +115,7 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
     if config.lpol_intensity > 0 and len(tied) > 1:
         raise PhysicsDomainError(
             f"ambiguous site pattern: sites {tied.tolist()} tie for the maximal shift; "
-            "adjust lpol_phase")
+            "adjust lattice.lpol_phase_nm")
     labels = np.where(np.arange(count) % n == a_index, "A", "B")
     delta = float(top - np.sort(period_diff)[-2])     # A minus the largest B shift
 
@@ -129,39 +129,38 @@ def solve_intensity_for_delta(config: SuperlatticeConfig, species: AtomSpecies,
     """LPOL intensity (W/m^2) producing the requested A-B differential (E_R).
 
     delta is exactly linear in intensity, so a unit-intensity evaluation
-    fixes the scale.
+    fixes the scale.  The differential shift must be positive at the LPOL
+    wavelength (between the D2 and D1 lines), or the brightest site would
+    get the smallest shift and be no target.
     """
     if target_delta < 0:
         raise PhysicsDomainError("target delta must be >= 0")
     if target_delta == 0:
         return 0.0
-    per_unit = site_hyperfine_detunings(dataclasses.replace(config, lpol_intensity=1.0),
-                                        species).delta
-    if per_unit <= 0:
-        raise PhysicsDomainError("differential shift is not positive at this wavelength")
-    return target_delta / per_unit
+    if not light_shifts(species, config.lpol_wavelength, 1.0)[2] > 0:
+        raise PhysicsDomainError(
+            f"lattice.lpol_wavelength_nm = {config.lpol_wavelength * 1e9:.6g} gives no "
+            "positive differential shift; it must lie between the D2 and D1 lines")
+    unit = dataclasses.replace(config, lpol_intensity=1.0)
+    return target_delta / site_hyperfine_detunings(unit, species).delta
 
 
-def lpol_ramp_time(config: SuperlatticeConfig, species: AtomSpecies,
-                   target_excitation: float = 1e-4,
-                   delta_target: float | None = None) -> HarmonicRamp:
+def lpol_ramp_time(config: SuperlatticeConfig, shift_a: float,
+                   target_excitation: float) -> HarmonicRamp:
     """The LPOL turn-on ramp keeping band excitation below target, in natural
     units.
 
-    The site-local frequency deepens from 2 sqrt(V_s) to 2 sqrt(V_s + |dE_A|)
-    (E_R/hbar) where dE_A is the full differential shift on A sites, along
-    the adiabatic schedule whose excitation ceiling is 4 xi^2 = target.
+    The site-local frequency deepens from 2 sqrt(V_s) to 2 sqrt(V_s + shift_a)
+    (E_R/hbar), where shift_a is the A site's full differential shift (E_R,
+    the largest delta_diff of a pattern period), along the adiabatic schedule
+    whose excitation ceiling is 4 xi^2 = target.
     """
     if not 0.0 < target_excitation < 0.1:
         raise PhysicsDomainError("target excitation must lie in (0, 0.1)")
-    if delta_target is None:
-        delta_target = site_hyperfine_detunings(config, species).delta
-    if delta_target <= 0:
-        raise PhysicsDomainError("ramp target unreachable: differential shift is zero")
-    shift_a = delta_target / (1.0 - math.cos(math.pi / config.pattern_period) ** 2)
+    if not shift_a > 0:
+        raise PhysicsDomainError("ramp target unreachable: the A-site shift is not positive")
     return HarmonicRamp(initial_frequency=2.0 * math.sqrt(config.spol_depth),
                         adiabaticity=math.sqrt(target_excitation) / 2.0,
-                        direction="deepen",
                         final_frequency=2.0 * math.sqrt(config.spol_depth + shift_a))
 
 
@@ -177,15 +176,10 @@ def lpol_exposure(ramp: HarmonicRamp) -> float:
     return ramp.duration * w_i / (w_i + w_f)
 
 
-def pattern_yield(total_sites: int, n: int, dimensions: int = 1) -> tuple[int, float]:
-    """Extraction targets and their fraction for one atom per n sites.
-
-    1-D keeps one site in n; 2-D keeps one site in n^2.
-    """
+def pattern_yield(total_sites: int, n: int) -> tuple[int, float]:
+    """Extraction targets and their fraction for one atom per n sites of
+    the 1-D lattice."""
     if total_sites < n:
         raise PhysicsDomainError("need at least one pattern period of sites")
-    if dimensions not in (1, 2):
-        raise PhysicsDomainError("dimensions must be 1 or 2")
-    per = n if dimensions == 1 else n * n
-    targets = total_sites // per
+    targets = total_sites // n
     return targets, targets / total_sites

@@ -41,12 +41,12 @@ _MAX_XI = math.sqrt(0.1) / 2.0
 @dataclass(frozen=True)
 class HarmonicRamp:
     """Trapping-frequency schedule omega(t) = omega0 / (1 -/+ 4 sqrt(2) xi
-    omega0 t), deepening (-) or opening (+) the trap.  The lattice-to-microtrap
+    omega0 t), deepening (-) the trap when the final frequency is the higher
+    and opening (+) it when it is the lower.  The lattice-to-microtrap
     transfer and the LPOL turn-on (superlattice.lpol_ramp_time) both follow it."""
 
     initial_frequency: float
     adiabaticity: float
-    direction: str
     final_frequency: float
 
     def __post_init__(self):
@@ -55,12 +55,8 @@ class HarmonicRamp:
                                      "an excitation ceiling 4 xi^2 of at most 0.1")
         if self.initial_frequency <= 0 or self.final_frequency <= 0:
             raise PhysicsDomainError("frequencies must be positive")
-        if self.direction not in ("deepen", "shallow"):
-            raise PhysicsDomainError("direction must be 'deepen' or 'shallow'")
-        if self.direction == "deepen" and self.final_frequency <= self.initial_frequency:
-            raise PhysicsDomainError("deepen requires final > initial frequency")
-        if self.direction == "shallow" and self.final_frequency >= self.initial_frequency:
-            raise PhysicsDomainError("shallow requires final < initial frequency")
+        if self.final_frequency == self.initial_frequency:
+            raise PhysicsDomainError("final and initial frequency must differ")
 
     @property
     def rate_constant(self) -> float:
@@ -95,7 +91,8 @@ def microtrap_depth_kelvin(depth_er: float, units: UnitSystem) -> float:
 
 
 def _signed_rate(ramp: HarmonicRamp) -> float:
-    return ramp.rate_constant if ramp.direction == "deepen" else -ramp.rate_constant
+    deepen = ramp.final_frequency > ramp.initial_frequency
+    return ramp.rate_constant if deepen else -ramp.rate_constant
 
 
 def ramp_schedule(ramp: HarmonicRamp, t) -> np.ndarray:

@@ -12,6 +12,8 @@ import mottreg.budget as budget_mod
 from mottreg.budget import resolved_config_echo, run_scheme1, run_scheme2, sweep
 from mottreg.config import RunConfig, set_by_path
 from mottreg.errors import ConfigError, PhysicsDomainError
+from mottreg.superlattice import site_hyperfine_detunings
+from mottreg.units import RB87
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +26,23 @@ def test_scheme1_headline_numbers(scheme1):
     assert 1e-4 <= scheme1.total_failure <= 5e-4
     assert scheme1.atoms_extracted == 100
     assert scheme1.extraction_fraction == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("phase_nm", [0.0, 50.0, 100.0])
+def test_lpol_ramp_reaches_the_a_site_shift(monkeypatch, phase_nm):
+    # the ramp is planned for the shift the A site receives at every LPOL
+    # phase, not for the phase-0 closed form delta / (1 - cos^2(pi/n))
+    original, ramps = budget_mod.lattice_mod.lpol_ramp_time, []
+    monkeypatch.setattr(budget_mod.lattice_mod, "lpol_ramp_time",
+                        lambda *args, **kw: ramps.append(original(*args, **kw)) or ramps[-1])
+    cfg = RunConfig()
+    cfg.lattice.lpol_phase_nm = phase_nm
+    run_scheme1(cfg)
+    sites = site_hyperfine_detunings(budget_mod.patterned_lattice(cfg), RB87)
+    shift_a = sites.delta_diff[sites.labels.index("A")]
+    (ramp,) = ramps
+    assert ramp.final_frequency == pytest.approx(
+        2.0 * math.sqrt(cfg.lattice.depth_er + shift_a), rel=1e-12, abs=0.0)
 
 
 def test_scheme1_channel_labels(scheme1):

@@ -1,4 +1,5 @@
 """Config loading, serialization, CLI subcommands, determinism, exit codes."""
+import ast
 import contextlib
 import dataclasses
 import io
@@ -154,7 +155,6 @@ EXPECTED_RANGES = {
     "lattice.lpol_wavelength_nm": "[100, 1e5]",
     "lattice.delta_target_er": "(0, 1e6]",
     "lattice.ramp_target_excitation": "(0, 0.1)",
-    "lattice.dimensions": "[1, 2]",
     "pulse.omega0_er": "(0, inf)",
     "pulse.cutoff": "(0, inf)",
     "pulse.detuning_er": "(0, inf)",
@@ -193,6 +193,31 @@ def test_every_number_field_has_a_range_row():
     all_fields = {f"{section}.{key}" for section, keys in config_to_dict(RunConfig()).items()
                   for key in keys}
     assert set(config_mod._WORDS) <= all_fields
+
+
+def _attributes_read() -> set[str]:
+    """The attribute names that src/mottreg loads anywhere outside
+    config.validate_config, whose checks alone make no field do anything."""
+    read = set()
+    for path in Path(config_mod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        checks = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "validate_config"
+                  for node in ast.walk(f)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and id(node) not in checks}
+    return read
+
+
+def test_every_field_is_read_and_every_table_key_is_a_field():
+    # a field that nothing reads does nothing, and a table row of a deleted
+    # field would be skipped without a word
+    fields = {(section, key) for section, keys in config_to_dict(RunConfig()).items()
+              for key in keys}
+    assert {key for _, key in fields} - _attributes_read() == set()
+    paths = {f"{section}.{key}" for section, key in fields}
+    assert set(config_mod._RANGES) | set(config_mod._WORDS) <= paths
 
 
 def _range_cases():
@@ -471,6 +496,42 @@ def test_cli_refuses_the_species_section(capsys, tmp_path):
         assert "unknown section 'species'" in capsys.readouterr().err
 
 
+def test_cli_refuses_the_dimensions_key(capsys):
+    # no detuning of a 2-D cell is modelled, so the lattice has no dimensions
+    assert main(["--set", "lattice.dimensions=2", "scheme1"]) == 2
+    assert "unknown key 'lattice.dimensions'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wavelength", ["780.24", "794.98", "780.3"])
+def test_cli_refuses_an_lpol_wavelength_near_a_d_line(capsys, wavelength):
+    # within lattice.band_exclusion_nm of a line, the margin the optimiser
+    # keeps; 780.24 * 1e-9 is one ulp off the D2 line, so no detuning vanishes
+    for command in ("lattice", "scheme1"):
+        assert main(["--set", f"lattice.lpol_wavelength_nm={wavelength}", command]) == 2
+        assert capsys.readouterr().err.startswith("config error: lattice.lpol_wavelength_nm")
+
+
+@pytest.mark.parametrize("wavelength", ["775", "800", "1064"])
+@pytest.mark.parametrize("phase", ["0", "50"])
+def test_cli_refuses_an_lpol_wavelength_without_a_positive_shift(capsys, wavelength, phase):
+    # outside the D2-D1 band the differential shift is negative, so the
+    # brightest site would get the smallest shift; the sign is refused
+    # before the sites are classified, at any phase
+    assert main(["--set", f"lattice.lpol_wavelength_nm={wavelength}",
+                 "--set", f"lattice.lpol_phase_nm={phase}", "scheme1"]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"physics domain error: lattice.lpol_wavelength_nm = {wavelength} ")
+
+
+def test_cli_lpol_wavelength_in_the_band_runs(capsys):
+    for setting in ("lattice.lpol_wavelength_nm=787.6", "lattice.lpol_wavelength_nm=optimize"):
+        assert main(["--set", setting, "scheme1"]) == 0
+    # 780.3 nm lies outside a 0.01 nm margin of the D2 line
+    assert main(["--set", "lattice.band_exclusion_nm=0.01",
+                 "--set", "lattice.lpol_wavelength_nm=780.3", "lattice"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_set_order_does_not_matter(capsys):
     # every --set is written before the one validation, so two overrides
     # that only hold together pass in either order
@@ -563,6 +624,9 @@ def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, setting, c
     # refused before allocating 7.45 GiB, 74.5 GiB and 72.8 TiB
     ("--points", "stark-scan --points 1000000000", "--points"),
     ("--sites", "lattice --sites 10000000000", "--sites"),
+    # a JSON row object costs 2.6 times a CSV row, so JSON holds fewer rows
+    ("--points", "--format json stark-scan --points 60001", "--points"),
+    ("--sites", "--format json lattice --sites 60001", "--sites"),
     ("lattice.total_sites=100000000000000",
      "--set lattice.pattern_period=10000000000000 scheme1", "lattice.pattern_period"),
 ])

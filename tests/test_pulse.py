@@ -227,13 +227,13 @@ def test_step2_scattering_linear_in_duration():
 def test_step2_scattering_over_operating_timeline():
     # ramp up + pulse hold + ramp down at the delta = 52 E_R intensity
     from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure, lpol_ramp_time,
-                                      solve_intensity_for_delta)
+                                      site_hyperfine_detunings, solve_intensity_for_delta)
     from mottreg.transfer import ramp_schedule
 
     base = SuperlatticeConfig()
     intensity = solve_intensity_for_delta(base, RB87, 52.0)
     cfg = SuperlatticeConfig(lpol_intensity=intensity)
-    ramp = lpol_ramp_time(cfg, RB87, 1e-4)
+    ramp = lpol_ramp_time(cfg, max(site_hyperfine_detunings(cfg, RB87).delta_diff), 1e-4)
     units = UnitSystem.for_lattice(RB87, 850e-9)
     hold = units.time_from_natural(10.0 / 13.0)
     exposure = 2 * units.time_from_natural(lpol_exposure(ramp)) + hold

@@ -12,23 +12,20 @@ from scipy.linalg import eigh_tridiagonal
 
 from mottreg import speedup
 from mottreg.budget import moving_focus
-from mottreg.config import RunConfig
-from mottreg.errors import NumericsError, PhysicsDomainError
+from mottreg.config import RunConfig, validate_config
+from mottreg.errors import ConfigError, NumericsError, PhysicsDomainError
 from mottreg.speedup import (MASS, DoubleGaussianPotential, MovingSchedule,
-                             build_moving_schedule, cycle_yield,
-                             excitation_and_scattering, gap_and_element,
-                             local_basis, moving_time, path_profile, track_minimum)
+                             build_moving_schedule, cycle_yield, gap_and_element,
+                             local_basis, path_profile, track_minimum)
 
-WELLS = DoubleGaussianPotential(confine_depth=400.0, focus_depth=560.0,
-                                confine_waist=1.0, focus_waist=0.5)
+WELLS = DoubleGaussianPotential(confine_depth=400.0, focus_depth=560.0, focus_waist=0.5)
 
 
 def _gradient(p, y):
     """Oracle: dV/dy of p, the analytic derivative of both Gaussians."""
     y = np.asarray(y, dtype=float)
     u = y - p.displacement
-    return (p.confine_depth * (4.0 * y / p.confine_waist ** 2)
-            * np.exp(-2.0 * y ** 2 / p.confine_waist ** 2)
+    return (p.confine_depth * 4.0 * y * np.exp(-2.0 * y ** 2)
             + p.focus_depth * (4.0 * u / p.focus_waist ** 2)
             * np.exp(-2.0 * u ** 2 / p.focus_waist ** 2))
 
@@ -246,7 +243,7 @@ def _per_point_gap_and_element(p, a, y_min, size):
 
 @pytest.mark.parametrize("basis_size", [11, 15])
 def test_schedule_profiles_match_per_point_reference(basis_size):
-    sched = build_moving_schedule(WELLS, 2.0, 0.04, basis_size=basis_size)
+    sched = build_moving_schedule(WELLS, 2.0, basis_size=basis_size)
     for a, y_min, gap, element in zip(sched.displacements, sched.minima,
                                       sched.gap_profile, sched.element_profile):
         ref_gap, ref_element = _per_point_gap_and_element(WELLS, a, y_min, basis_size)
@@ -275,7 +272,7 @@ def test_schedule_makes_one_eigh_call(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    sched = build_moving_schedule(WELLS, 2.0, 0.04)
+    sched = build_moving_schedule(WELLS, 2.0)
     # the 8, 16 and 32 node levels share one stack, and 32 nodes converge
     assert calls == [(56, 11, 11)]
     assert sched.displacements.shape == (32,)
@@ -299,36 +296,42 @@ def test_ground_energy_variational_monotone():
     assert energies[1] >= energies[2] - 1e-9
 
 
+def _move(target_excitation=7e-3, focus_depth=560.0):
+    """The moving-focus move of the default config at xi_bar = sqrt(target / 4)."""
+    cfg = RunConfig()
+    cfg.speedup.target_excitation = target_excitation
+    cfg.speedup.focus_depth = focus_depth
+    return moving_focus(cfg)
+
+
 def test_moving_time_linearity_and_trivial_zero():
-    xi = math.sqrt(7e-3 / 4.0)
-    sched = build_moving_schedule(WELLS, 2.0, xi)
-    sched2 = build_moving_schedule(WELLS, 2.0, 2 * xi)
-    assert moving_time(sched2) == pytest.approx(moving_time(sched) / 2, rel=1e-12)
-    empty = build_moving_schedule(WELLS, 0.0, xi)
-    assert moving_time(empty) == 0.0
+    # four times the target doubles xi_bar and halves the move; a move of
+    # no displacement takes no time
+    move, fast = _move(), _move(4 * 7e-3)
+    assert fast.xi_bar == pytest.approx(2 * move.xi_bar, rel=1e-15, abs=0.0)
+    assert fast.move_time == pytest.approx(move.move_time / 2, rel=1e-12, abs=0.0)
+    assert build_moving_schedule(WELLS, 0.0).integral() == 0.0
 
 
 @settings(max_examples=10, deadline=None)
 @given(xi=st.floats(1e-3, 0.3), focus_depth=st.floats(300.0, 1200.0))
 def test_moving_time_inverse_in_adiabaticity(xi, focus_depth):
-    wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=focus_depth,
-                                    confine_waist=1.0, focus_waist=0.5)
-    unit = moving_time(build_moving_schedule(wells, 2.0, 1.0))
-    assert unit > 0.0
-    assert moving_time(build_moving_schedule(wells, 2.0, xi)) == \
-        pytest.approx(unit / xi, rel=1e-12)
+    unit = _move(4.0 * 0.25 ** 2, focus_depth)
+    assert unit.move_time > 0.0
+    move = _move(4.0 * xi ** 2, focus_depth)
+    assert move.move_time == pytest.approx(unit.move_time * 0.25 / move.xi_bar,
+                                           rel=1e-12, abs=0.0)
 
 
 def test_moving_time_grid_refinement_invariance(monkeypatch):
-    # starting the doubling at 64 or 128 nodes changes the move time by
-    # rounding alone
-    xi = math.sqrt(7e-3 / 4.0)
+    # starting the doubling at 64 or 128 nodes changes the move-time
+    # integral by rounding alone
     times = []
     for first in (32, 64, 128):
         monkeypatch.setattr(speedup, "_FIRST_NODES", first)
-        sched = build_moving_schedule(WELLS, 2.0, xi)
+        sched = build_moving_schedule(WELLS, 2.0)
         assert sched.displacements.shape == (first,)
-        times.append(moving_time(sched))
+        times.append(sched.integral())
     assert times[1] == pytest.approx(times[0], rel=1e-12, abs=0.0)
     assert times[2] == pytest.approx(times[0], rel=1e-12, abs=0.0)
 
@@ -348,12 +351,12 @@ def test_node_doubling_continues_past_a_kinked_integrand():
     # kinks, 32 and 16 nodes differ by more than 1% and the levels double on
     wells = DoubleGaussianPotential(confine_depth=1000.0, focus_depth=580.0,
                                     focus_waist=0.5)
-    sched = build_moving_schedule(wells, 2.0, 0.04)
+    sched = build_moving_schedule(wells, 2.0)
     assert sched.displacements.size > 32
     a = np.linspace(0.0, 2.0, 4001)
     _, gaps, elements = path_profile(wells, a)
-    reference = np.trapezoid(elements / gaps ** 2, a) / 0.04
-    assert moving_time(sched) == pytest.approx(reference, rel=0.01)
+    reference = np.trapezoid(elements / gaps ** 2, a)
+    assert sched.integral() == pytest.approx(reference, rel=0.01)
 
 
 def test_unconverged_node_doubling_is_a_numerics_error(monkeypatch):
@@ -363,7 +366,7 @@ def test_unconverged_node_doubling_is_a_numerics_error(monkeypatch):
                                     focus_waist=0.5)
     with pytest.raises(NumericsError, match=r"not converged: 32 Gauss-Legendre nodes .*"
                                             r"speedup\.basis_size"):
-        build_moving_schedule(wells, 2.0, 0.04, basis_size=15)
+        build_moving_schedule(wells, 2.0, basis_size=15)
 
 
 def test_chance_agreement_of_two_levels_is_not_convergence(monkeypatch):
@@ -375,7 +378,7 @@ def test_chance_agreement_of_two_levels_is_not_convergence(monkeypatch):
     wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=200.78102451888083,
                                     focus_waist=0.5)
     with pytest.raises(NumericsError, match=r"not converged: 1024 Gauss-Legendre nodes"):
-        build_moving_schedule(wells, 5.192438247232971, 1.0, basis_size=15)
+        build_moving_schedule(wells, 5.192438247232971, basis_size=15)
     assert max(sizes) == 1024
     assert 1024 ** 2 <= speedup._MAX_PROFILE < 2048 ** 2
 
@@ -391,7 +394,7 @@ def test_node_minima_match_a_dense_uniform_track(confine_depth, ratio, focus_wai
     wells = DoubleGaussianPotential(confine_depth=confine_depth,
                                     focus_depth=ratio * confine_depth * focus_waist,
                                     focus_waist=focus_waist)
-    sched = build_moving_schedule(wells, a_final, 0.04)
+    sched = build_moving_schedule(wells, a_final)
     path = np.union1d(np.linspace(0.0, a_final, 4001), sched.displacements)
     dense = track_minimum(wells, path)[np.searchsorted(path, sched.displacements)]
     assert np.all(np.abs(sched.minima - dense) <= 1e-15 * np.maximum(1.0, np.abs(dense)))
@@ -399,8 +402,7 @@ def test_node_minima_match_a_dense_uniform_track(confine_depth, ratio, focus_wai
 
 def test_schedule_validation_rejects_vanishing_gap():
     with pytest.raises(PhysicsDomainError, match="gap"):
-        MovingSchedule(adiabaticity=0.04,
-                       displacements=np.array([0.0, 1.0]),
+        MovingSchedule(displacements=np.array([0.0, 1.0]),
                        weights=np.array([0.5, 0.5]),
                        minima=np.array([0.0, 1.0]),
                        gap_profile=np.array([100.0, 0.0]),
@@ -408,35 +410,29 @@ def test_schedule_validation_rejects_vanishing_gap():
                        depth_profile=np.array([500.0, 500.0]))
 
 
-LASER = (2 * math.pi * 5e6, -2 * math.pi * 780e9)  # effective linewidth, detuning
-
-
 def test_excitation_and_scattering_limits():
-    small = build_moving_schedule(WELLS, 2.0, 1e-4)
-    p_exc, _ = excitation_and_scattering(small, *LASER)
-    assert p_exc == pytest.approx(4e-8, rel=1e-12, abs=0.0)
+    assert _move(4e-8).p_exc == pytest.approx(4e-8, rel=1e-12, abs=0.0)
     # halving xi_bar doubles the move duration and hence the scattering
-    xi = math.sqrt(7e-3 / 4.0)
-    full = build_moving_schedule(WELLS, 2.0, xi)
-    half = build_moving_schedule(WELLS, 2.0, xi / 2)
-    _, scatter_full = excitation_and_scattering(full, *LASER)
-    _, scatter_half = excitation_and_scattering(half, *LASER)
-    assert scatter_half == pytest.approx(2 * scatter_full, rel=1e-12)
+    full, half = _move(), _move(7e-3 / 4.0)
+    assert half.xi_bar == full.xi_bar / 2
+    assert half.p_scatter == pytest.approx(2 * full.p_scatter, rel=1e-12, abs=0.0)
 
 
 def test_excitation_refuses_zero_detuning():
-    sched = build_moving_schedule(WELLS, 1.0, 0.04)
-    for linewidth, detuning in ((LASER[0], 0.0), (0.0, LASER[1]), (-LASER[0], LASER[1])):
-        with pytest.raises(PhysicsDomainError, match="nonzero detuning"):
-            excitation_and_scattering(sched, linewidth, detuning)
+    # the focus needs a linewidth and a detuning beyond it; the config check
+    # refuses the rest before any move is built
+    linewidth, detuning = 2 * math.pi * 5e6, -2 * math.pi * 780e9
+    for pair in ((linewidth, 0.0), (0.0, detuning), (-linewidth, detuning)):
+        cfg = RunConfig()
+        cfg.speedup.effective_linewidth_rad_s, cfg.speedup.focus_detuning_rad_s = pair
+        with pytest.raises(ConfigError, match="far-detuned focus"):
+            validate_config(cfg)
 
 
 def test_operating_point_orders_of_magnitude():
-    xi = math.sqrt(7e-3 / 4.0)
-    sched = build_moving_schedule(WELLS, 2.0, xi)
-    p_exc, p_scatter = excitation_and_scattering(sched, *LASER)
-    assert p_exc == pytest.approx(7e-3, rel=1e-12)
-    assert 1e-3 < p_scatter < 1e-1
+    move = _move()
+    assert move.p_exc == pytest.approx(7e-3, rel=1e-12, abs=0.0)
+    assert 1e-3 < move.p_scatter < 1e-1
 
 
 def test_cycle_yield_values():

@@ -213,8 +213,10 @@ def test_wavelength_scan_columns():
 
 
 def test_band_validation():
-    with pytest.raises(PhysicsDomainError):
-        optimize_lpol_wavelength(RB87, (RB87.d2_wavelength + 0.05e-9,
-                                        RB87.d1_wavelength - 1e-9))
-    with pytest.raises(PhysicsDomainError):
-        optimize_lpol_wavelength(RB87, (770e-9, 790e-9))
+    # the exclusion must leave a band strictly between the D2 and D1 lines
+    half_gap = (RB87.d1_wavelength - RB87.d2_wavelength) / 2.0
+    for exclusion in (0.0, -1e-9, half_gap, 1e-6):
+        with pytest.raises(PhysicsDomainError, match="no band"):
+            optimize_lpol_wavelength(RB87, exclusion)
+    lo, hi = default_search_band(RB87, 0.99 * half_gap)
+    assert lo <= optimize_lpol_wavelength(RB87, 0.99 * half_gap)[0] <= hi

@@ -40,6 +40,13 @@ def _configured(intensity=0.0, n=3, phase=0.0):
                               lpol_phase=phase)
 
 
+def _ramp(intensity, target):
+    """The LPOL ramp of the n = 3 lattice at phase 0, planned for its A site."""
+    config = _configured(intensity)
+    return lpol_ramp_time(config, max(site_hyperfine_detunings(config, RB87).delta_diff),
+                          target)
+
+
 @pytest.mark.parametrize("n, phase", [(3, 0.0), (4, 0.0), (5, 30e-9)])
 def test_site_detunings_equal_per_site_calls(n, phase):
     # reference: one scalar light-shift call per site, as the loop did
@@ -95,7 +102,7 @@ def test_site_detunings_linearity_and_label_invariance():
 def test_site_detunings_ambiguity_error():
     # an antinode midway between two sites makes them tie for the maximum
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    with pytest.raises(PhysicsDomainError, match="ambiguous"):
+    with pytest.raises(PhysicsDomainError, match="ambiguous.*lattice.lpol_phase_nm"):
         site_hyperfine_detunings(_configured(intensity, phase=850e-9 / 4), RB87)
 
 
@@ -114,13 +121,12 @@ def test_solve_intensity_round_trip_52er():
 
 def test_ramp_time_near_reference_value():
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    ramp = lpol_ramp_time(_configured(intensity), RB87, 1e-4)
+    ramp = _ramp(intensity, 1e-4)
     units = UnitSystem.for_lattice(RB87, 850e-9)
     assert units.time_from_natural(ramp.duration) * 1e6 == pytest.approx(44.0, rel=0.5)
     assert ramp.adiabaticity == pytest.approx(0.005)
     # the A-site frequency deepens from 2 sqrt(V_s) by the full A shift,
-    # delta / (1 - cos^2(pi/3)) at n = 3
-    assert ramp.direction == "deepen"
+    # delta / (1 - cos^2(pi/3)) at n = 3 and phase 0
     assert ramp.initial_frequency == pytest.approx(2.0 * math.sqrt(50.0), rel=1e-15)
     assert ramp.final_frequency == pytest.approx(2.0 * math.sqrt(50.0 + 52.0 / 0.75),
                                                  rel=1e-12)
@@ -128,29 +134,28 @@ def test_ramp_time_near_reference_value():
 
 def test_ramp_time_monotone_in_target():
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    cfg = _configured(intensity)
-    tight = lpol_ramp_time(cfg, RB87, 1e-4)
-    loose = lpol_ramp_time(cfg, RB87, 1e-2)
+    tight = _ramp(intensity, 1e-4)
+    loose = _ramp(intensity, 1e-2)
     assert loose.duration < tight.duration
 
 
 def test_ramp_time_infeasible_target():
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
     with pytest.raises(PhysicsDomainError):
-        lpol_ramp_time(_configured(intensity), RB87, 0.5)
-    with pytest.raises(PhysicsDomainError):
-        lpol_ramp_time(_configured(0.0), RB87, 1e-4)
+        _ramp(intensity, 0.5)
+    with pytest.raises(PhysicsDomainError, match="A-site shift"):
+        _ramp(0.0, 1e-4)
 
 
 def test_lpol_ramp_admits_every_accepted_target():
     # xi = sqrt(target)/2 reaches 0.158 as the target nears 0.1
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
     for target in (0.09, math.nextafter(0.1, 0.0)):
-        ramp = lpol_ramp_time(_configured(intensity), RB87, target)
+        ramp = _ramp(intensity, target)
         assert ramp.adiabaticity == math.sqrt(target) / 2.0
         assert excitation_numeric(ramp, n_samples=200).max_excitation <= target
     with pytest.raises(PhysicsDomainError):
-        lpol_ramp_time(_configured(intensity), RB87, 0.1)
+        _ramp(intensity, 0.1)
 
 
 def test_ramp_two_level_integration_stays_below_target():
@@ -158,7 +163,7 @@ def test_ramp_two_level_integration_stays_below_target():
     returned ramp; excitation must stay within 1.5x the design target."""
     target = 1e-4
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    ramp = lpol_ramp_time(_configured(intensity), RB87, target)
+    ramp = _ramp(intensity, target)
     xi = ramp.adiabaticity
 
     def rhs(t, c):
@@ -178,8 +183,7 @@ def test_ramp_two_level_integration_stays_below_target():
 
 def test_lpol_ramp_exact_propagator_stays_below_target():
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    results = {target: excitation_numeric(lpol_ramp_time(_configured(intensity), RB87,
-                                                         target))
+    results = {target: excitation_numeric(_ramp(intensity, target))
                for target in (1e-4, 1e-2)}
     for target, result in results.items():
         assert result.max_excitation <= target
@@ -191,7 +195,7 @@ def test_lpol_ramp_exact_propagator_stays_below_target():
 
 def test_ramp_intensity_fraction_endpoints():
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    ramp = lpol_ramp_time(_configured(intensity), RB87, 1e-4)
+    ramp = _ramp(intensity, 1e-4)
     w_i, w_f = ramp.initial_frequency, ramp.final_frequency
 
     def fraction(t):
@@ -205,8 +209,9 @@ def test_ramp_intensity_fraction_endpoints():
 def test_lpol_exposure_matches_quadrature(delta):
     # oracle: int_0^T (omega(t)^2 - omega_i^2)/(omega_f^2 - omega_i^2) dt in
     # 40-digit arithmetic; at delta = 1e-3 E_R the old depth-integral form
-    # cancelled to 1e-7 of the exposure
-    ramp = lpol_ramp_time(_configured(), RB87, 1e-4, delta_target=delta)
+    # cancelled to 1e-7 of the exposure.  The A site of n = 3 at phase 0
+    # shifts by delta / (1 - cos^2(pi/3))
+    ramp = lpol_ramp_time(_configured(), delta / 0.75, 1e-4)
     with mpmath.workdps(40):
         w_i, w_f, rate, duration = (mpmath.mpf(x) for x in (
             ramp.initial_frequency, ramp.final_frequency, ramp.rate_constant,
@@ -217,18 +222,14 @@ def test_lpol_exposure_matches_quadrature(delta):
 
 
 def test_pattern_yield_reference_counts():
-    assert pattern_yield(300, 3, 1) == (100, pytest.approx(1 / 3))
-    targets, fraction = pattern_yield(90_000, 3, 2)
-    assert targets == 10_000
-    assert fraction == pytest.approx(1 / 9)
-    assert pattern_yield(7, 7, 1)[0] == 1
+    assert pattern_yield(300, 3) == (100, pytest.approx(1 / 3))
+    assert pattern_yield(301, 4) == (75, pytest.approx(75 / 301))
+    assert pattern_yield(7, 7)[0] == 1
 
 
 def test_pattern_yield_validation():
     with pytest.raises(PhysicsDomainError):
-        pattern_yield(2, 3, 1)
-    with pytest.raises(PhysicsDomainError):
-        pattern_yield(300, 3, 3)
+        pattern_yield(2, 3)
 
 
 def test_config_validation():

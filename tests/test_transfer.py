@@ -17,8 +17,7 @@ UNITS = UnitSystem.for_lattice(RB87, 850e-9)
 
 def _operating_ramp(xi=0.005, ratio=4.0):
     w0 = initial_frequency(50.0)
-    return HarmonicRamp(initial_frequency=w0, adiabaticity=xi,
-                        direction="deepen", final_frequency=ratio * w0)
+    return HarmonicRamp(initial_frequency=w0, adiabaticity=xi, final_frequency=ratio * w0)
 
 
 def test_initial_frequency_values():
@@ -78,8 +77,8 @@ def test_ramp_satisfies_adiabatic_identity_pointwise():
     # |d omega/dt| = xi (2 omega)^2 / (1/sqrt(2)) identically, that is
     # 1/omega(0) - 1/omega(t) = +-4 sqrt(2) xi t along the whole ramp
     w0 = initial_frequency(50.0)
-    for direction, ratio, sign in (("deepen", 4.0, 1.0), ("shallow", 0.25, -1.0)):
-        ramp = HarmonicRamp(w0, 0.005, direction, ratio * w0)
+    for ratio, sign in ((4.0, 1.0), (0.25, -1.0)):
+        ramp = HarmonicRamp(w0, 0.005, ratio * w0)
         for t in np.linspace(0.0, ramp.duration, 41):
             lhs = 1.0 / w0 - 1.0 / ramp_schedule(ramp, float(t))
             assert lhs == pytest.approx(sign * 4.0 * math.sqrt(2.0) * 0.005 * t, rel=1e-10)
@@ -99,18 +98,19 @@ def test_transfer_time_limits():
 
 
 def test_ramp_direction_validation():
+    # the direction is the sign of final - initial, so equal frequencies have none
     w0 = initial_frequency(50.0)
+    with pytest.raises(PhysicsDomainError, match="must differ"):
+        HarmonicRamp(w0, 0.005, w0)
+    for final in (math.nextafter(w0, 0.0), math.nextafter(w0, math.inf)):
+        HarmonicRamp(w0, 0.005, final)
     with pytest.raises(PhysicsDomainError):
-        HarmonicRamp(w0, 0.005, "deepen", 0.5 * w0)
-    with pytest.raises(PhysicsDomainError):
-        HarmonicRamp(w0, 0.005, "shallow", 2.0 * w0)
-    with pytest.raises(PhysicsDomainError):
-        HarmonicRamp(w0, 0.5, "deepen", 2.0 * w0)
+        HarmonicRamp(w0, 0.5, 2.0 * w0)
     # xi reaches sqrt(0.1)/2, the LPOL ramp's at a target just below 0.1
     xi_max = math.sqrt(0.1) / 2.0
-    assert HarmonicRamp(w0, xi_max, "deepen", 2.0 * w0).adiabaticity == xi_max
+    assert HarmonicRamp(w0, xi_max, 2.0 * w0).adiabaticity == xi_max
     with pytest.raises(PhysicsDomainError):
-        HarmonicRamp(w0, math.nextafter(xi_max, 1.0), "deepen", 2.0 * w0)
+        HarmonicRamp(w0, math.nextafter(xi_max, 1.0), 2.0 * w0)
 
 
 def test_excitation_analytic_start_and_ceiling():
@@ -143,7 +143,9 @@ def test_excitation_numeric_matches_dop853(direction, ratio):
 
     w0 = initial_frequency(50.0)
     xi = 0.005
-    ramp = HarmonicRamp(w0, xi, direction, ratio * w0)
+    ramp = HarmonicRamp(w0, xi, ratio * w0)
+    # the direction follows from the frequencies: a deepening ramp rises
+    assert (ramp_schedule(ramp, ramp.duration) > w0) == (direction == "deepen")
 
     def rhs(t, c):
         omega = ramp_schedule(ramp, t)
@@ -169,7 +171,7 @@ def test_excitation_numeric_vanishes_in_adiabatic_limit():
 
 def test_shallow_ramp_runs():
     w0 = initial_frequency(50.0)
-    ramp = HarmonicRamp(w0, 0.005, "shallow", w0 / 4.0)
+    ramp = HarmonicRamp(w0, 0.005, w0 / 4.0)
     assert ramp_schedule(ramp, ramp.duration) == pytest.approx(w0 / 4.0, rel=1e-12)
     result = excitation_numeric(ramp, n_samples=400)
     assert result.max_excitation <= 4 * 0.005 ** 2 * 1.05
