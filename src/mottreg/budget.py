@@ -19,7 +19,7 @@ from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
 from .config import RunConfig, config_to_dict, resolve_pulse_rules, set_field, validate_config
 from .errors import NumericsError, PhysicsDomainError
-from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve, step2_scattering_probability
+from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve
 from .stark import optimize_lpol_wavelength
 from .units import RB87, UnitSystem
 
@@ -174,9 +174,12 @@ def transfer_ramp(cfg: RunConfig) -> transfer_mod.HarmonicRamp:
     omega_i = transfer_mod.initial_frequency(cfg.lattice.depth_er)
     ratio = cfg.transfer.frequency_ratio
     omega_f = omega_i * ratio if cfg.transfer.direction == "deepen" else omega_i / ratio
-    return transfer_mod.HarmonicRamp(initial_frequency=omega_i,
-                                     adiabaticity=cfg.transfer.xi,
+    ramp = transfer_mod.HarmonicRamp(initial_frequency=omega_i, adiabaticity=cfg.transfer.xi,
                                      final_frequency=omega_f)
+    if not math.isfinite(ramp.duration):
+        raise PhysicsDomainError(f"transfer.xi = {cfg.transfer.xi!r} makes the transfer ramp "
+                                 "longer than the float range")
+    return ramp
 
 
 @dataclass(frozen=True)
@@ -199,12 +202,15 @@ def moving_focus(cfg: RunConfig) -> FocusMove:
     4 xi_bar^2, and P_scatter = (Gamma_eff/|Delta_0|) int |V(y_min)| dt along
     the move, for the focus detuning Delta_0 and its calibrated linewidth."""
     spd = cfg.speedup
+    xi_bar = math.sqrt(spd.target_excitation / 4.0)
+    if not xi_bar > 0:
+        raise PhysicsDomainError(f"speedup.target_excitation = {spd.target_excitation!r} "
+                                 "underflows to xi_bar = 0")
     potential = speedup_mod.DoubleGaussianPotential(
         confine_depth=spd.confine_depth, focus_depth=spd.focus_depth,
         focus_waist=spd.focus_waist_ratio)
     schedule = speedup_mod.build_moving_schedule(
         potential, spd.final_displacement_sigma, basis_size=spd.basis_size)
-    xi_bar = math.sqrt(spd.target_excitation / 4.0)
     move_time = (schedule.integral() / xi_bar
                  * speedup_mod.time_unit(spd.sigma_c_um * 1e-6, RB87.mass))
     p_scatter = (spd.effective_linewidth_rad_s / abs(spd.focus_detuning_rad_s)
@@ -233,18 +239,18 @@ def _run_step_two(cfg: RunConfig, units: UnitSystem) -> _StepTwo:
     ramp = lattice_mod.lpol_ramp_time(lattice_config, max(sites.delta_diff),
                                       cfg.lattice.ramp_target_excitation)
     pulse = pi_pulse(cfg)
-    p_flip = rabi_evolve(pulse).p_flip
+    # the Richardson amplitudes of a full flip may pass 1 by an ulp
+    p_flip = min(1.0, rabi_evolve(pulse).p_flip)
 
     # ramp up, hold at full intensity for the pulse, ramp down (time-reversed)
     ramp_time = units.time_from_natural(ramp.duration)
     hold = units.time_from_natural(2.0 * pulse.cutoff)
     duration = 2.0 * ramp_time + hold
-    p_scatter = step2_scattering_probability(
-        lattice_config.lpol_intensity, RB87, lattice_config.lpol_wavelength,
-        2.0 * units.time_from_natural(lattice_mod.lpol_exposure(ramp)) + hold)
+    # the A site's rate is linear in intensity: its peak rate x full-intensity time
+    exposure = 2.0 * units.time_from_natural(lattice_mod.lpol_exposure(ramp)) + hold
     channels = (("lpol_ramp_excitation", cfg.lattice.ramp_target_excitation),
                 ("pulse_flip_error", p_flip),
-                ("step2_scattering", p_scatter))
+                ("step2_scattering", min(1.0, sites.gamma_a * exposure)))
     return _StepTwo(step=("selective_depop", duration, channels),
                     lattice_config=lattice_config, delta_realized=sites.delta,
                     ramp_time=ramp_time, pulse=pulse)

@@ -178,7 +178,7 @@ def _cmd_lattice(args, cfg: RunConfig):
     if args.profile_out:
         xs = np.linspace(0.0, sites.site_positions[-1], 601)
         vs = cfg.lattice.depth_er * np.sin(2 * np.pi * xs / config.spol_wavelength) ** 2
-        e0, e1, _ = lattice_mod.lpol_light_shifts(config, RB87, xs)
+        e0, e1, _, _ = lattice_mod.lpol_light_shifts(config, RB87, xs)
         side.append((args.profile_out, {"x_um": xs * 1e6, "v0_er": vs + e0, "v1_er": vs + e1}))
     _deliver(args, cfg, table, "csv", side_files=side)
 

@@ -286,6 +286,12 @@ def validate_config(cfg: RunConfig):
     if not 0 < 2 * lat.band_exclusion_nm < _D_GAP_NM:
         raise ConfigError(f"lattice.band_exclusion_nm must be positive and below half "
                           f"the {_D_GAP_NM:.6g} nm D1-D2 gap, got {lat.band_exclusion_nm!r}")
+    # a band end's detuning 2 pi c (1/lambda - 1/line) is 0 when the reciprocals round equal
+    exclusion = lat.band_exclusion_nm * 1e-9
+    _require(1.0 / (RB87.d2_wavelength + exclusion) != 1.0 / RB87.d2_wavelength
+             and 1.0 / (RB87.d1_wavelength - exclusion) != 1.0 / RB87.d1_wavelength,
+             f"lattice.band_exclusion_nm = {lat.band_exclusion_nm!r} leaves an end of the "
+             "search band on a D line in floating point")
     lam = lat.lpol_wavelength_nm
     if lam != "optimize" and min(abs(lam - line) for line in _D_LINES_NM) < lat.band_exclusion_nm:
         raise ConfigError(f"lattice.lpol_wavelength_nm must lie at least lattice.band_exclusion_nm "
@@ -322,8 +328,12 @@ def resolve_pulse_rules(cfg: RunConfig) -> tuple[float, float, float]:
     delta = cfg.lattice.delta_target_er
     omega0 = (delta / 4.0 if cfg.pulse.omega0_er == "delta/4"
               else float(cfg.pulse.omega0_er))
+    if not omega0 > 0:
+        raise ConfigError(f"pulse.omega0_er = delta/4 is 0 at lattice.delta_target_er = {delta!r}")
     t_f = (5.0 / omega0 if cfg.pulse.cutoff == "5/omega0"
            else float(cfg.pulse.cutoff))
+    if not math.isfinite(t_f):
+        raise ConfigError(f"pulse.cutoff = 5/omega0 overflows at pulse.omega0_er = {omega0!r}")
     detuning = (delta if cfg.pulse.detuning_er == "delta"
                 else float(cfg.pulse.detuning_er))
     return omega0, t_f, detuning

@@ -1,6 +1,6 @@
 """Small dense numerical kernels behind the physics modules.
 
-solve_scalar is Brent root finding (the removing-laser drive) and expm a
+solve_scalar is root finding by bisection (the removing-laser drive) and expm a
 Pade-13 matrix exponential (the off-resonant photon count).
 Eigenproblems go straight to numpy.linalg, the pi pulse has its own Magnus
 propagator in pulse, and the LPOL wavelength optimum is taken from its exact
@@ -30,59 +30,31 @@ def _same_sign(x: float, y: float) -> bool:
     return (x > 0.0 and y > 0.0) or (x < 0.0 and y < 0.0)
 
 
-def solve_scalar(f: Callable[[float], float], bracket: Sequence[float],
-                 tol: float = 1e-13) -> float:
-    """Brent root of f inside a sign-changing bracket.  A NaN from f raises
+def solve_scalar(f: Callable[[float], float], bracket: Sequence[float]) -> float:
+    """Root of f inside a sign-changing bracket, given in either order, by
+    bisection until the midpoint rounds to an end: of the last two adjacent
+    floats, the one with the smaller |f|.  A NaN from f raises
     NumericsError: it compares false with every sign test and would
     otherwise end the search at an arbitrary point."""
-    a, b = float(bracket[0]), float(bracket[1])
+    a, b = sorted(float(x) for x in bracket)
     fa, fb = f(a), f(b)
     if math.isnan(fa) or math.isnan(fb):
         raise NumericsError(f"solve_scalar: f is NaN at an end of [{a}, {b}]")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
     if _same_sign(fa, fb):
         raise PhysicsDomainError(f"no sign change on bracket [{a}, {b}]")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(200):
-        if _same_sign(fb, fc):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
+    while a < (m := 0.5 * a + 0.5 * b) < b:     # halves before adding: no overflow
+        fm = f(m)
+        if math.isnan(fm):
+            raise NumericsError(f"solve_scalar: f is NaN at {m}")
+        if fm == 0.0:
+            return m
+        if _same_sign(fm, fa):
+            a, fa = m, fm
         else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-        if math.isnan(fb):
-            raise NumericsError(f"solve_scalar: f is NaN at {b}")
-    raise NumericsError("solve_scalar exceeded its iteration budget")
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
 
 
 # ---------------------------------------------------------------------------

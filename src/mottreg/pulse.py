@@ -1,5 +1,5 @@
 """Gaussian microwave pi-pulse design and two-level Rabi dynamics for the
-selective depopulation step, plus its spontaneous-scattering budget.
+selective depopulation step.
 
 Works in natural units: Rabi and detuning frequencies in E_R/hbar, times in
 hbar/E_R.  The rotating-frame Hamiltonian has the envelope Omega(t)/2 off
@@ -25,15 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, PhysicsDomainError
-from .stark import light_shifts
-from .units import AtomSpecies
 
 __all__ = [
     "GaussianPulse",
     "TwoLevelOutcome",
     "pi_pulse_amplitude",
     "rabi_evolve",
-    "step2_scattering_probability",
 ]
 
 
@@ -50,7 +47,8 @@ class GaussianPulse:
         if self.peak_rabi <= 0 or self.envelope_width <= 0:
             raise PhysicsDomainError("pulse amplitudes must be positive")
         if self.cutoff < 3.0 / self.envelope_width:
-            raise PhysicsDomainError("cutoff must be >= 3/omega_0 so truncation is negligible")
+            raise PhysicsDomainError("pulse.cutoff must be >= 3/pulse.omega0_er "
+                                     "so truncation is negligible")
 
     def envelope(self, t):
         return self.peak_rabi * np.exp(-(self.envelope_width * t) ** 2)
@@ -74,7 +72,7 @@ def pi_pulse_amplitude(omega0: float, t_f: float) -> float:
     """Peak Rabi Omega_0 = pi / int_{-t_f}^{t_f} exp(-omega_0^2 t^2) dt, with
     the integral in closed form, sqrt(pi) erf(omega_0 t_f) / omega_0."""
     if t_f < 3.0 / omega0:
-        raise PhysicsDomainError("cutoff must be >= 3/omega_0")
+        raise PhysicsDomainError("pulse.cutoff must be >= 3/pulse.omega0_er")
     return math.pi * omega0 / (math.sqrt(math.pi) * math.erf(omega0 * t_f))
 
 
@@ -173,7 +171,8 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
             break
         if 2 * n > _MAX_STEPS:
             raise NumericsError(f"pi pulse not converged at {n} Magnus steps: "
-                                f"|p(n) - p(n/2)| = {gap:.3g} for p_flip = {p_fine:.6g}")
+                                f"|p(n) - p(n/2)| = {gap:.3g} for p_flip = {p_fine:.6g}; "
+                                "shorten pulse.cutoff")
         n *= 2
         pairs = np.stack([_product(_magnus_steps(pulse, n)), pairs[0]])
     p_stay, p_flip = np.abs(_richardson(*pairs)) ** 2
@@ -186,15 +185,3 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
             0.5j * pulse.detuning * (times - times[0]))[:, None]
     return TwoLevelOutcome(p_flip=float(p_flip), p_stay=float(p_stay), times=times,
                            states=states, n_steps=n, flip_gap=gap)
-
-
-def step2_scattering_probability(intensity: float, species: AtomSpecies,
-                                 lpol_wavelength: float, exposure: float) -> float:
-    """P = int gamma(t) dt with gamma = max(gamma0, gamma1) at the
-    instantaneous LPOL intensity.  gamma is linear in intensity, so the
-    integral is the rate at the peak `intensity` (W/m^2) times `exposure`,
-    the full-intensity-equivalent time int I(t) dt / I_peak in seconds."""
-    if exposure == 0.0:
-        return 0.0
-    _, _, _, gamma0, gamma1 = light_shifts(species, lpol_wavelength, 1.0)
-    return float(max(gamma0, gamma1)) * intensity * exposure

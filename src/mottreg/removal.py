@@ -128,7 +128,8 @@ def removal_photon_threshold(trap_depth_er: float) -> float:
 def collision_probability(hot_atom_lifetime: float, tunneling_time: float) -> float:
     """Chance a hot atom tunnels next door before leaving: lifetime / t_tunnel."""
     if hot_atom_lifetime < 0 or tunneling_time <= 0:
-        raise PhysicsDomainError("need lifetime >= 0 and tunneling time > 0")
+        raise PhysicsDomainError("need a hot-atom lifetime >= 0 and a positive "
+                                 "removal.tunneling_time_ms")
     return min(1.0, hot_atom_lifetime / tunneling_time)
 
 
@@ -151,13 +152,14 @@ def solve_removal_drive(linewidth: float, threshold: float,
 
     The scattering rate saturates at Gamma/2, so a request needing an average
     excited population above the cap is extended to the minimal feasible
-    duration.  The drive is then solved by Brent's method in log Omega_L,
-    each step one closed-form resonant_photon_count, between a lower end
+    duration.  The drive is then solved by bisection in log Omega_L, each
+    step one closed-form resonant_photon_count, between a lower end
     that scatters at most half the threshold and Omega_L = 1e3 Gamma.
     """
     if threshold < 0 or requested_duration <= 0 or linewidth <= 0:
         raise PhysicsDomainError(
-            "need threshold >= 0, a positive duration and a positive linewidth")
+            "need a photon threshold >= 0 (removal.trap_depth_er), a positive window "
+            "(removal.duration_us) and a positive linewidth")
     if threshold == 0.0:
         return RemovalPlan(rabi_frequency=0.0, duration=requested_duration,
                            feasible_at_request=True, threshold=threshold)
@@ -165,6 +167,9 @@ def solve_removal_drive(linewidth: float, threshold: float,
     feasible = needed_population <= excited_population_cap
     duration = (requested_duration if feasible
                 else threshold / (linewidth * excited_population_cap))
+    if not math.isfinite(duration):
+        raise PhysicsDomainError(f"removal.excited_population_cap = {excited_population_cap!r} "
+                                 "stretches the removal window beyond the float range")
 
     def deficit(log_omega: float) -> float:
         return resonant_photon_count(linewidth, math.exp(log_omega), duration) - threshold
@@ -180,6 +185,6 @@ def solve_removal_drive(linewidth: float, threshold: float,
             f"unreachable in the {duration * 1e6:.6g} us window even at "
             f"Omega = 1e3 Gamma; lower removal.trap_depth_er or "
             f"removal.excited_population_cap, or lengthen removal.duration_us")
-    log_omega = solve_scalar(deficit, (lo, hi), tol=1e-12)
+    log_omega = solve_scalar(deficit, (lo, hi))
     return RemovalPlan(rabi_frequency=math.exp(log_omega), duration=duration,
                        feasible_at_request=feasible, threshold=threshold)

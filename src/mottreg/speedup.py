@@ -125,7 +125,8 @@ def track_minimum(p: DoubleGaussianPotential, a_path) -> np.ndarray:
                 if step <= _MIN_STEP:
                     raise NumericsError(
                         f"tracked well lost at a = {target}: the minimum merged away "
-                        f"(last valid a = {a_prev})")
+                        f"(last valid a = {a_prev}); the focus of speedup.focus_depth and "
+                        "speedup.focus_waist_ratio holds no well that far")
                 target = a_prev + 0.5 * step
                 continue
             if step > 0.0:
@@ -224,7 +225,8 @@ def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int = 11):
     top = np.max(couplings, axis=-1, keepdims=True)
     if np.any(top == 0.0):
         uncoupled = np.broadcast_to(a, top.shape[:-1])[top[..., 0] == 0.0]
-        raise PhysicsDomainError(f"all drive couplings vanish at a = {uncoupled[0]}")
+        raise PhysicsDomainError(f"all drive couplings vanish at a = {uncoupled[0]}: "
+                                 "the focus of speedup.focus_depth does not move the well")
     index = np.argmax(couplings > _COUPLING_FLOOR * top, axis=-1)[..., None]
     gap = np.take_along_axis(energies, 1 + index, axis=-1)[..., 0] - energies[..., 0]
     element = np.take_along_axis(couplings, index, axis=-1)[..., 0]

@@ -56,7 +56,9 @@ class SuperlatticeConfig:
         if self.spol_depth <= 0:
             raise PhysicsDomainError("spol_depth must be positive")
         if self.lpol_wavelength > self.pattern_period * self.spol_wavelength:
-            raise PhysicsDomainError("no intersection angle exists: lambda_l > n lambda_s")
+            raise PhysicsDomainError(
+                "no intersection angle exists: lattice.lpol_wavelength_nm exceeds "
+                "lattice.pattern_period x lattice.lambda_s_nm")
         if self.lpol_intensity < 0:
             raise PhysicsDomainError("lpol_intensity must be >= 0")
 
@@ -64,7 +66,8 @@ class SuperlatticeConfig:
 @dataclass(frozen=True)
 class SiteDetunings:
     """Per-site A/B labels (A marks the extraction targets), positions (m) and
-    logical-state shifts (E_R), and the worst-case A-B differential."""
+    logical-state shifts (E_R), the worst-case A-B differential, and the A
+    site's scattering rate max(gamma0, gamma1) (1/s)."""
 
     labels: tuple[str, ...]
     site_positions: tuple[float, ...]
@@ -72,6 +75,7 @@ class SiteDetunings:
     delta_e1: tuple[float, ...]
     delta_diff: tuple[float, ...]
     delta: float
+    gamma_a: float
 
 
 def lpol_period(n: int, lambda_s: float) -> float:
@@ -79,49 +83,56 @@ def lpol_period(n: int, lambda_s: float) -> float:
     return n * lambda_s / 2.0
 
 
-def lpol_light_shifts(config: SuperlatticeConfig, species: AtomSpecies,
-                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The LPOL shifts (dE0, dE1, dE1 - dE0) in E_R at positions x (m), under
-    the envelope cos^2(pi (x - phase) / eta_l), 1 on the A sites at phase 0."""
-    units = UnitSystem.for_lattice(species, config.spol_wavelength)
+def _envelope(config: SuperlatticeConfig, x: np.ndarray) -> np.ndarray:
+    """The LPOL intensity envelope cos^2(pi (x - phase) / eta_l) at positions x (m)."""
     eta_l = lpol_period(config.pattern_period, config.spol_wavelength)
-    intensities = config.lpol_intensity * np.cos(np.pi * (x - config.lpol_phase) / eta_l) ** 2
-    return tuple(units.energy_to_natural(shift) for shift in
-                 light_shifts(species, config.lpol_wavelength, intensities)[:3])
+    return np.cos(np.pi * (x - config.lpol_phase) / eta_l) ** 2
+
+
+def lpol_light_shifts(config: SuperlatticeConfig, species: AtomSpecies,
+                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The LPOL shifts (dE0, dE1, dE1 - dE0) in E_R and the scattering rate
+    max(gamma0, gamma1) in 1/s at positions x (m), under the envelope, 1 on
+    the A sites at phase 0."""
+    units = UnitSystem.for_lattice(species, config.spol_wavelength)
+    de0, de1, diff, gamma0, gamma1 = light_shifts(
+        species, config.lpol_wavelength, config.lpol_intensity * _envelope(config, x))
+    return (*(units.energy_to_natural(shift) for shift in (de0, de1, diff)),
+            np.maximum(gamma0, gamma1))
 
 
 def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
                              n_sites: int | None = None) -> SiteDetunings:
     """Evaluate the LPOL shifts at site centers and classify A/B sites.
 
-    Sites sit at x_j = j lambda_s / 2.  The site with the largest
-    differential shift in each period is the target A; delta is the A shift
-    minus the largest B shift (worst case for microwave selectivity).
-    Raises if the phase makes the per-period maximum ambiguous.
+    Sites sit at x_j = j lambda_s / 2.  The brightest site of each period
+    under the LPOL envelope is the target A; delta is the A shift minus the
+    largest B shift (worst case for microwave selectivity), and the A site's
+    scattering rate is the largest of its period.  Raises if the phase makes
+    the brightest site ambiguous.
     """
     n = config.pattern_period
     count = n if n_sites is None else n_sites
     if count < n:
         raise PhysicsDomainError("need at least one full pattern period of sites")
     xs = np.arange(count) * config.spol_wavelength / 2.0
-    e0, e1, diff = lpol_light_shifts(config, species, xs)
+    e0, e1, diff, gamma = lpol_light_shifts(config, species, xs)
 
     # classify within the first period, then tile
-    period_diff = diff[:n]
-    a_index = int(np.argmax(period_diff))
-    top = period_diff[a_index]
-    scale = max(abs(top), 1e-30)
-    tied = np.flatnonzero(np.abs(period_diff - top) <= 1e-9 * scale)
-    if config.lpol_intensity > 0 and len(tied) > 1:
+    envelope = _envelope(config, xs[:n])
+    a_index = int(np.argmax(envelope))
+    tied = np.flatnonzero(envelope >= (1.0 - 1e-9) * envelope[a_index])
+    if len(tied) > 1:
         raise PhysicsDomainError(
-            f"ambiguous site pattern: sites {tied.tolist()} tie for the maximal shift; "
-            "adjust lattice.lpol_phase_nm")
+            f"ambiguous site pattern: sites {tied.tolist()} tie for the brightest LPOL "
+            "envelope; adjust lattice.lpol_phase_nm or lattice.pattern_period")
     labels = np.where(np.arange(count) % n == a_index, "A", "B")
-    delta = float(top - np.sort(period_diff)[-2])     # A minus the largest B shift
+    delta = float(diff[a_index] - diff[:n].max(where=np.arange(n) != a_index, initial=-np.inf))
 
     return SiteDetunings(labels=tuple(labels.tolist()), site_positions=tuple(xs.tolist()),
                          delta_e0=tuple(e0.tolist()), delta_e1=tuple(e1.tolist()),
-                         delta_diff=tuple(diff.tolist()), delta=delta)
+                         delta_diff=tuple(diff.tolist()), delta=delta,
+                         gamma_a=float(gamma[a_index]))
 
 
 def solve_intensity_for_delta(config: SuperlatticeConfig, species: AtomSpecies,
@@ -157,11 +168,16 @@ def lpol_ramp_time(config: SuperlatticeConfig, shift_a: float,
     """
     if not 0.0 < target_excitation < 0.1:
         raise PhysicsDomainError("target excitation must lie in (0, 0.1)")
-    if not shift_a > 0:
-        raise PhysicsDomainError("ramp target unreachable: the A-site shift is not positive")
-    return HarmonicRamp(initial_frequency=2.0 * math.sqrt(config.spol_depth),
-                        adiabaticity=math.sqrt(target_excitation) / 2.0,
-                        final_frequency=2.0 * math.sqrt(config.spol_depth + shift_a))
+    w_i = 2.0 * math.sqrt(config.spol_depth)
+    # a NaN shift, or one within the rounding of V_s or of its root, leaves w_f = w_i
+    w_f = 2.0 * math.sqrt(config.spol_depth + shift_a) if shift_a > 0 else w_i
+    if not w_f > w_i:
+        raise PhysicsDomainError(
+            f"ramp target unreachable: the A-site shift {shift_a:.6g} E_R does not deepen "
+            f"the {config.spol_depth:.6g} E_R site in floating point; raise "
+            "lattice.delta_target_er or lower lattice.depth_er")
+    return HarmonicRamp(initial_frequency=w_i, adiabaticity=math.sqrt(target_excitation) / 2.0,
+                        final_frequency=w_f)
 
 
 def lpol_exposure(ramp: HarmonicRamp) -> float:

@@ -1,18 +1,23 @@
 """Scheme orchestration: step durations, channel aggregation, sweeps."""
 import copy
+import dataclasses
 import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mottreg.budget as budget_mod
 from mottreg.budget import resolved_config_echo, run_scheme1, run_scheme2, sweep
-from mottreg.config import RunConfig, set_by_path
+from mottreg.config import RunConfig, set_by_path, set_field, validate_config
 from mottreg.errors import ConfigError, PhysicsDomainError
-from mottreg.superlattice import site_hyperfine_detunings
+from mottreg.stark import light_shifts
+from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure, lpol_period, lpol_ramp_time,
+                                  site_hyperfine_detunings)
+from mottreg.transfer import ramp_schedule
 from mottreg.units import RB87
 
 
@@ -71,6 +76,112 @@ def test_scheme1_runs_at_the_largest_ramp_targets(scheme1):
     assert channels["lpol_ramp_excitation"] == 0.09
     assert budget.extras["lpol_ramp_us"] * 30.0 == pytest.approx(
         scheme1.extras["lpol_ramp_us"], rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# step-II scattering: the A site's rate times the full-intensity exposure
+# ---------------------------------------------------------------------------
+
+def _step2_scattering(budget) -> float:
+    return dict(budget.steps[1].failure_channels)["step2_scattering"]
+
+
+def _step2_exposure(cfg: RunConfig) -> float:
+    """Full-intensity-equivalent LPOL time (s) of step II: ramp up, the
+    pulse hold and ramp down."""
+    units = budget_mod.lattice_units(cfg)
+    lattice = budget_mod.patterned_lattice(cfg)
+    ramp = lpol_ramp_time(lattice, max(site_hyperfine_detunings(lattice, RB87).delta_diff),
+                          cfg.lattice.ramp_target_excitation)
+    hold = units.time_from_natural(2.0 * budget_mod.pi_pulse(cfg).cutoff)
+    return 2.0 * units.time_from_natural(lpol_exposure(ramp)) + hold
+
+
+@pytest.mark.parametrize("phase_nm", [0.0, 50.0, 100.0])
+def test_step2_scattering_is_the_a_site_rate_over_the_exposure(phase_nm):
+    # the A site sees cos^2(pi (x_A - phase)/eta_l) of the LPOL peak, 0.98
+    # at 50 nm and 0.94 at 100 nm, and its rate is linear in intensity
+    cfg = RunConfig()
+    cfg.lattice.lpol_phase_nm = phase_nm
+    lattice = budget_mod.patterned_lattice(cfg)
+    sites = site_hyperfine_detunings(lattice, RB87)
+    x_a = sites.site_positions[sites.labels.index("A")]
+    eta_l = lpol_period(lattice.pattern_period, lattice.spol_wavelength)
+    _, _, _, gamma0, gamma1 = light_shifts(RB87, lattice.lpol_wavelength, 1.0)
+    expected = (max(gamma0, gamma1) * lattice.lpol_intensity
+                * math.cos(math.pi * (x_a - lattice.lpol_phase) / eta_l) ** 2
+                * _step2_exposure(cfg))
+    assert _step2_scattering(run_scheme1(cfg)) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_step2_scattering_zero_intensity(monkeypatch):
+    # no LPOL light scatters nothing, and a zero rate charges exactly 0
+    assert site_hyperfine_detunings(SuperlatticeConfig(), RB87).gamma_a == 0.0
+    original = budget_mod.lattice_mod.site_hyperfine_detunings
+    monkeypatch.setattr(budget_mod.lattice_mod, "site_hyperfine_detunings",
+                        lambda *args: dataclasses.replace(original(*args), gamma_a=0.0))
+    assert _step2_scattering(run_scheme1(RunConfig())) == 0.0
+
+
+def test_step2_scattering_linear_in_exposure():
+    # a longer pulse hold adds its own exposure at the same A-site rate
+    charges, exposures = [], []
+    for cutoff in (0.5, 1.0):
+        cfg = RunConfig()
+        cfg.pulse.cutoff = cutoff
+        charges.append(_step2_scattering(run_scheme1(cfg)))
+        exposures.append(_step2_exposure(cfg))
+    gamma_a = site_hyperfine_detunings(budget_mod.patterned_lattice(RunConfig()), RB87).gamma_a
+    assert charges[1] - charges[0] == pytest.approx(gamma_a * (exposures[1] - exposures[0]),
+                                                    rel=1e-9, abs=0.0)
+    assert charges[1] / exposures[1] == pytest.approx(charges[0] / exposures[0],
+                                                      rel=1e-12, abs=0.0)
+
+
+def test_step2_scattering_over_operating_timeline(scheme1):
+    # ramp up + pulse hold + ramp down at the delta = 52 E_R intensity
+    cfg = RunConfig()
+    lattice = budget_mod.patterned_lattice(cfg)
+    ramp = lpol_ramp_time(lattice, max(site_hyperfine_detunings(lattice, RB87).delta_diff),
+                          cfg.lattice.ramp_target_excitation)
+
+    # oracle: the closed-form ramp exposure against the sampled schedule,
+    # whose intensity fraction is (omega^2 - omega_i^2)/(omega_f^2 - omega_i^2)
+    w_i, w_f = ramp.initial_frequency, ramp.final_frequency
+    ts = np.linspace(0.0, ramp.duration, 20001)
+    fraction = [(ramp_schedule(ramp, float(t)) ** 2 - w_i ** 2) / (w_f ** 2 - w_i ** 2)
+                for t in ts]
+    sampled = np.trapezoid(fraction, ts)
+    assert lpol_exposure(ramp) == pytest.approx(sampled, rel=1e-7, abs=0.0)
+
+    assert 0.5e-4 <= _step2_scattering(scheme1) <= 2e-4
+
+
+@pytest.mark.parametrize("overrides", [
+    {"lattice.ramp_target_excitation": 1e-300},
+    {"lattice.pattern_period": 1000, "lattice.total_sites": 1000},
+])
+@pytest.mark.parametrize("run", [run_scheme1, run_scheme2])
+def test_step2_scattering_is_clamped_to_certain_failure(overrides, run):
+    # an exposure beyond 1/gamma_A charges certain loss, as the other rate x
+    # time channels do
+    cfg = RunConfig()
+    for path, value in overrides.items():
+        set_field(cfg, path, value)
+    validate_config(cfg)
+    budget = run(cfg)
+    assert _step2_scattering(budget) == 1.0
+    assert budget.total_failure == 1.0
+
+
+def test_a_full_flip_charges_certain_failure():
+    # a pulse far broader than delta flips the A atom as well; its
+    # Richardson flip probability passes 1 by an ulp, which the budget clamps
+    cfg = RunConfig()
+    cfg.pulse.omega0_er = 1e30
+    budget = run_scheme1(cfg)
+    assert dict(budget.steps[1].failure_channels)["pulse_flip_error"] == 1.0
+    assert budget.total_failure == 1.0
 
 
 def test_scheme1_product_rule_vs_sum(scheme1):

@@ -636,6 +636,42 @@ def test_cli_unresolvable_or_oversized_run_is_a_numerics_error(capsys, setting, 
     assert err.startswith("numerics error: " + field)
 
 
+@pytest.mark.parametrize("command, code, field", [
+    ("--set lattice.lambda_s_nm=100 lattice", 3, "lattice.lambda_s_nm"),
+    # the band end rounds onto the D2 line
+    ("--set lattice.band_exclusion_nm=1e-300 stark-scan", 2, "lattice.band_exclusion_nm"),
+    ("--set pulse.cutoff=1e-300 pulse", 3, "pulse.cutoff"),
+    ("pulse --tf 60", 4, "pulse.cutoff"),
+    ("--set speedup.focus_depth=0 speedup", 3, "speedup.focus_depth"),
+    ("--set speedup.focus_waist_ratio=0.001 speedup", 4, "speedup.focus_waist_ratio"),
+    # the A-site shift is lost in the rounding of the site depth, or underflows
+    ("--set lattice.delta_target_er=1e-15 scheme1", 3, "lattice.delta_target_er"),
+    ("--set lattice.delta_target_er=1e-40 scheme1", 3, "lattice.delta_target_er"),
+    ("--set lattice.delta_target_er=1e-300 scheme1", 3, "lattice.delta_target_er"),
+    ("--set lattice.delta_target_er=5e-324 scheme1", 3, "lattice.delta_target_er"),
+    ("--set lattice.depth_er=1e20 scheme1", 3, "lattice.depth_er"),
+    # 21 sites lie within 1e-9 of the envelope's peak
+    ("--set lattice.pattern_period=1000000 --set lattice.total_sites=1000000 scheme1", 3,
+     "lattice.pattern_period"),
+    # the smallest subnormal underflows or overflows a derived scale; the
+    # resolved echo of a JSON report expands the pulse rules
+    ("--format json --set lattice.delta_target_er=5e-324 stark-scan", 2,
+     "lattice.delta_target_er"),
+    ("--format json --set pulse.omega0_er=5e-324 stark-scan", 2, "pulse.omega0_er"),
+    ("--set removal.duration_us=5e-324 remove", 3, "removal.duration_us"),
+    ("--set removal.excited_population_cap=5e-324 remove", 3,
+     "removal.excited_population_cap"),
+    ("--set removal.tunneling_time_ms=5e-324 scheme1", 3, "removal.tunneling_time_ms"),
+    ("--set transfer.xi=5e-324 transfer", 3, "transfer.xi"),
+    ("--set speedup.target_excitation=5e-324 speedup", 3, "speedup.target_excitation"),
+])
+def test_cli_refusal_names_the_field(capsys, command, code, field):
+    assert main(command.split()) == code
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_cli_refuses_a_non_finite_report_value(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("mottreg.cli.rabi_evolve", lambda pulse, **kw: dataclasses.replace(
         rabi_evolve(pulse, **kw), p_flip=float("nan")))
@@ -725,7 +761,7 @@ FUZZ_COMMANDS = ["stark-scan --points 5", "lattice", "pulse", "remove", "transfe
                  "speedup", "scheme1", "scheme2",
                  "sweep --parameter transfer.xi --values 0.005 0.004"]
 FUZZ_VALUES = st.one_of(
-    st.sampled_from([0, -1, 1e-300, -1e-300, 1e300, -1e300, 10 ** 20, 2 ** 70]),
+    st.sampled_from([0, -1, 1e-300, 5e-324, -1e-300, 1e300, -1e300, 10 ** 20, 2 ** 70]),
     st.integers(-10 ** 30, 10 ** 30), st.floats(-1e300, 1e300))
 
 
@@ -740,7 +776,7 @@ def _no_constant(name):
 @given(field=st.sampled_from(NUMBER_FIELDS), value=FUZZ_VALUES,
        command=st.sampled_from(FUZZ_COMMANDS))
 def test_cli_fuzz_number_fields(field, value, command):
-    _assert_runs_or_exits_cleanly([(field[0], value)], command)
+    _assert_runs_or_exits_cleanly([(field[0], value)], command, named=True)
 
 
 # pairs reach sizes that only overflow together, such as pattern_period and
@@ -756,15 +792,24 @@ def test_cli_fuzz_pairs_of_number_fields(first, first_value, second, second_valu
                                   command)
 
 
-def _assert_runs_or_exits_cleanly(overrides, command):
+CONFIG_PATHS = [f"{section}.{key}" for section, keys in config_to_dict(RunConfig()).items()
+                for key in keys]
+
+
+def _assert_runs_or_exits_cleanly(overrides, command, named=False):
+    """The run exits 0 with finite JSON, or 2, 3 or 4 without a traceback;
+    when `named`, a refusal names a dotted config path or a -- flag."""
     out, err = io.StringIO(), io.StringIO()
     argv = [a for path, value in overrides for a in ("--set", f"{path}={json.dumps(value)}")]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--format", "json", *argv, *command.split()])
     assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+    message = err.getvalue()
+    assert "Traceback" not in message
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_no_constant)
+    elif named:
+        assert "--" in message or any(path in message for path in CONFIG_PATHS), message
 
 
 def test_cli_reports_agree_with_the_budgets(capsys):

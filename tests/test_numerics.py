@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg.numerics import expm, solve_scalar
@@ -30,8 +32,37 @@ def test_solve_scalar_sign_tests_survive_tiny_values():
         solve_scalar(lambda x: 1e-160 * (x * x + 1.0), (0.0, 1.0))
 
 
+def _changes_sign(u: float, v: float) -> bool:
+    return u == 0.0 or v == 0.0 or (u > 0.0) != (v > 0.0)
+
+
+_FUNCTIONS = {
+    "cubic": lambda c: lambda x: x ** 3 - c,
+    "exp": lambda c: lambda x: math.exp(x) - math.exp(c),
+    "falling atan": lambda c: lambda x: math.atan(c) - math.atan(x),
+    "tiny": lambda c: lambda x: 1e-300 * (x - c) * (1.0 + x * x),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(_FUNCTIONS)), c=st.floats(-30.0, 30.0),
+       below=st.floats(1e-12, 50.0), above=st.floats(1e-12, 50.0))
+@example(kind="cubic", c=2.0, below=1.0, above=1.0)
+def test_solve_scalar_ends_on_adjacent_floats_across_the_root(kind, c, below, above):
+    # the root lies between x and its neighbouring float toward one end, and
+    # a reversed bracket finds the same x
+    f = _FUNCTIONS[kind](c)
+    root = math.copysign(abs(c) ** (1.0 / 3.0), c) if kind == "cubic" else c
+    lo, hi = root - below, root + above
+    x = solve_scalar(f, (lo, hi))
+    assert lo <= x <= hi
+    fx = f(x)
+    assert fx == 0.0 or any(_changes_sign(fx, f(math.nextafter(x, end))) for end in (lo, hi))
+    assert solve_scalar(f, (hi, lo)) == x
+
+
 def test_solve_scalar_refuses_nan():
-    # a NaN fails every sign test, so Brent would stop at an arbitrary point
+    # a NaN fails every sign test, so the search would stop at an arbitrary point
     with pytest.raises(NumericsError, match="NaN"):
         solve_scalar(lambda x: math.nan if x > 0.5 else x - 1.0, (0.0, 2.0))
     with pytest.raises(NumericsError, match="NaN"):

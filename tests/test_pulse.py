@@ -1,5 +1,4 @@
-"""Microwave pi-pulse design, Rabi dynamics, and the step-II scattering
-integral."""
+"""Microwave pi-pulse design and Rabi dynamics."""
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from scipy.integrate import solve_ivp
 from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg import pulse as pulse_mod
 from mottreg.pulse import (GaussianPulse, _magnus_steps, _product, pi_pulse_amplitude,
-                           rabi_evolve, step2_scattering_probability)
+                           rabi_evolve)
 from mottreg.units import RB87, UnitSystem
 
 
@@ -211,44 +210,6 @@ def test_coarse_magnus_grid_fails_its_residual_check(monkeypatch):
     monkeypatch.setattr(pulse_mod, "_MAX_STEPS", 3200)
     with pytest.raises(NumericsError, match="not converged at 3200 Magnus steps"):
         rabi_evolve(_pi_pulse(52.0, detuning=50.0))
-
-
-def test_step2_scattering_zero_intensity():
-    assert step2_scattering_probability(0.0, RB87, 787.6e-9, 1e-4) == 0.0
-    assert step2_scattering_probability(1e6, RB87, 787.6e-9, 0.0) == 0.0
-
-
-def test_step2_scattering_linear_in_duration():
-    p1 = step2_scattering_probability(2.8e6, RB87, 787.6e-9, 50e-6)
-    p2 = step2_scattering_probability(2.8e6, RB87, 787.6e-9, 100e-6)
-    assert p2 == pytest.approx(2 * p1, rel=1e-9, abs=0.0)
-
-
-def test_step2_scattering_over_operating_timeline():
-    # ramp up + pulse hold + ramp down at the delta = 52 E_R intensity
-    from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure, lpol_ramp_time,
-                                      site_hyperfine_detunings, solve_intensity_for_delta)
-    from mottreg.transfer import ramp_schedule
-
-    base = SuperlatticeConfig()
-    intensity = solve_intensity_for_delta(base, RB87, 52.0)
-    cfg = SuperlatticeConfig(lpol_intensity=intensity)
-    ramp = lpol_ramp_time(cfg, max(site_hyperfine_detunings(cfg, RB87).delta_diff), 1e-4)
-    units = UnitSystem.for_lattice(RB87, 850e-9)
-    hold = units.time_from_natural(10.0 / 13.0)
-    exposure = 2 * units.time_from_natural(lpol_exposure(ramp)) + hold
-
-    # oracle: the closed-form ramp exposure against the sampled schedule,
-    # whose intensity fraction is (omega^2 - omega_i^2)/(omega_f^2 - omega_i^2)
-    w_i, w_f = ramp.initial_frequency, ramp.final_frequency
-    ts = np.linspace(0.0, ramp.duration, 20001)
-    fraction = [(ramp_schedule(ramp, float(t)) ** 2 - w_i ** 2) / (w_f ** 2 - w_i ** 2)
-                for t in ts]
-    sampled = np.trapezoid(fraction, ts)
-    assert lpol_exposure(ramp) == pytest.approx(sampled, rel=1e-7, abs=0.0)
-
-    p = step2_scattering_probability(intensity, RB87, 787.6e-9, exposure)
-    assert 0.5e-4 <= p <= 2e-4
 
 
 def test_pulse_duration_matches_si_conversion():

@@ -4,10 +4,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import mottreg.removal as removal_mod
 from mottreg.errors import PhysicsDomainError
 from mottreg.numerics import expm
 from mottreg.removal import (_bloch_generator, collision_probability,
@@ -236,6 +237,34 @@ def test_solved_drive_meets_the_threshold_on_the_exact_propagator(log_depth, log
     assert plan.feasible_at_request == (plan.duration == requested)
     resonant = photon_count(GAMMA, plan.rabi_frequency, 0.0, plan.duration)
     assert resonant == pytest.approx(threshold, rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(depth=st.floats(1e-6, 1e3), window_us=st.floats(1e-2, 1e4))
+@example(depth=1.0, window_us=1.0)
+@example(depth=50.0, window_us=1.0)
+def test_solved_log_drive_and_its_neighbour_bracket_the_threshold(depth, window_us):
+    # the drive is the exact root of the closed-form count in log Omega: the
+    # residual changes sign between it and a neighbouring float
+    solve, roots = removal_mod.solve_scalar, []
+
+    def recorded(f, bracket):
+        roots.append(solve(f, bracket))
+        return roots[-1]
+
+    threshold = removal_photon_threshold(depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(removal_mod, "solve_scalar", recorded)
+        plan = solve_removal_drive(GAMMA, threshold, window_us * 1e-6)
+    (log_omega,) = roots
+    assert plan.rabi_frequency == math.exp(log_omega)
+
+    def deficit(x):
+        return resonant_photon_count(GAMMA, math.exp(x), plan.duration) - threshold
+
+    here = deficit(log_omega)
+    neighbours = [deficit(math.nextafter(log_omega, end)) for end in (-math.inf, math.inf)]
+    assert here == 0.0 or any(n == 0.0 or (n > 0.0) != (here > 0.0) for n in neighbours)
 
 
 def test_solve_removal_drive_validation():

@@ -100,10 +100,25 @@ def test_site_detunings_linearity_and_label_invariance():
 
 
 def test_site_detunings_ambiguity_error():
-    # an antinode midway between two sites makes them tie for the maximum
+    # an antinode midway between two sites makes them tie for the maximum,
+    # whatever the intensity, since the envelope alone picks the A site
     intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    with pytest.raises(PhysicsDomainError, match="ambiguous.*lattice.lpol_phase_nm"):
-        site_hyperfine_detunings(_configured(intensity, phase=850e-9 / 4), RB87)
+    for scale in (intensity, 0.0):
+        with pytest.raises(PhysicsDomainError,
+                           match="ambiguous.*lattice.lpol_phase_nm.*lattice.pattern_period"):
+            site_hyperfine_detunings(_configured(scale, phase=850e-9 / 4), RB87)
+
+
+@pytest.mark.parametrize("n, phase", [(3, 0.0), (4, 0.0), (3, 50e-9), (5, 30e-9)])
+def test_site_labels_follow_the_envelope_where_the_shifts_underflow(n, phase):
+    # at 1e-310 W/m^2 every shift rounds to 0 or a few subnormal steps, and
+    # the labels stay those of a working intensity
+    working = site_hyperfine_detunings(
+        _configured(solve_intensity_for_delta(_configured(n=n), RB87, 52.0), n, phase), RB87)
+    faint = site_hyperfine_detunings(_configured(1e-310, n, phase), RB87)
+    assert faint.labels == working.labels
+    assert working.labels.count("A") == 1
+    assert working.delta_diff[working.labels.index("A")] == max(working.delta_diff)
 
 
 def test_solve_intensity_trivial_and_linearity():
@@ -145,6 +160,21 @@ def test_ramp_time_infeasible_target():
         _ramp(intensity, 0.5)
     with pytest.raises(PhysicsDomainError, match="A-site shift"):
         _ramp(0.0, 1e-4)
+
+
+@pytest.mark.parametrize("shift_a", [0.0, -1.0, 1e-15, 1e-300, math.nan])
+def test_ramp_refuses_a_shift_lost_in_the_site_depth(shift_a):
+    # 50 + 1e-15 rounds to 50: the ramp would not move, so it is refused
+    # naming the fields that set the shift and the depth
+    with pytest.raises(PhysicsDomainError,
+                       match="A-site shift.*lattice.delta_target_er.*lattice.depth_er"):
+        lpol_ramp_time(_configured(), shift_a, 1e-4)
+
+
+def test_ramp_admits_the_smallest_shift_that_deepens_the_site():
+    shift_a = 1e-13    # a few ulps of 50, which 2 sqrt(50 + shift_a) keeps
+    ramp = lpol_ramp_time(_configured(), shift_a, 1e-4)
+    assert ramp.final_frequency > ramp.initial_frequency
 
 
 def test_lpol_ramp_admits_every_accepted_target():
