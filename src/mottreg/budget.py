@@ -140,18 +140,16 @@ def lattice_units(cfg: RunConfig) -> UnitSystem:
 
 
 def patterned_lattice(cfg: RunConfig) -> lattice_mod.SuperlatticeConfig:
-    """The superlattice with the LPOL intensity that gives the delta target."""
+    """The superlattice geometry of the configured pattern."""
     if cfg.lattice.pattern_period > _MAX_PERIOD:
         raise NumericsError(f"lattice.pattern_period = {cfg.lattice.pattern_period} "
                             f"exceeds {_MAX_PERIOD} sites (about 110 MB of arrays)")
-    base = lattice_mod.SuperlatticeConfig(
+    return lattice_mod.SuperlatticeConfig(
         spol_wavelength=cfg.lattice.lambda_s_nm * 1e-9,
         spol_depth=cfg.lattice.depth_er,
         pattern_period=cfg.lattice.pattern_period,
         lpol_wavelength=_lpol_wavelength_m(cfg),
         lpol_phase=cfg.lattice.lpol_phase_nm * 1e-9)
-    intensity = lattice_mod.solve_intensity_for_delta(base, RB87, cfg.lattice.delta_target_er)
-    return dataclasses.replace(base, lpol_intensity=intensity)
 
 
 def pi_pulse(cfg: RunConfig) -> GaussianPulse:
@@ -228,14 +226,14 @@ class _StepTwo:
 
     step: tuple[str, float, tuple]
     lattice_config: lattice_mod.SuperlatticeConfig
-    delta_realized: float
+    sites: lattice_mod.SiteDetunings
     ramp_time: float
     pulse: GaussianPulse
 
 
 def _run_step_two(cfg: RunConfig, units: UnitSystem) -> _StepTwo:
     lattice_config = patterned_lattice(cfg)
-    sites = lattice_mod.site_hyperfine_detunings(lattice_config, RB87)
+    sites = lattice_mod.site_hyperfine_detunings(lattice_config, RB87, cfg.lattice.delta_target_er)
     ramp = lattice_mod.lpol_ramp_time(lattice_config, max(sites.delta_diff),
                                       cfg.lattice.ramp_target_excitation)
     pulse = pi_pulse(cfg)
@@ -252,7 +250,7 @@ def _run_step_two(cfg: RunConfig, units: UnitSystem) -> _StepTwo:
                 ("pulse_flip_error", p_flip),
                 ("step2_scattering", min(1.0, sites.gamma_a * exposure)))
     return _StepTwo(step=("selective_depop", duration, channels),
-                    lattice_config=lattice_config, delta_realized=sites.delta,
+                    lattice_config=lattice_config, sites=sites,
                     ramp_time=ramp_time, pulse=pulse)
 
 
@@ -298,8 +296,8 @@ def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
                                                   cfg.lattice.pattern_period)
     extras = {
         "lpol_wavelength_nm": two.lattice_config.lpol_wavelength * 1e9,
-        "lpol_intensity_w_m2": two.lattice_config.lpol_intensity,
-        "delta_realized_er": two.delta_realized,
+        "lpol_intensity_w_m2": two.sites.intensity,
+        "delta_realized_er": two.sites.delta,
         "lpol_ramp_us": two.ramp_time * 1e6,
         "pulse_omega0_er": two.pulse.envelope_width,
         "pulse_peak_rabi_er": two.pulse.peak_rabi,

@@ -165,20 +165,21 @@ def _cmd_stark_scan(args, cfg: RunConfig):
 
 def _cmd_lattice(args, cfg: RunConfig):
     period = cfg.lattice.pattern_period
-    if args.sites < period:
+    n_sites = max(9, period) if args.sites is None else args.sites
+    if n_sites < period:
         raise ConfigError(f"--sites must be >= {period} (one pattern period), "
-                          f"got {args.sites}")
-    _require_rows("--sites", args.sites, args.format or "csv")
+                          f"got {n_sites}")
+    _require_rows("--sites", n_sites, args.format or "csv")
     cfg = resolve_lpol_wavelength(cfg)
     config = patterned_lattice(cfg)
-    sites = lattice_mod.site_hyperfine_detunings(config, RB87, n_sites=args.sites)
-    table = {"index": range(args.sites), "position_um": np.multiply(sites.site_positions, 1e6),
+    sites = lattice_mod.site_hyperfine_detunings(config, RB87, cfg.lattice.delta_target_er, n_sites)
+    table = {"index": range(n_sites), "position_um": np.multiply(sites.site_positions, 1e6),
              "deltaE0_ER": sites.delta_e0, "deltaE1_ER": sites.delta_e1, "label": sites.labels}
     side = []
     if args.profile_out:
         xs = np.linspace(0.0, sites.site_positions[-1], 601)
         vs = cfg.lattice.depth_er * np.sin(2 * np.pi * xs / config.spol_wavelength) ** 2
-        e0, e1, _, _ = lattice_mod.lpol_light_shifts(config, RB87, xs)
+        e0, e1, _, _ = lattice_mod.lpol_light_shifts(config, RB87, sites.intensity, xs)
         side.append((args.profile_out, {"x_um": xs * 1e6, "v0_er": vs + e0, "v1_er": vs + e1}))
     _deliver(args, cfg, table, "csv", side_files=side)
 
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stark_scan)
 
     p = sub.add_parser("lattice", help="per-site shifts and A/B labels")
-    p.add_argument("--sites", type=int, default=9)
+    p.add_argument("--sites", type=int, help="default 9, or one pattern period if longer")
     p.add_argument("--profile-out", help="potential-profile CSV path")
     p.set_defaults(handler=_cmd_lattice)
 

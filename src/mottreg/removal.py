@@ -63,8 +63,11 @@ def photon_count(linewidth: float, rabi_frequency: float, detuning: float,
         raise PhysicsDomainError("rabi_frequency must be >= 0")
     if duration == 0.0:
         return 0.0
-    z = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    z = expm(_bloch_generator(linewidth, rabi_frequency, detuning) * duration) @ z
+    generator = _bloch_generator(linewidth, rabi_frequency, detuning)
+    if not math.isfinite(float(np.linalg.norm(generator, 1)) * duration):
+        raise PhysicsDomainError("the removal window times the detuning overflows the float "
+                                 "range; shorten removal.duration_us or removal.trap_depth_er")
+    z = expm(generator * duration) @ np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     # at subnormal drives the Pade-13 rounding leaves z[4] a few ulps below
     # 0 (ROADMAP item 5); a photon count is never negative
     return max(0.0, linewidth * float(z[4]))
@@ -108,8 +111,9 @@ def resonant_photon_count(linewidth: float, rabi_frequency: float,
             ec, es = half * (2.0 + m), -half * m / kappa
         elif kappa2 < 0.0:
             decay = math.exp(-0.75 * tau)
-            ec = decay * math.cos(kappa * tau)
-            es = decay * math.sin(kappa * tau) / kappa
+            phase = kappa * tau if decay else 0.0    # decayed long before it overflows
+            ec = decay * math.cos(phase)
+            es = decay * math.sin(phase) / kappa
         else:
             decay = math.exp(-0.75 * tau)
             ec, es = decay, decay * tau
@@ -167,9 +171,11 @@ def solve_removal_drive(linewidth: float, threshold: float,
     feasible = needed_population <= excited_population_cap
     duration = (requested_duration if feasible
                 else threshold / (linewidth * excited_population_cap))
-    if not math.isfinite(duration):
-        raise PhysicsDomainError(f"removal.excited_population_cap = {excited_population_cap!r} "
-                                 "stretches the removal window beyond the float range")
+    if not math.isfinite(2.0 * linewidth * duration):   # the count holds Gamma T / g, g >= 1/2
+        raise PhysicsDomainError(
+            ("removal.duration_us" if feasible else
+             "removal.trap_depth_er at this removal.excited_population_cap")
+            + " stretches the removal window beyond the float range")
 
     def deficit(log_omega: float) -> float:
         return resonant_photon_count(linewidth, math.exp(log_omega), duration) - threshold

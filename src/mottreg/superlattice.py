@@ -10,7 +10,6 @@ schedule and exact propagator serve it as they serve the microtrap handoff.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ __all__ = [
     "lpol_period",
     "lpol_light_shifts",
     "site_hyperfine_detunings",
-    "solve_intensity_for_delta",
     "lpol_ramp_time",
     "lpol_exposure",
     "pattern_yield",
@@ -36,18 +34,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SuperlatticeConfig:
-    """Geometry and drive of the combined short + long lattice.
+    """Geometry of the combined short + long lattice.
 
-    spol_wavelength and lpol_wavelength in m, spol_depth in E_R,
-    lpol_intensity in W/m^2, lpol_phase a length offset (m) of the LPOL
-    antinode relative to site 0.
+    spol_wavelength and lpol_wavelength in m, spol_depth in E_R, lpol_phase
+    a length offset (m) of the LPOL antinode relative to site 0.
     """
 
     spol_wavelength: float = 850e-9
     spol_depth: float = 50.0
     pattern_period: int = 3
     lpol_wavelength: float = 787.6e-9
-    lpol_intensity: float = 0.0
     lpol_phase: float = 0.0
 
     def __post_init__(self):
@@ -59,15 +55,14 @@ class SuperlatticeConfig:
             raise PhysicsDomainError(
                 "no intersection angle exists: lattice.lpol_wavelength_nm exceeds "
                 "lattice.pattern_period x lattice.lambda_s_nm")
-        if self.lpol_intensity < 0:
-            raise PhysicsDomainError("lpol_intensity must be >= 0")
 
 
 @dataclass(frozen=True)
 class SiteDetunings:
     """Per-site A/B labels (A marks the extraction targets), positions (m) and
-    logical-state shifts (E_R), the worst-case A-B differential, and the A
-    site's scattering rate max(gamma0, gamma1) (1/s)."""
+    logical-state shifts (E_R), the worst-case A-B differential, the A site's
+    scattering rate max(gamma0, gamma1) (1/s), and the LPOL peak intensity
+    (W/m^2) that gives them."""
 
     labels: tuple[str, ...]
     site_positions: tuple[float, ...]
@@ -76,6 +71,7 @@ class SiteDetunings:
     delta_diff: tuple[float, ...]
     delta: float
     gamma_a: float
+    intensity: float
 
 
 def lpol_period(n: int, lambda_s: float) -> float:
@@ -89,36 +85,45 @@ def _envelope(config: SuperlatticeConfig, x: np.ndarray) -> np.ndarray:
     return np.cos(np.pi * (x - config.lpol_phase) / eta_l) ** 2
 
 
-def lpol_light_shifts(config: SuperlatticeConfig, species: AtomSpecies,
+def lpol_light_shifts(config: SuperlatticeConfig, species: AtomSpecies, intensity: float,
                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The LPOL shifts (dE0, dE1, dE1 - dE0) in E_R and the scattering rate
-    max(gamma0, gamma1) in 1/s at positions x (m), under the envelope, 1 on
-    the A sites at phase 0."""
+    """The shifts (dE0, dE1, dE1 - dE0) in E_R and the scattering rate
+    max(gamma0, gamma1) in 1/s at positions x (m) of an LPOL of peak
+    `intensity` (W/m^2) under the envelope, 1 on the A sites at phase 0."""
     units = UnitSystem.for_lattice(species, config.spol_wavelength)
     de0, de1, diff, gamma0, gamma1 = light_shifts(
-        species, config.lpol_wavelength, config.lpol_intensity * _envelope(config, x))
+        species, config.lpol_wavelength, intensity * _envelope(config, x))
     return (*(units.energy_to_natural(shift) for shift in (de0, de1, diff)),
             np.maximum(gamma0, gamma1))
 
 
 def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
-                             n_sites: int | None = None) -> SiteDetunings:
-    """Evaluate the LPOL shifts at site centers and classify A/B sites.
+                             delta_target: float, n_sites: int | None = None) -> SiteDetunings:
+    """Classify A/B sites, solve the LPOL intensity for the A-B differential
+    delta_target (E_R) and evaluate the shifts at the site centres.
 
     Sites sit at x_j = j lambda_s / 2.  The brightest site of each period
     under the LPOL envelope is the target A; delta is the A shift minus the
     largest B shift (worst case for microwave selectivity), and the A site's
-    scattering rate is the largest of its period.  Raises if the phase makes
-    the brightest site ambiguous.
+    scattering rate is the largest of its period.  Shifts are linear in the
+    intensity, so one unit-intensity shift fixes it.  A wavelength outside
+    the D2-D1 band gives no positive differential shift, so the brightest
+    site would be no target: that is refused before an ambiguous phase is.
     """
+    if delta_target < 0:
+        raise PhysicsDomainError("target delta must be >= 0")
     n = config.pattern_period
     count = n if n_sites is None else n_sites
     if count < n:
         raise PhysicsDomainError("need at least one full pattern period of sites")
-    xs = np.arange(count) * config.spol_wavelength / 2.0
-    e0, e1, diff, gamma = lpol_light_shifts(config, species, xs)
+    unit_diff = light_shifts(species, config.lpol_wavelength, 1.0)[2]
+    if not unit_diff > 0:
+        raise PhysicsDomainError(
+            f"lattice.lpol_wavelength_nm = {config.lpol_wavelength * 1e9:.6g} gives no "
+            "positive differential shift; it must lie between the D2 and D1 lines")
 
     # classify within the first period, then tile
+    xs = np.arange(count) * config.spol_wavelength / 2.0
     envelope = _envelope(config, xs[:n])
     a_index = int(np.argmax(envelope))
     tied = np.flatnonzero(envelope >= (1.0 - 1e-9) * envelope[a_index])
@@ -126,34 +131,18 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
         raise PhysicsDomainError(
             f"ambiguous site pattern: sites {tied.tolist()} tie for the brightest LPOL "
             "envelope; adjust lattice.lpol_phase_nm or lattice.pattern_period")
-    labels = np.where(np.arange(count) % n == a_index, "A", "B")
-    delta = float(diff[a_index] - diff[:n].max(where=np.arange(n) != a_index, initial=-np.inf))
+    b_sites = np.arange(n) != a_index
+    contrast = envelope[a_index] - envelope.max(where=b_sites, initial=-np.inf)
+    units = UnitSystem.for_lattice(species, config.spol_wavelength)
+    intensity = float(delta_target / (units.energy_to_natural(unit_diff) * contrast))
 
+    e0, e1, diff, gamma = lpol_light_shifts(config, species, intensity, xs)
+    labels = np.where(np.arange(count) % n == a_index, "A", "B")
+    delta = float(diff[a_index] - diff[:n].max(where=b_sites, initial=-np.inf))
     return SiteDetunings(labels=tuple(labels.tolist()), site_positions=tuple(xs.tolist()),
                          delta_e0=tuple(e0.tolist()), delta_e1=tuple(e1.tolist()),
                          delta_diff=tuple(diff.tolist()), delta=delta,
-                         gamma_a=float(gamma[a_index]))
-
-
-def solve_intensity_for_delta(config: SuperlatticeConfig, species: AtomSpecies,
-                              target_delta: float) -> float:
-    """LPOL intensity (W/m^2) producing the requested A-B differential (E_R).
-
-    delta is exactly linear in intensity, so a unit-intensity evaluation
-    fixes the scale.  The differential shift must be positive at the LPOL
-    wavelength (between the D2 and D1 lines), or the brightest site would
-    get the smallest shift and be no target.
-    """
-    if target_delta < 0:
-        raise PhysicsDomainError("target delta must be >= 0")
-    if target_delta == 0:
-        return 0.0
-    if not light_shifts(species, config.lpol_wavelength, 1.0)[2] > 0:
-        raise PhysicsDomainError(
-            f"lattice.lpol_wavelength_nm = {config.lpol_wavelength * 1e9:.6g} gives no "
-            "positive differential shift; it must lie between the D2 and D1 lines")
-    unit = dataclasses.replace(config, lpol_intensity=1.0)
-    return target_delta / site_hyperfine_detunings(unit, species).delta
+                         gamma_a=float(gamma[a_index]), intensity=intensity)
 
 
 def lpol_ramp_time(config: SuperlatticeConfig, shift_a: float,

@@ -26,6 +26,12 @@ def scheme1():
     return run_scheme1(RunConfig())
 
 
+def _sites(cfg: RunConfig):
+    """The step-two site evaluation of the configured lattice and delta target."""
+    return site_hyperfine_detunings(budget_mod.patterned_lattice(cfg), RB87,
+                                    cfg.lattice.delta_target_er)
+
+
 def test_scheme1_headline_numbers(scheme1):
     assert scheme1.total_time < 300e-6
     assert 1e-4 <= scheme1.total_failure <= 5e-4
@@ -43,11 +49,23 @@ def test_lpol_ramp_reaches_the_a_site_shift(monkeypatch, phase_nm):
     cfg = RunConfig()
     cfg.lattice.lpol_phase_nm = phase_nm
     run_scheme1(cfg)
-    sites = site_hyperfine_detunings(budget_mod.patterned_lattice(cfg), RB87)
+    sites = _sites(cfg)
     shift_a = sites.delta_diff[sites.labels.index("A")]
     (ramp,) = ramps
     assert ramp.final_frequency == pytest.approx(
         2.0 * math.sqrt(cfg.lattice.depth_er + shift_a), rel=1e-12, abs=0.0)
+
+
+def test_step_two_evaluates_the_sites_once(monkeypatch):
+    # one unit-intensity call fixes the sign and the intensity, and one call
+    # over the sites gives every shift and the A site's rate
+    original, calls = budget_mod.lattice_mod.light_shifts, []
+    monkeypatch.setattr(budget_mod.lattice_mod, "light_shifts",
+                        lambda *args: calls.append(args) or original(*args))
+    cfg = RunConfig()
+    budget_mod._run_step_two(cfg, budget_mod.lattice_units(cfg))
+    assert [np.shape(intensity) for _, _, intensity in calls] == [(), (3,)]
+    assert calls[0][2] == 1.0
 
 
 def test_scheme1_channel_labels(scheme1):
@@ -90,8 +108,7 @@ def _step2_exposure(cfg: RunConfig) -> float:
     """Full-intensity-equivalent LPOL time (s) of step II: ramp up, the
     pulse hold and ramp down."""
     units = budget_mod.lattice_units(cfg)
-    lattice = budget_mod.patterned_lattice(cfg)
-    ramp = lpol_ramp_time(lattice, max(site_hyperfine_detunings(lattice, RB87).delta_diff),
+    ramp = lpol_ramp_time(budget_mod.patterned_lattice(cfg), max(_sites(cfg).delta_diff),
                           cfg.lattice.ramp_target_excitation)
     hold = units.time_from_natural(2.0 * budget_mod.pi_pulse(cfg).cutoff)
     return 2.0 * units.time_from_natural(lpol_exposure(ramp)) + hold
@@ -104,11 +121,11 @@ def test_step2_scattering_is_the_a_site_rate_over_the_exposure(phase_nm):
     cfg = RunConfig()
     cfg.lattice.lpol_phase_nm = phase_nm
     lattice = budget_mod.patterned_lattice(cfg)
-    sites = site_hyperfine_detunings(lattice, RB87)
+    sites = _sites(cfg)
     x_a = sites.site_positions[sites.labels.index("A")]
     eta_l = lpol_period(lattice.pattern_period, lattice.spol_wavelength)
     _, _, _, gamma0, gamma1 = light_shifts(RB87, lattice.lpol_wavelength, 1.0)
-    expected = (max(gamma0, gamma1) * lattice.lpol_intensity
+    expected = (max(gamma0, gamma1) * sites.intensity
                 * math.cos(math.pi * (x_a - lattice.lpol_phase) / eta_l) ** 2
                 * _step2_exposure(cfg))
     assert _step2_scattering(run_scheme1(cfg)) == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -116,7 +133,7 @@ def test_step2_scattering_is_the_a_site_rate_over_the_exposure(phase_nm):
 
 def test_step2_scattering_zero_intensity(monkeypatch):
     # no LPOL light scatters nothing, and a zero rate charges exactly 0
-    assert site_hyperfine_detunings(SuperlatticeConfig(), RB87).gamma_a == 0.0
+    assert site_hyperfine_detunings(SuperlatticeConfig(), RB87, 0.0).gamma_a == 0.0
     original = budget_mod.lattice_mod.site_hyperfine_detunings
     monkeypatch.setattr(budget_mod.lattice_mod, "site_hyperfine_detunings",
                         lambda *args: dataclasses.replace(original(*args), gamma_a=0.0))
@@ -131,7 +148,7 @@ def test_step2_scattering_linear_in_exposure():
         cfg.pulse.cutoff = cutoff
         charges.append(_step2_scattering(run_scheme1(cfg)))
         exposures.append(_step2_exposure(cfg))
-    gamma_a = site_hyperfine_detunings(budget_mod.patterned_lattice(RunConfig()), RB87).gamma_a
+    gamma_a = _sites(RunConfig()).gamma_a
     assert charges[1] - charges[0] == pytest.approx(gamma_a * (exposures[1] - exposures[0]),
                                                     rel=1e-9, abs=0.0)
     assert charges[1] / exposures[1] == pytest.approx(charges[0] / exposures[0],
@@ -141,8 +158,7 @@ def test_step2_scattering_linear_in_exposure():
 def test_step2_scattering_over_operating_timeline(scheme1):
     # ramp up + pulse hold + ramp down at the delta = 52 E_R intensity
     cfg = RunConfig()
-    lattice = budget_mod.patterned_lattice(cfg)
-    ramp = lpol_ramp_time(lattice, max(site_hyperfine_detunings(lattice, RB87).delta_diff),
+    ramp = lpol_ramp_time(budget_mod.patterned_lattice(cfg), max(_sites(cfg).delta_diff),
                           cfg.lattice.ramp_target_excitation)
 
     # oracle: the closed-form ramp exposure against the sampled schedule,

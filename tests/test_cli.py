@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mottreg import config as config_mod
+from mottreg import superlattice as lattice_mod
 from mottreg import transfer as transfer_mod
 from mottreg.budget import run_scheme1, run_scheme2
 from mottreg.cli import emit, main
@@ -357,6 +358,30 @@ def test_cli_lattice_csv(capsys, tmp_path):
     assert lines[1].endswith(",A")
 
 
+def test_cli_lattice_lists_one_period_beyond_nine_sites(capsys, tmp_path):
+    # without --sites the report lists 9 sites, or one pattern period if longer
+    for period, rows in ((4, 9), (10, 10), (12, 12)):
+        out_csv = tmp_path / f"sites_{period}.csv"
+        code, _ = _run(capsys, "--set", f"lattice.pattern_period={period}",
+                       "--out", str(out_csv), "lattice")
+        assert code == 0
+        labels = [line.rsplit(",", 1)[1] for line in out_csv.read_text().splitlines()[1:]]
+        assert len(labels) == rows
+        assert [j for j, label in enumerate(labels) if label == "A"] == list(range(0, rows, period))
+
+
+@pytest.mark.parametrize("extra, calls", [((), 2), (("--profile-out", "profile.csv"), 3)])
+def test_cli_lattice_evaluates_the_sites_once(capsys, monkeypatch, tmp_path, extra, calls):
+    # one unit-intensity call and one over the sites; the profile adds its grid
+    original, shapes = lattice_mod.light_shifts, []
+    monkeypatch.setattr(lattice_mod, "light_shifts",
+                        lambda *args: shapes.append(np.shape(args[2])) or original(*args))
+    monkeypatch.setenv("MOTTREG_OUTDIR", str(tmp_path))
+    code, _ = _run(capsys, "--out", "sites.csv", "lattice", "--sites", "12", *extra)
+    assert code == 0
+    assert shapes == [(), (12,), (601,)][:calls]
+
+
 def test_cli_sweep_csv_row_count(capsys, tmp_path):
     out_csv = tmp_path / "sweep.csv"
     code, _ = _run(capsys, "--out", str(out_csv), "sweep",
@@ -512,7 +537,7 @@ def test_cli_refuses_an_lpol_wavelength_near_a_d_line(capsys, wavelength):
 
 
 @pytest.mark.parametrize("wavelength", ["775", "800", "1064"])
-@pytest.mark.parametrize("phase", ["0", "50"])
+@pytest.mark.parametrize("phase", ["0", "50", "212.5"])
 def test_cli_refuses_an_lpol_wavelength_without_a_positive_shift(capsys, wavelength, phase):
     # outside the D2-D1 band the differential shift is negative, so the
     # brightest site would get the smallest shift; the sign is refused
@@ -664,6 +689,15 @@ def test_cli_unresolvable_or_oversized_run_is_a_numerics_error(capsys, setting, 
     ("--set removal.tunneling_time_ms=5e-324 scheme1", 3, "removal.tunneling_time_ms"),
     ("--set transfer.xi=5e-324 transfer", 3, "transfer.xi"),
     ("--set speedup.target_excitation=5e-324 speedup", 3, "speedup.target_excitation"),
+    # a removal window of Gamma T past half the float range overflows the count
+    ("--set removal.duration_us=1e308 remove", 3, "removal.duration_us"),
+    ("--set removal.duration_us=1e308 scheme1", 3, "removal.duration_us"),
+    ("--set removal.trap_depth_er=1e308 remove", 3, "removal.trap_depth_er"),
+    ("--set removal.trap_depth_er=1e308 scheme1", 3, "removal.trap_depth_er"),
+    # or whose product with the detuning overflows the off-resonant count
+    ("--set removal.duration_us=1e305 remove", 3, "removal.duration_us"),
+    ("--set removal.duration_us=1e300 remove --detuning-ghz 300000", 3, "removal.duration_us"),
+    ("--set removal.trap_depth_er=1e307 scheme1", 3, "removal.trap_depth_er"),
 ])
 def test_cli_refusal_names_the_field(capsys, command, code, field):
     assert main(command.split()) == code
@@ -761,7 +795,8 @@ FUZZ_COMMANDS = ["stark-scan --points 5", "lattice", "pulse", "remove", "transfe
                  "speedup", "scheme1", "scheme2",
                  "sweep --parameter transfer.xi --values 0.005 0.004"]
 FUZZ_VALUES = st.one_of(
-    st.sampled_from([0, -1, 1e-300, 5e-324, -1e-300, 1e300, -1e300, 10 ** 20, 2 ** 70]),
+    st.sampled_from([0, -1, 1e-300, 5e-324, -1e-300, 1e300, -1e300, 1e308, -1e308,
+                     sys.float_info.max, -sys.float_info.max, 10 ** 20, 2 ** 70]),
     st.integers(-10 ** 30, 10 ** 30), st.floats(-1e300, 1e300))
 
 

@@ -140,6 +140,15 @@ def test_resonant_photon_count_finite_and_rising_in_the_window():
         assert all(a < b for a, b in zip(counts, counts[1:]))
 
 
+@pytest.mark.parametrize("gamma_t", [1e306, 8e307])
+def test_resonant_photon_count_past_the_range_of_the_oscillation_phase(gamma_t):
+    # kappa Gamma T overflows long after the oscillation has decayed to 0, and
+    # the count is the steady-state rate w^2/(1 + 2 w^2) over the window
+    w = 1e3
+    assert resonant_photon_count(GAMMA, w * GAMMA, gamma_t / GAMMA) == pytest.approx(
+        gamma_t * (w ** 2 / (1.0 + 2.0 * w ** 2)), rel=1e-12, abs=0.0)
+
+
 def test_far_detuned_photon_count_stays_positive():
     plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
     for ghz in (1e6, 1e10):

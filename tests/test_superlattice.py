@@ -1,16 +1,18 @@
 """Superlattice geometry, site detunings, ramp time, and pattern counting."""
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from mottreg.errors import PhysicsDomainError
 from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure,
                                   lpol_period, lpol_ramp_time, pattern_yield,
-                                  site_hyperfine_detunings,
-                                  solve_intensity_for_delta)
+                                  site_hyperfine_detunings)
 from mottreg.stark import light_shifts
 from mottreg.transfer import excitation_numeric, ramp_schedule
 from mottreg.units import RB87, UnitSystem
@@ -35,29 +37,26 @@ def test_lpol_angle_geometry_error():
     SuperlatticeConfig(pattern_period=3, lpol_wavelength=3 * 850e-9)
 
 
-def _configured(intensity=0.0, n=3, phase=0.0):
-    return SuperlatticeConfig(lpol_intensity=intensity, pattern_period=n,
-                              lpol_phase=phase)
+def _configured(n=3, phase=0.0):
+    return SuperlatticeConfig(pattern_period=n, lpol_phase=phase)
 
 
-def _ramp(intensity, target):
+def _ramp(delta, target):
     """The LPOL ramp of the n = 3 lattice at phase 0, planned for its A site."""
-    config = _configured(intensity)
-    return lpol_ramp_time(config, max(site_hyperfine_detunings(config, RB87).delta_diff),
+    config = _configured()
+    return lpol_ramp_time(config, max(site_hyperfine_detunings(config, RB87, delta).delta_diff),
                           target)
 
 
 @pytest.mark.parametrize("n, phase", [(3, 0.0), (4, 0.0), (5, 30e-9)])
 def test_site_detunings_equal_per_site_calls(n, phase):
     # reference: one scalar light-shift call per site, as the loop did
-    intensity = solve_intensity_for_delta(_configured(n=n, phase=phase), RB87, 52.0)
-    config = _configured(intensity, n=n, phase=phase)
-    sites = site_hyperfine_detunings(config, RB87, n_sites=2 * n)
+    sites = site_hyperfine_detunings(_configured(n, phase), RB87, 52.0, n_sites=2 * n)
     units = UnitSystem.for_lattice(RB87, 850e-9)
     xs = np.array(sites.site_positions)
     envelope = np.cos(np.pi * (xs - phase) / (n * 850e-9 / 2)) ** 2
     for j, env in enumerate(envelope):
-        d0, d1, diff = light_shifts(RB87, 787.6e-9, intensity * float(env))[:3]
+        d0, d1, diff = light_shifts(RB87, 787.6e-9, sites.intensity * float(env))[:3]
         assert sites.delta_e0[j] == units.energy_to_natural(d0)
         assert sites.delta_e1[j] == units.energy_to_natural(d1)
         assert sites.delta_diff[j] == units.energy_to_natural(diff)
@@ -66,11 +65,10 @@ def test_site_detunings_equal_per_site_calls(n, phase):
 def test_site_detunings_cos2_pattern():
     # oracle: direct cos^2 envelope at x = 0, lambda_s/2, lambda_s gives
     # intensity factors 1, 1/4, 1/4 for n = 3
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    sites = site_hyperfine_detunings(_configured(intensity), RB87, n_sites=9)
+    sites = site_hyperfine_detunings(_configured(), RB87, 52.0, n_sites=9)
     units = UnitSystem.for_lattice(RB87, 850e-9)
     peak = units.energy_to_natural(
-        light_shifts(RB87, 787.6e-9, intensity)[2])
+        light_shifts(RB87, 787.6e-9, sites.intensity)[2])
     assert sites.delta == pytest.approx(0.75 * peak, rel=1e-12)
     assert sites.labels == ("A", "B", "B") * 3
     # the two B sites in each period are degenerate by cos^2 symmetry
@@ -79,22 +77,23 @@ def test_site_detunings_cos2_pattern():
 
 
 def test_site_detunings_zero_intensity():
-    sites = site_hyperfine_detunings(_configured(0.0), RB87)
-    assert sites.delta == 0.0
+    # a zero delta target takes no LPOL light, so nothing shifts or scatters
+    sites = site_hyperfine_detunings(_configured(), RB87, 0.0)
+    assert (sites.intensity, sites.delta, sites.gamma_a) == (0.0, 0.0, 0.0)
+    assert sites.labels == ("A", "B", "B")
 
 
 def test_site_detunings_periodicity():
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    sites = site_hyperfine_detunings(_configured(intensity), RB87, n_sites=12)
+    sites = site_hyperfine_detunings(_configured(), RB87, 52.0, n_sites=12)
     for j in range(9):
         assert sites.delta_diff[j] == pytest.approx(sites.delta_diff[j + 3], rel=1e-12)
         assert sites.labels[j] == sites.labels[j + 3]
 
 
 def test_site_detunings_linearity_and_label_invariance():
-    base = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    one = site_hyperfine_detunings(_configured(base), RB87)
-    two = site_hyperfine_detunings(_configured(2 * base), RB87)
+    one = site_hyperfine_detunings(_configured(), RB87, 52.0)
+    two = site_hyperfine_detunings(_configured(), RB87, 104.0)
+    assert two.intensity == 2 * one.intensity
     assert two.delta == pytest.approx(2 * one.delta, rel=1e-12)
     assert one.labels == two.labels
 
@@ -102,41 +101,76 @@ def test_site_detunings_linearity_and_label_invariance():
 def test_site_detunings_ambiguity_error():
     # an antinode midway between two sites makes them tie for the maximum,
     # whatever the intensity, since the envelope alone picks the A site
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    for scale in (intensity, 0.0):
+    for delta in (52.0, 0.0):
         with pytest.raises(PhysicsDomainError,
                            match="ambiguous.*lattice.lpol_phase_nm.*lattice.pattern_period"):
-            site_hyperfine_detunings(_configured(scale, phase=850e-9 / 4), RB87)
+            site_hyperfine_detunings(_configured(phase=850e-9 / 4), RB87, delta)
+
+
+def test_site_detunings_refuse_a_negative_delta():
+    with pytest.raises(PhysicsDomainError, match="target delta must be >= 0"):
+        site_hyperfine_detunings(_configured(), RB87, -1.0)
 
 
 @pytest.mark.parametrize("n, phase", [(3, 0.0), (4, 0.0), (3, 50e-9), (5, 30e-9)])
 def test_site_labels_follow_the_envelope_where_the_shifts_underflow(n, phase):
-    # at 1e-310 W/m^2 every shift rounds to 0 or a few subnormal steps, and
-    # the labels stay those of a working intensity
-    working = site_hyperfine_detunings(
-        _configured(solve_intensity_for_delta(_configured(n=n), RB87, 52.0), n, phase), RB87)
-    faint = site_hyperfine_detunings(_configured(1e-310, n, phase), RB87)
+    # the smallest delta target takes a subnormal intensity, where every
+    # shift rounds to 0 or a few subnormal steps, and the labels stay those
+    # of a working intensity
+    working = site_hyperfine_detunings(_configured(n, phase), RB87, 52.0)
+    faint = site_hyperfine_detunings(_configured(n, phase), RB87, 5e-324)
+    assert 0.0 < faint.intensity < sys.float_info.min
     assert faint.labels == working.labels
     assert working.labels.count("A") == 1
     assert working.delta_diff[working.labels.index("A")] == max(working.delta_diff)
 
 
 def test_solve_intensity_trivial_and_linearity():
-    assert solve_intensity_for_delta(_configured(), RB87, 0.0) == 0.0
-    i1 = solve_intensity_for_delta(_configured(), RB87, 26.0)
-    i2 = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    assert i2 == pytest.approx(2 * i1, rel=1e-12)
+    assert site_hyperfine_detunings(_configured(), RB87, 0.0).intensity == 0.0
+    i1 = site_hyperfine_detunings(_configured(), RB87, 26.0).intensity
+    i2 = site_hyperfine_detunings(_configured(), RB87, 52.0).intensity
+    assert i1 > 0.0
+    assert i2 == 2 * i1
 
 
 def test_solve_intensity_round_trip_52er():
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    sites = site_hyperfine_detunings(_configured(intensity), RB87)
-    assert sites.delta == pytest.approx(52.0, rel=1e-9)
+    sites = site_hyperfine_detunings(_configured(), RB87, 52.0)
+    assert sites.delta == pytest.approx(52.0, rel=1e-12, abs=0.0)
+
+
+_UNIT_GAMMA = max(light_shifts(RB87, 787.6e-9, 1.0)[3:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(3, 12), phase_fraction=st.floats(0.0, 1.0),
+       delta=st.floats(-3.0, 5.0).map(lambda e: 10.0 ** e))
+def test_site_evaluation_over_generated_geometries(n, phase_fraction, delta):
+    # phases across one LPOL period; a tie of the brightest sites is refused
+    config = _configured(n, phase_fraction * lpol_period(n, 850e-9))
+    try:
+        sites = site_hyperfine_detunings(config, RB87, delta)
+    except PhysicsDomainError as exc:
+        assert "ambiguous site pattern" in str(exc)
+        assume(False)
+    a = sites.labels.index("A")
+    env = np.cos(np.pi * (np.array(sites.site_positions) - config.lpol_phase)
+                 / lpol_period(n, 850e-9)) ** 2
+    # delta is the difference of two shifts of size delta / contrast, so it
+    # keeps the target to a few ulps of those shifts
+    contrast = env[a] - max(np.delete(env, a))
+    assert sites.delta == pytest.approx(delta, rel=max(1e-12, 64 * 2.0 ** -52 / contrast),
+                                        abs=0.0)
+    assert sites.delta_diff[a] == max(sites.delta_diff)
+    # the lattice report's longer site list solves the same intensity
+    assert site_hyperfine_detunings(config, RB87, delta, n_sites=4 * n).intensity \
+        == sites.intensity
+    assert site_hyperfine_detunings(config, RB87, 2.0 * delta).intensity == 2.0 * sites.intensity
+    assert sites.gamma_a == pytest.approx(sites.intensity * env[a] * _UNIT_GAMMA,
+                                          rel=1e-12, abs=0.0)
 
 
 def test_ramp_time_near_reference_value():
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    ramp = _ramp(intensity, 1e-4)
+    ramp = _ramp(52.0, 1e-4)
     units = UnitSystem.for_lattice(RB87, 850e-9)
     assert units.time_from_natural(ramp.duration) * 1e6 == pytest.approx(44.0, rel=0.5)
     assert ramp.adiabaticity == pytest.approx(0.005)
@@ -148,16 +182,14 @@ def test_ramp_time_near_reference_value():
 
 
 def test_ramp_time_monotone_in_target():
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    tight = _ramp(intensity, 1e-4)
-    loose = _ramp(intensity, 1e-2)
+    tight = _ramp(52.0, 1e-4)
+    loose = _ramp(52.0, 1e-2)
     assert loose.duration < tight.duration
 
 
 def test_ramp_time_infeasible_target():
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
     with pytest.raises(PhysicsDomainError):
-        _ramp(intensity, 0.5)
+        _ramp(52.0, 0.5)
     with pytest.raises(PhysicsDomainError, match="A-site shift"):
         _ramp(0.0, 1e-4)
 
@@ -179,21 +211,19 @@ def test_ramp_admits_the_smallest_shift_that_deepens_the_site():
 
 def test_lpol_ramp_admits_every_accepted_target():
     # xi = sqrt(target)/2 reaches 0.158 as the target nears 0.1
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
     for target in (0.09, math.nextafter(0.1, 0.0)):
-        ramp = _ramp(intensity, target)
+        ramp = _ramp(52.0, target)
         assert ramp.adiabaticity == math.sqrt(target) / 2.0
         assert excitation_numeric(ramp, n_samples=200).max_excitation <= target
     with pytest.raises(PhysicsDomainError):
-        _ramp(intensity, 0.1)
+        _ramp(52.0, 0.1)
 
 
 def test_ramp_two_level_integration_stays_below_target():
     """Oracle: integrate the adiabatic-frame two-level system along the
     returned ramp; excitation must stay within 1.5x the design target."""
     target = 1e-4
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    ramp = _ramp(intensity, target)
+    ramp = _ramp(52.0, target)
     xi = ramp.adiabaticity
 
     def rhs(t, c):
@@ -212,8 +242,7 @@ def test_ramp_two_level_integration_stays_below_target():
 
 
 def test_lpol_ramp_exact_propagator_stays_below_target():
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    results = {target: excitation_numeric(_ramp(intensity, target))
+    results = {target: excitation_numeric(_ramp(52.0, target))
                for target in (1e-4, 1e-2)}
     for target, result in results.items():
         assert result.max_excitation <= target
@@ -224,8 +253,7 @@ def test_lpol_ramp_exact_propagator_stays_below_target():
 
 
 def test_ramp_intensity_fraction_endpoints():
-    intensity = solve_intensity_for_delta(_configured(), RB87, 52.0)
-    ramp = _ramp(intensity, 1e-4)
+    ramp = _ramp(52.0, 1e-4)
     w_i, w_f = ramp.initial_frequency, ramp.final_frequency
 
     def fraction(t):
