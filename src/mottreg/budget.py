@@ -19,7 +19,7 @@ from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
 from .config import RunConfig, config_to_dict, resolve_pulse_rules, set_field, validate_config
 from .errors import NumericsError, PhysicsDomainError
-from .pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve
+from .pulse import GaussianPulse, rabi_evolve
 from .stark import optimize_lpol_wavelength
 from .units import RB87, UnitSystem
 
@@ -152,11 +152,11 @@ def patterned_lattice(cfg: RunConfig) -> lattice_mod.SuperlatticeConfig:
         lpol_phase=cfg.lattice.lpol_phase_nm * 1e-9)
 
 
-def pi_pulse(cfg: RunConfig) -> GaussianPulse:
-    """The Gaussian pi pulse of the resolved pulse rules (natural units)."""
-    omega0, t_f, detuning = resolve_pulse_rules(cfg)
-    return GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
-                         envelope_width=omega0, cutoff=t_f, detuning=detuning)
+def pi_pulse(cfg: RunConfig) -> tuple[GaussianPulse, float, float, float]:
+    """The pi pulse of the resolved rules in units of its width, and the width
+    omega0, cutoff t_f and detuning that the rules give in natural units."""
+    d, s_f, omega0, t_f, detuning = resolve_pulse_rules(cfg)
+    return GaussianPulse(detuning=d, cutoff=s_f), omega0, t_f, detuning
 
 
 def removal_drive(cfg: RunConfig) -> removal_mod.RemovalPlan:
@@ -198,7 +198,8 @@ def moving_focus(cfg: RunConfig) -> FocusMove:
     """The focus move over the configured displacement at xi_bar = sqrt(target / 4):
     T = int |<e|dH/da|g>| / (xi_bar gap^2) da, the amplitude ceiling P_exc =
     4 xi_bar^2, and P_scatter = (Gamma_eff/|Delta_0|) int |V(y_min)| dt along
-    the move, for the focus detuning Delta_0 and its calibrated linewidth."""
+    the move, for the focus detuning Delta_0 and its calibrated linewidth,
+    clamped at 1."""
     spd = cfg.speedup
     xi_bar = math.sqrt(spd.target_excitation / 4.0)
     if not xi_bar > 0:
@@ -211,8 +212,8 @@ def moving_focus(cfg: RunConfig) -> FocusMove:
         potential, spd.final_displacement_sigma, basis_size=spd.basis_size)
     move_time = (schedule.integral() / xi_bar
                  * speedup_mod.time_unit(spd.sigma_c_um * 1e-6, RB87.mass))
-    p_scatter = (spd.effective_linewidth_rad_s / abs(spd.focus_detuning_rad_s)
-                 * schedule.integral(schedule.depth_profile) / xi_bar)
+    p_scatter = min(1.0, spd.effective_linewidth_rad_s / abs(spd.focus_detuning_rad_s)
+                    * schedule.integral(schedule.depth_profile) / xi_bar)
     return FocusMove(potential, schedule, xi_bar, move_time, 4.0 * xi_bar ** 2, p_scatter)
 
 
@@ -220,50 +221,50 @@ def moving_focus(cfg: RunConfig) -> FocusMove:
 # budgets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _StepTwo:
-    """Shared selective-depopulation results (used by both schemes)."""
-
-    step: tuple[str, float, tuple]
-    lattice_config: lattice_mod.SuperlatticeConfig
-    sites: lattice_mod.SiteDetunings
-    ramp_time: float
-    pulse: GaussianPulse
+def _reuse(stages: dict, key: tuple, compute):
+    """The result stored under key, computed on first use; a key holds every
+    value its stage reads (the atom is always Rb-87)."""
+    if key not in stages:
+        stages[key] = compute()
+    return stages[key]
 
 
-def _run_step_two(cfg: RunConfig, units: UnitSystem) -> _StepTwo:
-    lattice_config = patterned_lattice(cfg)
-    sites = lattice_mod.site_hyperfine_detunings(lattice_config, RB87, cfg.lattice.delta_target_er)
-    ramp = lattice_mod.lpol_ramp_time(lattice_config, max(sites.delta_diff),
-                                      cfg.lattice.ramp_target_excitation)
-    pulse = pi_pulse(cfg)
+def _lattice_stage(cfg: RunConfig):
+    """The site evaluation at the delta target and the LPOL ramp to the A
+    site's shift; both read the lattice section alone."""
+    config = patterned_lattice(cfg)
+    sites = lattice_mod.site_hyperfine_detunings(config, RB87, cfg.lattice.delta_target_er)
+    return config, sites, lattice_mod.lpol_ramp_time(config, max(sites.delta_diff),
+                                                     cfg.lattice.ramp_target_excitation)
+
+
+def _step_two(cfg: RunConfig, units: UnitSystem, stages: dict) -> tuple[tuple, dict]:
+    """The selective-depopulation step (name, duration, channels) of both
+    schemes and its scheme-1 extras; rows share the lattice stage of equal
+    lattice sections and the pulse of equal pairs (d, s_f)."""
+    lattice_config, sites, ramp = _reuse(stages, ("lattice", *vars(cfg.lattice).values()),
+                                         lambda: _lattice_stage(cfg))
+    pulse, omega0, t_f, _ = pi_pulse(cfg)
     # the Richardson amplitudes of a full flip may pass 1 by an ulp
-    p_flip = min(1.0, rabi_evolve(pulse).p_flip)
+    p_flip = min(1.0, _reuse(stages, ("pulse", pulse), lambda: rabi_evolve(pulse)).p_flip)
 
     # ramp up, hold at full intensity for the pulse, ramp down (time-reversed)
     ramp_time = units.time_from_natural(ramp.duration)
-    hold = units.time_from_natural(2.0 * pulse.cutoff)
-    duration = 2.0 * ramp_time + hold
+    hold = units.time_from_natural(2.0 * t_f)
     # the A site's rate is linear in intensity: its peak rate x full-intensity time
     exposure = 2.0 * units.time_from_natural(lattice_mod.lpol_exposure(ramp)) + hold
     channels = (("lpol_ramp_excitation", cfg.lattice.ramp_target_excitation),
                 ("pulse_flip_error", p_flip),
                 ("step2_scattering", min(1.0, sites.gamma_a * exposure)))
-    return _StepTwo(step=("selective_depop", duration, channels),
-                    lattice_config=lattice_config, sites=sites,
-                    ramp_time=ramp_time, pulse=pulse)
-
-
-def _reuse(stages: dict, cfg: RunConfig, stage: str, sections: tuple[str, ...], compute):
-    """The stage's result, computed on first use.  It is keyed by the values
-    of the config sections the stage reads, so every later call whose
-    sections match gets the same result.  The atom is always Rb-87, so the
-    config sections are all a stage depends on.  Section fields are scalars
-    or strings, so a shallow tuple of their values is the key."""
-    key = (stage,) + tuple(tuple(vars(getattr(cfg, name)).values()) for name in sections)
-    if key not in stages:
-        stages[key] = compute()
-    return stages[key]
+    extras = {
+        "lpol_wavelength_nm": lattice_config.lpol_wavelength * 1e9,
+        "lpol_intensity_w_m2": sites.intensity,
+        "delta_realized_er": sites.delta,
+        "lpol_ramp_us": ramp_time * 1e6,
+        "pulse_omega0_er": omega0,
+        "pulse_peak_rabi_er": omega0 * pulse.peak_rabi,
+    }
+    return ("selective_depop", 2.0 * ramp_time + hold, channels), extras
 
 
 def _removal_stage(cfg: RunConfig):
@@ -274,9 +275,8 @@ def _removal_stage(cfg: RunConfig):
 
 def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
     units = lattice_units(cfg)
-    two = _reuse(stages, cfg, "step_two", ("lattice", "pulse"),
-                 lambda: _run_step_two(cfg, units))
-    plan, p_impact = _reuse(stages, cfg, "removal", ("removal",),
+    step_two, extras = _step_two(cfg, units, stages)
+    plan, p_impact = _reuse(stages, ("removal", *vars(cfg.removal).values()),
                             lambda: _removal_stage(cfg))
     p_collision = removal_mod.collision_probability(
         plan.duration, cfg.removal.tunneling_time_ms * 1e-3)
@@ -287,7 +287,7 @@ def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
 
     steps = [
         ("mott_prep", 0.0, ()),
-        two.step,
+        step_two,
         ("removal", plan.duration, (("removal_target_impact", p_impact),
                                     ("collision", p_collision))),
         ("transfer", transfer_duration, (("transfer_excitation", p_transfer),)),
@@ -295,12 +295,7 @@ def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
     targets, fraction = lattice_mod.pattern_yield(cfg.lattice.total_sites,
                                                   cfg.lattice.pattern_period)
     extras = {
-        "lpol_wavelength_nm": two.lattice_config.lpol_wavelength * 1e9,
-        "lpol_intensity_w_m2": two.sites.intensity,
-        "delta_realized_er": two.sites.delta,
-        "lpol_ramp_us": two.ramp_time * 1e6,
-        "pulse_omega0_er": two.pulse.envelope_width,
-        "pulse_peak_rabi_er": two.pulse.peak_rabi,
+        **extras,
         "removal_rabi_rad_s": plan.rabi_frequency,
         "removal_duration_us": plan.duration * 1e6,
         "removal_feasible_at_request": plan.feasible_at_request,
@@ -323,15 +318,15 @@ def run_scheme2(cfg: RunConfig) -> ProtocolBudget:
     """Cyclic moving-focus extraction: steps I-II plus the adiabatic move,
     repeated over melt/re-form cycles; per-atom failure is dominated by the
     move's excitation and scattering."""
-    two = _run_step_two(cfg, lattice_units(cfg))
+    step_two, _ = _step_two(cfg, lattice_units(cfg), {})
     move = moving_focus(cfg)
 
     spd = cfg.speedup
     steps = [
         ("mott_prep", 0.0, ()),
-        two.step,
+        step_two,
         ("speedup_move", move.move_time, (("move_excitation", move.p_exc),
-                                          ("move_scattering", min(1.0, move.p_scatter)))),
+                                          ("move_scattering", move.p_scatter))),
     ]
     fraction = speedup_mod.cycle_yield(spd.cycles, spd.per_cycle_fraction)
     atoms = int(math.floor(fraction * cfg.lattice.total_sites))
@@ -349,11 +344,12 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
     """One scheme-1 budget per grid value of a dotted config parameter.
 
     Rows are returned in grid order, and each equals the row of an
-    independent run_scheme1 on that row's config.  Within one call, the
-    selective-depopulation step (lattice, LPOL ramp, pi pulse, step-II
-    scattering) is computed once per distinct lattice and pulse sections,
-    and the removal drive once per distinct removal section; a transfer.xi
-    sweep thus integrates its pulse once.  Nothing is kept between calls.
+    independent run_scheme1 on that row's config.  Within one call, the site
+    evaluation and LPOL ramp are computed once per distinct lattice section,
+    the pi pulse once per distinct pair (d, s_f), and the removal drive once
+    per distinct removal section; a transfer.xi sweep, and a delta sweep
+    under the default pulse rules, thus integrate one pulse.  Nothing is
+    kept between calls.
     """
     stages: dict = {}
     rows = []
@@ -383,7 +379,7 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
 def resolved_config_echo(cfg: RunConfig) -> dict:
     """Config dict with every rule string expanded to its numeric value."""
     echo = config_to_dict(resolve_lpol_wavelength(cfg))
-    omega0, t_f, detuning = resolve_pulse_rules(cfg)
+    _, _, omega0, t_f, detuning = resolve_pulse_rules(cfg)
     echo["pulse"]["omega0_er"] = omega0
     echo["pulse"]["cutoff"] = t_f
     echo["pulse"]["detuning_er"] = detuning

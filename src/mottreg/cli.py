@@ -186,18 +186,18 @@ def _cmd_lattice(args, cfg: RunConfig):
 
 def _cmd_pulse(args, cfg: RunConfig):
     units = lattice_units(cfg)
-    pulse = pi_pulse(cfg)
-    t_f = pulse.cutoff
+    pulse, omega0, t_f, detuning = pi_pulse(cfg)
     outcome = rabi_evolve(pulse, trajectory=bool(args.trajectory_out))
-    report = {"omega0": pulse.envelope_width, "t_f": t_f, "Omega0": pulse.peak_rabi,
-              "detuning": pulse.detuning, "p_flip": outcome.p_flip,
+    report = {"omega0": omega0, "t_f": t_f, "Omega0": omega0 * pulse.peak_rabi,
+              "detuning": detuning, "p_flip": outcome.p_flip,
               "p_stay": outcome.p_stay,
               "pulse_duration_us": units.time_from_natural(2 * t_f) * 1e6}
     side = []
     if args.trajectory_out:
         c0, c1 = outcome.states[:, 0], outcome.states[:, 1]
+        # the pulse runs in s = omega0 t; the table's t is in hbar/E_R
         side.append((args.trajectory_out,
-                     {"t": outcome.times, "re_c0": c0.real, "im_c0": c0.imag,
+                     {"t": outcome.times / omega0, "re_c0": c0.real, "im_c0": c0.imag,
                       "re_c1": c1.real, "im_c1": c1.imag}))
     _deliver(args, cfg, report, "json", side_files=side)
 

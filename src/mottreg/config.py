@@ -320,21 +320,20 @@ def set_by_path(cfg: RunConfig, dotted: str, raw_value: str):
     validate_config(cfg)
 
 
-def resolve_pulse_rules(cfg: RunConfig) -> tuple[float, float, float]:
-    """Expand the pulse rules against the lattice delta target.
-
-    Returns (omega0, t_f, detuning) in natural units (E_R/hbar and hbar/E_R).
-    """
-    delta = cfg.lattice.delta_target_er
-    omega0 = (delta / 4.0 if cfg.pulse.omega0_er == "delta/4"
-              else float(cfg.pulse.omega0_er))
+def resolve_pulse_rules(cfg: RunConfig) -> tuple[float, float, float, float, float]:
+    """Expand the pulse rules against the lattice delta target: the pulse in
+    units of its width, d = Delta/omega0 and s_f = omega0 t_f, then omega0,
+    t_f and Delta as the rules give them (E_R/hbar and hbar/E_R).  "5/omega0"
+    is s_f = 5 and "delta" under "delta/4" is d = 4 exactly, at every delta."""
+    delta, rules = cfg.lattice.delta_target_er, cfg.pulse
+    omega0 = delta / 4.0 if rules.omega0_er == "delta/4" else float(rules.omega0_er)
     if not omega0 > 0:
         raise ConfigError(f"pulse.omega0_er = delta/4 is 0 at lattice.delta_target_er = {delta!r}")
-    t_f = (5.0 / omega0 if cfg.pulse.cutoff == "5/omega0"
-           else float(cfg.pulse.cutoff))
+    t_f = 5.0 / omega0 if rules.cutoff == "5/omega0" else float(rules.cutoff)
     if not math.isfinite(t_f):
         raise ConfigError(f"pulse.cutoff = 5/omega0 overflows at pulse.omega0_er = {omega0!r}")
-    detuning = (delta if cfg.pulse.detuning_er == "delta"
-                else float(cfg.pulse.detuning_er))
-    return omega0, t_f, detuning
-
+    s_f = 5.0 if rules.cutoff == "5/omega0" else omega0 * t_f
+    detuning = delta if rules.detuning_er == "delta" else float(rules.detuning_er)
+    d = (4.0 if (rules.omega0_er, rules.detuning_er) == ("delta/4", "delta")
+         else detuning / omega0)
+    return d, s_f, omega0, t_f, detuning

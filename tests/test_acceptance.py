@@ -13,7 +13,7 @@ import pytest
 from mottreg.budget import run_scheme1, run_scheme2
 from mottreg.cli import main
 from mottreg.config import RunConfig
-from mottreg.pulse import GaussianPulse, pi_pulse_amplitude, rabi_evolve
+from mottreg.pulse import GaussianPulse, rabi_evolve
 from mottreg.removal import photon_count, removal_photon_threshold, solve_removal_drive
 from mottreg import speedup as sp
 from mottreg.speedup import DoubleGaussianPotential
@@ -28,11 +28,9 @@ UNITS = UnitSystem.for_lattice(RB87, 850e-9)
 
 
 def _pi_pulse(delta: float, detuning: float = 0.0) -> GaussianPulse:
-    """The budget's pulse rule: omega_0 = delta/4, t_f = 5/omega_0, pi area."""
-    omega0 = delta / 4.0
-    t_f = 5.0 / omega0
-    return GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
-                         envelope_width=omega0, cutoff=t_f, detuning=detuning)
+    """The budget's pulse rule omega_0 = delta/4, t_f = 5/omega_0, detuned by
+    `detuning` E_R/hbar: the pair d = detuning/omega_0, s_f = 5."""
+    return GaussianPulse(detuning=detuning / (delta / 4.0), cutoff=5.0)
 
 
 @contextlib.contextmanager
@@ -58,8 +56,11 @@ def test_criterion_01_pi_pulse_selectivity():
 
 def test_criterion_02_pulse_amplitude():
     with criterion(2, "pi-pulse amplitude"):
+        # the scheme-1 budget's pulse at delta = 52 E_R: omega_0 = 13 E_R/hbar
         omega0 = 13.0
-        amp = pi_pulse_amplitude(omega0, 5.0 / omega0)
+        extras = run_scheme1(RunConfig()).extras
+        assert extras["pulse_omega0_er"] == omega0
+        amp = extras["pulse_peak_rabi_er"]
         assert amp == pytest.approx(23.0, rel=5e-3)
         assert abs(amp / (math.sqrt(math.pi) * omega0) - 1.0) < 0.01
 

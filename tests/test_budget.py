@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import mottreg.budget as budget_mod
 from mottreg.budget import resolved_config_echo, run_scheme1, run_scheme2, sweep
-from mottreg.config import RunConfig, set_by_path, set_field, validate_config
+from mottreg.config import (RunConfig, resolve_pulse_rules, set_by_path, set_field,
+                            validate_config)
 from mottreg.errors import ConfigError, PhysicsDomainError
 from mottreg.stark import light_shifts
 from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure, lpol_period, lpol_ramp_time,
@@ -63,7 +64,7 @@ def test_step_two_evaluates_the_sites_once(monkeypatch):
     monkeypatch.setattr(budget_mod.lattice_mod, "light_shifts",
                         lambda *args: calls.append(args) or original(*args))
     cfg = RunConfig()
-    budget_mod._run_step_two(cfg, budget_mod.lattice_units(cfg))
+    budget_mod._step_two(cfg, budget_mod.lattice_units(cfg), {})
     assert [np.shape(intensity) for _, _, intensity in calls] == [(), (3,)]
     assert calls[0][2] == 1.0
 
@@ -110,7 +111,8 @@ def _step2_exposure(cfg: RunConfig) -> float:
     units = budget_mod.lattice_units(cfg)
     ramp = lpol_ramp_time(budget_mod.patterned_lattice(cfg), max(_sites(cfg).delta_diff),
                           cfg.lattice.ramp_target_excitation)
-    hold = units.time_from_natural(2.0 * budget_mod.pi_pulse(cfg).cutoff)
+    _, _, t_f, _ = budget_mod.pi_pulse(cfg)
+    hold = units.time_from_natural(2.0 * t_f)
     return 2.0 * units.time_from_natural(lpol_exposure(ramp)) + hold
 
 
@@ -191,10 +193,12 @@ def test_step2_scattering_is_clamped_to_certain_failure(overrides, run):
 
 
 def test_a_full_flip_charges_certain_failure():
-    # a pulse far broader than delta flips the A atom as well; its
-    # Richardson flip probability passes 1 by an ulp, which the budget clamps
+    # a pulse far broader than delta flips the A atom as well; at the cutoff
+    # omega0 t_f = 5.5 its Richardson flip probability passes 1 by an ulp,
+    # which the budget clamps
     cfg = RunConfig()
-    cfg.pulse.omega0_er = 1e30
+    cfg.pulse.omega0_er, cfg.pulse.cutoff = 1e30, 5.5e-30
+    assert budget_mod.rabi_evolve(budget_mod.pi_pulse(cfg)[0]).p_flip > 1.0
     budget = run_scheme1(cfg)
     assert dict(budget.steps[1].failure_channels)["pulse_flip_error"] == 1.0
     assert budget.total_failure == 1.0
@@ -384,8 +388,44 @@ def test_sweep_integrates_the_pulse_once_per_distinct_step_two(monkeypatch):
     sweep(RunConfig(), "transfer.xi", [0.0025, 0.005, 0.01])
     assert len(calls) == 1
     calls.clear()
-    sweep(RunConfig(), "lattice.delta_target_er", [44.0, 52.0, 60.0])
-    assert len(calls) == 3
+    # under the default rules every delta gives the pulse (d, s_f) = (4, 5)
+    deltas = [30.0, 40.0, 41.3, 52.0, 55.5, 63.9, 80.0]
+    rows = sweep(RunConfig(), "lattice.delta_target_er", deltas)
+    assert len(calls) == 1
+    assert rows == [_independent_row(RunConfig(), "lattice.delta_target_er", v) for v in deltas]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(delta=st.floats(1e-300, 1e6))
+def test_default_pulse_rules_give_one_pair_at_every_delta(delta):
+    # omega0 = delta/4, t_f = 5/omega0 and Delta = delta are the pulse
+    # (d, s_f) = (4, 5) exactly, while the echo keeps the E_R values
+    cfg = RunConfig()
+    cfg.lattice.delta_target_er = delta
+    assert resolve_pulse_rules(cfg) == (4.0, 5.0, delta / 4.0, 5.0 / (delta / 4.0), delta)
+
+
+def _numeric_width():
+    cfg = RunConfig()
+    cfg.pulse.omega0_er = 13.0
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, parameter, values, pairs", [
+    (RunConfig(), "pulse.omega0_er", [10.0, 13.0, 10.0, 16.0], 3),
+    (RunConfig(), "pulse.cutoff", [0.4, 0.5, 0.4, 0.6], 3),
+    (RunConfig(), "pulse.detuning_er", [45.0, 52.0, 60.0, 45.0], 3),
+    # with a numeric width, d = delta/omega0 moves with the delta target
+    (_numeric_width(), "lattice.delta_target_er", [44.0, 52.0, 44.0], 2),
+], ids=["omega0", "cutoff", "detuning", "delta-at-numeric-width"])
+def test_sweep_keys_the_pulse_by_every_input_it_reads(monkeypatch, cfg, parameter, values,
+                                                     pairs):
+    # one integration per distinct pair (d, s_f), and rows equal to independent runs
+    calls = _counting(monkeypatch, "rabi_evolve")
+    rows = sweep(cfg, parameter, values)
+    assert len(calls) == len({pulse for pulse, in calls}) == pairs
+    monkeypatch.undo()
+    assert rows == [_independent_row(cfg, parameter, v) for v in values]
 
 
 def test_sweep_keeps_nothing_between_calls(monkeypatch):

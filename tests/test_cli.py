@@ -698,6 +698,11 @@ def test_cli_unresolvable_or_oversized_run_is_a_numerics_error(capsys, setting, 
     ("--set removal.duration_us=1e305 remove", 3, "removal.duration_us"),
     ("--set removal.duration_us=1e300 remove --detuning-ghz 300000", 3, "removal.duration_us"),
     ("--set removal.trap_depth_er=1e307 scheme1", 3, "removal.trap_depth_er"),
+    # the Magnus step count is set by the detuning phase 2 |d| s_f, here with
+    # the detuning of the rule "delta", or by the cutoff s_f = omega0 t_f
+    ("pulse --omega0 1e-300", 4, "lattice.delta_target_er"),
+    ("pulse --detuning 1e9", 4, "pulse.detuning_er"),
+    ("pulse --tf 1e5", 4, "pulse.cutoff"),
 ])
 def test_cli_refusal_names_the_field(capsys, command, code, field):
     assert main(command.split()) == code
@@ -845,6 +850,34 @@ def _assert_runs_or_exits_cleanly(overrides, command, named=False):
         json.loads(out.getvalue(), parse_constant=_no_constant)
     elif named:
         assert "--" in message or any(path in message for path in CONFIG_PATHS), message
+
+
+# the removal window past the float range, which the fuzz draws above do not
+# pair with the commands that solve the removing drive
+@pytest.mark.parametrize("field", ["removal.duration_us", "removal.trap_depth_er"])
+@pytest.mark.parametrize("value", [1e308, -1e308, sys.float_info.max, -sys.float_info.max])
+@pytest.mark.parametrize("command", ["remove", "scheme1", FUZZ_COMMANDS[-1]])
+def test_cli_removal_window_extremes_exit_cleanly(field, value, command):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--format", "json", "--set", f"{field}={json.dumps(value)}",
+                     *command.split()])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert field in err.getvalue()
+
+
+def test_cli_scattering_probability_is_clamped_where_it_is_formed(capsys):
+    # the move's rate x time scattering passes 1 here; the speedup report, the
+    # scheme-2 extra and the scheme-2 channel all carry the clamped value
+    overrides = ["--set", "speedup.target_excitation=1e-7"]
+    assert main(overrides + ["speedup"]) == 0
+    speedup = json.loads(capsys.readouterr().out)["report"]
+    assert main(overrides + ["scheme2"]) == 0
+    scheme2 = json.loads(capsys.readouterr().out)["report"]
+    channels = dict((c["label"], c["p"]) for c in scheme2["steps"][2]["channels"])
+    assert speedup["P_scatter"] == scheme2["p_scatter"] == channels["move_scattering"] == 1.0
 
 
 def test_cli_reports_agree_with_the_budgets(capsys):

@@ -7,48 +7,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from mottreg.budget import pi_pulse
+from mottreg.config import RunConfig
 from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg import pulse as pulse_mod
-from mottreg.pulse import (GaussianPulse, _magnus_steps, _product, pi_pulse_amplitude,
-                           rabi_evolve)
+from mottreg.pulse import GaussianPulse, _magnus_steps, _product, rabi_evolve
 from mottreg.units import RB87, UnitSystem
+
+OMEGA0 = 13.0   # the envelope width of the delta = 52 E_R pulse, E_R/hbar
 
 
 def _pi_pulse(delta: float, detuning: float = 0.0) -> GaussianPulse:
-    """The budget's pulse rule: omega_0 = delta/4, t_f = 5/omega_0, pi area."""
-    omega0 = delta / 4.0
-    t_f = 5.0 / omega0
-    return GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
-                         envelope_width=omega0, cutoff=t_f, detuning=detuning)
+    """The budget's pulse rule omega_0 = delta/4, t_f = 5/omega_0, detuned by
+    `detuning` E_R/hbar: the pair d = detuning/omega_0, s_f = 5."""
+    return GaussianPulse(detuning=detuning / (delta / 4.0), cutoff=5.0)
 
 
 def test_pi_pulse_amplitude_reference_value():
-    omega0 = 13.0
-    amp = pi_pulse_amplitude(omega0, 5.0 / omega0)
+    amp = OMEGA0 * _pi_pulse(52.0).peak_rabi
     assert amp == pytest.approx(23.0, rel=5e-3)
     # within 1% of the infinite-cutoff Gaussian integral
-    assert amp == pytest.approx(math.sqrt(math.pi) * omega0, rel=1e-2)
+    assert amp == pytest.approx(math.sqrt(math.pi) * OMEGA0, rel=1e-2)
 
 
 def test_pi_pulse_amplitude_infinite_cutoff_limit():
     # oracle: closed-form Gaussian integral; erf(12) = 1 to machine precision
-    omega0 = 13.0
-    amp = pi_pulse_amplitude(omega0, 12.0 / omega0)
-    assert amp == pytest.approx(math.sqrt(math.pi) * omega0, rel=1e-12)
+    amp = GaussianPulse(detuning=0.0, cutoff=12.0).peak_rabi
+    assert amp == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def test_pi_pulse_amplitude_scaling():
-    omega0 = 13.0
-    base = pi_pulse_amplitude(omega0, 5.0 / omega0)
-    scaled = pi_pulse_amplitude(2 * omega0, 2.5 / omega0)
-    assert scaled == pytest.approx(2 * base, rel=1e-12)
+    # the configured pulse of twice the width and half the cutoff time has
+    # twice the peak Rabi frequency in E_R/hbar
+    amplitudes = []
+    for omega0, t_f in ((OMEGA0, 5.0 / OMEGA0), (2 * OMEGA0, 2.5 / OMEGA0)):
+        cfg = RunConfig()
+        cfg.pulse.omega0_er, cfg.pulse.cutoff = omega0, t_f
+        pulse, width, _, _ = pi_pulse(cfg)
+        amplitudes.append(width * pulse.peak_rabi)
+    assert amplitudes[1] == pytest.approx(2 * amplitudes[0], rel=1e-12)
 
 
 def test_pulse_cutoff_validation():
-    with pytest.raises(PhysicsDomainError):
-        GaussianPulse(peak_rabi=23.0, envelope_width=13.0, cutoff=0.1)
-    with pytest.raises(PhysicsDomainError):
-        pi_pulse_amplitude(13.0, 0.1)
+    for cutoff in (1.3, 3.0 - 1e-15, float("nan")):
+        with pytest.raises(PhysicsDomainError, match="pulse.cutoff"):
+            GaussianPulse(detuning=4.0, cutoff=cutoff)
+    assert GaussianPulse(detuning=4.0, cutoff=3.0).cutoff == 3.0
 
 
 def test_resonant_pulse_inverts():
@@ -82,8 +86,8 @@ def test_flip_probability_even_in_detuning():
 
 
 def _flip(ratio):
-    # omega_0 = 13 at the pi pulse of delta = 52, detuned by ratio * omega_0
-    return rabi_evolve(_pi_pulse(52.0, detuning=ratio * 13.0)).p_flip
+    # the pi pulse of the budget's rule, detuned by ratio * omega_0
+    return rabi_evolve(GaussianPulse(detuning=ratio, cutoff=5.0)).p_flip
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -99,7 +103,7 @@ def test_flip_probability_dip_and_tail_maximum_vs_dop853():
     # again near 4.537 omega_0, 6.6x above the operating point 4 omega_0
     dip, peak, operating = _flip(3.885), _flip(4.537), _flip(4.0)
     for ratio, value in ((3.885, dip), (4.537, peak)):
-        pulse = _pi_pulse(52.0, detuning=ratio * 13.0)
+        pulse = GaussianPulse(detuning=ratio, cutoff=5.0)
         assert value == pytest.approx(_dop853_flip(pulse, rtol=2.3e-14, atol=1e-22),
                                       rel=1e-8, abs=0.0)
     assert dip == pytest.approx(6.059e-10, rel=1e-3, abs=0.0)
@@ -110,7 +114,7 @@ def test_flip_probability_dip_and_tail_maximum_vs_dop853():
 
 
 def test_rabi_evolve_solver_work_at_operating_point():
-    # omega_0 t_f = 5 and |Delta| t_f = 20 take the 3200-step floor; the
+    # s_f = omega_0 t_f = 5 and |d| s_f = 20 take the 3200-step floor; the
     # half-grid gap is ~9.7e-9 of p_flip there, and no samples are built
     outcome = rabi_evolve(_pi_pulse(52.0, detuning=52.0))
     assert outcome.n_steps == 3200
@@ -118,12 +122,11 @@ def test_rabi_evolve_solver_work_at_operating_point():
     assert outcome.times is None and outcome.states is None
     sampled = rabi_evolve(_pi_pulse(52.0, detuning=52.0), trajectory=True)
     assert sampled.states.shape == (801, 2)
-    assert np.array_equal(sampled.times, np.linspace(-5 / 13, 5 / 13, 801))
+    assert np.array_equal(sampled.times, np.linspace(-5.0, 5.0, 801))
     assert (sampled.p_flip, sampled.n_steps) == (outcome.p_flip, outcome.n_steps)
     # the floor holds for a short cutoff, and 1 rad of detuning phase per step
-    # sets the count far off resonance: 2 |Delta| t_f = 10000, rounded up to 11200
-    short = GaussianPulse(peak_rabi=pi_pulse_amplitude(13.0, 3.0 / 13.0),
-                          envelope_width=13.0, cutoff=3.0 / 13.0, detuning=52.0)
+    # sets the count far off resonance: 2 |d| s_f = 10000, rounded up to 11200
+    short = GaussianPulse(detuning=4.0, cutoff=3.0)
     assert rabi_evolve(short).n_steps == 3200
     assert rabi_evolve(_pi_pulse(52.0, detuning=13_000.0)).n_steps == 11200
     # just inside the operating point the 3200-step gap fails, and one doubling
@@ -131,13 +134,20 @@ def test_rabi_evolve_solver_work_at_operating_point():
     assert rabi_evolve(_pi_pulse(52.0, detuning=50.0)).n_steps == 6400
 
 
-def _dop853(pulse, times=None, rtol=1e-13, atol=1e-15):
-    # oracle: scipy's 8th-order Dormand-Prince at tight tolerances
-    def rhs(t, c):
-        half = 0.5 * pulse.envelope(t)
-        return [-1j * half * c[1], -1j * (half * c[0] - pulse.detuning * c[1])]
+def _dop853(pulse, omega0=OMEGA0, times=None, rtol=1e-13, atol=1e-15):
+    # oracle: scipy's 8th-order Dormand-Prince at tight tolerances on the
+    # Hamiltonian in natural units, H = diag(0, -Delta) + (Omega(t)/2) sigma_x
+    # with Omega(t) = Omega_0 exp(-omega_0^2 t^2) on [-t_f, t_f] and the pi
+    # area in closed form, Omega_0 = pi omega_0 / (sqrt(pi) erf(omega_0 t_f));
+    # `times` are in hbar/E_R
+    t_f, detuning = pulse.cutoff / omega0, pulse.detuning * omega0
+    peak = math.pi * omega0 / (math.sqrt(math.pi) * math.erf(omega0 * t_f))
 
-    ref = solve_ivp(rhs, (-pulse.cutoff, pulse.cutoff), [1.0 + 0j, 0j],
+    def rhs(t, c):
+        half = 0.5 * peak * math.exp(-(omega0 * t) ** 2)
+        return [-1j * half * c[1], -1j * (half * c[0] - detuning * c[1])]
+
+    ref = solve_ivp(rhs, (-t_f, t_f), [1.0 + 0j, 0j],
                     method="DOP853", rtol=rtol, atol=atol, t_eval=times)
     assert ref.success
     return ref.y.T
@@ -152,7 +162,8 @@ def test_detuned_flip_error_vs_scipy_dop853():
     outcome = rabi_evolve(pulse, trajectory=True)
     assert outcome.p_flip == pytest.approx(_dop853_flip(pulse), rel=1e-8, abs=0.0)
     # the sampled amplitudes, phases included, in the frame of H = diag(0, -Delta) + ...
-    assert np.max(np.abs(outcome.states - _dop853(pulse, outcome.times))) < 1e-9
+    reference = _dop853(pulse, times=outcome.times / OMEGA0)
+    assert np.max(np.abs(outcome.states - reference)) < 1e-9
 
 
 @pytest.mark.parametrize("detuning", [26.0, 52.0, 80.0, 104.0])
@@ -165,7 +176,7 @@ def test_flip_error_vs_fine_magnus_and_tight_dop853(detuning):
     assert p_flip == pytest.approx(fine, rel=1e-12, abs=0.0)
     # the sampled Richardson amplitudes against 160,000 steps; the 3200-step
     # amplitudes alone are off by 2e-12 to 7e-12
-    phase = np.exp(0.5j * detuning * (outcome.times - outcome.times[0]))[:, None]
+    phase = np.exp(0.5j * pulse.detuning * (outcome.times - outcome.times[0]))[:, None]
     sampled = (pulse_mod._sampled(pulse, 160_000) + [1.0, 0.0]) * phase
     assert np.max(np.abs(outcome.states - sampled)) < 1e-13
     # DOP853 at rtol 1e-13 is itself off by 3e-11 at Delta = 52
@@ -177,17 +188,20 @@ def test_flip_error_vs_fine_magnus_and_tight_dop853(detuning):
 @given(omega0=st.floats(1.0, 50.0), width=st.floats(3.0, 8.0),
        ratio=st.floats(-8.0, 8.0))
 def test_magnus_states_unitary_and_flip_matches_dop853(omega0, width, ratio):
-    # omega0 t_f = width and Delta = ratio * omega0: the pulse width, its
-    # truncation and its detuning in units of the width
-    t_f = width / omega0
-    pulse = GaussianPulse(peak_rabi=pi_pulse_amplitude(omega0, t_f),
-                          envelope_width=omega0, cutoff=t_f, detuning=ratio * omega0)
+    # s_f = omega0 t_f = width and d = Delta/omega0 = ratio: the pulse's
+    # truncation and detuning in units of its width, against DOP853 on the
+    # natural-unit pulse of width omega0, which checks the scale invariance
+    pulse = GaussianPulse(detuning=ratio, cutoff=width)
     outcome = rabi_evolve(pulse, trajectory=True)
     norms = np.sum(np.abs(outcome.states) ** 2, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-13
     # abs: near a zero of p_flip, DOP853's amplitude error of ~3e-14 times
     # |c1| < 6e-6 exceeds rel * p_flip
-    assert outcome.p_flip == pytest.approx(_dop853_flip(pulse), rel=1e-8, abs=1e-18)
+    assert outcome.p_flip == pytest.approx(_dop853_flip(pulse, omega0=omega0),
+                                           rel=1e-8, abs=1e-18)
+    # p(Delta) = p(-Delta)
+    assert rabi_evolve(GaussianPulse(detuning=-ratio, cutoff=width)).p_flip == pytest.approx(
+        outcome.p_flip, rel=1e-9, abs=1e-18)
 
 
 def test_magnus_error_falls_fourth_order_at_operating_point():
@@ -204,8 +218,7 @@ def test_magnus_error_falls_fourth_order_at_operating_point():
 def test_coarse_magnus_grid_fails_its_residual_check(monkeypatch):
     # a grid the step bound rejects is refused before it is allocated
     with pytest.raises(NumericsError, match="pulse.cutoff"):
-        rabi_evolve(GaussianPulse(peak_rabi=23.0, envelope_width=13.0, cutoff=1e5,
-                                  detuning=52.0))
+        rabi_evolve(GaussianPulse(detuning=4.0, cutoff=1.3e6))
     # at Delta = 50 the 3200-step gap fails; a cap of 3200 leaves no rung to climb
     monkeypatch.setattr(pulse_mod, "_MAX_STEPS", 3200)
     with pytest.raises(NumericsError, match="not converged at 3200 Magnus steps"):
