@@ -13,13 +13,17 @@ rabi_evolve propagates this 2x2 problem by the two-point Gauss-Legendre
 fourth-order Magnus method (Magnus 1954; Blanes, Casas, Oteo & Ros, Phys.
 Rep. 470:151, 2009).  Each step's su(2) exponent has a closed-form
 exponential, so all steps are built at once as Cayley-Klein pairs and
-multiplied pairwise.  Only the final pairs on n and n/2 steps are formed: n
-starts at 3200 or more, set by the pulse, and doubles until the two flip
+multiplied pairwise.  The envelope is even and H is real, so the second half
+of the pulse is the transpose of the first, step by step too (a mirrored
+Magnus-4 step flips v_y, which transposes it): only [-s_f, 0] is propagated,
+and U = U_h^T U_h closes it; a chirp or a phase would break this.  Only the
+final pairs on n and n/2 steps are formed, both half grids in one evaluation:
+n starts at 3200 or more, set by the pulse, and doubles until the two flip
 probabilities agree, and the reported amplitudes are their Richardson value
 (16 U(n) - U(n/2))/15, which cancels the h^4 error; a flip probability below
-1e-6 has its final pairs formed again in extended precision.  The amplitudes
-at 801 sample times are built, the same way, only when a trajectory is asked
-for.
+1e-6 has its final pairs formed again in extended precision, at any n.  The
+amplitudes at 801 sample times are built, the same way, only when a
+trajectory is asked for.
 """
 from __future__ import annotations
 
@@ -71,10 +75,11 @@ class TwoLevelOutcome:
     flip_gap: float
 
 
-# Step counts are multiples of 1600, so that both the n-step grid and its
-# n/2-step check sample the 800 trajectory intervals.  The first rung has at
-# least 3200 steps, at least 300 steps per unit of s and at most 1 rad of
-# detuning phase per step; the cap keeps the step arrays to about 110 MB.
+# Step counts are multiples of 1600, so that the half grids [-s_f, 0] of both
+# the n-step grid and its n/2-step check end on s = 0 and sample their 400
+# trajectory intervals.  The first rung has at least 3200 steps, at least 300
+# steps per unit of s and at most 1 rad of detuning phase per step; the cap
+# keeps the arrays to about 110 MB (106 MB traced at 800,000 extended steps)
 _SAMPLES, _RUNG, _MIN_STEPS, _MAX_STEPS = 800, 1600, 3200, 800_000
 # accepted |p(n) - p(n/2)|: the Magnus-4 error falls 16x per doubling, so it
 # is ~gap/15 at n, and the Richardson value removes it; the absolute floor is
@@ -82,60 +87,89 @@ _SAMPLES, _RUNG, _MIN_STEPS, _MAX_STEPS = 800, 1600, 3200, 800_000
 _GAP_REL, _GAP_ABS = 1e-8, 1e-15
 # below this p_flip, the double product's rounding (~1e-16 of the O(0.1)
 # amplitude mid-pulse) passes 1e-13 of it, and the final pairs are formed
-# again in extended precision (64-bit significands on x86-64) wherever their
-# arrays, twice as large, fit in the memory of the step cap
+# again in extended precision (64-bit significands on x86-64)
 _EXTENDED_BELOW = 1e-6
 _GAUSS = math.sqrt(3.0) / 6.0
 
 
-def _magnus_steps(pulse: GaussianPulse, n: int, dtype=float) -> np.ndarray:
-    """Pairs (alpha - 1, beta), shape (n, 2), of the n Magnus-4 steps.
+def _half_steps(pulse: GaussianPulse, grids: tuple[int, ...], dtype=float):
+    """Pairs (alpha - 1, beta), as two arrays, of the Magnus-4 steps on the
+    first half [-s_f, 0] of each n-step grid in `grids`, concatenated.
 
-    With a1, a2 = Omega/2 at the Gauss nodes of a step h in s, the traceless
-    part of H = (Omega/2) sigma_x + (d/2) sigma_z integrates to -i v.sigma,
-    v = (h (a1 + a2)/2, -(sqrt 3/12) h^2 (a2 - a1) d, h d/2), and
-    exp(-i v.sigma) = [[alpha, -beta*], [beta, alpha*]] with alpha - 1 =
-    -2 sin^2(|v|/2) - i sinc|v| v_z and beta = sinc|v| (v_y - i v_x).  Near
-    the identity, alpha - 1 keeps the digits that a rounded cos|v| loses
+    Each step has its own h in s, and the midpoints count back from s = 0,
+    the seam of the reflection, so the rounding of n h/2 against s_f falls
+    where the envelope vanishes.  With a1, a2 = Omega/2 at the Gauss nodes of
+    a step, the traceless part of H = (Omega/2) sigma_x + (d/2) sigma_z
+    integrates to -i v.sigma, v = (h (a1 + a2)/2, -(sqrt 3/12) h^2 (a2 - a1) d,
+    h d/2), and exp(-i v.sigma) = [[alpha, -beta*], [beta, alpha*]] with
+    alpha - 1 = -2 sin^2(|v|/2) - i sinc|v| v_z and beta = sinc|v| (v_y - i v_x).
+    Near the identity, alpha - 1 keeps the digits that a rounded cos|v| loses
     alike at every step.
     """
-    h = 2.0 * pulse.cutoff / n
-    mid = -pulse.cutoff + h * (np.arange(n, dtype=dtype) + 0.5)
-    a1, a2 = 0.5 * pulse.peak_rabi * np.exp(-np.stack([mid - _GAUSS * h, mid + _GAUSS * h]) ** 2)
+    counts = [n // 2 for n in grids]
+    h = np.repeat(2.0 * np.asarray(pulse.cutoff, dtype) / np.array(grids, dtype), counts)
+    mid = h * np.concatenate([np.arange(0.5 - m, 0.0, dtype=dtype) for m in counts])
+    node = _GAUSS * h
+    a1, a2 = 0.5 * pulse.peak_rabi * np.exp(-np.stack([mid - node, mid + node]) ** 2)
     vx = 0.5 * h * (a1 + a2)
     vy = -0.5 * _GAUSS * (h * (a2 - a1)) * (h * pulse.detuning)   # no h^2 overflow
     vz = 0.5 * h * pulse.detuning
+    del h, mid, node, a1, a2   # an extended pass at the step cap peaks ~50 MB lower
     angle = np.sqrt(vx * vx + vy * vy + vz * vz)
     sinc = np.sinc(angle / np.pi)
-    return np.stack([-2.0 * np.sin(0.5 * angle) ** 2 - 1j * sinc * vz,
-                     sinc * (vy - 1j * vx)], axis=-1)
+    return -2.0 * np.sin(0.5 * angle) ** 2 - 1j * sinc * vz, sinc * (vy - 1j * vx)
 
 
-def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """Pairs (alpha - 1, beta) of the products later @ earlier."""
-    a2, b2, a1, b1 = later[..., 0], later[..., 1], earlier[..., 0], earlier[..., 1]
-    return np.stack([a2 + a1 + a2 * a1 - b2.conj() * b1,
-                     b2 + b1 + b2 * a1 + a2.conj() * b1], axis=-1)
+def _compose(a2, b2, a1, b1):
+    """Pairs (alpha - 1, beta) of later @ earlier, from the arrays (a2, b2) and (a1, b1)."""
+    return a2 + a1 + a2 * a1 - b2.conj() * b1, b2 + b1 + b2 * a1 + a2.conj() * b1
 
 
-def _product(steps: np.ndarray) -> np.ndarray:
-    """Time-ordered product of the pairs along axis -2, reduced pairwise."""
-    while (k := steps.shape[-2]) > 1:
-        paired = _compose(steps[..., 1:k:2, :], steps[..., 0:k - 1:2, :])
-        steps = np.concatenate([paired, steps[..., k - 1:, :]], axis=-2) if k % 2 else paired
-    return steps[..., 0, :]
+def _product(a, b):
+    """Time-ordered product of the pairs held as arrays (a, b) = (alpha - 1,
+    beta) along their last axis, reduced pairwise."""
+    while (k := a.shape[-1]) > 1:
+        paired = _compose(a[..., 1:k:2], b[..., 1:k:2], a[..., 0:k - 1:2], b[..., 0:k - 1:2])
+        a, b = (np.concatenate([p, x[..., k - 1:]], axis=-1) if k % 2 else p
+                for p, x in zip(paired, (a, b)))
+    return a[..., 0], b[..., 0]
 
 
-def _sampled(pulse: GaussianPulse, n_steps: int) -> np.ndarray:
+def _reflect(a, b) -> np.ndarray:
+    """Stacked pairs (alpha - 1, beta) of U = U_h^T U_h, from the arrays (a, b) of
+    U_h = [[alpha, -beta*], [beta, alpha*]]: (alpha^2 + beta^2, alpha* beta - alpha beta*)."""
+    return np.stack([2.0 * a + a * a + b * b,
+                     (b - b.conj()) + (a.conj() * b - a * b.conj())], axis=-1)
+
+
+def _grids(pulse: GaussianPulse, n: int, dtype=float):
+    """Arrays (a, b) of shape (2, n/4): the half-grid steps of n and n/2 steps
+    from one evaluation, the n-step one reduced one level to match."""
+    a, b = _half_steps(pulse, (n, n // 2), dtype)
+    m = n // 2
+    fa, fb = _compose(a[1:m:2], b[1:m:2], a[0:m:2], b[0:m:2])
+    return np.stack([fa, a[m:]]), np.stack([fb, b[m:]])
+
+
+def _sampled(pulse: GaussianPulse, n: int) -> np.ndarray:
     """Pairs (alpha - 1, beta) of the propagators from -s_f to the 801 sample
-    times, over n_steps."""
-    # the propagator of each sample interval, then their prefix products
-    blocks = _product(_magnus_steps(pulse, n_steps).reshape(_SAMPLES, -1, 2))
+    times on n and n/2 steps, shape (2, 801, 2)."""
+    # the propagators S_j of the first 400 sample intervals, then their prefix
+    # products; S_0 is the identity and S_400 the half pulse U_h
+    half = _SAMPLES // 2
+    a, b = _product(*(x.reshape(2, half, -1) for x in _grids(pulse, n)))
     shift = 1
-    while shift < _SAMPLES:
-        blocks[shift:] = _compose(blocks[shift:], blocks[:-shift])
+    while shift < half:
+        a[:, shift:], b[:, shift:] = _compose(a[:, shift:], b[:, shift:],
+                                              a[:, :-shift], b[:, :-shift])
         shift *= 2
-    return np.concatenate([[[0.0j, 0.0j]], blocks])
+    a, b = (np.concatenate([np.zeros((2, 1), complex), x], axis=1) for x in (a, b))
+    # S_{800-j} = (U_h S_j^dagger)^T U_h, with U^dagger = (a*, -beta) and U^T = (a, -beta*)
+    ua, ub = a[:, -1:], b[:, -1:]
+    wa, wb = _compose(ua, ub, a[:, :-1].conj(), -b[:, :-1])
+    ra, rb = _compose(wa, -wb.conj(), ua, ub)
+    return np.stack([np.concatenate([a, ra[:, ::-1]], axis=1),
+                     np.concatenate([b, rb[:, ::-1]], axis=1)], axis=-1)
 
 
 def _richardson(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
@@ -149,10 +183,11 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
 
     The final pairs on n and n/2 Magnus steps give p(n) and p(n/2); n starts
     from s_f and |d| s_f and doubles, the old n-step pair serving as the new
-    half grid, until |p(n) - p(n/2)| passes the gap check.  The
-    probabilities are those of the Richardson pair U(n) + (U(n) - U(n/2))/15,
-    which stay >= 0 where p_flip passes through zero; the amplitudes at the
-    801 sample times are built only if `trajectory` asks for them.
+    n/2-step check, until |p(n) - p(n/2)| passes the gap check.  Each pair is
+    the reflected product of its half grid [-s_f, 0].  The probabilities are
+    those of the Richardson pair U(n) + (U(n) - U(n/2))/15, which stay >= 0
+    where p_flip passes through zero; the amplitudes at the 801 sample times
+    are built only if `trajectory` asks for them.
     """
     width, phase = 600.0 * pulse.cutoff, 2.0 * abs(pulse.detuning) * pulse.cutoff
     need = max(_MIN_STEPS, width, phase)
@@ -162,9 +197,7 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
                  else "pulse.cutoff is too long for pulse.omega0_er")
         raise NumericsError(f"the pi pulse needs {need:.3g} > {_MAX_STEPS} Magnus steps: {cause}")
     n = _RUNG * math.ceil(need / _RUNG)
-    # the fine grid reduced one level, stacked with the half grid: one product
-    steps = _magnus_steps(pulse, n)
-    pairs = _product(np.stack([_compose(steps[1::2], steps[0::2]), _magnus_steps(pulse, n // 2)]))
+    pairs = _reflect(*_product(*_grids(pulse, n)))
     while True:
         p_fine, p_coarse = np.abs(pairs[:, 1]) ** 2
         gap = abs(float(p_fine - p_coarse))
@@ -175,16 +208,16 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
                                 f"|p(n) - p(n/2)| = {gap:.3g} for p_flip = {p_fine:.6g}; "
                                 "shorten pulse.cutoff")
         n *= 2
-        pairs = np.stack([_product(_magnus_steps(pulse, n)), pairs[0]])
-    if p_fine < _EXTENDED_BELOW and 2 * n <= _MAX_STEPS:
-        pairs = np.stack([_product(_magnus_steps(pulse, m, np.longdouble)) for m in (n, n // 2)])
+        pairs = np.stack([_reflect(*_product(*_half_steps(pulse, (n,)))), pairs[0]])
+    if p_fine < _EXTENDED_BELOW:
+        pairs = _reflect(*_product(*_grids(pulse, n, np.longdouble)))
     p_stay, p_flip = np.abs(_richardson(*pairs)) ** 2
     times = states = None
     if trajectory:
         times = np.linspace(-pulse.cutoff, pulse.cutoff, _SAMPLES + 1)
         # the states are the first columns (alpha, beta), times the phase of the
         # identity part -(d/2) I of H = diag(0, -d) + (Omega/2) sigma_x
-        states = _richardson(_sampled(pulse, n), _sampled(pulse, n // 2)) * np.exp(
+        states = _richardson(*_sampled(pulse, n)) * np.exp(
             0.5j * pulse.detuning * (times - times[0]))[:, None]
     return TwoLevelOutcome(p_flip=float(p_flip), p_stay=float(p_stay), times=times,
                            states=states, n_steps=n, flip_gap=gap)

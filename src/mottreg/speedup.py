@@ -37,8 +37,7 @@ __all__ = [
 
 MASS = 0.5  # in units where hbar = 1 and energies are hbar^2/(2 m sigma_c^2)
 
-_GH_NODES, _GH_WEIGHTS = hermgauss(96)
-_GH_WEIGHTS /= math.sqrt(math.pi)   # for the basis Gaussian's weight, summing to 1
+_GH_ORDER = 96   # Gauss-Hermite nodes of the matrix elements
 _COUPLING_FLOOR = 1e-8  # relative threshold for "nonzero" transition elements
 _NEWTON_ITERATIONS = 50
 _LONGEST_STEP = 0.1  # in s_c: the longest step of minimum tracking
@@ -180,16 +179,26 @@ def local_basis(p: DoubleGaussianPotential, y_min,
         concave = np.broadcast_to(y, curv.shape)[curv <= 0.0]
         raise PhysicsDomainError(f"V''({concave[0]}) <= 0: no local oscillator basis")
     omega = np.sqrt(curv / MASS)
-    x = _GH_NODES / np.sqrt(MASS * omega) + y
+    nodes, weights = _gauss_hermite()
+    x = nodes / np.sqrt(MASS * omega) + y
     rows, cols, pairs, kinetic = _basis_tables(size)
 
     def matrix(f):
         """<psi_m| f |psi_n> at every point, filled symmetric from one product."""
         m = np.empty(x.shape[:-1] + (size, size))
-        m[..., rows, cols] = m[..., cols, rows] = (_GH_WEIGHTS * f(x)) @ pairs
+        m[..., rows, cols] = m[..., cols, rows] = (weights * f(x)) @ pairs
         return m
 
     return matrix(p.value) + omega[..., None] * kinetic, matrix(p.displacement_gradient)
+
+
+@functools.cache
+def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights summing to 1 (the basis Gaussian's weight)."""
+    nodes, weights = hermgauss(_GH_ORDER)
+    weights /= math.sqrt(math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @functools.cache
@@ -199,7 +208,7 @@ def _basis_tables(size: int) -> tuple[np.ndarray, ...]:
     # phi[k, n] = H_n(node_k) / sqrt(2^n n!), the point-independent part of psi_n;
     # column j of pairs is phi[:, m] phi[:, n] for the j-th upper-triangle (m, n)
     n = np.arange(size)
-    phi = hermvander(_GH_NODES, size - 1) / np.sqrt(np.cumprod(np.maximum(2.0 * n, 1.0)))
+    phi = hermvander(_gauss_hermite()[0], size - 1) / np.sqrt(np.cumprod(np.maximum(2.0 * n, 1.0)))
     rows, cols = np.triu_indices(size)
     ladder = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / 4.0
     kinetic = np.diag((2.0 * n + 1.0) / 4.0) - np.diag(ladder, 2) - np.diag(ladder, -2)
@@ -262,9 +271,9 @@ def path_profile(p: DoubleGaussianPotential, a, basis_size: int = 11):
     the focus well tracked from 0 through the sorted points, then the gap and
     coupling at every point from one stacked eigh."""
     a = np.asarray(a, dtype=float)
-    if basis_size > len(_GH_NODES):
+    if basis_size > _GH_ORDER:
         raise NumericsError(f"speedup.basis_size = {basis_size} exceeds the "
-                            f"{len(_GH_NODES)} Gauss-Hermite nodes")
+                            f"{_GH_ORDER} Gauss-Hermite nodes")
     if a.size * (basis_size ** 2 + 128) > _MAX_PROFILE:
         raise NumericsError(f"{a.size} path points x (speedup.basis_size^2 + 128) = "
                             f"{a.size * (basis_size ** 2 + 128)} exceeds {_MAX_PROFILE} "

@@ -11,7 +11,7 @@ from mottreg.budget import pi_pulse
 from mottreg.config import RunConfig
 from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg import pulse as pulse_mod
-from mottreg.pulse import GaussianPulse, _magnus_steps, _product, rabi_evolve
+from mottreg.pulse import GaussianPulse, rabi_evolve
 from mottreg.units import RB87, UnitSystem
 
 OMEGA0 = 13.0   # the envelope width of the delta = 52 E_R pulse, E_R/hbar
@@ -21,6 +21,40 @@ def _pi_pulse(delta: float, detuning: float = 0.0) -> GaussianPulse:
     """The budget's pulse rule omega_0 = delta/4, t_f = 5/omega_0, detuned by
     `detuning` E_R/hbar: the pair d = detuning/omega_0, s_f = 5."""
     return GaussianPulse(detuning=detuning / (delta / 4.0), cutoff=5.0)
+
+
+def _full_magnus(pulse: GaussianPulse, n: int, blocks: int = 1) -> np.ndarray:
+    """The time-ordered products of `blocks` equal runs of the n Magnus-4 steps
+    on the whole pulse [-s_f, s_f], as 2x2 matrices in extended precision,
+    shape (blocks, 2, 2).
+
+    The oracle of the half grid and its reflection, which it does not use:
+    every step of the interval is built and multiplied in order.  A step with
+    Omega/2 = a1, a2 at its Gauss nodes is exp(-i v.sigma) = cos|v| I -
+    i (sin|v|/|v|) v.sigma, v = (h (a1 + a2)/2, -(sqrt 3/12) h^2 (a2 - a1) d,
+    h d/2), the traceless part of H = (Omega/2) sigma_x + (d/2) sigma_z.
+    """
+    s_f, d = np.longdouble(pulse.cutoff), np.longdouble(pulse.detuning)
+    h, root3 = 2 * s_f / n, np.sqrt(np.longdouble(3))
+    mid = -s_f + h * (np.arange(n, dtype=np.longdouble) + 0.5)
+    a1, a2 = (0.5 * pulse.peak_rabi * np.exp(-(mid + node) ** 2)
+              for node in (-root3 / 6 * h, root3 / 6 * h))
+    vx, vy, vz = h * (a1 + a2) / 2, -root3 / 12 * h * h * (a2 - a1) * d, h * d / 2
+    angle = np.sqrt(vx * vx + vy * vy + vz * vz)
+    cos, sin = np.cos(angle), np.sin(angle) / angle
+    steps = np.empty((n, 2, 2), dtype=np.clongdouble)
+    steps[:, 0, 0], steps[:, 1, 1] = cos - 1j * sin * vz, cos + 1j * sin * vz
+    steps[:, 0, 1], steps[:, 1, 0] = sin * (-vy - 1j * vx), sin * (vy - 1j * vx)
+    steps = steps.reshape(blocks, -1, 2, 2)
+    while (k := steps.shape[1]) > 1:
+        paired = steps[:, 1:k:2] @ steps[:, 0:k - 1:2]
+        steps = np.concatenate([paired, steps[:, k - 1:]], axis=1) if k % 2 else paired
+    return steps[:, 0]
+
+
+def _full_flip(pulse: GaussianPulse, n: int) -> float:
+    """|c1|^2 of the n-step full-interval product, in extended precision."""
+    return float(abs(_full_magnus(pulse, n)[0, 1, 0]) ** 2)
 
 
 def test_pi_pulse_amplitude_reference_value():
@@ -166,18 +200,22 @@ def test_detuned_flip_error_vs_scipy_dop853():
     assert np.max(np.abs(outcome.states - reference)) < 1e-9
 
 
-@pytest.mark.parametrize("detuning", [26.0, 52.0, 80.0, 104.0])
+@pytest.mark.parametrize("detuning", [26.0, 52.0, 80.0, 104.0, 110.5])
 def test_flip_error_vs_fine_magnus_and_tight_dop853(detuning):
     pulse = _pi_pulse(52.0, detuning=detuning)
     outcome = rabi_evolve(pulse, trajectory=True)
     p_flip = outcome.p_flip
-    # 160,000 Magnus-4 steps leave an h^4 error near 1e-16 of p_flip
-    fine = abs(_product(_magnus_steps(pulse, 160_000))[1]) ** 2
-    assert p_flip == pytest.approx(fine, rel=1e-12, abs=0.0)
+    # 160,000 full-interval Magnus-4 steps in extended precision leave an h^4
+    # error near 1e-16 of p_flip; a double product would carry ~1e-16 of the
+    # mid-pulse amplitude, 5.5e-12 of p_flip at Delta = 8.5 omega_0
+    prefix = [np.eye(2, dtype=np.clongdouble)]
+    for block in _full_magnus(pulse, 160_000, blocks=800):
+        prefix.append(block @ prefix[-1])
+    assert p_flip == pytest.approx(float(abs(prefix[-1][1, 0]) ** 2), rel=1e-12, abs=0.0)
     # the sampled Richardson amplitudes against 160,000 steps; the 3200-step
     # amplitudes alone are off by 2e-12 to 7e-12
     phase = np.exp(0.5j * pulse.detuning * (outcome.times - outcome.times[0]))[:, None]
-    sampled = (pulse_mod._sampled(pulse, 160_000) + [1.0, 0.0]) * phase
+    sampled = np.array(prefix)[:, :, 0].astype(complex) * phase
     assert np.max(np.abs(outcome.states - sampled)) < 1e-13
     # DOP853 at rtol 1e-13 is itself off by 3e-11 at Delta = 52
     tight = _dop853_flip(pulse, rtol=2.3e-14, atol=1e-22)
@@ -204,14 +242,48 @@ def test_magnus_states_unitary_and_flip_matches_dop853(omega0, width, ratio):
         outcome.p_flip, rel=1e-9, abs=1e-18)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ratio=st.floats(-10.0, 10.0), width=st.floats(3.0, 8.0))
+def test_reflected_half_grid_meets_the_full_interval_product(ratio, width):
+    # U = U_h^T U_h holds for the discretised product: the reflected first
+    # half on n and n/2 steps against every step of [-s_f, s_f] multiplied in
+    # order, per amplitude
+    pulse = GaussianPulse(detuning=ratio, cutoff=width)
+    n = rabi_evolve(pulse).n_steps
+    full = np.array([_full_magnus(pulse, m)[0, :, 0] - [1, 0] for m in (n, n // 2)])
+    pairs = pulse_mod._reflect(*pulse_mod._product(*pulse_mod._grids(pulse, n)))
+    assert np.max(np.abs(pairs - full.astype(complex))) < 1e-14
+
+
+def test_operating_point_evaluates_each_half_grid_once(monkeypatch):
+    # the n- and n/2-step half grids take 1600 + 800 Magnus steps, one sinc
+    # each, where the two full grids would take 4800; n_steps still counts
+    # the full-interval steps
+    evaluated, sinc = [], np.sinc
+    monkeypatch.setattr(np, "sinc", lambda x: evaluated.append(np.size(x)) or sinc(x))
+    outcome = rabi_evolve(_pi_pulse(52.0, detuning=52.0))
+    assert (sum(evaluated), outcome.n_steps) == (2400, 3200)
+
+
+@pytest.mark.parametrize("ratio, rel", [(8.0, 1e-12), (2.5, 1e-13)])
+def test_long_pulse_flip_error_vs_extended_full_interval(ratio, rel):
+    # 420,800 steps.  At d = 8 the double product of both grids is 2.1e-10 of
+    # p_flip = 5.9e-9 off the same grids in extended precision, which every
+    # step count the cap admits now takes below p_flip = 1e-6.  At d = 2.5 the
+    # double half grids are 2.6e-14 off; midpoints counted from -s_f instead of
+    # from the seam s = 0 would overlap the halves at the peak, 3.8e-13 off
+    pulse = GaussianPulse(detuning=ratio, cutoff=700.0)
+    outcome = rabi_evolve(pulse)
+    assert outcome.n_steps == 420_800
+    fine, coarse = (_full_magnus(pulse, n)[0, 1, 0] for n in (420_800, 210_400))
+    reference = float(abs(fine + (fine - coarse) / 15) ** 2)
+    assert outcome.p_flip == pytest.approx(reference, rel=rel, abs=0.0)
+
+
 def test_magnus_error_falls_fourth_order_at_operating_point():
     pulse = _pi_pulse(52.0, detuning=52.0)
-
-    def p_flip(n):
-        return abs(_product(_magnus_steps(pulse, n))[1]) ** 2
-
-    reference = p_flip(51200)
-    errors = [abs(p_flip(n) - reference) for n in (800, 1600, 3200)]
+    reference = _full_flip(pulse, 51200)
+    errors = [abs(_full_flip(pulse, n) - reference) for n in (800, 1600, 3200)]
     assert errors[0] > 12 * errors[1] > 144 * errors[2] > 0.0
 
 
