@@ -4,5 +4,5 @@ lattice-bound Mott insulator into microtrap arrays."""
 
 __version__ = "0.1.0"
 
-from .units import RB87, AtomSpecies, UnitSystem, recoil_energy  # noqa: F401
+from .units import RB87, AtomSpecies, recoil_energy  # noqa: F401
 from .errors import ConfigError, NumericsError, PhysicsDomainError, ProtocolError  # noqa: F401

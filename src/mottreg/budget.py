@@ -21,7 +21,7 @@ from .config import RunConfig, config_to_dict, resolve_pulse_rules, set_field, v
 from .errors import NumericsError, PhysicsDomainError
 from .pulse import GaussianPulse, rabi_evolve
 from .stark import optimize_lpol_wavelength
-from .units import RB87, UnitSystem
+from .units import HBAR, RB87, recoil_energy
 
 __all__ = [
     "StepReport",
@@ -31,7 +31,7 @@ __all__ = [
     "sweep",
     "resolve_lpol_wavelength",
     "resolved_config_echo",
-    "lattice_units",
+    "lattice_recoil",
     "patterned_lattice",
     "pi_pulse",
     "removal_drive",
@@ -134,9 +134,10 @@ def resolve_lpol_wavelength(cfg: RunConfig) -> RunConfig:
 # the atom is always Rb-87
 # ---------------------------------------------------------------------------
 
-def lattice_units(cfg: RunConfig) -> UnitSystem:
-    """The natural units of the short lattice."""
-    return UnitSystem.for_lattice(RB87, cfg.lattice.lambda_s_nm * 1e-9)
+def lattice_recoil(cfg: RunConfig) -> float:
+    """The short-lattice recoil energy E_R in J, the natural energy unit;
+    hbar/E_R is the natural time unit."""
+    return recoil_energy(cfg.lattice.lambda_s_nm * 1e-9, RB87.mass)
 
 
 def patterned_lattice(cfg: RunConfig) -> lattice_mod.SuperlatticeConfig:
@@ -238,7 +239,7 @@ def _lattice_stage(cfg: RunConfig):
                                                      cfg.lattice.ramp_target_excitation)
 
 
-def _step_two(cfg: RunConfig, units: UnitSystem, stages: dict) -> tuple[tuple, dict]:
+def _step_two(cfg: RunConfig, time_unit: float, stages: dict) -> tuple[tuple, dict]:
     """The selective-depopulation step (name, duration, channels) of both
     schemes and its scheme-1 extras; rows share the lattice stage of equal
     lattice sections and the pulse of equal pairs (d, s_f)."""
@@ -249,10 +250,10 @@ def _step_two(cfg: RunConfig, units: UnitSystem, stages: dict) -> tuple[tuple, d
     p_flip = min(1.0, _reuse(stages, ("pulse", pulse), lambda: rabi_evolve(pulse)).p_flip)
 
     # ramp up, hold at full intensity for the pulse, ramp down (time-reversed)
-    ramp_time = units.time_from_natural(ramp.duration)
-    hold = units.time_from_natural(2.0 * t_f)
+    ramp_time = ramp.duration * time_unit
+    hold = 2.0 * t_f * time_unit
     # the A site's rate is linear in intensity: its peak rate x full-intensity time
-    exposure = 2.0 * units.time_from_natural(lattice_mod.lpol_exposure(ramp)) + hold
+    exposure = 2.0 * (lattice_mod.lpol_exposure(ramp) * time_unit) + hold
     channels = (("lpol_ramp_excitation", cfg.lattice.ramp_target_excitation),
                 ("pulse_flip_error", p_flip),
                 ("step2_scattering", min(1.0, sites.gamma_a * exposure)))
@@ -274,15 +275,15 @@ def _removal_stage(cfg: RunConfig):
 
 
 def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
-    units = lattice_units(cfg)
-    step_two, extras = _step_two(cfg, units, stages)
+    time_unit = HBAR / lattice_recoil(cfg)
+    step_two, extras = _step_two(cfg, time_unit, stages)
     plan, p_impact = _reuse(stages, ("removal", *vars(cfg.removal).values()),
                             lambda: _removal_stage(cfg))
     p_collision = removal_mod.collision_probability(
         plan.duration, cfg.removal.tunneling_time_ms * 1e-3)
 
     ramp = transfer_ramp(cfg)
-    transfer_duration = units.time_from_natural(ramp.duration)
+    transfer_duration = ramp.duration * time_unit
     p_transfer = transfer_mod.max_excitation_analytic(ramp)
 
     steps = [
@@ -318,7 +319,7 @@ def run_scheme2(cfg: RunConfig) -> ProtocolBudget:
     """Cyclic moving-focus extraction: steps I-II plus the adiabatic move,
     repeated over melt/re-form cycles; per-atom failure is dominated by the
     move's excitation and scattering."""
-    step_two, _ = _step_two(cfg, lattice_units(cfg), {})
+    step_two, _ = _step_two(cfg, HBAR / lattice_recoil(cfg), {})
     move = moving_focus(cfg)
 
     spd = cfg.speedup

@@ -24,14 +24,14 @@ from . import removal as removal_mod
 from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
-from .budget import (lattice_units, moving_focus, patterned_lattice, pi_pulse, removal_drive,
+from .budget import (lattice_recoil, moving_focus, patterned_lattice, pi_pulse, removal_drive,
                      resolve_lpol_wavelength, resolved_config_echo, run_scheme1,
                      run_scheme2, sweep, transfer_ramp)
 from .config import RunConfig, load_config, parse_value, set_field, validate_config
 from .errors import ConfigError, NumericsError, PhysicsDomainError
 from .pulse import rabi_evolve
 from .stark import default_search_band, wavelength_scan
-from .units import RB87
+from .units import HBAR, RB87
 
 __all__ = ["main"]
 
@@ -159,8 +159,7 @@ def _cmd_stark_scan(args, cfg: RunConfig):
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     _require_rows("--points", args.points, args.format or "csv")
     band = default_search_band(RB87, cfg.lattice.band_exclusion_nm * 1e-9)
-    _deliver(args, cfg, wavelength_scan(RB87, band, args.points,
-                                        lattice_units(cfg).base_energy), "csv")
+    _deliver(args, cfg, wavelength_scan(RB87, band, args.points, lattice_recoil(cfg)), "csv")
 
 
 def _cmd_lattice(args, cfg: RunConfig):
@@ -185,13 +184,12 @@ def _cmd_lattice(args, cfg: RunConfig):
 
 
 def _cmd_pulse(args, cfg: RunConfig):
-    units = lattice_units(cfg)
     pulse, omega0, t_f, detuning = pi_pulse(cfg)
     outcome = rabi_evolve(pulse, trajectory=bool(args.trajectory_out))
     report = {"omega0": omega0, "t_f": t_f, "Omega0": omega0 * pulse.peak_rabi,
               "detuning": detuning, "p_flip": outcome.p_flip,
               "p_stay": outcome.p_stay,
-              "pulse_duration_us": units.time_from_natural(2 * t_f) * 1e6}
+              "pulse_duration_us": 2 * t_f * (HBAR / lattice_recoil(cfg)) * 1e6}
     side = []
     if args.trajectory_out:
         c0, c1 = outcome.states[:, 0], outcome.states[:, 1]
@@ -223,21 +221,20 @@ def _cmd_remove(args, cfg: RunConfig):
 
 
 def _cmd_transfer(args, cfg: RunConfig):
-    units = lattice_units(cfg)
+    e_r = lattice_recoil(cfg)
     ramp = transfer_ramp(cfg)
     result = transfer_mod.excitation_numeric(ramp)
     matched = transfer_mod.matched_microtrap_depth(
         cfg.lattice.depth_er, cfg.transfer.waist_um * 1e-6,
         cfg.lattice.lambda_s_nm * 1e-9)
-    report = {"T_us": units.time_from_natural(ramp.duration) * 1e6,
+    report = {"T_us": ramp.duration * (HBAR / e_r) * 1e6,
               "max_Pe_analytic": transfer_mod.max_excitation_analytic(ramp),
               "max_Pe_numeric": result.max_excitation,
               "gap": result.analytic_numeric_gap,
               "matched_microtrap_depth_er": matched,
               "matched_microtrap_depth_uK":
-                  transfer_mod.microtrap_depth_kelvin(matched, units) * 1e6,
-              "hopping_time_s":
-                  units.time_from_natural(transfer_mod.hopping_time(cfg.lattice.depth_er))}
+                  transfer_mod.microtrap_depth_kelvin(matched, e_r) * 1e6,
+              "hopping_time_s": transfer_mod.hopping_time(cfg.lattice.depth_er) * (HBAR / e_r)}
     side = []
     if args.trajectory_out:
         side.append((args.trajectory_out,

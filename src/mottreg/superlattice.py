@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PhysicsDomainError
 from .stark import light_shifts
 from .transfer import HarmonicRamp
-from .units import AtomSpecies, UnitSystem
+from .units import AtomSpecies, recoil_energy
 
 __all__ = [
     "SuperlatticeConfig",
@@ -90,10 +90,10 @@ def lpol_light_shifts(config: SuperlatticeConfig, species: AtomSpecies, intensit
     """The shifts (dE0, dE1, dE1 - dE0) in E_R and the scattering rate
     max(gamma0, gamma1) in 1/s at positions x (m) of an LPOL of peak
     `intensity` (W/m^2) under the envelope, 1 on the A sites at phase 0."""
-    units = UnitSystem.for_lattice(species, config.spol_wavelength)
+    e_r = recoil_energy(config.spol_wavelength, species.mass)
     de0, de1, diff, gamma0, gamma1 = light_shifts(
         species, config.lpol_wavelength, intensity * _envelope(config, x))
-    return (*(units.energy_to_natural(shift) for shift in (de0, de1, diff)),
+    return (*(shift / e_r for shift in (de0, de1, diff)),
             np.maximum(gamma0, gamma1))
 
 
@@ -133,8 +133,8 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
             "envelope; adjust lattice.lpol_phase_nm or lattice.pattern_period")
     b_sites = np.arange(n) != a_index
     contrast = envelope[a_index] - envelope.max(where=b_sites, initial=-np.inf)
-    units = UnitSystem.for_lattice(species, config.spol_wavelength)
-    intensity = float(delta_target / (units.energy_to_natural(unit_diff) * contrast))
+    e_r = recoil_energy(config.spol_wavelength, species.mass)
+    intensity = float(delta_target / (unit_diff / e_r * contrast))
 
     e0, e1, diff, gamma = lpol_light_shifts(config, species, intensity, xs)
     labels = np.where(np.arange(count) % n == a_index, "A", "B")

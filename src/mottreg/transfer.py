@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, PhysicsDomainError
-from .units import K_BOLTZMANN, PI, UnitSystem
+from .units import K_BOLTZMANN, PI
 
 __all__ = [
     "HarmonicRamp",
@@ -28,7 +28,6 @@ __all__ = [
     "excitation_analytic",
     "max_excitation_analytic",
     "excitation_numeric",
-    "transfer_time",
     "band_tunneling",
     "hopping_time",
 ]
@@ -65,8 +64,8 @@ class HarmonicRamp:
 
     @property
     def duration(self) -> float:
-        return transfer_time(self.initial_frequency, self.final_frequency,
-                             self.adiabaticity)
+        """Closed-form ramp duration T = |1 - omega0/omegaT| / b."""
+        return abs(1.0 - self.initial_frequency / self.final_frequency) / self.rate_constant
 
 
 def initial_frequency(lattice_depth: float) -> float:
@@ -85,9 +84,10 @@ def matched_microtrap_depth(lattice_depth: float, waist: float, lambda_s: float)
     return lattice_depth * k_w ** 2 / 2.0
 
 
-def microtrap_depth_kelvin(depth_er: float, units: UnitSystem) -> float:
-    """Equivalent temperature of a trap depth, quoted as U / (2 kB)."""
-    return depth_er * units.base_energy / (2.0 * K_BOLTZMANN)
+def microtrap_depth_kelvin(depth_er: float, e_r: float) -> float:
+    """Equivalent temperature U / (2 kB) of a trap depth in units of the
+    recoil energy e_r (J)."""
+    return depth_er * e_r / (2.0 * K_BOLTZMANN)
 
 
 def _signed_rate(ramp: HarmonicRamp) -> float:
@@ -101,14 +101,6 @@ def ramp_schedule(ramp: HarmonicRamp, t) -> np.ndarray:
     if np.any(t_arr < 0) or np.any(t_arr > ramp.duration * (1.0 + 1e-12)):
         raise PhysicsDomainError(f"t outside the ramp domain [0, {ramp.duration}]")
     return ramp.initial_frequency / (1.0 - _signed_rate(ramp) * t_arr)
-
-
-def transfer_time(omega_initial: float, omega_final: float, xi: float) -> float:
-    """Closed-form ramp duration T = |1 - omega0/omegaT| / (4 sqrt(2) xi omega0)."""
-    if omega_initial <= 0 or omega_final <= 0 or xi <= 0:
-        raise PhysicsDomainError("frequencies and xi must be positive")
-    return abs(1.0 - omega_initial / omega_final) / (
-        4.0 * math.sqrt(2.0) * xi * omega_initial)
 
 
 def _phase(ramp: HarmonicRamp, t) -> np.ndarray:

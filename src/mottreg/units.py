@@ -1,9 +1,10 @@
-"""Physical constants, atomic species data, and the lattice-recoil unit system.
+"""Physical constants, atomic species data, and the lattice recoil energy.
 
 Internally every dynamics module works in natural units: the short-lattice
 recoil energy E_R is the energy unit, hbar/E_R the time unit, the
-short-lattice wavelength the length unit, and hbar = 1.  SI energies enter
-and times leave through :class:`UnitSystem`.
+short-lattice wavelength the length unit, and hbar = 1.  E_R is a plain
+float in joules: an SI energy v enters as v / E_R and a natural time v
+leaves as v * (HBAR / E_R).
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ __all__ = [
     "PI",
     "AtomSpecies",
     "RB87",
-    "UnitSystem",
     "recoil_energy",
     "detuning_from_wavelength",
 ]
@@ -89,31 +89,3 @@ def detuning_from_wavelength(laser_wavelength, line_wavelength: float):
     if (np.asarray(laser_wavelength) <= 0).any() or line_wavelength <= 0:
         raise PhysicsDomainError("wavelengths must be positive")
     return 2 * PI * C_LIGHT * (1.0 / laser_wavelength - 1.0 / line_wavelength)
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Natural-unit conversions anchored on the lattice recoil energy.
-
-    base_energy is E_R in joules; base_time is hbar / E_R by construction.
-    """
-
-    base_energy: float
-
-    def __post_init__(self):
-        if self.base_energy <= 0:
-            raise PhysicsDomainError("unit system scales must be positive")
-
-    @classmethod
-    def for_lattice(cls, species: AtomSpecies, lattice_wavelength: float) -> "UnitSystem":
-        return cls(base_energy=recoil_energy(lattice_wavelength, species.mass))
-
-    @property
-    def base_time(self) -> float:
-        return HBAR / self.base_energy
-
-    def energy_to_natural(self, value_joule: float) -> float:
-        return value_joule / self.base_energy
-
-    def time_from_natural(self, value_nat: float) -> float:
-        return value_nat * self.base_time

@@ -19,7 +19,7 @@ from mottreg.stark import light_shifts
 from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure, lpol_period, lpol_ramp_time,
                                   site_hyperfine_detunings)
 from mottreg.transfer import ramp_schedule
-from mottreg.units import RB87
+from mottreg.units import HBAR, RB87
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def test_step_two_evaluates_the_sites_once(monkeypatch):
     monkeypatch.setattr(budget_mod.lattice_mod, "light_shifts",
                         lambda *args: calls.append(args) or original(*args))
     cfg = RunConfig()
-    budget_mod._step_two(cfg, budget_mod.lattice_units(cfg), {})
+    budget_mod._step_two(cfg, HBAR / budget_mod.lattice_recoil(cfg), {})
     assert [np.shape(intensity) for _, _, intensity in calls] == [(), (3,)]
     assert calls[0][2] == 1.0
 
@@ -108,12 +108,12 @@ def _step2_scattering(budget) -> float:
 def _step2_exposure(cfg: RunConfig) -> float:
     """Full-intensity-equivalent LPOL time (s) of step II: ramp up, the
     pulse hold and ramp down."""
-    units = budget_mod.lattice_units(cfg)
+    time_unit = HBAR / budget_mod.lattice_recoil(cfg)
     ramp = lpol_ramp_time(budget_mod.patterned_lattice(cfg), max(_sites(cfg).delta_diff),
                           cfg.lattice.ramp_target_excitation)
     _, _, t_f, _ = budget_mod.pi_pulse(cfg)
-    hold = units.time_from_natural(2.0 * t_f)
-    return 2.0 * units.time_from_natural(lpol_exposure(ramp)) + hold
+    hold = 2.0 * t_f * time_unit
+    return 2.0 * (lpol_exposure(ramp) * time_unit) + hold
 
 
 @pytest.mark.parametrize("phase_nm", [0.0, 50.0, 100.0])

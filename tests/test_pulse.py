@@ -12,7 +12,7 @@ from mottreg.config import RunConfig
 from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg import pulse as pulse_mod
 from mottreg.pulse import GaussianPulse, rabi_evolve
-from mottreg.units import RB87, UnitSystem
+from mottreg.units import HBAR, RB87, recoil_energy
 
 OMEGA0 = 13.0   # the envelope width of the delta = 52 E_R pulse, E_R/hbar
 
@@ -299,6 +299,6 @@ def test_coarse_magnus_grid_fails_its_residual_check(monkeypatch):
 
 def test_pulse_duration_matches_si_conversion():
     # 2 t_f at omega_0 = 13 E_R/hbar converts to the quoted 38.6 us window
-    units = UnitSystem.for_lattice(RB87, 850e-9)
+    time_unit = HBAR / recoil_energy(850e-9, RB87.mass)
     t_f = 5.0 / 13.0
-    assert units.time_from_natural(2 * t_f) * 1e6 == pytest.approx(38.6, rel=5e-3)
+    assert 2 * t_f * time_unit * 1e6 == pytest.approx(38.6, rel=5e-3)

@@ -15,7 +15,7 @@ from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure,
                                   site_hyperfine_detunings)
 from mottreg.stark import light_shifts
 from mottreg.transfer import excitation_numeric, ramp_schedule
-from mottreg.units import RB87, UnitSystem
+from mottreg.units import HBAR, RB87, recoil_energy
 
 
 @pytest.mark.parametrize("n,lam_s,lam_l", [(3, 850e-9, 787.6e-9),
@@ -52,23 +52,21 @@ def _ramp(delta, target):
 def test_site_detunings_equal_per_site_calls(n, phase):
     # reference: one scalar light-shift call per site, as the loop did
     sites = site_hyperfine_detunings(_configured(n, phase), RB87, 52.0, n_sites=2 * n)
-    units = UnitSystem.for_lattice(RB87, 850e-9)
+    e_r = recoil_energy(850e-9, RB87.mass)
     xs = np.array(sites.site_positions)
     envelope = np.cos(np.pi * (xs - phase) / (n * 850e-9 / 2)) ** 2
     for j, env in enumerate(envelope):
         d0, d1, diff = light_shifts(RB87, 787.6e-9, sites.intensity * float(env))[:3]
-        assert sites.delta_e0[j] == units.energy_to_natural(d0)
-        assert sites.delta_e1[j] == units.energy_to_natural(d1)
-        assert sites.delta_diff[j] == units.energy_to_natural(diff)
+        assert sites.delta_e0[j] == d0 / e_r
+        assert sites.delta_e1[j] == d1 / e_r
+        assert sites.delta_diff[j] == diff / e_r
 
 
 def test_site_detunings_cos2_pattern():
     # oracle: direct cos^2 envelope at x = 0, lambda_s/2, lambda_s gives
     # intensity factors 1, 1/4, 1/4 for n = 3
     sites = site_hyperfine_detunings(_configured(), RB87, 52.0, n_sites=9)
-    units = UnitSystem.for_lattice(RB87, 850e-9)
-    peak = units.energy_to_natural(
-        light_shifts(RB87, 787.6e-9, sites.intensity)[2])
+    peak = light_shifts(RB87, 787.6e-9, sites.intensity)[2] / recoil_energy(850e-9, RB87.mass)
     assert sites.delta == pytest.approx(0.75 * peak, rel=1e-12)
     assert sites.labels == ("A", "B", "B") * 3
     # the two B sites in each period are degenerate by cos^2 symmetry
@@ -171,8 +169,8 @@ def test_site_evaluation_over_generated_geometries(n, phase_fraction, delta):
 
 def test_ramp_time_near_reference_value():
     ramp = _ramp(52.0, 1e-4)
-    units = UnitSystem.for_lattice(RB87, 850e-9)
-    assert units.time_from_natural(ramp.duration) * 1e6 == pytest.approx(44.0, rel=0.5)
+    time_unit = HBAR / recoil_energy(850e-9, RB87.mass)
+    assert ramp.duration * time_unit * 1e6 == pytest.approx(44.0, rel=0.5)
     assert ramp.adiabaticity == pytest.approx(0.005)
     # the A-site frequency deepens from 2 sqrt(V_s) by the full A shift,
     # delta / (1 - cos^2(pi/3)) at n = 3 and phase 0

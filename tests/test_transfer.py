@@ -9,10 +9,11 @@ from mottreg.errors import NumericsError, PhysicsDomainError
 from mottreg.transfer import (HarmonicRamp, band_tunneling, excitation_analytic,
                               excitation_numeric, hopping_time, initial_frequency,
                               matched_microtrap_depth, max_excitation_analytic,
-                              microtrap_depth_kelvin, ramp_schedule, transfer_time)
-from mottreg.units import RB87, UnitSystem
+                              microtrap_depth_kelvin, ramp_schedule)
+from mottreg.units import HBAR, RB87, recoil_energy
 
-UNITS = UnitSystem.for_lattice(RB87, 850e-9)
+E_R = recoil_energy(850e-9, RB87.mass)
+TIME_UNIT = HBAR / E_R
 
 
 def _operating_ramp(xi=0.005, ratio=4.0):
@@ -24,7 +25,7 @@ def test_initial_frequency_values():
     w0 = initial_frequency(50.0)
     assert w0 == pytest.approx(2 * math.sqrt(50.0), rel=1e-14)
     # oracle: unit conversion to SI gives about 2 pi x 45 kHz
-    si = w0 / UNITS.base_time
+    si = w0 / TIME_UNIT
     assert si / (2 * math.pi) == pytest.approx(45e3, rel=2e-2)
     assert initial_frequency(1.0) == pytest.approx(2.0)
     assert initial_frequency(200.0) == pytest.approx(2 * initial_frequency(50.0))
@@ -36,7 +37,7 @@ def test_matched_microtrap_depth_reference_value():
     # w -> 0 limit: depth vanishes quadratically
     assert matched_microtrap_depth(50.0, 1e-9, 850e-9) == pytest.approx(
         depth * 1e-6, rel=1e-12)
-    kelvin = microtrap_depth_kelvin(depth, UNITS)
+    kelvin = microtrap_depth_kelvin(depth, E_R)
     assert kelvin * 1e6 == pytest.approx(104.0, rel=2e-2)
 
 
@@ -86,15 +87,14 @@ def test_ramp_satisfies_adiabatic_identity_pointwise():
 
 def test_transfer_time_reference_value():
     ramp = _operating_ramp()
-    t_us = UNITS.time_from_natural(ramp.duration) * 1e6
+    t_us = ramp.duration * TIME_UNIT * 1e6
     assert t_us == pytest.approx(94.0, rel=0.02)
 
 
 def test_transfer_time_limits():
-    w0 = initial_frequency(50.0)
-    assert transfer_time(w0, w0, 0.005) == 0.0
-    limit = 1.0 / (4 * math.sqrt(2) * 0.005 * w0)
-    assert transfer_time(w0, 1e12 * w0, 0.005) == pytest.approx(limit, rel=1e-10)
+    # a final frequency far above the initial one takes 1 / b
+    limit = 1.0 / (4 * math.sqrt(2) * 0.005 * initial_frequency(50.0))
+    assert _operating_ramp(ratio=1e12).duration == pytest.approx(limit, rel=1e-10)
 
 
 def test_ramp_direction_validation():
@@ -196,7 +196,7 @@ def test_band_tunneling_refuses_unresolved_depths():
 
 
 def test_hopping_time_seconds_scale_and_monotone():
-    t50 = UNITS.time_from_natural(hopping_time(50.0))
+    t50 = hopping_time(50.0) * TIME_UNIT
     assert 0.5 < t50 < 50.0
     assert hopping_time(60.0) > hopping_time(50.0)
 

@@ -1,12 +1,11 @@
-"""Constants, species data, and unit-system round trips."""
+"""Constants, species data, and the lattice recoil energy."""
 import math
 
 import numpy as np
 import pytest
 
 from mottreg.errors import PhysicsDomainError
-from mottreg.units import (RB87, AtomSpecies, UnitSystem, detuning_from_wavelength,
-                           recoil_energy)
+from mottreg.units import HBAR, RB87, AtomSpecies, detuning_from_wavelength, recoil_energy
 
 # independent oracle constants (CODATA 2018, h exact), deliberately not
 # imported from the package or scipy; hbar is exactly h / 2 pi
@@ -74,16 +73,7 @@ def test_species_validation_and_defaults():
 
 
 def test_unit_system_base_time_identity():
-    units = UnitSystem.for_lattice(RB87, 850e-9)
-    assert units.base_time * units.base_energy == pytest.approx(HBAR_ORACLE, rel=1e-12, abs=0.0)
-    assert units.base_time == pytest.approx(50.09e-6, rel=1e-3, abs=0.0)
-
-
-@pytest.mark.parametrize("value", [1e-30, 2.105e-30, 52.0, 1e-4, 7.3e5])
-def test_unit_round_trips(value):
-    # the two converters against their scales, E_R and hbar / E_R
-    units = UnitSystem.for_lattice(RB87, 850e-9)
-    assert units.energy_to_natural(value) * units.base_energy == \
-        pytest.approx(value, rel=1e-12, abs=0.0)
-    assert units.time_from_natural(value / units.base_time) == \
-        pytest.approx(value, rel=1e-12, abs=0.0)
+    # the natural time unit hbar / E_R of the 850 nm lattice
+    e_r = recoil_energy(850e-9, RB87.mass)
+    assert HBAR / e_r * e_r == pytest.approx(HBAR_ORACLE, rel=1e-12, abs=0.0)
+    assert HBAR / e_r == pytest.approx(50.09e-6, rel=1e-3, abs=0.0)
