@@ -135,8 +135,7 @@ def resolve_lpol_wavelength(cfg: RunConfig) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def lattice_recoil(cfg: RunConfig) -> float:
-    """The short-lattice recoil energy E_R in J, the natural energy unit;
-    hbar/E_R is the natural time unit."""
+    """The short-lattice recoil energy E_R in J; hbar/E_R is the time unit."""
     return recoil_energy(cfg.lattice.lambda_s_nm * 1e-9, RB87.mass)
 
 

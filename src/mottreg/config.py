@@ -130,8 +130,9 @@ def set_field(cfg: RunConfig, dotted: str, value):
     setattr(getattr(cfg, section), key, value)
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    """Build a validated RunConfig from a nested dict, rejecting unknown keys."""
+def _written(data) -> RunConfig:
+    """The defaults with every field of a nested dict written, rejecting
+    unknown keys; the values are not checked."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     cfg = RunConfig()
@@ -141,6 +142,12 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ConfigError(f"section '{section}' must be an object")
         for key, value in values.items():
             set_field(cfg, f"{section}.{key}", value)
+    return cfg
+
+
+def config_from_dict(data: dict) -> RunConfig:
+    """Build a validated RunConfig from a nested dict, rejecting unknown keys."""
+    cfg = _written(data)
     validate_config(cfg)
     return cfg
 
@@ -150,8 +157,9 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    """Parse a JSON config file; parse errors carry line and column, and a
-    file that cannot be read as UTF-8 text is a config error naming it."""
+    """Parse a JSON config file, leaving its values for the caller to validate;
+    parse errors carry line and column, and a file that cannot be read as
+    UTF-8 text is a config error naming it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -166,7 +174,7 @@ def load_config(path) -> RunConfig:
         ) from exc
     except RecursionError as exc:   # nested deeper than the parser recurses
         raise ConfigError(f"{path}: parse error: {exc}") from exc
-    return config_from_dict(data)
+    return _written(data)
 
 
 # the words a rule-or-word field accepts; a field whose annotation admits a

@@ -22,8 +22,8 @@ n starts at 3200 or more, set by the pulse, and doubles until the two flip
 probabilities agree, and the reported amplitudes are their Richardson value
 (16 U(n) - U(n/2))/15, which cancels the h^4 error; a flip probability below
 1e-6 has its final pairs formed again in extended precision, at any n.  The
-amplitudes at 801 sample times are built, the same way, only when a
-trajectory is asked for.
+amplitudes at 801 sample times are built, the same way and in the same
+precision, only when a trajectory is asked for.
 """
 from __future__ import annotations
 
@@ -151,19 +151,19 @@ def _grids(pulse: GaussianPulse, n: int, dtype=float):
     return np.stack([fa, a[m:]]), np.stack([fb, b[m:]])
 
 
-def _sampled(pulse: GaussianPulse, n: int) -> np.ndarray:
+def _sampled(pulse: GaussianPulse, n: int, dtype=float) -> np.ndarray:
     """Pairs (alpha - 1, beta) of the propagators from -s_f to the 801 sample
-    times on n and n/2 steps, shape (2, 801, 2)."""
+    times on n and n/2 steps, shape (2, 801, 2), formed in `dtype`."""
     # the propagators S_j of the first 400 sample intervals, then their prefix
     # products; S_0 is the identity and S_400 the half pulse U_h
     half = _SAMPLES // 2
-    a, b = _product(*(x.reshape(2, half, -1) for x in _grids(pulse, n)))
+    a, b = _product(*(x.reshape(2, half, -1) for x in _grids(pulse, n, dtype)))
     shift = 1
     while shift < half:
         a[:, shift:], b[:, shift:] = _compose(a[:, shift:], b[:, shift:],
                                               a[:, :-shift], b[:, :-shift])
         shift *= 2
-    a, b = (np.concatenate([np.zeros((2, 1), complex), x], axis=1) for x in (a, b))
+    a, b = (np.concatenate([np.zeros((2, 1), x.dtype), x], axis=1) for x in (a, b))
     # S_{800-j} = (U_h S_j^dagger)^T U_h, with U^dagger = (a*, -beta) and U^T = (a, -beta*)
     ua, ub = a[:, -1:], b[:, -1:]
     wa, wb = _compose(ua, ub, a[:, :-1].conj(), -b[:, :-1])
@@ -209,15 +209,16 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
                                 "shorten pulse.cutoff")
         n *= 2
         pairs = np.stack([_reflect(*_product(*_half_steps(pulse, (n,)))), pairs[0]])
-    if p_fine < _EXTENDED_BELOW:
-        pairs = _reflect(*_product(*_grids(pulse, n, np.longdouble)))
+    dtype = np.longdouble if p_fine < _EXTENDED_BELOW else float
+    if dtype is np.longdouble:
+        pairs = _reflect(*_product(*_grids(pulse, n, dtype)))
     p_stay, p_flip = np.abs(_richardson(*pairs)) ** 2
     times = states = None
     if trajectory:
         times = np.linspace(-pulse.cutoff, pulse.cutoff, _SAMPLES + 1)
         # the states are the first columns (alpha, beta), times the phase of the
         # identity part -(d/2) I of H = diag(0, -d) + (Omega/2) sigma_x
-        states = _richardson(*_sampled(pulse, n)) * np.exp(
-            0.5j * pulse.detuning * (times - times[0]))[:, None]
+        states = (_richardson(*_sampled(pulse, n, dtype)) * np.exp(
+            0.5j * pulse.detuning * (times - times[0]))[:, None]).astype(complex)
     return TwoLevelOutcome(p_flip=float(p_flip), p_stay=float(p_stay), times=times,
                            states=states, n_steps=n, flip_gap=gap)

@@ -85,8 +85,7 @@ def matched_microtrap_depth(lattice_depth: float, waist: float, lambda_s: float)
 
 
 def microtrap_depth_kelvin(depth_er: float, e_r: float) -> float:
-    """Equivalent temperature U / (2 kB) of a trap depth in units of the
-    recoil energy e_r (J)."""
+    """Equivalent temperature U / (2 kB) of a depth in units of e_r (J)."""
     return depth_er * e_r / (2.0 * K_BOLTZMANN)
 
 

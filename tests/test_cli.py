@@ -568,9 +568,54 @@ def test_cli_set_order_does_not_matter(capsys):
     assert capsys.readouterr().err.startswith("config error: lattice.total_sites")
 
 
-@pytest.mark.parametrize("depth", ["1e-305", "1e-307"])
+# one final config by each route: a config file, --set and a flag write their
+# values before the one validation, so a file value that an override mends
+# runs as the same config given by --set alone
+@pytest.mark.parametrize("file, routes", [
+    ({"lattice": {"pattern_period": 400}},
+     ["--config {file} --set lattice.total_sites=1200 scheme1",
+      "--set lattice.pattern_period=400 --set lattice.total_sites=1200 scheme1"]),
+    ({"transfer": {"xi": 0.5}},
+     ["--config {file} transfer --xi 0.004",
+      "--config {file} --set transfer.xi=0.004 transfer",
+      "--set transfer.xi=0.5 transfer --xi 0.004",
+      "transfer --xi 0.004"]),
+])
+def test_cli_config_file_is_validated_once_every_override_is_written(capsys, tmp_path, file,
+                                                                     routes):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(file), encoding="utf-8")
+    runs = [_run(capsys, *argv.replace("{file}", str(path)).split()) for argv in routes]
+    assert runs[0][0] == 0
+    assert all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    # a file value that no override mends, or a cross-field check it fails
+    ('{"transfer": {"xi": 0.5}}', "--config {file} --set lattice.total_sites=1200 transfer",
+     "transfer.xi must lie in"),
+    ('{"lattice": {"pattern_period": 400}}', "--config {file} scheme1",
+     "lattice.total_sites must cover"),
+    ("[1, 2]", "--config {file} pulse", "config root must be an object"),
+    ('{"lattice": 5}', "--config {file} pulse", "section 'lattice' must be an object"),
+    ("", "--out {dir}/missing/r.json remove", "cannot write output '{dir}/missing/r.json'"),
+])
+def test_cli_refusal_of_a_file_names_it(capsys, tmp_path, text, argv, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    fill = {"{file}": str(path), "{dir}": str(tmp_path)}
+    for key, value in fill.items():
+        argv, message = argv.replace(key, value), message.replace(key, value)
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", ["1e-305", "1e-307", "0"])
 def test_cli_subnormal_trap_depth_scatters_no_target_photons(capsys, depth):
-    # the Pade-13 exponential leaves these photon counts a few ulps below 0
+    # the Pade-13 exponential leaves these photon counts a few ulps below 0;
+    # a zero depth needs no photon and is driven at Omega = 0
     setting = ("--set", f"removal.trap_depth_er={depth}", "--set", "output.float_digits=17")
     code, out = _run(capsys, *setting, "scheme1")
     assert code == 0
@@ -580,7 +625,10 @@ def test_cli_subnormal_trap_depth_scatters_no_target_photons(capsys, depth):
     assert impact == [0.0]
     code, out = _run(capsys, *setting, "remove")
     assert code == 0
-    assert json.loads(out)["report"]["n_p_A"] == 0.0
+    report = json.loads(out)["report"]
+    assert report["n_p_A"] == 0.0
+    assert report["n_p_B"] == pytest.approx(report["threshold"], rel=1e-12, abs=0.0)
+    assert (report["rabi_frequency_rad_s"] == 0.0) == (depth == "0")
 
 
 def test_cli_byte_identical_reruns(capsys, tmp_path, monkeypatch):
@@ -631,6 +679,8 @@ def test_cli_non_numeric_value_is_a_config_error(capsys):
     ("speedup.sigma_c_um=1e300", "speedup"),
     ("transfer.waist_um=1e300", "transfer"),
     ("transfer.frequency_ratio=1e300", "transfer"),
+    # an int past the float range
+    ("lattice.total_sites=1" + "0" * 400, "scheme1"),
     ("--detuning-ghz", "remove --detuning-ghz 1e100"),
 ])
 def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, setting, command):
@@ -703,6 +753,8 @@ def test_cli_unresolvable_or_oversized_run_is_a_numerics_error(capsys, setting, 
     ("pulse --omega0 1e-300", 4, "lattice.delta_target_er"),
     ("pulse --detuning 1e9", 4, "pulse.detuning_er"),
     ("pulse --tf 1e5", 4, "pulse.cutoff"),
+    # an override without a value
+    ("--set lattice.depth_er scheme1", 2, "override 'lattice.depth_er' must look like KEY=VALUE"),
 ])
 def test_cli_refusal_names_the_field(capsys, command, code, field):
     assert main(command.split()) == code

@@ -280,6 +280,17 @@ def test_long_pulse_flip_error_vs_extended_full_interval(ratio, rel):
     assert outcome.p_flip == pytest.approx(reference, rel=rel, abs=0.0)
 
 
+@pytest.mark.parametrize("ratio", [8.0, 8.5, 3.885])
+def test_extended_trajectory_ends_on_the_reported_flip(ratio):
+    # below p_flip = 1e-6 the sampled amplitudes are formed in extended
+    # precision too; formed in double, the last |c1|^2 was 7.4e-12, 1.0e-11
+    # and 1.4e-11 of p_flip off
+    outcome = rabi_evolve(GaussianPulse(detuning=ratio, cutoff=5.0), trajectory=True)
+    assert outcome.p_flip < 1e-6
+    assert outcome.states.dtype == complex
+    assert abs(outcome.states[-1, 1]) ** 2 == pytest.approx(outcome.p_flip, rel=1e-14, abs=0.0)
+
+
 def test_magnus_error_falls_fourth_order_at_operating_point():
     pulse = _pi_pulse(52.0, detuning=52.0)
     reference = _full_flip(pulse, 51200)
