@@ -245,8 +245,7 @@ def _step_two(cfg: RunConfig, time_unit: float, stages: dict) -> tuple[tuple, di
     lattice_config, sites, ramp = _reuse(stages, ("lattice", *vars(cfg.lattice).values()),
                                          lambda: _lattice_stage(cfg))
     pulse, omega0, t_f, _ = pi_pulse(cfg)
-    # the Richardson amplitudes of a full flip may pass 1 by an ulp
-    p_flip = min(1.0, _reuse(stages, ("pulse", pulse), lambda: rabi_evolve(pulse)).p_flip)
+    p_flip = _reuse(stages, ("pulse", pulse), lambda: rabi_evolve(pulse)).p_flip
 
     # ramp up, hold at full intensity for the pulse, ramp down (time-reversed)
     ramp_time = ramp.duration * time_unit

@@ -95,17 +95,11 @@ def _write(path, text: str):
         raise ConfigError(f"cannot write output '{path}': {exc}") from exc
 
 
-def emit(report, fmt: str, path, digits: int = 12) -> str:
+def emit(report, fmt: str, digits: int = 12) -> str:
     """Serialize a report deterministically: a dict or list as JSON, or a
-    table (name -> column) as CSV.
-
-    Returns the text; writes it to path when given.  Floats carry `digits`
-    significant digits, so identical reports give byte-identical files.
-    """
-    text = _json_text(report, digits) if fmt == "json" else _csv_text(report, digits)
-    if path is not None:
-        _write(path, text)
-    return text
+    table (name -> column) as CSV.  Floats carry `digits` significant digits,
+    so identical reports give byte-identical text."""
+    return _json_text(report, digits) if fmt == "json" else _csv_text(report, digits)
 
 
 def _resolve_out(cfg: RunConfig, out):
@@ -133,7 +127,7 @@ def _deliver(args, cfg: RunConfig, report, default_fmt: str, side_files=()):
     files = [(_resolve_out(cfg, path), _csv_text(table, digits)) for path, table in side_files]
     out = _resolve_out(cfg, args.out)
     if out is not None:
-        files.append((out, emit(report, fmt, None, digits)))
+        files.append((out, emit(report, fmt, digits)))
         stdout = _json_text({"config": resolved_config_echo(cfg), "out": str(out)}, digits)
     elif fmt == "json":
         stdout = _json_text({"config": resolved_config_echo(cfg), "report": report}, digits)
@@ -273,13 +267,8 @@ def _cmd_scheme(args, cfg: RunConfig):
 
 
 def _cmd_sweep(args, cfg: RunConfig):
-    values = []
-    for value in args.values:
-        try:
-            values.append(json.loads(value))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"--values entry {value!r} is not a JSON value") from exc
-    rows = sweep(cfg, args.parameter, values)
+    # a value is parsed as after --set, so a bare word is a string
+    rows = sweep(cfg, args.parameter, [parse_value(value) for value in args.values])
     _deliver(args, cfg, {key: [row[key] for row in rows] for key in rows[0]}, "csv")
 
 

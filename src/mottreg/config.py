@@ -30,7 +30,6 @@ __all__ = [
     "OutputConfig",
     "RunConfig",
     "load_config",
-    "config_from_dict",
     "config_to_dict",
     "parse_value",
     "set_by_path",
@@ -130,51 +129,40 @@ def set_field(cfg: RunConfig, dotted: str, value):
     setattr(getattr(cfg, section), key, value)
 
 
-def _written(data) -> RunConfig:
-    """The defaults with every field of a nested dict written, rejecting
-    unknown keys; the values are not checked."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    cfg = RunConfig()
-    for section, values in data.items():
-        _keys(section)
-        if not isinstance(values, dict):
-            raise ConfigError(f"section '{section}' must be an object")
-        for key, value in values.items():
-            set_field(cfg, f"{section}.{key}", value)
-    return cfg
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    """Build a validated RunConfig from a nested dict, rejecting unknown keys."""
-    cfg = _written(data)
-    validate_config(cfg)
-    return cfg
-
-
 def config_to_dict(cfg: RunConfig) -> dict:
     return {name: dataclasses.asdict(getattr(cfg, name)) for name in _SECTIONS}
 
 
 def load_config(path) -> RunConfig:
-    """Parse a JSON config file, leaving its values for the caller to validate;
-    parse errors carry line and column, and a file that cannot be read as
-    UTF-8 text is a config error naming it."""
+    """The defaults with every field of a JSON config file written, its values
+    left for the caller to validate.  Every refusal names the file: one that
+    cannot be read as UTF-8 text, a parse error (with line and column), a root
+    or section that is no object, and an unknown section or key."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-    if not text.strip():
-        return RunConfig()
     try:
-        data = json.loads(text)
+        data = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError as exc:   # nested deeper than the parser recurses
         raise ConfigError(f"{path}: parse error: {exc}") from exc
-    return _written(data)
+    cfg = RunConfig()
+    try:
+        if not isinstance(data, dict):
+            raise ConfigError("config root must be an object")
+        for section, values in data.items():
+            _keys(section)
+            if not isinstance(values, dict):
+                raise ConfigError(f"section '{section}' must be an object")
+            for key, value in values.items():
+                set_field(cfg, f"{section}.{key}", value)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return cfg
 
 
 # the words a rule-or-word field accepts; a field whose annotation admits a
@@ -314,8 +302,9 @@ def validate_config(cfg: RunConfig):
 
 
 def parse_value(raw_value: str):
-    """A --set value as a JSON scalar, so strings, ints and floats all work;
-    text that is no JSON, or nests too deep to parse, is a bare string."""
+    """A --set value or sweep --values entry as a JSON scalar, so strings,
+    ints and floats all work; text that is no JSON, or nests too deep to
+    parse, is a bare string."""
     try:
         return json.loads(raw_value)
     except (json.JSONDecodeError, RecursionError):
@@ -332,7 +321,8 @@ def resolve_pulse_rules(cfg: RunConfig) -> tuple[float, float, float, float, flo
     """Expand the pulse rules against the lattice delta target: the pulse in
     units of its width, d = Delta/omega0 and s_f = omega0 t_f, then omega0,
     t_f and Delta as the rules give them (E_R/hbar and hbar/E_R).  "5/omega0"
-    is s_f = 5 and "delta" under "delta/4" is d = 4 exactly, at every delta."""
+    is s_f = 5 exactly, and "delta" under "delta/4" is d = 4 exactly wherever
+    delta/4 is a normal float, as it is wherever 5/omega0 is finite."""
     delta, rules = cfg.lattice.delta_target_er, cfg.pulse
     omega0 = delta / 4.0 if rules.omega0_er == "delta/4" else float(rules.omega0_er)
     if not omega0 > 0:
@@ -342,6 +332,4 @@ def resolve_pulse_rules(cfg: RunConfig) -> tuple[float, float, float, float, flo
         raise ConfigError(f"pulse.cutoff = 5/omega0 overflows at pulse.omega0_er = {omega0!r}")
     s_f = 5.0 if rules.cutoff == "5/omega0" else omega0 * t_f
     detuning = delta if rules.detuning_er == "delta" else float(rules.detuning_er)
-    d = (4.0 if (rules.omega0_er, rules.detuning_er) == ("delta/4", "delta")
-         else detuning / omega0)
-    return d, s_f, omega0, t_f, detuning
+    return detuning / omega0, s_f, omega0, t_f, detuning

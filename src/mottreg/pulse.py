@@ -186,7 +186,8 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
     n/2-step check, until |p(n) - p(n/2)| passes the gap check.  Each pair is
     the reflected product of its half grid [-s_f, 0].  The probabilities are
     those of the Richardson pair U(n) + (U(n) - U(n/2))/15, which stay >= 0
-    where p_flip passes through zero; the amplitudes at the 801 sample times
+    where p_flip passes through zero, clamped at the 1 that a full flip or
+    stay may pass by an ulp; the amplitudes at the 801 sample times
     are built only if `trajectory` asks for them.
     """
     width, phase = 600.0 * pulse.cutoff, 2.0 * abs(pulse.detuning) * pulse.cutoff
@@ -220,5 +221,5 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
         # identity part -(d/2) I of H = diag(0, -d) + (Omega/2) sigma_x
         states = (_richardson(*_sampled(pulse, n, dtype)) * np.exp(
             0.5j * pulse.detuning * (times - times[0]))[:, None]).astype(complex)
-    return TwoLevelOutcome(p_flip=float(p_flip), p_stay=float(p_stay), times=times,
-                           states=states, n_steps=n, flip_gap=gap)
+    return TwoLevelOutcome(p_flip=min(1.0, float(p_flip)), p_stay=min(1.0, float(p_stay)),
+                           times=times, states=states, n_steps=n, flip_gap=gap)

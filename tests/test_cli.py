@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +21,8 @@ from mottreg import superlattice as lattice_mod
 from mottreg import transfer as transfer_mod
 from mottreg.budget import run_scheme1, run_scheme2
 from mottreg.cli import emit, main
-from mottreg.config import (RunConfig, config_from_dict, config_to_dict,
-                            load_config, set_by_path, validate_config)
+from mottreg.config import (RunConfig, config_to_dict, load_config, set_by_path,
+                            validate_config)
 from mottreg.errors import ConfigError
 from mottreg.pulse import rabi_evolve
 from mottreg.speedup import DoubleGaussianPotential, gap_and_element, track_minimum
@@ -43,20 +44,28 @@ def test_empty_file_gives_operating_defaults(tmp_path):
     assert cfg.removal.trap_depth_er == 50.0
 
 
-def test_invalid_pattern_period_rejected():
+def _config_file(tmp_path, data) -> Path:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def test_invalid_pattern_period_rejected(tmp_path):
+    path = _config_file(tmp_path, {"lattice": {"pattern_period": 2}})
     with pytest.raises(ConfigError, match="pattern_period"):
-        config_from_dict({"lattice": {"pattern_period": 2}})
+        validate_config(load_config(path))
 
 
-def test_unknown_key_rejected_with_location():
-    with pytest.raises(ConfigError, match="lattice.depth_typo"):
-        config_from_dict({"lattice": {"depth_typo": 50.0}})
-    with pytest.raises(ConfigError, match="unknown section"):
-        config_from_dict({"lettuce": {}})
+def test_unknown_key_rejected_with_location(tmp_path):
     # keys that only ever held one value are gone, and so is the species
     # section: the atom is always Rb-87
-    with pytest.raises(ConfigError, match="unknown section 'species'"):
-        config_from_dict({"species": {"name": "Rb87"}})
+    for data, message in [({"lattice": {"depth_typo": 50.0}}, "unknown key 'lattice.depth_typo'"),
+                          ({"lettuce": {}}, "unknown section"),
+                          ({"species": {"name": "Rb87"}}, "unknown section 'species'")]:
+        path = _config_file(tmp_path, data)
+        with pytest.raises(ConfigError) as refused:
+            load_config(path)
+        assert str(refused.value).startswith(f"{path}: {message}")
     with pytest.raises(ConfigError, match="unknown key 'speedup.xi_bar'"):
         set_by_path(RunConfig(), "speedup.xi_bar", "calibrate")
 
@@ -80,7 +89,8 @@ def test_cli_unreadable_config_file_is_a_config_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["--set", "transfer.xi=" + "[" * 5000, "transfer"], "transfer.xi must be a number"),
-    (["sweep", "--parameter", "transfer.xi", "--values", "[" * 5000], "--values entry"),
+    (["sweep", "--parameter", "transfer.xi", "--values", "[" * 5000],
+     "transfer.xi must be a number"),
     (["--config", "{path}", "pulse"], "{path}: parse error"),
 ])
 def test_cli_json_nested_beyond_the_parser_is_a_config_error(capsys, tmp_path, argv,
@@ -264,8 +274,8 @@ def test_range_row_ends(path, value, accepted):
 def test_emit_json_deterministic_and_reparsable(tmp_path):
     report = {"a": 1 / 3, "b": [1.0, 2.5e-7], "c": {"d": True, "e": "x"}}
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    emit(report, "json", p1)
-    emit(report, "json", p2)
+    p1.write_text(emit(report, "json"), encoding="utf-8")
+    p2.write_text(emit(report, "json"), encoding="utf-8")
     assert p1.read_bytes() == p2.read_bytes()
     parsed = json.loads(p1.read_text())
     assert parsed["a"] == float(format(1 / 3, ".12g"))
@@ -275,7 +285,7 @@ def test_emit_json_deterministic_and_reparsable(tmp_path):
 def test_emit_csv_shape(tmp_path):
     table = {"x": [1.0, 2.0], "label": ["A", "B"]}
     path = tmp_path / "rows.csv"
-    emit(table, "csv", path)
+    path.write_text(emit(table, "csv"), encoding="utf-8")
     lines = path.read_text().splitlines()
     assert lines[0] == "x,label"
     assert len(lines) == 3
@@ -405,6 +415,31 @@ def test_cli_sweep_values_are_checked_as_set_values(capsys, value, message):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("parameter, values", [
+    ("transfer.direction", ["deepen", "shallow"]),
+    ("lattice.lpol_wavelength_nm", ["optimize", 790]),
+])
+def test_cli_sweep_words_equal_their_set_budgets(capsys, parameter, values):
+    # a bare word is a string after --values as after --set
+    digits = ("--set", "output.float_digits=17", "--format", "json")
+    code, out = _run(capsys, *digits, "sweep", "--parameter", parameter,
+                     "--values", *map(str, values))
+    assert code == 0
+    rows = json.loads(out)["report"]
+    assert len(rows) == len(values)
+    for row, value in zip(rows, values):
+        code, out = _run(capsys, *digits, "--set", f"{parameter}={value}", "scheme1")
+        assert code == 0
+        budget = json.loads(out)["report"]
+        channels = {f"p_{c['label']}": c["p"] for step in budget["steps"]
+                    for c in step["channels"]}
+        assert row == {"parameter": parameter, "value": value,
+                       **{key: budget[key] for key in ("total_time_us", "total_failure",
+                                                       "atoms_extracted",
+                                                       "extraction_fraction")},
+                       **channels}
+
+
 def test_cli_transfer_trajectory_side_file(capsys, tmp_path):
     traj = tmp_path / "traj.csv"
     code, _ = _run(capsys, "--out", str(tmp_path / "t.json"), "transfer",
@@ -457,7 +492,7 @@ def test_cli_speedup_profile_is_the_uniform_grid_of_profile_points(capsys, tmp_p
     minima = track_minimum(wells, a)
     gaps, elements = gap_and_element(wells, a, minima, 11)
     table = {"a": a, "y_min": minima, "gap": gaps, "element": elements}
-    assert prof.read_bytes() == emit(table, "csv", None).encode()
+    assert prof.read_bytes() == emit(table, "csv").encode()
 
 
 @pytest.mark.parametrize("command", ["speedup", "scheme2"])
@@ -596,8 +631,12 @@ def test_cli_config_file_is_validated_once_every_override_is_written(capsys, tmp
      "transfer.xi must lie in"),
     ('{"lattice": {"pattern_period": 400}}', "--config {file} scheme1",
      "lattice.total_sites must cover"),
-    ("[1, 2]", "--config {file} pulse", "config root must be an object"),
-    ('{"lattice": 5}', "--config {file} pulse", "section 'lattice' must be an object"),
+    # a file's structure is refused as it is walked, naming the file
+    ("[1, 2]", "--config {file} pulse", "{file}: config root must be an object"),
+    ('{"lattice": 5}', "--config {file} pulse", "{file}: section 'lattice' must be an object"),
+    ('{"lettuce": {}}', "--config {file} pulse", "{file}: unknown section 'lettuce'"),
+    ('{"lattice": {"depth_typo": 1}}', "--config {file} pulse",
+     "{file}: unknown key 'lattice.depth_typo'"),
     ("", "--out {dir}/missing/r.json remove", "cannot write output '{dir}/missing/r.json'"),
 ])
 def test_cli_refusal_of_a_file_names_it(capsys, tmp_path, text, argv, message):
@@ -667,9 +706,10 @@ def test_cli_non_numeric_value_is_a_config_error(capsys):
     ("pulse.omega0_er", "pulse --omega0 nan"),
     ("transfer.xi", "transfer --xi nan"),
     ("transfer.direction", "transfer --direction sideways"),
+    # a sweep value is checked as the swept field
+    ("transfer.xi", "sweep --parameter transfer.xi --values x"),
     # a flag that is no config field is named itself
     ("--points", "stark-scan --points 0"),
-    ("--values", "sweep --parameter transfer.xi --values x"),
     ("--detuning-ghz", "remove --detuning-ghz nan"),
     ("--sites", "lattice --sites 2"),
     # an empty or reversed band, and values whose derived scales overflow
@@ -932,6 +972,20 @@ def test_cli_scattering_probability_is_clamped_where_it_is_formed(capsys):
     assert speedup["P_scatter"] == scheme2["p_scatter"] == channels["move_scattering"] == 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    # a full flip, and a far-detuned stay at (d, s_f) = (5000, 5)
+    ["--set", "pulse.omega0_er=1e30", "--set", "pulse.cutoff=5.8e-30", "pulse"],
+    ["pulse", "--detuning", "65000"],
+])
+def test_cli_pulse_probabilities_are_at_most_one(capsys, argv):
+    # their Richardson values pass 1 by an ulp, which rabi_evolve clamps
+    code, out = _run(capsys, "--set", "output.float_digits=17", *argv)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["p_flip"] <= 1.0 and report["p_stay"] <= 1.0
+    assert max(report["p_flip"], report["p_stay"]) == 1.0
+
+
 def test_cli_reports_agree_with_the_budgets(capsys):
     def report(command):
         code, out = _run(capsys, command)
@@ -983,6 +1037,31 @@ def test_cli_optimizes_lpol_wavelength_once(capsys, monkeypatch):
     echoed = payload["config"]["lattice"]["lpol_wavelength_nm"]
     assert echoed == payload["report"]["lpol_wavelength_nm"]
     assert echoed == float(format(optimum_nm, ".12g"))
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    """(command, comment) of each `mottreg` line in the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [tuple(part.strip() for part in (line + "#").split("#")[:2])
+            for line in block.splitlines() if line.startswith("mottreg ")]
+
+
+@pytest.mark.parametrize("command, comment", _readme_examples())
+def test_cli_readme_examples_run(capsys, monkeypatch, tmp_path, command, comment):
+    # a comment of comma-separated names lists the report's keys, in order
+    monkeypatch.setenv("MOTTREG_OUTDIR", str(tmp_path))
+    argv = shlex.split(command)[1:]
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    names = comment.strip("{}").split(", ")
+    if len(names) > 1 and all(name.isidentifier() for name in names):
+        if "--out" in argv:
+            text = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+            keys = text.splitlines()[0].split(",")
+        else:
+            keys = list(json.loads(out)["report"])
+        assert keys == names
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
