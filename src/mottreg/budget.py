@@ -233,7 +233,7 @@ def _lattice_stage(cfg: RunConfig):
     """The site evaluation at the delta target and the LPOL ramp to the A
     site's shift; both read the lattice section alone."""
     config = patterned_lattice(cfg)
-    sites = lattice_mod.site_hyperfine_detunings(config, RB87, cfg.lattice.delta_target_er)
+    sites = lattice_mod.site_hyperfine_detunings(config, cfg.lattice.delta_target_er)
     return config, sites, lattice_mod.lpol_ramp_time(config, max(sites.delta_diff),
                                                      cfg.lattice.ramp_target_excitation)
 

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,7 @@ def _write(path, text: str):
         raise ConfigError(f"cannot write output '{path}': {exc}") from exc
 
 
-def emit(report, fmt: str, digits: int = 12) -> str:
+def emit(report, fmt: str, digits: int) -> str:
     """Serialize a report deterministically: a dict or list as JSON, or a
     table (name -> column) as CSV.  Floats carry `digits` significant digits,
     so identical reports give byte-identical text."""
@@ -153,7 +154,7 @@ def _cmd_stark_scan(args, cfg: RunConfig):
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     _require_rows("--points", args.points, args.format or "csv")
     band = default_search_band(RB87, cfg.lattice.band_exclusion_nm * 1e-9)
-    _deliver(args, cfg, wavelength_scan(RB87, band, args.points, lattice_recoil(cfg)), "csv")
+    _deliver(args, cfg, wavelength_scan(band, args.points, lattice_recoil(cfg)), "csv")
 
 
 def _cmd_lattice(args, cfg: RunConfig):
@@ -165,14 +166,14 @@ def _cmd_lattice(args, cfg: RunConfig):
     _require_rows("--sites", n_sites, args.format or "csv")
     cfg = resolve_lpol_wavelength(cfg)
     config = patterned_lattice(cfg)
-    sites = lattice_mod.site_hyperfine_detunings(config, RB87, cfg.lattice.delta_target_er, n_sites)
+    sites = lattice_mod.site_hyperfine_detunings(config, cfg.lattice.delta_target_er, n_sites)
     table = {"index": range(n_sites), "position_um": np.multiply(sites.site_positions, 1e6),
              "deltaE0_ER": sites.delta_e0, "deltaE1_ER": sites.delta_e1, "label": sites.labels}
     side = []
     if args.profile_out:
         xs = np.linspace(0.0, sites.site_positions[-1], 601)
         vs = cfg.lattice.depth_er * np.sin(2 * np.pi * xs / config.spol_wavelength) ** 2
-        e0, e1, _, _ = lattice_mod.lpol_light_shifts(config, RB87, sites.intensity, xs)
+        e0, e1, _, _ = lattice_mod.lpol_light_shifts(config, sites.intensity, xs)
         side.append((args.profile_out, {"x_um": xs * 1e6, "v0_er": vs + e0, "v1_er": vs + e1}))
     _deliver(args, cfg, table, "csv", side_files=side)
 
@@ -361,7 +362,9 @@ def main(argv=None) -> int:
             if "." in path and value is not None:
                 set_field(cfg, path, value)
         validate_config(cfg)
-        args.handler(args, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            args.handler(args, cfg)
+        sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

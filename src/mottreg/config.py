@@ -148,7 +148,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except RecursionError as exc:   # nested deeper than the parser recurses
+    except (RecursionError, ValueError) as exc:   # too deep, or an int past the digit limit
         raise ConfigError(f"{path}: parse error: {exc}") from exc
     cfg = RunConfig()
     try:
@@ -303,11 +303,11 @@ def validate_config(cfg: RunConfig):
 
 def parse_value(raw_value: str):
     """A --set value or sweep --values entry as a JSON scalar, so strings,
-    ints and floats all work; text that is no JSON, or nests too deep to
-    parse, is a bare string."""
+    ints and floats all work; text that is no JSON, nests too deep to parse
+    or holds an int past the interpreter's digit limit is a bare string."""
     try:
         return json.loads(raw_value)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):   # a JSONDecodeError is a ValueError
         return raw_value
 
 

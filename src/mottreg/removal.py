@@ -149,9 +149,8 @@ class RemovalPlan:
     threshold: float
 
 
-def solve_removal_drive(linewidth: float, threshold: float,
-                        requested_duration: float,
-                        excited_population_cap: float = 0.45) -> RemovalPlan:
+def solve_removal_drive(linewidth: float, threshold: float, requested_duration: float,
+                        excited_population_cap: float) -> RemovalPlan:
     """Find Omega_L such that the resonant photon count hits the threshold.
 
     The scattering rate saturates at Gamma/2, so a request needing an average

@@ -64,7 +64,7 @@ class DoubleGaussianPotential:
 
     confine_depth: float
     focus_depth: float
-    focus_waist: float = 0.5
+    focus_waist: float
     displacement: float | np.ndarray = 0.0
 
     def __post_init__(self):
@@ -162,8 +162,7 @@ def _newton_minimum(wells: tuple[float, float, float], a: float,
     return None
 
 
-def local_basis(p: DoubleGaussianPotential, y_min,
-                size: int = 11) -> tuple[np.ndarray, np.ndarray]:
+def local_basis(p: DoubleGaussianPotential, y_min, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(H, dH/da): the Hamiltonian and displacement-coupling matrices of the
     full potential in `size` oscillator states at y_min, by quadrature.
 
@@ -218,7 +217,7 @@ def _basis_tables(size: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int = 11):
+def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int):
     """Diagonalise the local basis at displacement a and return the gap to
     the lowest excited state with a nonzero drive coupling, plus that
     coupling |<e| dH/da |g>|.
@@ -266,7 +265,7 @@ class MovingSchedule:
                             factor * self.element_profile / self.gap_profile ** 2))
 
 
-def path_profile(p: DoubleGaussianPotential, a, basis_size: int = 11):
+def path_profile(p: DoubleGaussianPotential, a, basis_size: int):
     """(minima, gaps, elements) at the displacements a >= 0, in any order:
     the focus well tracked from 0 through the sorted points, then the gap and
     coupling at every point from one stacked eigh."""
@@ -298,7 +297,7 @@ def _levels(p: DoubleGaussianPotential, sizes, final_displacement: float,
 
 
 def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
-                          basis_size: int = 11) -> MovingSchedule:
+                          basis_size: int) -> MovingSchedule:
     """Track the focus well over [0, a_f] and profile gap, coupling and depth
     at the Gauss-Legendre nodes of the path.
 
@@ -329,7 +328,7 @@ def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
     return schedule
 
 
-def cycle_yield(cycles: int, per_cycle_fraction: float = 1.0 / 3.0) -> float:
+def cycle_yield(cycles: int, per_cycle_fraction: float) -> float:
     """Fraction extracted after repeated melt/re-form cycles:
     1 - (1 - f)^cycles."""
     if cycles < 0:

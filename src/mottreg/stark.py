@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import PhysicsDomainError
-from .units import C_LIGHT, HBAR, PI, AtomSpecies, detuning_from_wavelength
+from .units import C_LIGHT, HBAR, PI, RB87, AtomSpecies, detuning_from_wavelength
 
 __all__ = [
     "light_shifts",
@@ -56,13 +56,12 @@ def eta(species: AtomSpecies, wavelength):
     return diff / (HBAR * np.maximum(gamma0, gamma1))
 
 
-def default_search_band(species: AtomSpecies, exclusion: float = 0.2e-9) -> tuple[float, float]:
+def default_search_band(species: AtomSpecies, exclusion: float) -> tuple[float, float]:
     """Wavelength band between the D2 and D1 lines minus resonance margins."""
     return (species.d2_wavelength + exclusion, species.d1_wavelength - exclusion)
 
 
-def optimize_lpol_wavelength(species: AtomSpecies,
-                             exclusion: float = 0.2e-9) -> tuple[float, float]:
+def optimize_lpol_wavelength(species: AtomSpecies, exclusion: float) -> tuple[float, float]:
     """Wavelength maximising eta inside the default_search_band, and eta there.
 
     In the scaled D1 detuning x = Delta1 / (omega2 - omega1), which runs
@@ -95,12 +94,12 @@ def optimize_lpol_wavelength(species: AtomSpecies,
     return float(candidates[best]), float(etas[best])
 
 
-def wavelength_scan(species: AtomSpecies, search_band: tuple[float, float],
-                    n_points: int, recoil_energy_j: float) -> dict[str, np.ndarray]:
-    """Columns of shifts and rates at unit intensity on an even grid across
-    the band, for the stark-scan CSV."""
+def wavelength_scan(search_band: tuple[float, float], n_points: int,
+                    recoil_energy_j: float) -> dict[str, np.ndarray]:
+    """Columns of Rb-87 shifts and rates at unit intensity on an even grid
+    across the band, for the stark-scan CSV."""
     lams = np.linspace(search_band[0], search_band[1], n_points)
-    _, _, diff, gamma0, gamma1 = light_shifts(species, lams, 1.0)
+    _, _, diff, gamma0, gamma1 = light_shifts(RB87, lams, 1.0)
     return {"lambda_nm": lams * 1e9,
             "deltaE_per_ER": diff / recoil_energy_j,
             "gamma0": gamma0,

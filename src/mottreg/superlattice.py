@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import PhysicsDomainError
 from .stark import light_shifts
-from .transfer import HarmonicRamp
-from .units import AtomSpecies, recoil_energy
+from .transfer import HarmonicRamp, initial_frequency
+from .units import RB87, recoil_energy
 
 __all__ = [
     "SuperlatticeConfig",
@@ -40,11 +40,11 @@ class SuperlatticeConfig:
     a length offset (m) of the LPOL antinode relative to site 0.
     """
 
-    spol_wavelength: float = 850e-9
-    spol_depth: float = 50.0
-    pattern_period: int = 3
-    lpol_wavelength: float = 787.6e-9
-    lpol_phase: float = 0.0
+    spol_wavelength: float
+    spol_depth: float
+    pattern_period: int
+    lpol_wavelength: float
+    lpol_phase: float
 
     def __post_init__(self):
         if self.pattern_period < 3 or int(self.pattern_period) != self.pattern_period:
@@ -85,20 +85,20 @@ def _envelope(config: SuperlatticeConfig, x: np.ndarray) -> np.ndarray:
     return np.cos(np.pi * (x - config.lpol_phase) / eta_l) ** 2
 
 
-def lpol_light_shifts(config: SuperlatticeConfig, species: AtomSpecies, intensity: float,
+def lpol_light_shifts(config: SuperlatticeConfig, intensity: float,
                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The shifts (dE0, dE1, dE1 - dE0) in E_R and the scattering rate
+    """The Rb-87 shifts (dE0, dE1, dE1 - dE0) in E_R and the scattering rate
     max(gamma0, gamma1) in 1/s at positions x (m) of an LPOL of peak
     `intensity` (W/m^2) under the envelope, 1 on the A sites at phase 0."""
-    e_r = recoil_energy(config.spol_wavelength, species.mass)
+    e_r = recoil_energy(config.spol_wavelength, RB87.mass)
     de0, de1, diff, gamma0, gamma1 = light_shifts(
-        species, config.lpol_wavelength, intensity * _envelope(config, x))
+        RB87, config.lpol_wavelength, intensity * _envelope(config, x))
     return (*(shift / e_r for shift in (de0, de1, diff)),
             np.maximum(gamma0, gamma1))
 
 
-def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
-                             delta_target: float, n_sites: int | None = None) -> SiteDetunings:
+def site_hyperfine_detunings(config: SuperlatticeConfig, delta_target: float,
+                             n_sites: int | None = None) -> SiteDetunings:
     """Classify A/B sites, solve the LPOL intensity for the A-B differential
     delta_target (E_R) and evaluate the shifts at the site centres.
 
@@ -116,7 +116,7 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
     count = n if n_sites is None else n_sites
     if count < n:
         raise PhysicsDomainError("need at least one full pattern period of sites")
-    unit_diff = light_shifts(species, config.lpol_wavelength, 1.0)[2]
+    unit_diff = light_shifts(RB87, config.lpol_wavelength, 1.0)[2]
     if not unit_diff > 0:
         raise PhysicsDomainError(
             f"lattice.lpol_wavelength_nm = {config.lpol_wavelength * 1e9:.6g} gives no "
@@ -133,10 +133,10 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, species: AtomSpecies,
             "envelope; adjust lattice.lpol_phase_nm or lattice.pattern_period")
     b_sites = np.arange(n) != a_index
     contrast = envelope[a_index] - envelope.max(where=b_sites, initial=-np.inf)
-    e_r = recoil_energy(config.spol_wavelength, species.mass)
+    e_r = recoil_energy(config.spol_wavelength, RB87.mass)
     intensity = float(delta_target / (unit_diff / e_r * contrast))
 
-    e0, e1, diff, gamma = lpol_light_shifts(config, species, intensity, xs)
+    e0, e1, diff, gamma = lpol_light_shifts(config, intensity, xs)
     labels = np.where(np.arange(count) % n == a_index, "A", "B")
     delta = float(diff[a_index] - diff[:n].max(where=b_sites, initial=-np.inf))
     return SiteDetunings(labels=tuple(labels.tolist()), site_positions=tuple(xs.tolist()),
@@ -157,9 +157,9 @@ def lpol_ramp_time(config: SuperlatticeConfig, shift_a: float,
     """
     if not 0.0 < target_excitation < 0.1:
         raise PhysicsDomainError("target excitation must lie in (0, 0.1)")
-    w_i = 2.0 * math.sqrt(config.spol_depth)
+    w_i = initial_frequency(config.spol_depth)
     # a NaN shift, or one within the rounding of V_s or of its root, leaves w_f = w_i
-    w_f = 2.0 * math.sqrt(config.spol_depth + shift_a) if shift_a > 0 else w_i
+    w_f = initial_frequency(config.spol_depth + shift_a) if shift_a > 0 else w_i
     if not w_f > w_i:
         raise PhysicsDomainError(
             f"ramp target unreachable: the A-site shift {shift_a:.6g} E_R does not deepen "

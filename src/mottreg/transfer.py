@@ -167,8 +167,8 @@ def band_tunneling(lattice_depth: float, n_waves: int = 12) -> float:
     """Ground-band tunneling J (E_R) of the 1-D sinusoidal lattice from the
     central-equation matrix: J = (E0(band edge) - E0(0)) / 4."""
     if lattice_depth < 5.0:
-        warnings.warn("lattice depth below the tight-binding regime; "
-                      "J = bandwidth/4 is unreliable here", stacklevel=2)
+        warnings.warn(f"lattice depth below the tight-binding regime: lattice.depth_er = "
+                      f"{lattice_depth!r} < 5 leaves J = bandwidth/4 unreliable", stacklevel=2)
 
     def ground_energy(q: float) -> float:
         ms = np.arange(-n_waves, n_waves + 1)

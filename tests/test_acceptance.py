@@ -91,7 +91,7 @@ def test_criterion_04_microtrap_matching():
 
 def test_criterion_05_stark_optimisation():
     with criterion(5, "stark optimisation"):
-        lam, _ = optimize_lpol_wavelength(RB87)
+        lam, _ = optimize_lpol_wavelength(RB87, 0.2e-9)
         assert abs(lam - 787.6e-9) <= 1.5e-9
         d2 = detuning_from_wavelength(787.6e-9, RB87.d2_wavelength)
         assert d2 == pytest.approx(-2 * math.pi * 3608e9, rel=0.01)
@@ -105,7 +105,7 @@ def test_criterion_06_removal():
     with criterion(6, "removal photon counting"):
         threshold = removal_photon_threshold(50.0)
         assert threshold == 25.0
-        plan = solve_removal_drive(RB87.gamma2, threshold, 1e-6)
+        plan = solve_removal_drive(RB87.gamma2, threshold, 1e-6, 0.45)
         assert plan.duration <= 1.5e-6
         resonant = photon_count(RB87.gamma2, plan.rabi_frequency, 0.0, plan.duration)
         assert resonant == pytest.approx(threshold, rel=1e-6)

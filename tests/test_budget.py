@@ -29,8 +29,7 @@ def scheme1():
 
 def _sites(cfg: RunConfig):
     """The step-two site evaluation of the configured lattice and delta target."""
-    return site_hyperfine_detunings(budget_mod.patterned_lattice(cfg), RB87,
-                                    cfg.lattice.delta_target_er)
+    return site_hyperfine_detunings(budget_mod.patterned_lattice(cfg), cfg.lattice.delta_target_er)
 
 
 def test_scheme1_headline_numbers(scheme1):
@@ -135,7 +134,9 @@ def test_step2_scattering_is_the_a_site_rate_over_the_exposure(phase_nm):
 
 def test_step2_scattering_zero_intensity(monkeypatch):
     # no LPOL light scatters nothing, and a zero rate charges exactly 0
-    assert site_hyperfine_detunings(SuperlatticeConfig(), RB87, 0.0).gamma_a == 0.0
+    lattice = SuperlatticeConfig(spol_wavelength=850e-9, spol_depth=50.0, pattern_period=3,
+                                 lpol_wavelength=787.6e-9, lpol_phase=0.0)
+    assert site_hyperfine_detunings(lattice, 0.0).gamma_a == 0.0
     original = budget_mod.lattice_mod.site_hyperfine_detunings
     monkeypatch.setattr(budget_mod.lattice_mod, "site_hyperfine_detunings",
                         lambda *args: dataclasses.replace(original(*args), gamma_a=0.0))

@@ -105,6 +105,29 @@ def test_cli_json_nested_beyond_the_parser_is_a_config_error(capsys, tmp_path, a
     assert "Traceback" not in err
 
 
+# an int of more digits than the interpreter converts to text and back (4300
+# by default); with no limit it parses, and is refused beyond the float range
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_HUGE_INT = "1" + "0" * ((_DIGIT_LIMIT or 4300) + 700)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--set", f"lattice.total_sites={_HUGE_INT}", "scheme1"], "lattice.total_sites must be"),
+    (["sweep", "--parameter", "lattice.total_sites", "--values", _HUGE_INT],
+     "lattice.total_sites must be"),
+    (["--config", "{path}", "scheme1"],
+     "{path}: parse error" if _DIGIT_LIMIT else "lattice.total_sites must be"),
+], ids=["set", "sweep", "config"])
+def test_cli_int_beyond_the_digit_limit_is_a_config_error(capsys, tmp_path, argv, message):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"lattice": {{"total_sites": {_HUGE_INT}}}}}', encoding="utf-8")
+    argv = [a.replace("{path}", str(path)) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message.replace("{path}", str(path)))
+    assert err.count("\n") == 1
+
+
 def test_config_round_trip(tmp_path):
     cfg = RunConfig()
     cfg.transfer.xi = 0.0025
@@ -274,8 +297,8 @@ def test_range_row_ends(path, value, accepted):
 def test_emit_json_deterministic_and_reparsable(tmp_path):
     report = {"a": 1 / 3, "b": [1.0, 2.5e-7], "c": {"d": True, "e": "x"}}
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    p1.write_text(emit(report, "json"), encoding="utf-8")
-    p2.write_text(emit(report, "json"), encoding="utf-8")
+    p1.write_text(emit(report, "json", 12), encoding="utf-8")
+    p2.write_text(emit(report, "json", 12), encoding="utf-8")
     assert p1.read_bytes() == p2.read_bytes()
     parsed = json.loads(p1.read_text())
     assert parsed["a"] == float(format(1 / 3, ".12g"))
@@ -285,7 +308,7 @@ def test_emit_json_deterministic_and_reparsable(tmp_path):
 def test_emit_csv_shape(tmp_path):
     table = {"x": [1.0, 2.0], "label": ["A", "B"]}
     path = tmp_path / "rows.csv"
-    path.write_text(emit(table, "csv"), encoding="utf-8")
+    path.write_text(emit(table, "csv", 12), encoding="utf-8")
     lines = path.read_text().splitlines()
     assert lines[0] == "x,label"
     assert len(lines) == 3
@@ -492,7 +515,7 @@ def test_cli_speedup_profile_is_the_uniform_grid_of_profile_points(capsys, tmp_p
     minima = track_minimum(wells, a)
     gaps, elements = gap_and_element(wells, a, minima, 11)
     table = {"a": a, "y_min": minima, "gap": gaps, "element": elements}
-    assert prof.read_bytes() == emit(table, "csv").encode()
+    assert prof.read_bytes() == emit(table, "csv", 12).encode()
 
 
 @pytest.mark.parametrize("command", ["speedup", "scheme2"])
@@ -681,6 +704,25 @@ def test_cli_byte_identical_reruns(capsys, tmp_path, monkeypatch):
     # stdout envelopes differ only in the echoed output path
     assert outputs["a"][0].replace("pulse_a", "pulse_x") == \
         outputs["b"][0].replace("pulse_b", "pulse_x")
+
+
+@pytest.mark.parametrize("variable", [False, True])
+def test_cli_relative_out_goes_under_the_outdir_variable_or_output_directory(
+        capsys, monkeypatch, tmp_path, variable):
+    # $MOTTREG_OUTDIR, when set, wins over output.directory
+    configured, environment = tmp_path / "configured", tmp_path / "environment"
+    configured.mkdir()
+    environment.mkdir()
+    if variable:
+        monkeypatch.setenv("MOTTREG_OUTDIR", str(environment))
+    else:
+        monkeypatch.delenv("MOTTREG_OUTDIR", raising=False)
+    code, out = _run(capsys, "--set", f"output.directory={configured}",
+                     "--out", "r.json", "remove")
+    assert code == 0
+    expected = (environment if variable else configured) / "r.json"
+    assert json.loads(out)["out"] == str(expected)
+    assert [*tmp_path.glob("*/*")] == [expected]
 
 
 def test_cli_non_numeric_value_is_a_config_error(capsys):
@@ -901,6 +943,15 @@ def _no_constant(name):
     raise ValueError(f"{name} in JSON output")
 
 
+@pytest.mark.filterwarnings("default:lattice depth below:UserWarning")
+def test_cli_shallow_lattice_warning_is_one_line_naming_the_field(capsys):
+    assert main(["transfer", "--depth", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: lattice depth below the tight-binding regime: "
+                            "lattice.depth_er = 3.0 < 5 leaves J = bandwidth/4 unreliable\n")
+    assert json.loads(captured.out)["config"]["lattice"]["depth_er"] == 3.0
+
+
 # a depth below the tight-binding regime warns by design; any other warning
 # stays an error
 @pytest.mark.filterwarnings("default:lattice depth below:UserWarning")
@@ -1027,7 +1078,7 @@ def test_cli_optimizes_lpol_wavelength_once(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(budget_mod, "optimize_lpol_wavelength", counted)
-    optimum_nm = original(RB87)[0] * 1e9
+    optimum_nm = original(RB87, 0.2e-9)[0] * 1e9
     for command in ("lattice", "scheme1"):
         calls.clear()
         code, out = _run(capsys, "--set", "lattice.lpol_wavelength_nm=optimize", command)

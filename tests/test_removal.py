@@ -108,7 +108,7 @@ def _photon_count_mpmath(params):
     (2 * math.pi * 1e4 * 1e9, 1e-7),
 ])
 def test_photon_count_matches_high_precision_oracle(detuning, rel):
-    plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
+    plan = solve_removal_drive(GAMMA, 25.0, 1e-6, 0.45)
     params = (GAMMA, plan.rabi_frequency, detuning, plan.duration)
     assert photon_count(*params) == pytest.approx(_photon_count_mpmath(params), rel=rel,
                                                    abs=0.0)
@@ -150,7 +150,7 @@ def test_resonant_photon_count_past_the_range_of_the_oscillation_phase(gamma_t):
 
 
 def test_far_detuned_photon_count_stays_positive():
-    plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
+    plan = solve_removal_drive(GAMMA, 25.0, 1e-6, 0.45)
     for ghz in (1e6, 1e10):
         assert photon_count(GAMMA, plan.rabi_frequency, 2 * math.pi * ghz * 1e9,
                             plan.duration) > 0.0
@@ -191,7 +191,7 @@ def test_photon_count_monotone_in_duration_and_drive():
 
 
 def test_detuned_suppression_matches_steady_state_ratio():
-    plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
+    plan = solve_removal_drive(GAMMA, 25.0, 1e-6, 0.45)
     resonant = photon_count(GAMMA, plan.rabi_frequency, 0.0, plan.duration)
     detuned = photon_count(GAMMA, plan.rabi_frequency, RB87.hyperfine_splitting,
                            plan.duration)
@@ -219,7 +219,7 @@ def test_collision_probability_values():
 
 def test_solve_removal_drive_extends_infeasible_window():
     # 25 photons in 1 us exceeds the Gamma/2 ceiling (~19 photons/us)
-    plan = solve_removal_drive(GAMMA, 25.0, 1e-6)
+    plan = solve_removal_drive(GAMMA, 25.0, 1e-6, 0.45)
     assert not plan.feasible_at_request
     assert 1e-6 < plan.duration <= 1.5e-6
     resonant = photon_count(GAMMA, plan.rabi_frequency, 0.0, plan.duration)
@@ -227,7 +227,7 @@ def test_solve_removal_drive_extends_infeasible_window():
 
 
 def test_solve_removal_drive_keeps_feasible_window():
-    plan = solve_removal_drive(GAMMA, 10.0, 2e-6)
+    plan = solve_removal_drive(GAMMA, 10.0, 2e-6, 0.45)
     assert plan.feasible_at_request
     assert plan.duration == 2e-6
     resonant = photon_count(GAMMA, plan.rabi_frequency, 0.0, plan.duration)
@@ -264,7 +264,7 @@ def test_solved_log_drive_and_its_neighbour_bracket_the_threshold(depth, window_
     threshold = removal_photon_threshold(depth)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(removal_mod, "solve_scalar", recorded)
-        plan = solve_removal_drive(GAMMA, threshold, window_us * 1e-6)
+        plan = solve_removal_drive(GAMMA, threshold, window_us * 1e-6, 0.45)
     (log_omega,) = roots
     assert plan.rabi_frequency == math.exp(log_omega)
 
@@ -280,7 +280,7 @@ def test_solve_removal_drive_validation():
     for linewidth, threshold, duration in ((0.0, 25.0, 1e-6), (-GAMMA, 25.0, 1e-6),
                                            (GAMMA, -1.0, 1e-6), (GAMMA, 25.0, 0.0)):
         with pytest.raises(PhysicsDomainError):
-            solve_removal_drive(linewidth, threshold, duration)
+            solve_removal_drive(linewidth, threshold, duration, 0.45)
 
 
 def test_params_validation():

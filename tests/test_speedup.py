@@ -45,7 +45,7 @@ def test_potential_depth_at_origin():
 
 
 def test_potential_single_gaussian_when_focus_off():
-    single = DoubleGaussianPotential(confine_depth=400.0, focus_depth=0.0)
+    single = DoubleGaussianPotential(confine_depth=400.0, focus_depth=0.0, focus_waist=0.5)
     ys = np.linspace(-2.0, 2.0, 401)
     vals = single.value(ys)
     assert int(np.argmin(vals)) == 200
@@ -272,7 +272,7 @@ def test_schedule_makes_one_eigh_call(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    sched = build_moving_schedule(WELLS, 2.0)
+    sched = build_moving_schedule(WELLS, 2.0, basis_size=11)
     # the 8, 16 and 32 node levels share one stack, and 32 nodes converge
     assert calls == [(56, 11, 11)]
     assert sched.displacements.shape == (32,)
@@ -310,7 +310,7 @@ def test_moving_time_linearity_and_trivial_zero():
     move, fast = _move(), _move(4 * 7e-3)
     assert fast.xi_bar == pytest.approx(2 * move.xi_bar, rel=1e-15, abs=0.0)
     assert fast.move_time == pytest.approx(move.move_time / 2, rel=1e-12, abs=0.0)
-    assert build_moving_schedule(WELLS, 0.0).integral() == 0.0
+    assert build_moving_schedule(WELLS, 0.0, basis_size=11).integral() == 0.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -329,7 +329,7 @@ def test_moving_time_grid_refinement_invariance(monkeypatch):
     times = []
     for first in (32, 64, 128):
         monkeypatch.setattr(speedup, "_FIRST_NODES", first)
-        sched = build_moving_schedule(WELLS, 2.0)
+        sched = build_moving_schedule(WELLS, 2.0, basis_size=11)
         assert sched.displacements.shape == (first,)
         times.append(sched.integral())
     assert times[1] == pytest.approx(times[0], rel=1e-12, abs=0.0)
@@ -351,10 +351,10 @@ def test_node_doubling_continues_past_a_kinked_integrand():
     # kinks, 32 and 16 nodes differ by more than 1% and the levels double on
     wells = DoubleGaussianPotential(confine_depth=1000.0, focus_depth=580.0,
                                     focus_waist=0.5)
-    sched = build_moving_schedule(wells, 2.0)
+    sched = build_moving_schedule(wells, 2.0, basis_size=11)
     assert sched.displacements.size > 32
     a = np.linspace(0.0, 2.0, 4001)
-    _, gaps, elements = path_profile(wells, a)
+    _, gaps, elements = path_profile(wells, a, basis_size=11)
     reference = np.trapezoid(elements / gaps ** 2, a)
     assert sched.integral() == pytest.approx(reference, rel=0.01)
 
@@ -394,7 +394,7 @@ def test_node_minima_match_a_dense_uniform_track(confine_depth, ratio, focus_wai
     wells = DoubleGaussianPotential(confine_depth=confine_depth,
                                     focus_depth=ratio * confine_depth * focus_waist,
                                     focus_waist=focus_waist)
-    sched = build_moving_schedule(wells, a_final)
+    sched = build_moving_schedule(wells, a_final, basis_size=11)
     path = np.union1d(np.linspace(0.0, a_final, 4001), sched.displacements)
     dense = track_minimum(wells, path)[np.searchsorted(path, sched.displacements)]
     assert np.all(np.abs(sched.minima - dense) <= 1e-15 * np.maximum(1.0, np.abs(dense)))
@@ -437,9 +437,9 @@ def test_operating_point_orders_of_magnitude():
 
 def test_cycle_yield_values():
     assert cycle_yield(5, 1 / 3) == pytest.approx(0.8683, abs=1e-4)
-    assert cycle_yield(0) == 0.0
+    assert cycle_yield(0, 1 / 3) == 0.0
     assert cycle_yield(1, 1 / 9) == pytest.approx(1 / 9, rel=1e-14)
     with pytest.raises(PhysicsDomainError):
-        cycle_yield(-1)
+        cycle_yield(-1, 1 / 3)
     with pytest.raises(PhysicsDomainError):
         cycle_yield(3, 1.5)

@@ -152,14 +152,14 @@ def test_eta_intensity_invariant():
 
 
 def test_optimum_wavelength_near_reference_value():
-    lam, eta_max = optimize_lpol_wavelength(RB87)
+    lam, eta_max = optimize_lpol_wavelength(RB87, 0.2e-9)
     assert abs(lam - 787.6e-9) < 1.5e-9
     assert eta_max > 0
 
 
 def test_optimum_equals_golden_section_value():
     # the value the former golden-section search converged to
-    lam, eta_max = optimize_lpol_wavelength(RB87)
+    lam, eta_max = optimize_lpol_wavelength(RB87, 0.2e-9)
     assert lam == pytest.approx(787.6371593189065e-9, rel=1e-15, abs=0.0)
     assert eta_max == eta(RB87, lam)
 
@@ -173,10 +173,10 @@ def test_optimum_at_1nm_exclusion_returns_at_once():
 
 
 def test_optimum_matches_dense_grid_oracle():
-    band = default_search_band(RB87)
+    band = default_search_band(RB87, 0.2e-9)
     grid = np.linspace(band[0], band[1], 10_000)
     lam_grid = grid[int(np.argmax(eta(RB87, grid)))]
-    lam, _ = optimize_lpol_wavelength(RB87)
+    lam, _ = optimize_lpol_wavelength(RB87, 0.2e-9)
     assert abs(lam - lam_grid) <= 2 * (grid[1] - grid[0])
 
 
@@ -189,8 +189,8 @@ def test_optimum_beats_dense_grid_over_species(gamma1_exp, gamma2_exp, d1_nm):
     species = dataclasses.replace(RB87, gamma1=RB87.gamma1 * 10 ** gamma1_exp,
                                   gamma2=RB87.gamma2 * 10 ** gamma2_exp,
                                   d1_wavelength=d1_nm * 1e-9)
-    band = default_search_band(species)
-    lam, eta_max = optimize_lpol_wavelength(species)
+    band = default_search_band(species, 0.2e-9)
+    lam, eta_max = optimize_lpol_wavelength(species, 0.2e-9)
     assert band[0] <= lam <= band[1]
     grid_max = float(np.max(eta(species, np.linspace(band[0], band[1], 20_001))))
     assert eta_max >= grid_max * (1.0 - 1e-12)
@@ -198,7 +198,7 @@ def test_optimum_beats_dense_grid_over_species(gamma1_exp, gamma2_exp, d1_nm):
 
 def test_optimum_argmax_invariant_under_intensity():
     # argmax does not move when every shift and rate scales together
-    band = default_search_band(RB87)
+    band = default_search_band(RB87, 0.2e-9)
     grid = np.linspace(band[0], band[1], 801)
     _, _, diff, g0, g1 = light_shifts(RB87, grid[:, None], np.array([1.0, 7.0]))
     etas = diff / np.maximum(g0, g1)
@@ -206,8 +206,8 @@ def test_optimum_argmax_invariant_under_intensity():
 
 
 def test_wavelength_scan_columns():
-    band = default_search_band(RB87)
-    columns = wavelength_scan(RB87, band, 11, 1.0)
+    band = default_search_band(RB87, 0.2e-9)
+    columns = wavelength_scan(band, 11, 1.0)
     assert list(columns) == ["lambda_nm", "deltaE_per_ER", "gamma0", "gamma1", "eta"]
     assert np.array_equal(columns["eta"], eta(RB87, np.linspace(band[0], band[1], 11)))
 

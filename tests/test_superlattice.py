@@ -33,25 +33,28 @@ def test_lpol_commensurability_identity(n, lam_s, lam_l):
 def test_lpol_angle_geometry_error():
     # lambda_l > n lambda_s: no beam angle gives the period n lambda_s / 2
     with pytest.raises(PhysicsDomainError, match="no intersection angle exists"):
-        SuperlatticeConfig(pattern_period=3, lpol_wavelength=4 * 850e-9)
-    SuperlatticeConfig(pattern_period=3, lpol_wavelength=3 * 850e-9)
+        SuperlatticeConfig(spol_wavelength=850e-9, spol_depth=50.0, pattern_period=3,
+                           lpol_wavelength=4 * 850e-9, lpol_phase=0.0)
+    SuperlatticeConfig(spol_wavelength=850e-9, spol_depth=50.0, pattern_period=3,
+                       lpol_wavelength=3 * 850e-9, lpol_phase=0.0)
 
 
 def _configured(n=3, phase=0.0):
-    return SuperlatticeConfig(pattern_period=n, lpol_phase=phase)
+    return SuperlatticeConfig(spol_wavelength=850e-9, spol_depth=50.0, pattern_period=n,
+                              lpol_wavelength=787.6e-9, lpol_phase=phase)
 
 
 def _ramp(delta, target):
     """The LPOL ramp of the n = 3 lattice at phase 0, planned for its A site."""
     config = _configured()
-    return lpol_ramp_time(config, max(site_hyperfine_detunings(config, RB87, delta).delta_diff),
+    return lpol_ramp_time(config, max(site_hyperfine_detunings(config, delta).delta_diff),
                           target)
 
 
 @pytest.mark.parametrize("n, phase", [(3, 0.0), (4, 0.0), (5, 30e-9)])
 def test_site_detunings_equal_per_site_calls(n, phase):
     # reference: one scalar light-shift call per site, as the loop did
-    sites = site_hyperfine_detunings(_configured(n, phase), RB87, 52.0, n_sites=2 * n)
+    sites = site_hyperfine_detunings(_configured(n, phase), 52.0, n_sites=2 * n)
     e_r = recoil_energy(850e-9, RB87.mass)
     xs = np.array(sites.site_positions)
     envelope = np.cos(np.pi * (xs - phase) / (n * 850e-9 / 2)) ** 2
@@ -65,7 +68,7 @@ def test_site_detunings_equal_per_site_calls(n, phase):
 def test_site_detunings_cos2_pattern():
     # oracle: direct cos^2 envelope at x = 0, lambda_s/2, lambda_s gives
     # intensity factors 1, 1/4, 1/4 for n = 3
-    sites = site_hyperfine_detunings(_configured(), RB87, 52.0, n_sites=9)
+    sites = site_hyperfine_detunings(_configured(), 52.0, n_sites=9)
     peak = light_shifts(RB87, 787.6e-9, sites.intensity)[2] / recoil_energy(850e-9, RB87.mass)
     assert sites.delta == pytest.approx(0.75 * peak, rel=1e-12)
     assert sites.labels == ("A", "B", "B") * 3
@@ -76,21 +79,21 @@ def test_site_detunings_cos2_pattern():
 
 def test_site_detunings_zero_intensity():
     # a zero delta target takes no LPOL light, so nothing shifts or scatters
-    sites = site_hyperfine_detunings(_configured(), RB87, 0.0)
+    sites = site_hyperfine_detunings(_configured(), 0.0)
     assert (sites.intensity, sites.delta, sites.gamma_a) == (0.0, 0.0, 0.0)
     assert sites.labels == ("A", "B", "B")
 
 
 def test_site_detunings_periodicity():
-    sites = site_hyperfine_detunings(_configured(), RB87, 52.0, n_sites=12)
+    sites = site_hyperfine_detunings(_configured(), 52.0, n_sites=12)
     for j in range(9):
         assert sites.delta_diff[j] == pytest.approx(sites.delta_diff[j + 3], rel=1e-12)
         assert sites.labels[j] == sites.labels[j + 3]
 
 
 def test_site_detunings_linearity_and_label_invariance():
-    one = site_hyperfine_detunings(_configured(), RB87, 52.0)
-    two = site_hyperfine_detunings(_configured(), RB87, 104.0)
+    one = site_hyperfine_detunings(_configured(), 52.0)
+    two = site_hyperfine_detunings(_configured(), 104.0)
     assert two.intensity == 2 * one.intensity
     assert two.delta == pytest.approx(2 * one.delta, rel=1e-12)
     assert one.labels == two.labels
@@ -102,12 +105,12 @@ def test_site_detunings_ambiguity_error():
     for delta in (52.0, 0.0):
         with pytest.raises(PhysicsDomainError,
                            match="ambiguous.*lattice.lpol_phase_nm.*lattice.pattern_period"):
-            site_hyperfine_detunings(_configured(phase=850e-9 / 4), RB87, delta)
+            site_hyperfine_detunings(_configured(phase=850e-9 / 4), delta)
 
 
 def test_site_detunings_refuse_a_negative_delta():
     with pytest.raises(PhysicsDomainError, match="target delta must be >= 0"):
-        site_hyperfine_detunings(_configured(), RB87, -1.0)
+        site_hyperfine_detunings(_configured(), -1.0)
 
 
 @pytest.mark.parametrize("n, phase", [(3, 0.0), (4, 0.0), (3, 50e-9), (5, 30e-9)])
@@ -115,8 +118,8 @@ def test_site_labels_follow_the_envelope_where_the_shifts_underflow(n, phase):
     # the smallest delta target takes a subnormal intensity, where every
     # shift rounds to 0 or a few subnormal steps, and the labels stay those
     # of a working intensity
-    working = site_hyperfine_detunings(_configured(n, phase), RB87, 52.0)
-    faint = site_hyperfine_detunings(_configured(n, phase), RB87, 5e-324)
+    working = site_hyperfine_detunings(_configured(n, phase), 52.0)
+    faint = site_hyperfine_detunings(_configured(n, phase), 5e-324)
     assert 0.0 < faint.intensity < sys.float_info.min
     assert faint.labels == working.labels
     assert working.labels.count("A") == 1
@@ -124,15 +127,15 @@ def test_site_labels_follow_the_envelope_where_the_shifts_underflow(n, phase):
 
 
 def test_solve_intensity_trivial_and_linearity():
-    assert site_hyperfine_detunings(_configured(), RB87, 0.0).intensity == 0.0
-    i1 = site_hyperfine_detunings(_configured(), RB87, 26.0).intensity
-    i2 = site_hyperfine_detunings(_configured(), RB87, 52.0).intensity
+    assert site_hyperfine_detunings(_configured(), 0.0).intensity == 0.0
+    i1 = site_hyperfine_detunings(_configured(), 26.0).intensity
+    i2 = site_hyperfine_detunings(_configured(), 52.0).intensity
     assert i1 > 0.0
     assert i2 == 2 * i1
 
 
 def test_solve_intensity_round_trip_52er():
-    sites = site_hyperfine_detunings(_configured(), RB87, 52.0)
+    sites = site_hyperfine_detunings(_configured(), 52.0)
     assert sites.delta == pytest.approx(52.0, rel=1e-12, abs=0.0)
 
 
@@ -146,7 +149,7 @@ def test_site_evaluation_over_generated_geometries(n, phase_fraction, delta):
     # phases across one LPOL period; a tie of the brightest sites is refused
     config = _configured(n, phase_fraction * lpol_period(n, 850e-9))
     try:
-        sites = site_hyperfine_detunings(config, RB87, delta)
+        sites = site_hyperfine_detunings(config, delta)
     except PhysicsDomainError as exc:
         assert "ambiguous site pattern" in str(exc)
         assume(False)
@@ -160,9 +163,9 @@ def test_site_evaluation_over_generated_geometries(n, phase_fraction, delta):
                                         abs=0.0)
     assert sites.delta_diff[a] == max(sites.delta_diff)
     # the lattice report's longer site list solves the same intensity
-    assert site_hyperfine_detunings(config, RB87, delta, n_sites=4 * n).intensity \
+    assert site_hyperfine_detunings(config, delta, n_sites=4 * n).intensity \
         == sites.intensity
-    assert site_hyperfine_detunings(config, RB87, 2.0 * delta).intensity == 2.0 * sites.intensity
+    assert site_hyperfine_detunings(config, 2.0 * delta).intensity == 2.0 * sites.intensity
     assert sites.gamma_a == pytest.approx(sites.intensity * env[a] * _UNIT_GAMMA,
                                           rel=1e-12, abs=0.0)
 
@@ -290,6 +293,8 @@ def test_pattern_yield_validation():
 
 def test_config_validation():
     with pytest.raises(PhysicsDomainError):
-        SuperlatticeConfig(pattern_period=2)
+        SuperlatticeConfig(spol_wavelength=850e-9, spol_depth=50.0, pattern_period=2,
+                           lpol_wavelength=787.6e-9, lpol_phase=0.0)
     with pytest.raises(PhysicsDomainError):
-        SuperlatticeConfig(spol_depth=-1.0)
+        SuperlatticeConfig(spol_wavelength=850e-9, spol_depth=-1.0, pattern_period=3,
+                           lpol_wavelength=787.6e-9, lpol_phase=0.0)
