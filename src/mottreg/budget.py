@@ -29,7 +29,6 @@ __all__ = [
     "run_scheme1",
     "run_scheme2",
     "sweep",
-    "resolve_lpol_wavelength",
     "resolved_config_echo",
     "lattice_recoil",
     "patterned_lattice",
@@ -118,17 +117,6 @@ def _lpol_wavelength_m(cfg: RunConfig) -> float:
     return float(lam) * 1e-9
 
 
-def resolve_lpol_wavelength(cfg: RunConfig) -> RunConfig:
-    """cfg itself, or for lpol_wavelength_nm = "optimize" a copy holding the
-    optimum in nm, so that a run which needs the wavelength twice (budget
-    and echo) optimises once."""
-    if cfg.lattice.lpol_wavelength_nm != "optimize":
-        return cfg
-    resolved = copy.deepcopy(cfg)
-    resolved.lattice.lpol_wavelength_nm = _lpol_wavelength_m(cfg) * 1e9
-    return resolved
-
-
 # ---------------------------------------------------------------------------
 # one builder per protocol step, shared by the budgets and the CLI reports;
 # the atom is always Rb-87
@@ -211,7 +199,7 @@ def moving_focus(cfg: RunConfig) -> FocusMove:
     schedule = speedup_mod.build_moving_schedule(
         potential, spd.final_displacement_sigma, basis_size=spd.basis_size)
     move_time = (schedule.integral() / xi_bar
-                 * speedup_mod.time_unit(spd.sigma_c_um * 1e-6, RB87.mass))
+                 * speedup_mod.time_unit(spd.sigma_c_um * 1e-6))
     p_scatter = min(1.0, spd.effective_linewidth_rad_s / abs(spd.focus_detuning_rad_s)
                     * schedule.integral(schedule.depth_profile) / xi_bar)
     return FocusMove(potential, schedule, xi_bar, move_time, 4.0 * xi_bar ** 2, p_scatter)
@@ -377,7 +365,9 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
 
 def resolved_config_echo(cfg: RunConfig) -> dict:
     """Config dict with every rule string expanded to its numeric value."""
-    echo = config_to_dict(resolve_lpol_wavelength(cfg))
+    echo = config_to_dict(cfg)
+    if cfg.lattice.lpol_wavelength_nm == "optimize":
+        echo["lattice"]["lpol_wavelength_nm"] = _lpol_wavelength_m(cfg) * 1e9
     _, _, omega0, t_f, detuning = resolve_pulse_rules(cfg)
     echo["pulse"]["omega0_er"] = omega0
     echo["pulse"]["cutoff"] = t_f

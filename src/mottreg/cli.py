@@ -26,9 +26,8 @@ from . import speedup as speedup_mod
 from . import superlattice as lattice_mod
 from . import transfer as transfer_mod
 from .budget import (lattice_recoil, moving_focus, patterned_lattice, pi_pulse, removal_drive,
-                     resolve_lpol_wavelength, resolved_config_echo, run_scheme1,
-                     run_scheme2, sweep, transfer_ramp)
-from .config import RunConfig, load_config, parse_value, set_field, validate_config
+                     resolved_config_echo, run_scheme1, run_scheme2, sweep, transfer_ramp)
+from .config import RunConfig, brief, load_config, parse_value, set_field, validate_config
 from .errors import ConfigError, NumericsError, PhysicsDomainError
 from .pulse import rabi_evolve
 from .stark import default_search_band, wavelength_scan
@@ -163,8 +162,8 @@ def _cmd_lattice(args, cfg: RunConfig):
     if n_sites < period:
         raise ConfigError(f"--sites must be >= {period} (one pattern period), "
                           f"got {n_sites}")
-    _require_rows("--sites", n_sites, args.format or "csv")
-    cfg = resolve_lpol_wavelength(cfg)
+    _require_rows("lattice.pattern_period" if args.sites is None else "--sites", n_sites,
+                  args.format or "csv")
     config = patterned_lattice(cfg)
     sites = lattice_mod.site_hyperfine_detunings(config, cfg.lattice.delta_target_er, n_sites)
     table = {"index": range(n_sites), "position_um": np.multiply(sites.site_positions, 1e6),
@@ -263,7 +262,6 @@ def _cmd_speedup(args, cfg: RunConfig):
 
 
 def _cmd_scheme(args, cfg: RunConfig):
-    cfg = resolve_lpol_wavelength(cfg)
     _deliver(args, cfg, args.budget(cfg).to_dict(), "json")
 
 
@@ -356,7 +354,7 @@ def main(argv=None) -> int:
         for override in args.set or []:
             key, sep, value = override.partition("=")
             if not sep:
-                raise ConfigError(f"override '{override}' must look like KEY=VALUE")
+                raise ConfigError(f"override {brief(override)} must look like KEY=VALUE")
             set_field(cfg, key, parse_value(value))
         for path, value in vars(args).items():
             if "." in path and value is not None:

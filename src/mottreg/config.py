@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,6 +107,12 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
+def brief(value) -> str:
+    """repr(value), cut after 40 characters: a refusal stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 _KEYS = {name: frozenset(f.name for f in dataclasses.fields(cls))
          for name, cls in _SECTIONS.items()}
@@ -114,7 +121,7 @@ _KEYS = {name: frozenset(f.name for f in dataclasses.fields(cls))
 def _keys(section: str) -> frozenset:
     """The keys of a RunConfig section; a section it lacks is refused."""
     if section not in _KEYS:
-        raise ConfigError(f"unknown section '{section}' "
+        raise ConfigError(f"unknown section {brief(section)} "
                           f"(valid sections: {', '.join(sorted(_KEYS))})")
     return _KEYS[section]
 
@@ -125,7 +132,7 @@ def set_field(cfg: RunConfig, dotted: str, value):
     section, _, key = dotted.partition(".")
     keys = _keys(section)
     if key not in keys:
-        raise ConfigError(f"unknown key '{dotted}' (valid keys: {', '.join(sorted(keys))})")
+        raise ConfigError(f"unknown key {brief(dotted)} (valid keys: {', '.join(sorted(keys))})")
     setattr(getattr(cfg, section), key, value)
 
 
@@ -148,8 +155,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except (RecursionError, ValueError) as exc:   # too deep, or an int past the digit limit
+    except RecursionError as exc:
         raise ConfigError(f"{path}: parse error: {exc}") from exc
+    except ValueError as exc:   # an int past the interpreter's digit limit
+        raise ConfigError(f"{path}: parse error: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
     cfg = RunConfig()
     try:
         if not isinstance(data, dict):
@@ -258,7 +268,7 @@ def validate_config(cfg: RunConfig):
         if isinstance(value, str) and "str" in kinds:
             if words is not None and value not in words:
                 admitted = ["a number"] * ("float" in kinds) + [repr(w) for w in words]
-                raise ConfigError(f"{path} must be {' or '.join(admitted)}, got {value!r}")
+                raise ConfigError(f"{path} must be {' or '.join(admitted)}, got {brief(value)}")
             continue
         if "float" not in kinds and "int" not in kinds:
             problem = "a string"
@@ -275,24 +285,24 @@ def validate_config(cfg: RunConfig):
             if ((lo < value or lo_closed and value == lo)
                     and (value < hi or hi_closed and value == hi)):
                 continue
-            raise ConfigError(f"{path} must lie in {interval}, got {value!r}")
-        raise ConfigError(f"{path} must be {problem}, got {value!r}")
+            raise ConfigError(f"{path} must lie in {interval}, got {brief(value)}")
+        raise ConfigError(f"{path} must be {problem}, got {brief(value)}")
 
     lat = cfg.lattice
     if not 0 < 2 * lat.band_exclusion_nm < _D_GAP_NM:
         raise ConfigError(f"lattice.band_exclusion_nm must be positive and below half "
-                          f"the {_D_GAP_NM:.6g} nm D1-D2 gap, got {lat.band_exclusion_nm!r}")
+                          f"the {_D_GAP_NM:.6g} nm D1-D2 gap, got {brief(lat.band_exclusion_nm)}")
     # a band end's detuning 2 pi c (1/lambda - 1/line) is 0 when the reciprocals round equal
     exclusion = lat.band_exclusion_nm * 1e-9
     _require(1.0 / (RB87.d2_wavelength + exclusion) != 1.0 / RB87.d2_wavelength
              and 1.0 / (RB87.d1_wavelength - exclusion) != 1.0 / RB87.d1_wavelength,
-             f"lattice.band_exclusion_nm = {lat.band_exclusion_nm!r} leaves an end of the "
+             f"lattice.band_exclusion_nm = {brief(lat.band_exclusion_nm)} leaves an end of the "
              "search band on a D line in floating point")
     lam = lat.lpol_wavelength_nm
     if lam != "optimize" and min(abs(lam - line) for line in _D_LINES_NM) < lat.band_exclusion_nm:
         raise ConfigError(f"lattice.lpol_wavelength_nm must lie at least lattice.band_exclusion_nm "
-                          f"= {lat.band_exclusion_nm!r} nm from the D lines at "
-                          f"{_D_LINES_NM[0]:.6g} and {_D_LINES_NM[1]:.6g} nm, got {lam!r}")
+                          f"= {brief(lat.band_exclusion_nm)} nm from the D lines at "
+                          f"{_D_LINES_NM[0]:.6g} and {_D_LINES_NM[1]:.6g} nm, got {brief(lam)}")
     _require(lat.total_sites >= lat.pattern_period,
              "lattice.total_sites must cover at least one lattice.pattern_period")
     spd = cfg.speedup

@@ -16,14 +16,14 @@ exponential, so all steps are built at once as Cayley-Klein pairs and
 multiplied pairwise.  The envelope is even and H is real, so the second half
 of the pulse is the transpose of the first, step by step too (a mirrored
 Magnus-4 step flips v_y, which transposes it): only [-s_f, 0] is propagated,
-and U = U_h^T U_h closes it; a chirp or a phase would break this.  Only the
-final pairs on n and n/2 steps are formed, both half grids in one evaluation:
-n starts at 3200 or more, set by the pulse, and doubles until the two flip
-probabilities agree, and the reported amplitudes are their Richardson value
-(16 U(n) - U(n/2))/15, which cancels the h^4 error; a flip probability below
-1e-6 has its final pairs formed again in extended precision, at any n.  The
-amplitudes at 801 sample times are built, the same way and in the same
-precision, only when a trajectory is asked for.
+and U = U_h^T U_h closes it; a chirp or a phase would break this.  Every
+pass builds the half grids of n and n/2 steps in one evaluation and forms
+their final pairs: n starts at 3200 or more, set by the pulse, and doubles
+until the two flip probabilities agree, and the reported amplitudes are their
+Richardson value (16 U(n) - U(n/2))/15, which cancels the h^4 error; a flip
+probability below 1e-6 has its pass made again in extended precision, at any
+n.  The amplitudes at 801 sample times are built from the last pass's grids
+only when a trajectory is asked for.
 """
 from __future__ import annotations
 
@@ -92,9 +92,9 @@ _EXTENDED_BELOW = 1e-6
 _GAUSS = math.sqrt(3.0) / 6.0
 
 
-def _half_steps(pulse: GaussianPulse, grids: tuple[int, ...], dtype=float):
+def _half_steps(pulse: GaussianPulse, n: int, dtype=float):
     """Pairs (alpha - 1, beta), as two arrays, of the Magnus-4 steps on the
-    first half [-s_f, 0] of each n-step grid in `grids`, concatenated.
+    first half [-s_f, 0] of the n- and n/2-step grids, concatenated.
 
     Each step has its own h in s, and the midpoints count back from s = 0,
     the seam of the reflection, so the rounding of n h/2 against s_f falls
@@ -106,8 +106,8 @@ def _half_steps(pulse: GaussianPulse, grids: tuple[int, ...], dtype=float):
     Near the identity, alpha - 1 keeps the digits that a rounded cos|v| loses
     alike at every step.
     """
-    counts = [n // 2 for n in grids]
-    h = np.repeat(2.0 * np.asarray(pulse.cutoff, dtype) / np.array(grids, dtype), counts)
+    counts = (n // 2, n // 4)
+    h = np.repeat(2.0 * np.asarray(pulse.cutoff, dtype) / np.array((n, n // 2), dtype), counts)
     mid = h * np.concatenate([np.arange(0.5 - m, 0.0, dtype=dtype) for m in counts])
     node = _GAUSS * h
     a1, a2 = 0.5 * pulse.peak_rabi * np.exp(-np.stack([mid - node, mid + node]) ** 2)
@@ -145,19 +145,19 @@ def _reflect(a, b) -> np.ndarray:
 def _grids(pulse: GaussianPulse, n: int, dtype=float):
     """Arrays (a, b) of shape (2, n/4): the half-grid steps of n and n/2 steps
     from one evaluation, the n-step one reduced one level to match."""
-    a, b = _half_steps(pulse, (n, n // 2), dtype)
+    a, b = _half_steps(pulse, n, dtype)
     m = n // 2
     fa, fb = _compose(a[1:m:2], b[1:m:2], a[0:m:2], b[0:m:2])
     return np.stack([fa, a[m:]]), np.stack([fb, b[m:]])
 
 
-def _sampled(pulse: GaussianPulse, n: int, dtype=float) -> np.ndarray:
+def _sampled(a, b) -> np.ndarray:
     """Pairs (alpha - 1, beta) of the propagators from -s_f to the 801 sample
-    times on n and n/2 steps, shape (2, 801, 2), formed in `dtype`."""
+    times on n and n/2 steps, shape (2, 801, 2), from the _grids arrays (a, b)."""
     # the propagators S_j of the first 400 sample intervals, then their prefix
     # products; S_0 is the identity and S_400 the half pulse U_h
     half = _SAMPLES // 2
-    a, b = _product(*(x.reshape(2, half, -1) for x in _grids(pulse, n, dtype)))
+    a, b = _product(a.reshape(2, half, -1), b.reshape(2, half, -1))
     shift = 1
     while shift < half:
         a[:, shift:], b[:, shift:] = _compose(a[:, shift:], b[:, shift:],
@@ -182,9 +182,9 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
     """Evolve the driven two-level system from |0> across the pulse.
 
     The final pairs on n and n/2 Magnus steps give p(n) and p(n/2); n starts
-    from s_f and |d| s_f and doubles, the old n-step pair serving as the new
-    n/2-step check, until |p(n) - p(n/2)| passes the gap check.  Each pair is
-    the reflected product of its half grid [-s_f, 0].  The probabilities are
+    from s_f and |d| s_f and doubles, each pass building both half grids
+    [-s_f, 0] anew, until |p(n) - p(n/2)| passes the gap check.  Each pair is
+    the reflected product of its half grid.  The probabilities are
     those of the Richardson pair U(n) + (U(n) - U(n/2))/15, which stay >= 0
     where p_flip passes through zero, clamped at the 1 that a full flip or
     stay may pass by an ulp; the amplitudes at the 801 sample times
@@ -198,8 +198,9 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
                  else "pulse.cutoff is too long for pulse.omega0_er")
         raise NumericsError(f"the pi pulse needs {need:.3g} > {_MAX_STEPS} Magnus steps: {cause}")
     n = _RUNG * math.ceil(need / _RUNG)
-    pairs = _reflect(*_product(*_grids(pulse, n)))
     while True:
+        grids = _grids(pulse, n)
+        pairs = _reflect(*_product(*grids))
         p_fine, p_coarse = np.abs(pairs[:, 1]) ** 2
         gap = abs(float(p_fine - p_coarse))
         if gap <= _GAP_REL * p_fine + _GAP_ABS:
@@ -209,17 +210,17 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
                                 f"|p(n) - p(n/2)| = {gap:.3g} for p_flip = {p_fine:.6g}; "
                                 "shorten pulse.cutoff")
         n *= 2
-        pairs = np.stack([_reflect(*_product(*_half_steps(pulse, (n,)))), pairs[0]])
-    dtype = np.longdouble if p_fine < _EXTENDED_BELOW else float
-    if dtype is np.longdouble:
-        pairs = _reflect(*_product(*_grids(pulse, n, dtype)))
+    if p_fine < _EXTENDED_BELOW:
+        del grids   # before the extended grids, so that the step cap's peak holds
+        grids = _grids(pulse, n, np.longdouble)
+        pairs = _reflect(*_product(*grids))
     p_stay, p_flip = np.abs(_richardson(*pairs)) ** 2
     times = states = None
     if trajectory:
         times = np.linspace(-pulse.cutoff, pulse.cutoff, _SAMPLES + 1)
         # the states are the first columns (alpha, beta), times the phase of the
         # identity part -(d/2) I of H = diag(0, -d) + (Omega/2) sigma_x
-        states = (_richardson(*_sampled(pulse, n, dtype)) * np.exp(
+        states = (_richardson(*_sampled(*grids)) * np.exp(
             0.5j * pulse.detuning * (times - times[0]))[:, None]).astype(complex)
     return TwoLevelOutcome(p_flip=min(1.0, float(p_flip)), p_stay=min(1.0, float(p_stay)),
                            times=times, states=states, n_steps=n, flip_gap=gap)

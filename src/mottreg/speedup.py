@@ -20,7 +20,7 @@ from numpy.polynomial.hermite import hermgauss, hermvander
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericsError, PhysicsDomainError
-from .units import HBAR
+from .units import HBAR, RB87
 
 __all__ = [
     "MASS",
@@ -50,10 +50,10 @@ _leggauss = functools.cache(leggauss)   # read-only nodes and weights per level
 _MAX_PROFILE = 3_400_000
 
 
-def time_unit(sigma_c: float, mass: float) -> float:
+def time_unit(sigma_c: float) -> float:
     """The time unit hbar / (hbar^2 / 2 m sigma_c^2) in s, for the waist
-    sigma_c in m and the atom mass in kg."""
-    return HBAR / (HBAR ** 2 / (2.0 * mass * sigma_c ** 2))
+    sigma_c in m and the Rb-87 mass m."""
+    return HBAR / (HBAR ** 2 / (2.0 * RB87.mass * sigma_c ** 2))
 
 
 @dataclass(frozen=True)
@@ -274,9 +274,9 @@ def path_profile(p: DoubleGaussianPotential, a, basis_size: int):
         raise NumericsError(f"speedup.basis_size = {basis_size} exceeds the "
                             f"{_GH_ORDER} Gauss-Hermite nodes")
     if a.size * (basis_size ** 2 + 128) > _MAX_PROFILE:
-        raise NumericsError(f"{a.size} path points x (speedup.basis_size^2 + 128) = "
-                            f"{a.size * (basis_size ** 2 + 128)} exceeds {_MAX_PROFILE} "
-                            "(about 110 MB of arrays)")
+        raise NumericsError(f"speedup.profile_points = {a.size} path points x "
+                            f"(speedup.basis_size^2 + 128) = {a.size * (basis_size ** 2 + 128)} "
+                            f"exceeds {_MAX_PROFILE} (about 110 MB of arrays)")
     order = np.argsort(a, kind="stable")
     minima = np.empty_like(a)
     minima[order] = track_minimum(p, np.append(0.0, a[order]))[1:]

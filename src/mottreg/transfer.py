@@ -163,7 +163,7 @@ def excitation_numeric(ramp: HarmonicRamp, n_samples: int = 1500) -> TransferRes
                           norm_drift=float(np.max(np.abs(norms - 1.0))))
 
 
-def band_tunneling(lattice_depth: float, n_waves: int = 12) -> float:
+def band_tunneling(lattice_depth: float) -> float:
     """Ground-band tunneling J (E_R) of the 1-D sinusoidal lattice from the
     central-equation matrix: J = (E0(band edge) - E0(0)) / 4."""
     if lattice_depth < 5.0:
@@ -171,8 +171,8 @@ def band_tunneling(lattice_depth: float, n_waves: int = 12) -> float:
                       f"{lattice_depth!r} < 5 leaves J = bandwidth/4 unreliable", stacklevel=2)
 
     def ground_energy(q: float) -> float:
-        ms = np.arange(-n_waves, n_waves + 1)
-        off = np.full(2 * n_waves, -lattice_depth / 4.0)
+        ms = np.arange(-12, 13)   # the plane waves exp(2 i m x), |m| <= 12
+        off = np.full(24, -lattice_depth / 4.0)
         mat = (np.diag((q + 2.0 * ms) ** 2 + lattice_depth / 2.0)
                + np.diag(off, 1) + np.diag(off, -1))
         return np.linalg.eigvalsh(mat)[0]

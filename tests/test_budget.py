@@ -320,6 +320,17 @@ def test_resolved_echo_expands_rules():
     assert run_scheme2(RunConfig()).extras["xi_bar"] == math.sqrt(7e-3 / 4)
 
 
+def test_echo_resolves_the_lpol_optimum_itself():
+    # one resolver: the echo writes the optimum into its own dict, and no
+    # resolved copy of the config is handed back to the stages
+    assert not hasattr(budget_mod, "resolve_lpol_wavelength")
+    cfg = _optimizing()
+    echo = resolved_config_echo(cfg)
+    assert cfg.lattice.lpol_wavelength_nm == "optimize"
+    assert echo["lattice"]["lpol_wavelength_nm"] == budget_mod.patterned_lattice(
+        cfg).lpol_wavelength * 1e9
+
+
 # ---------------------------------------------------------------------------
 # stage reuse within one sweep
 # ---------------------------------------------------------------------------

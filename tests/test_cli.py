@@ -26,6 +26,7 @@ from mottreg.config import (RunConfig, config_to_dict, load_config, set_by_path,
 from mottreg.errors import ConfigError
 from mottreg.pulse import rabi_evolve
 from mottreg.speedup import DoubleGaussianPotential, gap_and_element, track_minimum
+from mottreg.stark import optimize_lpol_wavelength
 from mottreg.units import RB87
 
 
@@ -126,6 +127,11 @@ def test_cli_int_beyond_the_digit_limit_is_a_config_error(capsys, tmp_path, argv
     err = capsys.readouterr().err
     assert err.startswith("config error: " + message.replace("{path}", str(path)))
     assert err.count("\n") == 1
+    # the value is echoed cut, and a file's refusal names the limit, not Python's remedy
+    assert len(err) <= 200
+    assert "set_int_max_str_digits" not in err
+    if argv[0] == "--config" and _DIGIT_LIMIT:
+        assert err.endswith(f"an integer has more than {_DIGIT_LIMIT} digits\n")
 
 
 def test_config_round_trip(tmp_path):
@@ -786,6 +792,12 @@ def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, setting, c
     ("--sites", "--format json lattice --sites 60001", "--sites"),
     ("lattice.total_sites=100000000000000",
      "--set lattice.pattern_period=10000000000000 scheme1", "lattice.pattern_period"),
+    # without --sites a report row per site of one period
+    ("lattice.pattern_period=200000", "--set lattice.total_sites=300000 lattice",
+     "lattice.pattern_period"),
+    # the profile passes the row limit but not the profile's memory guard
+    ("speedup.profile_points=20000", "--out s.json speedup --profile-out g.csv",
+     "speedup.profile_points"),
 ])
 def test_cli_unresolvable_or_oversized_run_is_a_numerics_error(capsys, setting, command, field):
     assert main((["--set", setting] if "=" in setting else []) + command.split()) == 4
@@ -1067,23 +1079,11 @@ def test_cli_tiny_delta_target_runs(capsys):
     assert 0.0 < json.loads(out)["report"]["total_failure"] < 1.0
 
 
-def test_cli_optimizes_lpol_wavelength_once(capsys, monkeypatch):
-    import mottreg.budget as budget_mod
-
-    original = budget_mod.optimize_lpol_wavelength
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(budget_mod, "optimize_lpol_wavelength", counted)
-    optimum_nm = original(RB87, 0.2e-9)[0] * 1e9
+def test_cli_echoes_the_optimized_lpol_wavelength(capsys):
+    optimum_nm = optimize_lpol_wavelength(RB87, 0.2e-9)[0] * 1e9
     for command in ("lattice", "scheme1"):
-        calls.clear()
         code, out = _run(capsys, "--set", "lattice.lpol_wavelength_nm=optimize", command)
         assert code == 0
-        assert len(calls) == 1
     payload = json.loads(out)
     echoed = payload["config"]["lattice"]["lpol_wavelength_nm"]
     assert echoed == payload["report"]["lpol_wavelength_nm"]

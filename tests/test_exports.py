@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import mottreg
-from mottreg import cli, removal, speedup, stark, superlattice
+from mottreg import cli, removal, speedup, stark, superlattice, transfer
 
 
 def test_every_exported_name_exists():
@@ -55,3 +55,10 @@ def test_configured_value_has_no_default(owner, name):
 def test_rb87_only_function_takes_no_species(function):
     # these read units.RB87 themselves; stark's substitutable functions keep theirs
     assert "species" not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("function, name", [(speedup.time_unit, "mass"),
+                                            (transfer.band_tunneling, "n_waves")])
+def test_parameter_with_one_value_is_gone(function, name):
+    # time_unit reads units.RB87's mass, and band_tunneling's plane-wave count is a constant
+    assert name not in inspect.signature(function).parameters

@@ -265,6 +265,17 @@ def test_operating_point_evaluates_each_half_grid_once(monkeypatch):
     assert (sum(evaluated), outcome.n_steps) == (2400, 3200)
 
 
+@pytest.mark.parametrize("ratio, entries", [(4.0, 2400), (8.0, 4800)])
+def test_trajectory_reads_the_last_pass_grids(monkeypatch, ratio, entries):
+    # the sampled amplitudes reuse the last pass's 1600 + 800 steps; at d = 8
+    # that is the extended pass, made after the double one
+    evaluated, sinc = [], np.sinc
+    monkeypatch.setattr(np, "sinc", lambda x: evaluated.append(np.size(x)) or sinc(x))
+    outcome = rabi_evolve(GaussianPulse(detuning=ratio, cutoff=5.0), trajectory=True)
+    assert (sum(evaluated), outcome.n_steps) == (entries, 3200)
+    assert (outcome.p_flip < 1e-6) == (ratio == 8.0)
+
+
 @pytest.mark.parametrize("ratio, rel", [(8.0, 1e-12), (2.5, 1e-13)])
 def test_long_pulse_flip_error_vs_extended_full_interval(ratio, rel):
     # 420,800 steps.  At d = 8 the double product of both grids is 2.1e-10 of
