@@ -5,6 +5,11 @@ per-step failure channels, and sweeps parameters.
 Failure channels combine as independent events (1 - prod(1 - p)); with every
 p well below 1e-3 this matches the plain channel sum to first order, and the
 report carries both.  Budgets are fully deterministic.
+
+Every CLI report echoes its config through this module, so it imports no
+physics module at load time: each builder and scheme function imports the
+modules it calls, with one import statement in each function that a sweep
+row runs (_scheme1, _step_two, pi_pulse, transfer_ramp).
 """
 from __future__ import annotations
 
@@ -13,14 +18,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from . import removal as removal_mod
-from . import speedup as speedup_mod
-from . import superlattice as lattice_mod
-from . import transfer as transfer_mod
 from .config import RunConfig, config_to_dict, resolve_pulse_rules, set_field, validate_config
 from .errors import NumericsError, PhysicsDomainError
-from .pulse import GaussianPulse, rabi_evolve
-from .stark import optimize_lpol_wavelength
 from .units import HBAR, RB87, recoil_energy
 
 __all__ = [
@@ -112,6 +111,7 @@ def _compose(steps: list[tuple[str, float, tuple]], atoms: int, fraction: float,
 def _lpol_wavelength_m(cfg: RunConfig) -> float:
     lam = cfg.lattice.lpol_wavelength_nm
     if lam == "optimize":
+        from .stark import optimize_lpol_wavelength
         exclusion = cfg.lattice.band_exclusion_nm * 1e-9
         return optimize_lpol_wavelength(RB87, exclusion=exclusion)[0]
     return float(lam) * 1e-9
@@ -129,6 +129,7 @@ def lattice_recoil(cfg: RunConfig) -> float:
 
 def patterned_lattice(cfg: RunConfig) -> lattice_mod.SuperlatticeConfig:
     """The superlattice geometry of the configured pattern."""
+    from . import superlattice as lattice_mod
     if cfg.lattice.pattern_period > _MAX_PERIOD:
         raise NumericsError(f"lattice.pattern_period = {cfg.lattice.pattern_period} "
                             f"exceeds {_MAX_PERIOD} sites (about 110 MB of arrays)")
@@ -143,12 +144,14 @@ def patterned_lattice(cfg: RunConfig) -> lattice_mod.SuperlatticeConfig:
 def pi_pulse(cfg: RunConfig) -> tuple[GaussianPulse, float, float, float]:
     """The pi pulse of the resolved rules in units of its width, and the width
     omega0, cutoff t_f and detuning that the rules give in natural units."""
+    from .pulse import GaussianPulse
     d, s_f, omega0, t_f, detuning = resolve_pulse_rules(cfg)
     return GaussianPulse(detuning=d, cutoff=s_f), omega0, t_f, detuning
 
 
 def removal_drive(cfg: RunConfig) -> removal_mod.RemovalPlan:
     """The removing-laser drive that scatters the trap depth's photon threshold."""
+    from . import removal as removal_mod
     threshold = removal_mod.removal_photon_threshold(cfg.removal.trap_depth_er)
     return removal_mod.solve_removal_drive(
         RB87.gamma2, threshold, cfg.removal.duration_us * 1e-6,
@@ -157,6 +160,7 @@ def removal_drive(cfg: RunConfig) -> removal_mod.RemovalPlan:
 
 def transfer_ramp(cfg: RunConfig) -> transfer_mod.HarmonicRamp:
     """The lattice-to-microtrap frequency ramp (natural units)."""
+    from . import transfer as transfer_mod
     omega_i = transfer_mod.initial_frequency(cfg.lattice.depth_er)
     ratio = cfg.transfer.frequency_ratio
     omega_f = omega_i * ratio if cfg.transfer.direction == "deepen" else omega_i / ratio
@@ -188,6 +192,7 @@ def moving_focus(cfg: RunConfig) -> FocusMove:
     4 xi_bar^2, and P_scatter = (Gamma_eff/|Delta_0|) int |V(y_min)| dt along
     the move, for the focus detuning Delta_0 and its calibrated linewidth,
     clamped at 1."""
+    from . import speedup as speedup_mod
     spd = cfg.speedup
     xi_bar = math.sqrt(spd.target_excitation / 4.0)
     if not xi_bar > 0:
@@ -220,6 +225,7 @@ def _reuse(stages: dict, key: tuple, compute):
 def _lattice_stage(cfg: RunConfig):
     """The site evaluation at the delta target and the LPOL ramp to the A
     site's shift; both read the lattice section alone."""
+    from . import superlattice as lattice_mod
     config = patterned_lattice(cfg)
     sites = lattice_mod.site_hyperfine_detunings(config, cfg.lattice.delta_target_er)
     return config, sites, lattice_mod.lpol_ramp_time(config, max(sites.delta_diff),
@@ -230,10 +236,11 @@ def _step_two(cfg: RunConfig, time_unit: float, stages: dict) -> tuple[tuple, di
     """The selective-depopulation step (name, duration, channels) of both
     schemes and its scheme-1 extras; rows share the lattice stage of equal
     lattice sections and the pulse of equal pairs (d, s_f)."""
+    from . import pulse as pulse_mod, superlattice as lattice_mod
     lattice_config, sites, ramp = _reuse(stages, ("lattice", *vars(cfg.lattice).values()),
                                          lambda: _lattice_stage(cfg))
     pulse, omega0, t_f, _ = pi_pulse(cfg)
-    p_flip = _reuse(stages, ("pulse", pulse), lambda: rabi_evolve(pulse)).p_flip
+    p_flip = _reuse(stages, ("pulse", pulse), lambda: pulse_mod.rabi_evolve(pulse)).p_flip
 
     # ramp up, hold at full intensity for the pulse, ramp down (time-reversed)
     ramp_time = ramp.duration * time_unit
@@ -255,12 +262,14 @@ def _step_two(cfg: RunConfig, time_unit: float, stages: dict) -> tuple[tuple, di
 
 
 def _removal_stage(cfg: RunConfig):
+    from . import removal as removal_mod
     plan = removal_drive(cfg)
     return plan, min(1.0, removal_mod.photon_count(RB87.gamma2, plan.rabi_frequency,
                                                    RB87.hyperfine_splitting, plan.duration))
 
 
 def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
+    from . import removal as removal_mod, superlattice as lattice_mod, transfer as transfer_mod
     time_unit = HBAR / lattice_recoil(cfg)
     step_two, extras = _step_two(cfg, time_unit, stages)
     plan, p_impact = _reuse(stages, ("removal", *vars(cfg.removal).values()),
@@ -305,6 +314,7 @@ def run_scheme2(cfg: RunConfig) -> ProtocolBudget:
     """Cyclic moving-focus extraction: steps I-II plus the adiabatic move,
     repeated over melt/re-form cycles; per-atom failure is dominated by the
     move's excitation and scattering."""
+    from . import speedup as speedup_mod
     step_two, _ = _step_two(cfg, HBAR / lattice_recoil(cfg), {})
     move = moving_focus(cfg)
 

@@ -8,6 +8,10 @@ and stdout then carries a JSON envelope of the resolved config and the path;
 without --out, a JSON report is printed in that envelope and a CSV report
 bare.  Every output is formatted and checked before any file is written.
 Exit codes: 0 ok, 2 config error, 3 physics domain error, 4 numerics error.
+
+Importing this module loads config, budget, errors and units alone; each
+handler imports the physics module it reports on, and budget's builders
+import theirs, so a subcommand loads only the modules it runs.
 """
 from __future__ import annotations
 
@@ -21,16 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import removal as removal_mod
-from . import speedup as speedup_mod
-from . import superlattice as lattice_mod
-from . import transfer as transfer_mod
 from .budget import (lattice_recoil, moving_focus, patterned_lattice, pi_pulse, removal_drive,
                      resolved_config_echo, run_scheme1, run_scheme2, sweep, transfer_ramp)
 from .config import RunConfig, brief, load_config, parse_value, set_field, validate_config
 from .errors import ConfigError, NumericsError, PhysicsDomainError
-from .pulse import rabi_evolve
-from .stark import default_search_band, wavelength_scan
 from .units import HBAR, RB87
 
 __all__ = ["main"]
@@ -149,6 +147,7 @@ def _require_rows(flag: str, rows: int, fmt: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_stark_scan(args, cfg: RunConfig):
+    from .stark import default_search_band, wavelength_scan
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     _require_rows("--points", args.points, args.format or "csv")
@@ -157,6 +156,7 @@ def _cmd_stark_scan(args, cfg: RunConfig):
 
 
 def _cmd_lattice(args, cfg: RunConfig):
+    from . import superlattice as lattice_mod
     period = cfg.lattice.pattern_period
     n_sites = max(9, period) if args.sites is None else args.sites
     if n_sites < period:
@@ -178,6 +178,7 @@ def _cmd_lattice(args, cfg: RunConfig):
 
 
 def _cmd_pulse(args, cfg: RunConfig):
+    from .pulse import rabi_evolve
     pulse, omega0, t_f, detuning = pi_pulse(cfg)
     outcome = rabi_evolve(pulse, trajectory=bool(args.trajectory_out))
     report = {"omega0": omega0, "t_f": t_f, "Omega0": omega0 * pulse.peak_rabi,
@@ -195,6 +196,7 @@ def _cmd_pulse(args, cfg: RunConfig):
 
 
 def _cmd_remove(args, cfg: RunConfig):
+    from . import removal as removal_mod
     detuning = (2 * np.pi * args.detuning_ghz * 1e9 if args.detuning_ghz is not None
                 else RB87.hyperfine_splitting)
     # the rotating-wave model of the drive ends near the optical frequency
@@ -215,6 +217,7 @@ def _cmd_remove(args, cfg: RunConfig):
 
 
 def _cmd_transfer(args, cfg: RunConfig):
+    from . import transfer as transfer_mod
     e_r = lattice_recoil(cfg)
     ramp = transfer_ramp(cfg)
     result = transfer_mod.excitation_numeric(ramp)
@@ -240,9 +243,11 @@ def _cmd_transfer(args, cfg: RunConfig):
 
 
 def _cmd_speedup(args, cfg: RunConfig):
+    from . import speedup as speedup_mod
     spd = cfg.speedup
     # the profile grid is refused whether or not --profile-out writes it
     _require_rows("speedup.profile_points", spd.profile_points, "csv")
+    speedup_mod.require_profile(spd.profile_points, spd.basis_size)
     move = moving_focus(cfg)
     report = {"T_ms": move.move_time * 1e3, "P_exc": move.p_exc,
               "P_scatter": move.p_scatter, "xi_bar_used": move.xi_bar,

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss, hermvander
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericsError, PhysicsDomainError
 from .units import HBAR, RB87
@@ -30,6 +28,7 @@ __all__ = [
     "track_minimum",
     "local_basis",
     "gap_and_element",
+    "require_profile",
     "path_profile",
     "build_moving_schedule",
     "cycle_yield",
@@ -43,7 +42,6 @@ _NEWTON_ITERATIONS = 50
 _LONGEST_STEP = 0.1  # in s_c: the longest step of minimum tracking
 _MIN_STEP = 1e-3  # in s_c: the shortest step minimum tracking halves down to
 _FIRST_NODES = 32  # the first level that can be taken, checked against 16 and 8
-_leggauss = functools.cache(leggauss)   # read-only nodes and weights per level
 # a profile holds ~32 bytes per element of points x (basis_size^2 + 128), and
 # m Gauss-Legendre nodes solve an m x m companion matrix of about as many
 # bytes per element: either stays within the pi pulse's ~110 MB
@@ -194,6 +192,7 @@ def local_basis(p: DoubleGaussianPotential, y_min, size: int) -> tuple[np.ndarra
 @functools.cache
 def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Hermite nodes and weights summing to 1 (the basis Gaussian's weight)."""
+    from numpy.polynomial.hermite import hermgauss
     nodes, weights = hermgauss(_GH_ORDER)
     weights /= math.sqrt(math.pi)
     nodes.flags.writeable = weights.flags.writeable = False
@@ -204,6 +203,7 @@ def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
 def _basis_tables(size: int) -> tuple[np.ndarray, ...]:
     """The read-only point-independent tables of `size` oscillator states: the
     upper-triangle indices, the pair products and the kinetic matrix K."""
+    from numpy.polynomial.hermite import hermvander
     # phi[k, n] = H_n(node_k) / sqrt(2^n n!), the point-independent part of psi_n;
     # column j of pairs is phi[:, m] phi[:, n] for the j-th upper-triangle (m, n)
     n = np.arange(size)
@@ -265,22 +265,35 @@ class MovingSchedule:
                             factor * self.element_profile / self.gap_profile ** 2))
 
 
+def require_profile(points: int, basis_size: int):
+    """Refuse a profile of `points` path points whose basis passes the
+    Gauss-Hermite nodes or whose arrays pass the memory guard."""
+    if basis_size > _GH_ORDER:
+        raise NumericsError(f"speedup.basis_size = {basis_size} exceeds the "
+                            f"{_GH_ORDER} Gauss-Hermite nodes")
+    if points * (basis_size ** 2 + 128) > _MAX_PROFILE:
+        raise NumericsError(f"speedup.profile_points = {points} path points x "
+                            f"(speedup.basis_size^2 + 128) = {points * (basis_size ** 2 + 128)} "
+                            f"exceeds {_MAX_PROFILE} (about 110 MB of arrays)")
+
+
 def path_profile(p: DoubleGaussianPotential, a, basis_size: int):
     """(minima, gaps, elements) at the displacements a >= 0, in any order:
     the focus well tracked from 0 through the sorted points, then the gap and
     coupling at every point from one stacked eigh."""
     a = np.asarray(a, dtype=float)
-    if basis_size > _GH_ORDER:
-        raise NumericsError(f"speedup.basis_size = {basis_size} exceeds the "
-                            f"{_GH_ORDER} Gauss-Hermite nodes")
-    if a.size * (basis_size ** 2 + 128) > _MAX_PROFILE:
-        raise NumericsError(f"speedup.profile_points = {a.size} path points x "
-                            f"(speedup.basis_size^2 + 128) = {a.size * (basis_size ** 2 + 128)} "
-                            f"exceeds {_MAX_PROFILE} (about 110 MB of arrays)")
+    require_profile(a.size, basis_size)
     order = np.argsort(a, kind="stable")
     minima = np.empty_like(a)
     minima[order] = track_minimum(p, np.append(0.0, a[order]))[1:]
     return (minima, *gap_and_element(p, a, minima, basis_size))
+
+
+@functools.cache
+def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights of m points, only read."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(m)
 
 
 def _levels(p: DoubleGaussianPotential, sizes, final_displacement: float,

@@ -14,7 +14,6 @@ dimensionless and independent of intensity.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import PhysicsDomainError
 from .units import C_LIGHT, HBAR, PI, RB87, AtomSpecies, detuning_from_wavelength
@@ -73,6 +72,7 @@ def optimize_lpol_wavelength(species: AtomSpecies, exclusion: float) -> tuple[fl
     of one of the quartics N' D_k - N D_k' that make eta_k stationary; eta
     is evaluated at these at most 11 points.
     """
+    from numpy.polynomial import polynomial as P
     lo, hi = default_search_band(species, exclusion)
     if not (species.d2_wavelength < lo < hi < species.d1_wavelength):
         raise PhysicsDomainError("the exclusion leaves no band between the D2 and D1 lines")

@@ -11,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mottreg.budget as budget_mod
+from mottreg import pulse as pulse_mod
+from mottreg import stark as stark_mod
+from mottreg import superlattice as lattice_mod
 from mottreg.budget import resolved_config_echo, run_scheme1, run_scheme2, sweep
 from mottreg.config import (RunConfig, resolve_pulse_rules, set_by_path, set_field,
                             validate_config)
 from mottreg.errors import ConfigError, PhysicsDomainError
+from mottreg.pulse import rabi_evolve
 from mottreg.stark import light_shifts
 from mottreg.superlattice import (SuperlatticeConfig, lpol_exposure, lpol_period, lpol_ramp_time,
                                   site_hyperfine_detunings)
@@ -43,8 +47,8 @@ def test_scheme1_headline_numbers(scheme1):
 def test_lpol_ramp_reaches_the_a_site_shift(monkeypatch, phase_nm):
     # the ramp is planned for the shift the A site receives at every LPOL
     # phase, not for the phase-0 closed form delta / (1 - cos^2(pi/n))
-    original, ramps = budget_mod.lattice_mod.lpol_ramp_time, []
-    monkeypatch.setattr(budget_mod.lattice_mod, "lpol_ramp_time",
+    original, ramps = lattice_mod.lpol_ramp_time, []
+    monkeypatch.setattr(lattice_mod, "lpol_ramp_time",
                         lambda *args, **kw: ramps.append(original(*args, **kw)) or ramps[-1])
     cfg = RunConfig()
     cfg.lattice.lpol_phase_nm = phase_nm
@@ -59,8 +63,8 @@ def test_lpol_ramp_reaches_the_a_site_shift(monkeypatch, phase_nm):
 def test_step_two_evaluates_the_sites_once(monkeypatch):
     # one unit-intensity call fixes the sign and the intensity, and one call
     # over the sites gives every shift and the A site's rate
-    original, calls = budget_mod.lattice_mod.light_shifts, []
-    monkeypatch.setattr(budget_mod.lattice_mod, "light_shifts",
+    original, calls = lattice_mod.light_shifts, []
+    monkeypatch.setattr(lattice_mod, "light_shifts",
                         lambda *args: calls.append(args) or original(*args))
     cfg = RunConfig()
     budget_mod._step_two(cfg, HBAR / budget_mod.lattice_recoil(cfg), {})
@@ -137,8 +141,8 @@ def test_step2_scattering_zero_intensity(monkeypatch):
     lattice = SuperlatticeConfig(spol_wavelength=850e-9, spol_depth=50.0, pattern_period=3,
                                  lpol_wavelength=787.6e-9, lpol_phase=0.0)
     assert site_hyperfine_detunings(lattice, 0.0).gamma_a == 0.0
-    original = budget_mod.lattice_mod.site_hyperfine_detunings
-    monkeypatch.setattr(budget_mod.lattice_mod, "site_hyperfine_detunings",
+    original = lattice_mod.site_hyperfine_detunings
+    monkeypatch.setattr(lattice_mod, "site_hyperfine_detunings",
                         lambda *args: dataclasses.replace(original(*args), gamma_a=0.0))
     assert _step2_scattering(run_scheme1(RunConfig())) == 0.0
 
@@ -199,7 +203,7 @@ def test_a_full_flip_charges_certain_failure():
     # which rabi_evolve clamps
     cfg = RunConfig()
     cfg.pulse.omega0_er, cfg.pulse.cutoff = 1e30, 5.8e-30
-    assert budget_mod.rabi_evolve(budget_mod.pi_pulse(cfg)[0]).p_flip == 1.0
+    assert rabi_evolve(budget_mod.pi_pulse(cfg)[0]).p_flip == 1.0
     budget = run_scheme1(cfg)
     assert dict(budget.steps[1].failure_channels)["pulse_flip_error"] == 1.0
     assert budget.total_failure == 1.0
@@ -383,20 +387,20 @@ def test_sweep_leaves_the_callers_config_unchanged(parameter, value):
     assert rows == [_independent_row(before, parameter, value)]
 
 
-def _counting(monkeypatch, name):
-    original = getattr(budget_mod, name)
+def _counting(monkeypatch, module, name):
+    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(budget_mod, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_sweep_integrates_the_pulse_once_per_distinct_step_two(monkeypatch):
-    calls = _counting(monkeypatch, "rabi_evolve")
+    calls = _counting(monkeypatch, pulse_mod, "rabi_evolve")
     sweep(RunConfig(), "transfer.xi", [0.0025, 0.005, 0.01])
     assert len(calls) == 1
     calls.clear()
@@ -433,7 +437,7 @@ def _numeric_width():
 def test_sweep_keys_the_pulse_by_every_input_it_reads(monkeypatch, cfg, parameter, values,
                                                      pairs):
     # one integration per distinct pair (d, s_f), and rows equal to independent runs
-    calls = _counting(monkeypatch, "rabi_evolve")
+    calls = _counting(monkeypatch, pulse_mod, "rabi_evolve")
     rows = sweep(cfg, parameter, values)
     assert len(calls) == len({pulse for pulse, in calls}) == pairs
     monkeypatch.undo()
@@ -441,7 +445,7 @@ def test_sweep_keys_the_pulse_by_every_input_it_reads(monkeypatch, cfg, paramete
 
 
 def test_sweep_keeps_nothing_between_calls(monkeypatch):
-    calls = _counting(monkeypatch, "rabi_evolve")
+    calls = _counting(monkeypatch, pulse_mod, "rabi_evolve")
     first = sweep(RunConfig(), "transfer.xi", [0.005, 0.01])
     second = sweep(RunConfig(), "transfer.xi", [0.005, 0.01])
     assert len(calls) == 2
@@ -449,6 +453,6 @@ def test_sweep_keeps_nothing_between_calls(monkeypatch):
 
 
 def test_sweep_optimizes_lpol_wavelength_once(monkeypatch):
-    calls = _counting(monkeypatch, "optimize_lpol_wavelength")
+    calls = _counting(monkeypatch, stark_mod, "optimize_lpol_wavelength")
     sweep(_optimizing(), "transfer.xi", [0.0025, 0.005, 0.01])
     assert len(calls) == 1

@@ -529,8 +529,9 @@ def test_cli_unconverged_move_time_is_a_numerics_error(capsys, monkeypatch, comm
     # at focus depth 300 and basis 15, 32 and 16 nodes differ by 2.9%; with
     # room for the first stack alone the doubling cannot go on
     monkeypatch.setattr("mottreg.speedup._MAX_PROFILE", 56 * (15 ** 2 + 128))
+    # a profile grid of 9 points passes that guard, which speedup applies first
     assert main(["--set", "speedup.focus_depth=300", "--set", "speedup.basis_size=15",
-                 command]) == 4
+                 "--set", "speedup.profile_points=9", command]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerics error: moving-time integral not converged: "
                           "32 Gauss-Legendre nodes")
@@ -798,6 +799,8 @@ def test_cli_non_finite_or_fractional_value_is_a_config_error(capsys, setting, c
     # the profile passes the row limit but not the profile's memory guard
     ("speedup.profile_points=20000", "--out s.json speedup --profile-out g.csv",
      "speedup.profile_points"),
+    # and is refused whether or not --profile-out writes it
+    ("speedup.profile_points=20000", "--out s.json speedup", "speedup.profile_points"),
 ])
 def test_cli_unresolvable_or_oversized_run_is_a_numerics_error(capsys, setting, command, field):
     assert main((["--set", setting] if "=" in setting else []) + command.split()) == 4
@@ -858,7 +861,7 @@ def test_cli_refusal_names_the_field(capsys, command, code, field):
 
 
 def test_cli_refuses_a_non_finite_report_value(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr("mottreg.cli.rabi_evolve", lambda pulse, **kw: dataclasses.replace(
+    monkeypatch.setattr("mottreg.pulse.rabi_evolve", lambda pulse, **kw: dataclasses.replace(
         rabi_evolve(pulse, **kw), p_flip=float("nan")))
     monkeypatch.setenv("MOTTREG_OUTDIR", str(tmp_path))
     assert main(["--out", "pulse.json", "pulse"]) == 4
@@ -1115,14 +1118,42 @@ def test_cli_readme_examples_run(capsys, monkeypatch, tmp_path, command, comment
         assert keys == names
 
 
-def test_cli_import_leaves_scipy_solvers_unloaded():
-    # scipy is no runtime dependency, and importing any of it adds to every
-    # run's start-up
+# the modules of mottreg that `import mottreg.cli` loads; each subcommand
+# adds the physics modules it runs
+_CLI_IMPORT = {"mottreg", "mottreg.budget", "mottreg.cli", "mottreg.config", "mottreg.errors",
+               "mottreg.units"}
+
+
+@pytest.mark.parametrize("command, physics, polynomial", [
+    ("", set(), False),
+    ("stark-scan", {"stark"}, False),
+    ("pulse", {"pulse"}, False),
+    ("remove", {"removal", "numerics"}, False),
+    ("transfer", {"transfer"}, False),
+    ("speedup", {"speedup"}, True),
+    ("scheme1", {"stark", "superlattice", "transfer", "pulse", "removal", "numerics"}, False),
+], ids=["import", "stark-scan", "pulse", "remove", "transfer", "speedup", "scheme1"])
+def test_cli_subcommand_imports_only_the_modules_it_runs(tmp_path, command, physics, polynomial):
+    # every module a run imports adds to its start-up; scipy is no runtime
+    # dependency, and numpy.polynomial serves only the Gauss-Hermite and
+    # Gauss-Legendre tables of speedup and the LPOL optimum
     import mottreg
 
-    code = ("import sys, mottreg.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+    code = ("import json, sys, mottreg.cli\n"
+            "if sys.argv[1:]:\n"
+            "    assert mottreg.cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    argv = ["--out", str(tmp_path / "report"), command] if command else []
     env = {**os.environ, "PYTHONPATH": str(Path(mottreg.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+    out = subprocess.run([sys.executable, "-c", code, *argv], check=True, env=env,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    loaded = json.loads(out.splitlines()[-1])
+    assert {m for m in loaded if m.split(".")[0] == "mottreg"} == (
+        _CLI_IMPORT | {f"mottreg.{name}" for name in physics})
+    # importing any part of numpy.polynomial loads all of its bases
+    bases = {m for m in loaded if m.startswith("numpy.polynomial")}
+    if polynomial:
+        assert bases >= {"numpy.polynomial.hermite", "numpy.polynomial.legendre"}
+    else:
+        assert bases == set()
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
