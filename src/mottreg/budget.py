@@ -8,8 +8,8 @@ report carries both.  Budgets are fully deterministic.
 
 Every CLI report echoes its config through this module, so it imports no
 physics module at load time: each builder and scheme function imports the
-modules it calls, with one import statement in each function that a sweep
-row runs (_scheme1, _step_two, pi_pulse, transfer_ramp).
+modules it calls, by absolute import (the cheaper form once loaded) in each
+function that a sweep row runs (_scheme1, _step_two, pi_pulse, transfer_ramp).
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .config import RunConfig, config_to_dict, resolve_pulse_rules, set_field, validate_config
+from .config import (RunConfig, check_combinations, check_fields, config_to_dict,
+                     resolve_pulse_rules, set_field, validate_config)
 from .errors import NumericsError, PhysicsDomainError
 from .units import HBAR, RB87, recoil_energy
 
@@ -141,12 +142,12 @@ def patterned_lattice(cfg: RunConfig) -> lattice_mod.SuperlatticeConfig:
         lpol_phase=cfg.lattice.lpol_phase_nm * 1e-9)
 
 
-def pi_pulse(cfg: RunConfig) -> tuple[GaussianPulse, float, float, float]:
+def pi_pulse(cfg: RunConfig) -> tuple[pulse_mod.GaussianPulse, float, float, float]:
     """The pi pulse of the resolved rules in units of its width, and the width
     omega0, cutoff t_f and detuning that the rules give in natural units."""
-    from .pulse import GaussianPulse
+    import mottreg.pulse as pulse_mod
     d, s_f, omega0, t_f, detuning = resolve_pulse_rules(cfg)
-    return GaussianPulse(detuning=d, cutoff=s_f), omega0, t_f, detuning
+    return pulse_mod.GaussianPulse(detuning=d, cutoff=s_f), omega0, t_f, detuning
 
 
 def removal_drive(cfg: RunConfig) -> removal_mod.RemovalPlan:
@@ -160,7 +161,7 @@ def removal_drive(cfg: RunConfig) -> removal_mod.RemovalPlan:
 
 def transfer_ramp(cfg: RunConfig) -> transfer_mod.HarmonicRamp:
     """The lattice-to-microtrap frequency ramp (natural units)."""
-    from . import transfer as transfer_mod
+    import mottreg.transfer as transfer_mod
     omega_i = transfer_mod.initial_frequency(cfg.lattice.depth_er)
     ratio = cfg.transfer.frequency_ratio
     omega_f = omega_i * ratio if cfg.transfer.direction == "deepen" else omega_i / ratio
@@ -236,7 +237,7 @@ def _step_two(cfg: RunConfig, time_unit: float, stages: dict) -> tuple[tuple, di
     """The selective-depopulation step (name, duration, channels) of both
     schemes and its scheme-1 extras; rows share the lattice stage of equal
     lattice sections and the pulse of equal pairs (d, s_f)."""
-    from . import pulse as pulse_mod, superlattice as lattice_mod
+    import mottreg.pulse as pulse_mod, mottreg.superlattice as lattice_mod
     lattice_config, sites, ramp = _reuse(stages, ("lattice", *vars(cfg.lattice).values()),
                                          lambda: _lattice_stage(cfg))
     pulse, omega0, t_f, _ = pi_pulse(cfg)
@@ -269,7 +270,8 @@ def _removal_stage(cfg: RunConfig):
 
 
 def _scheme1(cfg: RunConfig, stages: dict) -> ProtocolBudget:
-    from . import removal as removal_mod, superlattice as lattice_mod, transfer as transfer_mod
+    import mottreg.removal as removal_mod, mottreg.transfer as transfer_mod
+    import mottreg.superlattice as lattice_mod
     time_unit = HBAR / lattice_recoil(cfg)
     step_two, extras = _step_two(cfg, time_unit, stages)
     plan, p_impact = _reuse(stages, ("removal", *vars(cfg.removal).values()),
@@ -346,7 +348,8 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
     the pi pulse once per distinct pair (d, s_f), and the removal drive once
     per distinct removal section; a transfer.xi sweep, and a delta sweep
     under the default pulse rules, thus integrate one pulse.  Nothing is
-    kept between calls.
+    kept between calls.  Later rows check only the swept field and the
+    cross-field combinations, as they differ from the first in that field.
     """
     stages: dict = {}
     rows = []
@@ -359,7 +362,11 @@ def sweep(cfg: RunConfig, parameter: str, values) -> list[dict]:
         if known:
             setattr(trial, section, copy.copy(getattr(cfg, section)))
         set_field(trial, parameter, value)
-        validate_config(trial)
+        if rows:
+            check_fields(trial, (parameter,))
+            check_combinations(trial)
+        else:
+            validate_config(trial)
         budget = _scheme1(trial, stages)
         row = {"parameter": parameter, "value": value,
                "total_time_us": budget.total_time * 1e6,

@@ -246,7 +246,6 @@ def _cmd_speedup(args, cfg: RunConfig):
     from . import speedup as speedup_mod
     spd = cfg.speedup
     # the profile grid is refused whether or not --profile-out writes it
-    _require_rows("speedup.profile_points", spd.profile_points, "csv")
     speedup_mod.require_profile(spd.profile_points, spd.basis_size)
     move = moving_focus(cfg)
     report = {"T_ms": move.move_time * 1e3, "P_exc": move.p_exc,

@@ -189,7 +189,7 @@ _WORDS = {
 # ends, and why where a finite end marks the edge of the model: beyond it a
 # derived scale overflows or underflows.  band_exclusion_nm, total_sites and
 # the focus detuning and linewidth have no row, as only the cross-field
-# checks in validate_config bound them; lattice.lpol_phase_nm has none, as
+# checks in check_combinations bound them; lattice.lpol_phase_nm has none, as
 # any finite offset serves.
 _RANGES = {
     "lattice.lambda_s_nm": ("[100, 1e5]", "an optical wavelength"),
@@ -229,9 +229,9 @@ _D_GAP_NM = (RB87.d1_wavelength - RB87.d2_wavelength) * 1e9
 
 
 def _field_rule(section: str, f: dataclasses.Field) -> tuple:
-    """(section, key, path, the kinds its annotation admits, its words, its
-    bounds) of one field, the path split once at import; the bounds are (lo,
-    hi, lo closed, hi closed, the message's tail) of its _RANGES row."""
+    """(section, key, the kinds its annotation admits, its words, its bounds)
+    of one field, its path split once at import; the bounds are (lo, hi, lo
+    closed, hi closed, the message's tail) of its _RANGES row."""
     path = f"{section}.{f.name}"
     bounds = None
     if path in _RANGES:
@@ -239,11 +239,11 @@ def _field_rule(section: str, f: dataclasses.Field) -> tuple:
         lo, hi = (float(end) for end in interval[1:-1].split(","))
         bounds = (lo, hi, interval[0] == "[", interval[-1] == "]",
                   interval + (f" ({why})" if why else ""))
-    return section, f.name, path, frozenset(f.type.split(" | ")), _WORDS.get(path), bounds
+    return section, f.name, frozenset(f.type.split(" | ")), _WORDS.get(path), bounds
 
 
-_FIELDS = tuple(_field_rule(section, f)
-                for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls))
+_FIELDS = {f"{section}.{f.name}": _field_rule(section, f)
+           for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)}
 
 
 def _require(cond: bool, message: str):
@@ -258,12 +258,13 @@ def _finite(value) -> bool:
         return False
 
 
-def validate_config(cfg: RunConfig):
-    """Refuse, with a message that starts with a field's dotted path, a value
-    not of its annotated kind (a string, a finite real number that is no
-    bool, an int where no float is admitted), not one of its words or
-    outside its interval, then the combinations the models cannot take."""
-    for section, key, path, kinds, words, bounds in _FIELDS:
+def check_fields(cfg: RunConfig, paths):
+    """Refuse, with a message that starts with its dotted path, the first of
+    the fields at `paths` whose value is not of its annotated kind (a string,
+    a finite real number that is no bool, an int where no float is
+    admitted), not one of its words or outside its interval."""
+    for path in paths:
+        section, key, kinds, words, bounds = _FIELDS[path]
         value = getattr(getattr(cfg, section), key)
         if isinstance(value, str) and "str" in kinds:
             if words is not None and value not in words:
@@ -288,6 +289,9 @@ def validate_config(cfg: RunConfig):
             raise ConfigError(f"{path} must lie in {interval}, got {brief(value)}")
         raise ConfigError(f"{path} must be {problem}, got {brief(value)}")
 
+
+def check_combinations(cfg: RunConfig):
+    """Refuse the combinations of valid fields that the models cannot take."""
     lat = cfg.lattice
     if not 0 < 2 * lat.band_exclusion_nm < _D_GAP_NM:
         raise ConfigError(f"lattice.band_exclusion_nm must be positive and below half "
@@ -309,6 +313,12 @@ def validate_config(cfg: RunConfig):
     _require(abs(spd.focus_detuning_rad_s) > spd.effective_linewidth_rad_s > 0,
              "speedup.focus_detuning_rad_s must exceed the positive "
              "speedup.effective_linewidth_rad_s in magnitude (a far-detuned focus)")
+
+
+def validate_config(cfg: RunConfig):
+    """check_fields on every field in declaration order, then check_combinations."""
+    check_fields(cfg, _FIELDS)
+    check_combinations(cfg)
 
 
 def parse_value(raw_value: str):

@@ -90,11 +90,12 @@ _GAP_REL, _GAP_ABS = 1e-8, 1e-15
 # again in extended precision (64-bit significands on x86-64)
 _EXTENDED_BELOW = 1e-6
 _GAUSS = math.sqrt(3.0) / 6.0
+_SIGNS = np.array([-1.0, 1.0])   # of b2* b1 and a2* b1 in _compose
 
 
-def _half_steps(pulse: GaussianPulse, n: int, dtype=float):
-    """Pairs (alpha - 1, beta), as two arrays, of the Magnus-4 steps on the
-    first half [-s_f, 0] of the n- and n/2-step grids, concatenated.
+def _half_steps(pulse: GaussianPulse, n: int, dtype=float) -> np.ndarray:
+    """Pairs (alpha - 1, beta), packed along the first axis, of the Magnus-4
+    steps on the first half [-s_f, 0] of the n- and n/2-step grids, concatenated.
 
     Each step has its own h in s, and the midpoints count back from s = 0,
     the seam of the reflection, so the rounding of n h/2 against s_f falls
@@ -117,65 +118,66 @@ def _half_steps(pulse: GaussianPulse, n: int, dtype=float):
     del h, mid, node, a1, a2   # an extended pass at the step cap peaks ~50 MB lower
     angle = np.sqrt(vx * vx + vy * vy + vz * vz)
     sinc = np.sinc(angle / np.pi)
-    return -2.0 * np.sin(0.5 * angle) ** 2 - 1j * sinc * vz, sinc * (vy - 1j * vx)
+    x = np.empty((2, angle.size), np.result_type(angle, 1j))
+    x[0].real, x[0].imag = -2.0 * np.sin(0.5 * angle) ** 2, -(sinc * vz)
+    x[1].real, x[1].imag = sinc * vy, -(sinc * vx)
+    return x
 
 
-def _compose(a2, b2, a1, b1):
-    """Pairs (alpha - 1, beta) of later @ earlier, from the arrays (a2, b2) and (a1, b1)."""
-    return a2 + a1 + a2 * a1 - b2.conj() * b1, b2 + b1 + b2 * a1 + a2.conj() * b1
+def _compose(x2: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Packed pairs (alpha - 1, beta) of later @ earlier, from the packed
+    pairs x2 and x1: (a2 + a1 + a2 a1 - b2* b1, b2 + b1 + b2 a1 + a2* b1)."""
+    return x2 + x1 + x2 * x1[0] + x2[::-1].conj() * np.multiply.outer(_SIGNS, x1[1])
 
 
-def _product(a, b):
-    """Time-ordered product of the pairs held as arrays (a, b) = (alpha - 1,
-    beta) along their last axis, reduced pairwise."""
-    while (k := a.shape[-1]) > 1:
-        paired = _compose(a[..., 1:k:2], b[..., 1:k:2], a[..., 0:k - 1:2], b[..., 0:k - 1:2])
-        a, b = (np.concatenate([p, x[..., k - 1:]], axis=-1) if k % 2 else p
-                for p, x in zip(paired, (a, b)))
-    return a[..., 0], b[..., 0]
+def _product(x: np.ndarray) -> np.ndarray:
+    """Time-ordered product of packed pairs along their last axis, reduced pairwise."""
+    while (k := x.shape[-1]) > 1:
+        p = _compose(x[..., 1:k:2], x[..., 0:k - 1:2])
+        x = np.concatenate([p, x[..., k - 1:]], axis=-1) if k % 2 else p
+    return x[..., 0]
 
 
-def _reflect(a, b) -> np.ndarray:
-    """Stacked pairs (alpha - 1, beta) of U = U_h^T U_h, from the arrays (a, b) of
-    U_h = [[alpha, -beta*], [beta, alpha*]]: (alpha^2 + beta^2, alpha* beta - alpha beta*)."""
-    return np.stack([2.0 * a + a * a + b * b,
-                     (b - b.conj()) + (a.conj() * b - a * b.conj())], axis=-1)
+def _reflect(x: np.ndarray) -> np.ndarray:
+    """Packed pairs (alpha - 1, beta) of U = U_h^T U_h, from the packed pairs
+    of U_h = [[alpha, -beta*], [beta, alpha*]]: (alpha^2 + beta^2, alpha* beta - alpha beta*)."""
+    a, b = x
+    return np.stack([2.0 * a + a * a + b * b, (b - b.conj()) + (a.conj() * b - a * b.conj())])
 
 
-def _grids(pulse: GaussianPulse, n: int, dtype=float):
-    """Arrays (a, b) of shape (2, n/4): the half-grid steps of n and n/2 steps
-    from one evaluation, the n-step one reduced one level to match."""
-    a, b = _half_steps(pulse, n, dtype)
+def _grids(pulse: GaussianPulse, n: int, dtype=float) -> np.ndarray:
+    """Packed pairs, shape (2, 2, n/4), of the half-grid steps of n and n/2
+    steps from one evaluation, the n-step one reduced one level to match."""
+    x = _half_steps(pulse, n, dtype)
     m = n // 2
-    fa, fb = _compose(a[1:m:2], b[1:m:2], a[0:m:2], b[0:m:2])
-    return np.stack([fa, a[m:]]), np.stack([fb, b[m:]])
+    return np.stack([_compose(x[:, 1:m:2], x[:, 0:m:2]), x[:, m:]], axis=1)
 
 
-def _sampled(a, b) -> np.ndarray:
-    """Pairs (alpha - 1, beta) of the propagators from -s_f to the 801 sample
-    times on n and n/2 steps, shape (2, 801, 2), from the _grids arrays (a, b)."""
+def _sampled(x: np.ndarray) -> np.ndarray:
+    """Packed pairs (alpha - 1, beta) of the propagators from -s_f to the 801
+    sample times on n and n/2 steps, shape (2, 2, 801), from the _grids pairs."""
     # the propagators S_j of the first 400 sample intervals, then their prefix
     # products; S_0 is the identity and S_400 the half pulse U_h
     half = _SAMPLES // 2
-    a, b = _product(a.reshape(2, half, -1), b.reshape(2, half, -1))
+    x = _product(x.reshape(2, 2, half, -1))
     shift = 1
     while shift < half:
-        a[:, shift:], b[:, shift:] = _compose(a[:, shift:], b[:, shift:],
-                                              a[:, :-shift], b[:, :-shift])
+        x[..., shift:] = _compose(x[..., shift:], x[..., :-shift])
         shift *= 2
-    a, b = (np.concatenate([np.zeros((2, 1), x.dtype), x], axis=1) for x in (a, b))
+    x = np.concatenate([np.zeros((2, 2, 1), x.dtype), x], axis=-1)
     # S_{800-j} = (U_h S_j^dagger)^T U_h, with U^dagger = (a*, -beta) and U^T = (a, -beta*)
-    ua, ub = a[:, -1:], b[:, -1:]
-    wa, wb = _compose(ua, ub, a[:, :-1].conj(), -b[:, :-1])
-    ra, rb = _compose(wa, -wb.conj(), ua, ub)
-    return np.stack([np.concatenate([a, ra[:, ::-1]], axis=1),
-                     np.concatenate([b, rb[:, ::-1]], axis=1)], axis=-1)
+    u = x[..., -1:]
+    w = _compose(u, np.stack([x[0, :, :-1].conj(), -x[1, :, :-1]]))
+    r = _compose(np.stack([w[0], -w[1].conj()]), u)
+    return np.concatenate([x, r[..., ::-1]], axis=-1)
 
 
-def _richardson(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """First columns (alpha, beta) of U(n) + (U(n) - U(n/2))/15, from the
-    pairs (alpha - 1, beta) on n and n/2 steps; it cancels the h^4 error."""
-    return fine + (fine - coarse) / 15.0 + [1.0, 0.0]
+def _richardson(x: np.ndarray) -> np.ndarray:
+    """First columns (alpha, beta) of U(n) + (U(n) - U(n/2))/15, from packed
+    pairs on n and n/2 steps along the second axis; it cancels the h^4 error."""
+    r = x[:, 0] + (x[:, 0] - x[:, 1]) / 15.0
+    r[0] += 1.0
+    return r
 
 
 def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutcome:
@@ -200,8 +202,8 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
     n = _RUNG * math.ceil(need / _RUNG)
     while True:
         grids = _grids(pulse, n)
-        pairs = _reflect(*_product(*grids))
-        p_fine, p_coarse = np.abs(pairs[:, 1]) ** 2
+        pairs = _reflect(_product(grids))
+        p_fine, p_coarse = np.abs(pairs[1]) ** 2
         gap = abs(float(p_fine - p_coarse))
         if gap <= _GAP_REL * p_fine + _GAP_ABS:
             break
@@ -213,14 +215,14 @@ def rabi_evolve(pulse: GaussianPulse, trajectory: bool = False) -> TwoLevelOutco
     if p_fine < _EXTENDED_BELOW:
         del grids   # before the extended grids, so that the step cap's peak holds
         grids = _grids(pulse, n, np.longdouble)
-        pairs = _reflect(*_product(*grids))
-    p_stay, p_flip = np.abs(_richardson(*pairs)) ** 2
+        pairs = _reflect(_product(grids))
+    p_stay, p_flip = np.abs(_richardson(pairs)) ** 2
     times = states = None
     if trajectory:
         times = np.linspace(-pulse.cutoff, pulse.cutoff, _SAMPLES + 1)
         # the states are the first columns (alpha, beta), times the phase of the
         # identity part -(d/2) I of H = diag(0, -d) + (Omega/2) sigma_x
-        states = (_richardson(*_sampled(*grids)) * np.exp(
+        states = (_richardson(_sampled(grids)).T * np.exp(
             0.5j * pulse.detuning * (times - times[0]))[:, None]).astype(complex)
     return TwoLevelOutcome(p_flip=min(1.0, float(p_flip)), p_stay=min(1.0, float(p_stay)),
                            times=times, states=states, n_steps=n, flip_gap=gap)

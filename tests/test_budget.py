@@ -1,6 +1,7 @@
 """Scheme orchestration: step durations, channel aggregation, sweeps."""
 import copy
 import dataclasses
+import dis
 import math
 import sys
 from fractions import Fraction
@@ -442,6 +443,29 @@ def test_sweep_keys_the_pulse_by_every_input_it_reads(monkeypatch, cfg, paramete
     assert len(calls) == len({pulse for pulse, in calls}) == pairs
     monkeypatch.undo()
     assert rows == [_independent_row(cfg, parameter, v) for v in values]
+
+
+@pytest.mark.parametrize("values", [[0.005], [0.0025, 0.005, 0.01, 0.02, 0.04]])
+def test_sweep_validates_the_whole_config_once(monkeypatch, values):
+    # a later row differs from the first in the swept field alone, so it
+    # checks that field and the cross-field combinations only
+    calls = _counting(monkeypatch, budget_mod, "validate_config")
+    rows = sweep(RunConfig(), "transfer.xi", values)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert rows == [_independent_row(RunConfig(), "transfer.xi", v) for v in values]
+
+
+@pytest.mark.parametrize("function", [budget_mod._scheme1, budget_mod._step_two,
+                                      budget_mod.pi_pulse, budget_mod.transfer_ramp],
+                         ids=lambda function: function.__name__)
+def test_sweep_row_functions_import_absolutely(function):
+    # every sweep row runs these imports; a relative one resolves the package
+    # and runs importlib's fromlist handling each time, an absolute one does not
+    instructions = list(dis.get_instructions(function))
+    levels = [instructions[i - 2].argval for i, instruction in enumerate(instructions)
+              if instruction.opname == "IMPORT_NAME"]
+    assert levels and levels == [0] * len(levels)
 
 
 def test_sweep_keeps_nothing_between_calls(monkeypatch):

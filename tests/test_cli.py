@@ -218,7 +218,7 @@ EXPECTED_RANGES = {
     "output.float_digits": "[6, 17]",
 }
 
-# the number fields that only the three cross-field checks of validate_config
+# the number fields that only the three cross-field checks of check_combinations
 # bound, and the one that any finite value serves
 CROSS_FIELD = {"lattice.band_exclusion_nm", "lattice.total_sites",
                "lattice.pattern_period", "speedup.focus_detuning_rad_s",
@@ -237,12 +237,14 @@ def test_every_number_field_has_a_range_row():
 
 def _attributes_read() -> set[str]:
     """The attribute names that src/mottreg loads anywhere outside
-    config.validate_config, whose checks alone make no field do anything."""
+    config's checks (check_fields, check_combinations, validate_config), which
+    alone make no field do anything."""
     read = set()
     for path in Path(config_mod.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         checks = {id(node) for f in ast.walk(tree)
-                  if isinstance(f, ast.FunctionDef) and f.name == "validate_config"
+                  if isinstance(f, ast.FunctionDef)
+                  and f.name in {"check_fields", "check_combinations", "validate_config"}
                   for node in ast.walk(f)}
         read |= {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
@@ -441,6 +443,23 @@ def test_cli_sweep_values_are_checked_as_set_values(capsys, value, message):
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
     assert main(["--set", f"transfer.xi={value}", "transfer"]) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("parameter, first, later", [
+    ("transfer.xi", "0.005", "0.2"),
+    # past lattice.total_sites = 300
+    ("lattice.pattern_period", "4", "400"),
+    # 787.6 nm lies within 8 nm of the D2 line
+    ("lattice.band_exclusion_nm", "0.2", "8"),
+])
+def test_cli_sweep_later_row_gets_the_first_row_refusal(capsys, parameter, first, later):
+    # a later row checks the swept field and the cross-field combinations
+    # alone, and is refused as the same value is in the first row
+    assert main(["sweep", "--parameter", parameter, "--values", later]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and parameter in err
+    assert main(["sweep", "--parameter", parameter, "--values", first, later]) == 2
     assert capsys.readouterr().err == err
 
 

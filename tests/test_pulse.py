@@ -251,8 +251,9 @@ def test_reflected_half_grid_meets_the_full_interval_product(ratio, width):
     pulse = GaussianPulse(detuning=ratio, cutoff=width)
     n = rabi_evolve(pulse).n_steps
     full = np.array([_full_magnus(pulse, m)[0, :, 0] - [1, 0] for m in (n, n // 2)])
-    pairs = pulse_mod._reflect(*pulse_mod._product(*pulse_mod._grids(pulse, n)))
-    assert np.max(np.abs(pairs - full.astype(complex))) < 1e-14
+    # packed pairs: axis 0 (alpha - 1, beta), axis 1 the n and n/2 steps
+    pairs = pulse_mod._reflect(pulse_mod._product(pulse_mod._grids(pulse, n)))
+    assert np.max(np.abs(pairs.T - full.astype(complex))) < 1e-14
 
 
 def test_operating_point_evaluates_each_half_grid_once(monkeypatch):
