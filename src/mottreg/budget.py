@@ -125,7 +125,7 @@ def _lpol_wavelength_m(cfg: RunConfig) -> float:
 
 def lattice_recoil(cfg: RunConfig) -> float:
     """The short-lattice recoil energy E_R in J; hbar/E_R is the time unit."""
-    return recoil_energy(cfg.lattice.lambda_s_nm * 1e-9, RB87.mass)
+    return recoil_energy(cfg.lattice.lambda_s_nm * 1e-9)
 
 
 def patterned_lattice(cfg: RunConfig) -> lattice_mod.SuperlatticeConfig:
@@ -155,8 +155,7 @@ def removal_drive(cfg: RunConfig) -> removal_mod.RemovalPlan:
     from . import removal as removal_mod
     threshold = removal_mod.removal_photon_threshold(cfg.removal.trap_depth_er)
     return removal_mod.solve_removal_drive(
-        RB87.gamma2, threshold, cfg.removal.duration_us * 1e-6,
-        cfg.removal.excited_population_cap)
+        threshold, cfg.removal.duration_us * 1e-6, cfg.removal.excited_population_cap)
 
 
 def transfer_ramp(cfg: RunConfig) -> transfer_mod.HarmonicRamp:
@@ -265,7 +264,7 @@ def _step_two(cfg: RunConfig, time_unit: float, stages: dict) -> tuple[tuple, di
 def _removal_stage(cfg: RunConfig):
     from . import removal as removal_mod
     plan = removal_drive(cfg)
-    return plan, min(1.0, removal_mod.photon_count(RB87.gamma2, plan.rabi_frequency,
+    return plan, min(1.0, removal_mod.photon_count(plan.rabi_frequency,
                                                    RB87.hyperfine_splitting, plan.duration))
 
 

@@ -53,8 +53,6 @@ def _plain(obj, digits: int, key: str = "report"):
         return obj
     if isinstance(obj, (float, np.floating)):
         return float(format(float(_finite(obj, key)), f".{digits}g"))
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _plain(v, digits, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -205,10 +203,8 @@ def _cmd_remove(args, cfg: RunConfig):
                           f"{RB87.d2_angular_frequency / (2e9 * np.pi):.6g} GHz, "
                           f"got {args.detuning_ghz}")
     plan = removal_drive(cfg)
-    report = {"n_p_B": removal_mod.resonant_photon_count(RB87.gamma2, plan.rabi_frequency,
-                                                         plan.duration),
-              "n_p_A": removal_mod.photon_count(RB87.gamma2, plan.rabi_frequency,
-                                                detuning, plan.duration),
+    report = {"n_p_B": removal_mod.resonant_photon_count(plan.rabi_frequency, plan.duration),
+              "n_p_A": removal_mod.photon_count(plan.rabi_frequency, detuning, plan.duration),
               "threshold": plan.threshold,
               "feasible": plan.feasible_at_request,
               "duration_used": plan.duration,

@@ -246,11 +246,6 @@ _FIELDS = {f"{section}.{f.name}": _field_rule(section, f)
            for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)}
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ConfigError(message)
-
-
 def _finite(value) -> bool:
     try:
         return math.isfinite(value)
@@ -298,21 +293,21 @@ def check_combinations(cfg: RunConfig):
                           f"the {_D_GAP_NM:.6g} nm D1-D2 gap, got {brief(lat.band_exclusion_nm)}")
     # a band end's detuning 2 pi c (1/lambda - 1/line) is 0 when the reciprocals round equal
     exclusion = lat.band_exclusion_nm * 1e-9
-    _require(1.0 / (RB87.d2_wavelength + exclusion) != 1.0 / RB87.d2_wavelength
-             and 1.0 / (RB87.d1_wavelength - exclusion) != 1.0 / RB87.d1_wavelength,
-             f"lattice.band_exclusion_nm = {brief(lat.band_exclusion_nm)} leaves an end of the "
-             "search band on a D line in floating point")
+    if not (1.0 / (RB87.d2_wavelength + exclusion) != 1.0 / RB87.d2_wavelength
+            and 1.0 / (RB87.d1_wavelength - exclusion) != 1.0 / RB87.d1_wavelength):
+        raise ConfigError(f"lattice.band_exclusion_nm = {brief(lat.band_exclusion_nm)} leaves an "
+                          "end of the search band on a D line in floating point")
     lam = lat.lpol_wavelength_nm
     if lam != "optimize" and min(abs(lam - line) for line in _D_LINES_NM) < lat.band_exclusion_nm:
         raise ConfigError(f"lattice.lpol_wavelength_nm must lie at least lattice.band_exclusion_nm "
                           f"= {brief(lat.band_exclusion_nm)} nm from the D lines at "
                           f"{_D_LINES_NM[0]:.6g} and {_D_LINES_NM[1]:.6g} nm, got {brief(lam)}")
-    _require(lat.total_sites >= lat.pattern_period,
-             "lattice.total_sites must cover at least one lattice.pattern_period")
+    if not lat.total_sites >= lat.pattern_period:
+        raise ConfigError("lattice.total_sites must cover at least one lattice.pattern_period")
     spd = cfg.speedup
-    _require(abs(spd.focus_detuning_rad_s) > spd.effective_linewidth_rad_s > 0,
-             "speedup.focus_detuning_rad_s must exceed the positive "
-             "speedup.effective_linewidth_rad_s in magnitude (a far-detuned focus)")
+    if not abs(spd.focus_detuning_rad_s) > spd.effective_linewidth_rad_s > 0:
+        raise ConfigError("speedup.focus_detuning_rad_s must exceed the positive "
+                          "speedup.effective_linewidth_rad_s in magnitude (a far-detuned focus)")
 
 
 def validate_config(cfg: RunConfig):

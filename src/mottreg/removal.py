@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import PhysicsDomainError
 from .numerics import expm, solve_scalar
+from .units import RB87
 
 __all__ = [
     "RemovalPlan",
@@ -32,12 +33,11 @@ __all__ = [
 ]
 
 
-def _bloch_generator(linewidth: float, rabi_frequency: float,
-                     detuning: float) -> np.ndarray:
+def _bloch_generator(rabi_frequency: float, detuning: float) -> np.ndarray:
     """Affine generator for z = (u, v, rho_ee, 1, X) with X' = rho_ee; rho_ee
     in place of w = 2 rho_ee - 1 keeps far-detuned counts free of cancellation.
-    Linewidth Gamma, drive Omega_L and detuning Delta are all rad/s."""
-    g, om, dt = linewidth, rabi_frequency, detuning
+    The Rb-87 D2 linewidth Gamma, drive Omega_L and detuning Delta are all rad/s."""
+    g, om, dt = RB87.gamma2, rabi_frequency, detuning
     m = np.zeros((5, 5))
     m[0, 0] = -g / 2.0
     m[0, 1] = dt
@@ -51,32 +51,28 @@ def _bloch_generator(linewidth: float, rabi_frequency: float,
     return m
 
 
-def photon_count(linewidth: float, rabi_frequency: float, detuning: float,
-                 duration: float) -> float:
+def photon_count(rabi_frequency: float, detuning: float, duration: float) -> float:
     """n_p = int Gamma rho_ee dt over a window of `duration` seconds, from the
     exact propagator of the two-level atom with decay (rates in rad/s)."""
-    if linewidth <= 0:
-        raise PhysicsDomainError("linewidth must be positive")
     if duration < 0:
         raise PhysicsDomainError("duration must be >= 0")
     if rabi_frequency < 0:
         raise PhysicsDomainError("rabi_frequency must be >= 0")
     if duration == 0.0:
         return 0.0
-    generator = _bloch_generator(linewidth, rabi_frequency, detuning)
+    generator = _bloch_generator(rabi_frequency, detuning)
     if not math.isfinite(float(np.linalg.norm(generator, 1)) * duration):
         raise PhysicsDomainError("the removal window times the detuning overflows the float "
                                  "range; shorten removal.duration_us or removal.trap_depth_er")
     z = expm(generator * duration) @ np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     # at subnormal drives the Pade-13 rounding leaves z[4] a few ulps below
     # 0 (ROADMAP item 5); a photon count is never negative
-    return max(0.0, linewidth * float(z[4]))
+    return max(0.0, RB87.gamma2 * float(z[4]))
 
 
-def resonant_photon_count(linewidth: float, rabi_frequency: float,
-                          duration: float) -> float:
+def resonant_photon_count(rabi_frequency: float, duration: float) -> float:
     """n_p = int Gamma rho_ee dt for a resonant drive from the ground state,
-    in closed form (linewidth > 0, duration >= 0).
+    in closed form (duration >= 0).
 
     On resonance rho'' + 2a rho' + g rho = w^2/2 in tau = Gamma t, with
     w = Omega/Gamma, a = 3/4, g = 1/2 + w^2 and rho(0) = rho'(0) = 0.  Its
@@ -87,6 +83,7 @@ def resonant_photon_count(linewidth: float, rabi_frequency: float,
     cos and sin/|kappa|.  Below (a + |kappa|) tau = 1 that bracket cancels to O(tau^3), so J comes
     from its Taylor series instead.
     """
+    linewidth = RB87.gamma2
     tau = linewidth * duration
     w2 = (rabi_frequency / linewidth) ** 2
     g = 0.5 + w2
@@ -149,7 +146,7 @@ class RemovalPlan:
     threshold: float
 
 
-def solve_removal_drive(linewidth: float, threshold: float, requested_duration: float,
+def solve_removal_drive(threshold: float, requested_duration: float,
                         excited_population_cap: float) -> RemovalPlan:
     """Find Omega_L such that the resonant photon count hits the threshold.
 
@@ -159,13 +156,14 @@ def solve_removal_drive(linewidth: float, threshold: float, requested_duration: 
     step one closed-form resonant_photon_count, between a lower end
     that scatters at most half the threshold and Omega_L = 1e3 Gamma.
     """
-    if threshold < 0 or requested_duration <= 0 or linewidth <= 0:
+    if threshold < 0 or requested_duration <= 0:
         raise PhysicsDomainError(
-            "need a photon threshold >= 0 (removal.trap_depth_er), a positive window "
-            "(removal.duration_us) and a positive linewidth")
+            "need a photon threshold >= 0 (removal.trap_depth_er) and a positive "
+            "window (removal.duration_us)")
     if threshold == 0.0:
         return RemovalPlan(rabi_frequency=0.0, duration=requested_duration,
                            feasible_at_request=True, threshold=threshold)
+    linewidth = RB87.gamma2
     needed_population = threshold / (linewidth * requested_duration)
     feasible = needed_population <= excited_population_cap
     duration = (requested_duration if feasible
@@ -177,7 +175,7 @@ def solve_removal_drive(linewidth: float, threshold: float, requested_duration: 
             + " stretches the removal window beyond the float range")
 
     def deficit(log_omega: float) -> float:
-        return resonant_photon_count(linewidth, math.exp(log_omega), duration) - threshold
+        return resonant_photon_count(math.exp(log_omega), duration) - threshold
 
     # below Omega = Gamma/4 rho_ee rises to rho_ss < Omega^2/Gamma^2 without
     # overshoot, so n_p < T Omega^2/Gamma: half the threshold at the lower end

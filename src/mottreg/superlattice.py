@@ -90,7 +90,7 @@ def lpol_light_shifts(config: SuperlatticeConfig, intensity: float,
     """The Rb-87 shifts (dE0, dE1, dE1 - dE0) in E_R and the scattering rate
     max(gamma0, gamma1) in 1/s at positions x (m) of an LPOL of peak
     `intensity` (W/m^2) under the envelope, 1 on the A sites at phase 0."""
-    e_r = recoil_energy(config.spol_wavelength, RB87.mass)
+    e_r = recoil_energy(config.spol_wavelength)
     de0, de1, diff, gamma0, gamma1 = light_shifts(
         RB87, config.lpol_wavelength, intensity * _envelope(config, x))
     return (*(shift / e_r for shift in (de0, de1, diff)),
@@ -133,7 +133,7 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, delta_target: float,
             "envelope; adjust lattice.lpol_phase_nm or lattice.pattern_period")
     b_sites = np.arange(n) != a_index
     contrast = envelope[a_index] - envelope.max(where=b_sites, initial=-np.inf)
-    e_r = recoil_energy(config.spol_wavelength, RB87.mass)
+    e_r = recoil_energy(config.spol_wavelength)
     intensity = float(delta_target / (unit_diff / e_r * contrast))
 
     e0, e1, diff, gamma = lpol_light_shifts(config, intensity, xs)

@@ -35,6 +35,7 @@ __all__ = [
 # the largest xi admitted, where the excitation ceiling 4 xi^2 reaches 0.1:
 # the LPOL ramp takes xi = sqrt(target)/2 for any target below 0.1
 _MAX_XI = math.sqrt(0.1) / 2.0
+_SAMPLES = 1500   # times at which excitation_numeric reports P_e
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class TransferResult:
     norm_drift: float
 
 
-def excitation_numeric(ramp: HarmonicRamp, n_samples: int = 1500) -> TransferResult:
+def excitation_numeric(ramp: HarmonicRamp) -> TransferResult:
     """Evolve the two-state adiabatic-frame system exactly along the ramp.
 
     The states are the instantaneous ground and second excited levels with
@@ -148,7 +149,7 @@ def excitation_numeric(ramp: HarmonicRamp, n_samples: int = 1500) -> TransferRes
     xi = ramp.adiabaticity
     a = np.array([[0.5, 2j * xi], [-2j * xi, 2.5]])
     energies, vectors = np.linalg.eigh(a)
-    ts = np.linspace(0.0, ramp.duration, n_samples)
+    ts = np.linspace(0.0, ramp.duration, _SAMPLES)
     rate = _signed_rate(ramp)
     tau = -(ramp.initial_frequency / rate) * np.log1p(-rate * ts)
     weights = vectors[0].conj()   # V^dagger c0 for c0 = |g>

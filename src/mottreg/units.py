@@ -76,11 +76,11 @@ RB87 = AtomSpecies(
 )
 
 
-def recoil_energy(wavelength: float, mass: float) -> float:
-    """Photon-recoil energy h^2 / (2 m lambda^2) in joules."""
-    if wavelength <= 0 or mass <= 0:
-        raise PhysicsDomainError("recoil_energy needs positive wavelength and mass")
-    return H_PLANCK ** 2 / (2.0 * mass * wavelength ** 2)
+def recoil_energy(wavelength: float) -> float:
+    """Rb-87 photon-recoil energy h^2 / (2 m lambda^2) in joules."""
+    if wavelength <= 0:
+        raise PhysicsDomainError("recoil_energy needs a positive wavelength")
+    return H_PLANCK ** 2 / (2.0 * RB87.mass * wavelength ** 2)
 
 
 def detuning_from_wavelength(laser_wavelength, line_wavelength: float):

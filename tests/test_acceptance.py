@@ -24,7 +24,7 @@ from mottreg.transfer import (HarmonicRamp, band_tunneling, excitation_numeric,
                               microtrap_depth_kelvin)
 from mottreg.units import HBAR, RB87, detuning_from_wavelength, recoil_energy
 
-E_R = recoil_energy(850e-9, RB87.mass)
+E_R = recoil_energy(850e-9)
 TIME_UNIT = HBAR / E_R
 
 
@@ -105,12 +105,11 @@ def test_criterion_06_removal():
     with criterion(6, "removal photon counting"):
         threshold = removal_photon_threshold(50.0)
         assert threshold == 25.0
-        plan = solve_removal_drive(RB87.gamma2, threshold, 1e-6, 0.45)
+        plan = solve_removal_drive(threshold, 1e-6, 0.45)
         assert plan.duration <= 1.5e-6
-        resonant = photon_count(RB87.gamma2, plan.rabi_frequency, 0.0, plan.duration)
+        resonant = photon_count(plan.rabi_frequency, 0.0, plan.duration)
         assert resonant == pytest.approx(threshold, rel=1e-6)
-        detuned = photon_count(RB87.gamma2, plan.rabi_frequency,
-                               RB87.hyperfine_splitting, plan.duration)
+        detuned = photon_count(plan.rabi_frequency, RB87.hyperfine_splitting, plan.duration)
         assert 1e-6 <= detuned <= 1e-4
 
 
@@ -188,7 +187,7 @@ def test_criterion_11_properties(tmp_path, capsys, monkeypatch):
         # stays in the unit ball along the exact propagator of photon_count
         from mottreg.numerics import expm
         from mottreg.removal import _bloch_generator
-        generator = _bloch_generator(RB87.gamma2, 8e7, 0.0)
+        generator = _bloch_generator(8e7, 0.0)
         for t in np.linspace(0.0, 1.5e-6, 41):
             u, v, rho_ee = (expm(generator * t) @ [0.0, 0.0, 0.0, 1.0, 0.0])[:3]
             assert u * u + v * v + (2.0 * rho_ee - 1.0) ** 2 <= 1.0 + 1e-10

@@ -158,6 +158,15 @@ def test_set_by_path_and_validation():
         set_by_path(cfg, "xi", "1")
 
 
+def test_check_combinations_formats_no_refusal_when_the_checks_pass(monkeypatch):
+    # a sweep's later rows run little besides this check
+    def refuse(value):
+        raise AssertionError(f"a passing check formatted {value!r}")
+
+    monkeypatch.setattr(config_mod, "brief", refuse)
+    config_mod.check_combinations(RunConfig())
+
+
 NUMBER_FIELDS = [(f"{section}.{f.name}", f.type.split(" | "))
                  for section in config_to_dict(RunConfig())
                  for f in dataclasses.fields(getattr(RunConfig(), section))
@@ -387,6 +396,14 @@ def test_cli_remove_unreachable_threshold_names_the_fields(capsys):
     for field in ("removal.trap_depth_er", "removal.duration_us",
                   "removal.excited_population_cap"):
         assert field in err
+
+
+def test_cli_remove_underflowing_window_names_the_field(capsys):
+    # 1e-320 us rounds to a window of 0 s; no config field sets the linewidth
+    assert main(["--set", "removal.duration_us=1e-320", "remove"]) == 3
+    err = capsys.readouterr().err
+    assert "removal.duration_us" in err
+    assert "linewidth" not in err
 
 
 def test_cli_lattice_csv(capsys, tmp_path):

@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import mottreg
-from mottreg import cli, removal, speedup, stark, superlattice, transfer
+from mottreg import cli, removal, speedup, stark, superlattice, transfer, units
 
 
 def test_every_exported_name_exists():
@@ -58,7 +58,14 @@ def test_rb87_only_function_takes_no_species(function):
 
 
 @pytest.mark.parametrize("function, name", [(speedup.time_unit, "mass"),
-                                            (transfer.band_tunneling, "n_waves")])
+                                            (units.recoil_energy, "mass"),
+                                            (removal.photon_count, "linewidth"),
+                                            (removal.resonant_photon_count, "linewidth"),
+                                            (removal.solve_removal_drive, "linewidth"),
+                                            (removal._bloch_generator, "linewidth"),
+                                            (transfer.band_tunneling, "n_waves"),
+                                            (transfer.excitation_numeric, "n_samples")])
 def test_parameter_with_one_value_is_gone(function, name):
-    # time_unit reads units.RB87's mass, and band_tunneling's plane-wave count is a constant
+    # these read units.RB87's mass or D2 linewidth, and band_tunneling's
+    # plane-wave count and excitation_numeric's sample count are constants
     assert name not in inspect.signature(function).parameters

@@ -17,6 +17,9 @@ from mottreg.numerics import expm, solve_scalar
 def test_solve_scalar_sqrt2():
     root = solve_scalar(lambda x: x * x - 2.0, (1.0, 2.0))
     assert abs(root - math.sqrt(2.0)) < 1e-12
+    # a residual of exactly 0 at either end of the bracket returns that end
+    assert solve_scalar(lambda x: x * x - 1.0, (1.0, 2.0)) == 1.0
+    assert solve_scalar(lambda x: x * x - 4.0, (1.0, 2.0)) == 2.0
 
 
 def test_solve_scalar_requires_sign_change():
@@ -67,6 +70,8 @@ def test_solve_scalar_refuses_nan():
         solve_scalar(lambda x: math.nan if x > 0.5 else x - 1.0, (0.0, 2.0))
     with pytest.raises(NumericsError, match="NaN"):
         solve_scalar(lambda x: math.nan, (0.0, 1.0))
+    with pytest.raises(NumericsError, match="NaN at 0.5"):
+        solve_scalar(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def _ramp(delta, target):
 def test_site_detunings_equal_per_site_calls(n, phase):
     # reference: one scalar light-shift call per site, as the loop did
     sites = site_hyperfine_detunings(_configured(n, phase), 52.0, n_sites=2 * n)
-    e_r = recoil_energy(850e-9, RB87.mass)
+    e_r = recoil_energy(850e-9)
     xs = np.array(sites.site_positions)
     envelope = np.cos(np.pi * (xs - phase) / (n * 850e-9 / 2)) ** 2
     for j, env in enumerate(envelope):
@@ -69,7 +69,7 @@ def test_site_detunings_cos2_pattern():
     # oracle: direct cos^2 envelope at x = 0, lambda_s/2, lambda_s gives
     # intensity factors 1, 1/4, 1/4 for n = 3
     sites = site_hyperfine_detunings(_configured(), 52.0, n_sites=9)
-    peak = light_shifts(RB87, 787.6e-9, sites.intensity)[2] / recoil_energy(850e-9, RB87.mass)
+    peak = light_shifts(RB87, 787.6e-9, sites.intensity)[2] / recoil_energy(850e-9)
     assert sites.delta == pytest.approx(0.75 * peak, rel=1e-12)
     assert sites.labels == ("A", "B", "B") * 3
     # the two B sites in each period are degenerate by cos^2 symmetry
@@ -172,7 +172,7 @@ def test_site_evaluation_over_generated_geometries(n, phase_fraction, delta):
 
 def test_ramp_time_near_reference_value():
     ramp = _ramp(52.0, 1e-4)
-    time_unit = HBAR / recoil_energy(850e-9, RB87.mass)
+    time_unit = HBAR / recoil_energy(850e-9)
     assert ramp.duration * time_unit * 1e6 == pytest.approx(44.0, rel=0.5)
     assert ramp.adiabaticity == pytest.approx(0.005)
     # the A-site frequency deepens from 2 sqrt(V_s) by the full A shift,
@@ -215,7 +215,7 @@ def test_lpol_ramp_admits_every_accepted_target():
     for target in (0.09, math.nextafter(0.1, 0.0)):
         ramp = _ramp(52.0, target)
         assert ramp.adiabaticity == math.sqrt(target) / 2.0
-        assert excitation_numeric(ramp, n_samples=200).max_excitation <= target
+        assert excitation_numeric(ramp).max_excitation <= target
     with pytest.raises(PhysicsDomainError):
         _ramp(52.0, 0.1)
 

@@ -10,9 +10,9 @@ from mottreg.transfer import (HarmonicRamp, band_tunneling, excitation_analytic,
                               excitation_numeric, hopping_time, initial_frequency,
                               matched_microtrap_depth, max_excitation_analytic,
                               microtrap_depth_kelvin, ramp_schedule)
-from mottreg.units import HBAR, RB87, recoil_energy
+from mottreg.units import HBAR, recoil_energy
 
-E_R = recoil_energy(850e-9, RB87.mass)
+E_R = recoil_energy(850e-9)
 TIME_UNIT = HBAR / E_R
 
 
@@ -153,7 +153,7 @@ def test_excitation_numeric_matches_dop853(direction, ratio):
         return -1j * np.array([0.5 * omega * c[0] + coupling * c[1],
                                -coupling * c[0] + 2.5 * omega * c[1]])
 
-    result = excitation_numeric(ramp, n_samples=300)
+    result = excitation_numeric(ramp)
     ref = solve_ivp(rhs, (0.0, ramp.duration), np.array([1.0 + 0j, 0j]), method="DOP853",
                     t_eval=result.times, rtol=1e-12, atol=1e-14)
     assert ref.success
@@ -165,7 +165,7 @@ def test_excitation_numeric_matches_dop853(direction, ratio):
 def test_excitation_numeric_vanishes_in_adiabatic_limit():
     # frozen-frequency limit: the ceiling 4 xi^2 collapses to zero with xi
     for xi in (1e-3, 2e-4):
-        result = excitation_numeric(_operating_ramp(xi=xi), n_samples=400)
+        result = excitation_numeric(_operating_ramp(xi=xi))
         assert result.max_excitation <= 4 * xi ** 2 * 1.05 + 1e-12
 
 
@@ -173,7 +173,7 @@ def test_shallow_ramp_runs():
     w0 = initial_frequency(50.0)
     ramp = HarmonicRamp(w0, 0.005, w0 / 4.0)
     assert ramp_schedule(ramp, ramp.duration) == pytest.approx(w0 / 4.0, rel=1e-12)
-    result = excitation_numeric(ramp, n_samples=400)
+    result = excitation_numeric(ramp)
     assert result.max_excitation <= 4 * 0.005 ** 2 * 1.05
 
 
