@@ -228,7 +228,7 @@ def _lattice_stage(cfg: RunConfig):
     from . import superlattice as lattice_mod
     config = patterned_lattice(cfg)
     sites = lattice_mod.site_hyperfine_detunings(config, cfg.lattice.delta_target_er)
-    return config, sites, lattice_mod.lpol_ramp_time(config, max(sites.delta_diff),
+    return config, sites, lattice_mod.lpol_ramp_time(config.spol_depth, max(sites.delta_diff),
                                                      cfg.lattice.ramp_target_excitation)
 
 

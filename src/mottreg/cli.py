@@ -266,6 +266,7 @@ def _cmd_scheme(args, cfg: RunConfig):
 
 
 def _cmd_sweep(args, cfg: RunConfig):
+    _require_rows("--values", len(args.values), args.format or "csv")
     # a value is parsed as after --set, so a bare word is a string
     rows = sweep(cfg, args.parameter, [parse_value(value) for value in args.values])
     _deliver(args, cfg, {key: [row[key] for row in rows] for key in rows[0]}, "csv")

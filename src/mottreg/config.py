@@ -327,7 +327,10 @@ def parse_value(raw_value: str):
 
 
 def set_by_path(cfg: RunConfig, dotted: str, raw_value: str):
-    """Apply one --set override like 'transfer.xi=0.0025' and validate."""
+    """Parse raw_value as a --set value, write it to the dotted field and
+    validate the whole config.  The CLI does not call this: it writes every
+    override through set_field and validates once; perfbench's workloads and
+    the tests apply single overrides here."""
     set_field(cfg, dotted, parse_value(raw_value))
     validate_config(cfg)
 

@@ -222,8 +222,8 @@ def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int):
     the lowest excited state with a nonzero drive coupling, plus that
     coupling |<e| dH/da |g>|.
 
-    a and y_min may be arrays of one shape; the gaps and couplings then come
-    back as arrays of that shape from one stacked eigh call.
+    a and y_min are arrays of one shape (0-d for one point); the gaps and
+    couplings come back as arrays of that shape from one stacked eigh call.
     """
     a = np.asarray(a, dtype=float)
     hamiltonian, coupling = local_basis(p.at(a[..., None]), y_min, size)
@@ -238,8 +238,6 @@ def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int):
     index = np.argmax(couplings > _COUPLING_FLOOR * top, axis=-1)[..., None]
     gap = np.take_along_axis(energies, 1 + index, axis=-1)[..., 0] - energies[..., 0]
     element = np.take_along_axis(couplings, index, axis=-1)[..., 0]
-    if gap.ndim == 0:
-        return float(gap), float(element)
     return gap, element
 
 

@@ -145,25 +145,25 @@ def site_hyperfine_detunings(config: SuperlatticeConfig, delta_target: float,
                          gamma_a=float(gamma[a_index]), intensity=intensity)
 
 
-def lpol_ramp_time(config: SuperlatticeConfig, shift_a: float,
-                   target_excitation: float) -> HarmonicRamp:
+def lpol_ramp_time(depth: float, shift_a: float, target_excitation: float) -> HarmonicRamp:
     """The LPOL turn-on ramp keeping band excitation below target, in natural
     units.
 
     The site-local frequency deepens from 2 sqrt(V_s) to 2 sqrt(V_s + shift_a)
-    (E_R/hbar), where shift_a is the A site's full differential shift (E_R,
-    the largest delta_diff of a pattern period), along the adiabatic schedule
-    whose excitation ceiling is 4 xi^2 = target.
+    (E_R/hbar), where V_s is the short lattice's depth (E_R) and shift_a the A
+    site's full differential shift (E_R, the largest delta_diff of a pattern
+    period), along the adiabatic schedule whose excitation ceiling is
+    4 xi^2 = target.
     """
     if not 0.0 < target_excitation < 0.1:
         raise PhysicsDomainError("target excitation must lie in (0, 0.1)")
-    w_i = initial_frequency(config.spol_depth)
+    w_i = initial_frequency(depth)
     # a NaN shift, or one within the rounding of V_s or of its root, leaves w_f = w_i
-    w_f = initial_frequency(config.spol_depth + shift_a) if shift_a > 0 else w_i
+    w_f = initial_frequency(depth + shift_a) if shift_a > 0 else w_i
     if not w_f > w_i:
         raise PhysicsDomainError(
             f"ramp target unreachable: the A-site shift {shift_a:.6g} E_R does not deepen "
-            f"the {config.spol_depth:.6g} E_R site in floating point; raise "
+            f"the {depth:.6g} E_R site in floating point; raise "
             "lattice.delta_target_er or lower lattice.depth_er")
     return HarmonicRamp(initial_frequency=w_i, adiabaticity=math.sqrt(target_excitation) / 2.0,
                         final_frequency=w_f)

@@ -113,7 +113,7 @@ def _step2_exposure(cfg: RunConfig) -> float:
     """Full-intensity-equivalent LPOL time (s) of step II: ramp up, the
     pulse hold and ramp down."""
     time_unit = HBAR / budget_mod.lattice_recoil(cfg)
-    ramp = lpol_ramp_time(budget_mod.patterned_lattice(cfg), max(_sites(cfg).delta_diff),
+    ramp = lpol_ramp_time(cfg.lattice.depth_er, max(_sites(cfg).delta_diff),
                           cfg.lattice.ramp_target_excitation)
     _, _, t_f, _ = budget_mod.pi_pulse(cfg)
     hold = 2.0 * t_f * time_unit
@@ -166,7 +166,7 @@ def test_step2_scattering_linear_in_exposure():
 def test_step2_scattering_over_operating_timeline(scheme1):
     # ramp up + pulse hold + ramp down at the delta = 52 E_R intensity
     cfg = RunConfig()
-    ramp = lpol_ramp_time(budget_mod.patterned_lattice(cfg), max(_sites(cfg).delta_diff),
+    ramp = lpol_ramp_time(cfg.lattice.depth_er, max(_sites(cfg).delta_diff),
                           cfg.lattice.ramp_target_excitation)
 
     # oracle: the closed-form ramp exposure against the sampled schedule,

@@ -449,6 +449,18 @@ def test_cli_sweep_csv_row_count(capsys, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("fmt, count", [(["--format", "json"], 60_001), ([], 150_001)])
+def test_cli_sweep_refuses_more_values_than_report_rows(capsys, monkeypatch, fmt, count):
+    # refused before any row runs, like stark-scan --points and lattice --sites
+    def no_sweep(*args):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr("mottreg.cli.sweep", no_sweep)
+    argv = [*fmt, "sweep", "--parameter", "transfer.xi", "--values", *["0.005"] * count]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith(f"numerics error: --values = {count} exceeds")
+
+
 @pytest.mark.parametrize("value, message", [
     ("NaN", "transfer.xi must be finite, got nan"),
     ('"0.005"', "transfer.xi must be a number, got '0.005'"),

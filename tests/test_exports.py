@@ -25,6 +25,7 @@ def test_every_exported_name_exists():
 _CONFIGURED = [
     *((superlattice.SuperlatticeConfig, name) for name in (
         "spol_wavelength", "spol_depth", "pattern_period", "lpol_wavelength", "lpol_phase")),
+    (superlattice.lpol_ramp_time, "depth"),
     (speedup.DoubleGaussianPotential, "focus_waist"),
     (speedup.local_basis, "size"),
     (speedup.gap_and_element, "size"),

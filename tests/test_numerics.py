@@ -89,6 +89,8 @@ def test_expm_rotation():
 def test_expm_nilpotent():
     r = expm(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert np.allclose(r, [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
+    with pytest.raises(PhysicsDomainError, match="square"):
+        expm(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def test_expm_vs_taylor_series_oracle():

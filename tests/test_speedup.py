@@ -50,6 +50,11 @@ def test_potential_single_gaussian_when_focus_off():
     vals = single.value(ys)
     assert int(np.argmin(vals)) == 200
     assert vals[200] == pytest.approx(-400.0, rel=1e-14)
+    # a switched-off well is admitted; a negative depth or waist is not
+    for depths, waist in (((-400.0, 0.0), 0.5), ((400.0, -560.0), 0.5),
+                          ((400.0, 560.0), 0.0), ((400.0, 560.0), -0.5)):
+        with pytest.raises(PhysicsDomainError):
+            DoubleGaussianPotential(*depths, focus_waist=waist)
 
 
 def test_double_well_emerges_with_displacement():
@@ -311,6 +316,8 @@ def test_moving_time_linearity_and_trivial_zero():
     assert fast.xi_bar == pytest.approx(2 * move.xi_bar, rel=1e-15, abs=0.0)
     assert fast.move_time == pytest.approx(move.move_time / 2, rel=1e-12, abs=0.0)
     assert build_moving_schedule(WELLS, 0.0, basis_size=11).integral() == 0.0
+    with pytest.raises(PhysicsDomainError, match="final displacement"):
+        build_moving_schedule(WELLS, -1e-3, basis_size=11)
 
 
 @settings(max_examples=10, deadline=None)

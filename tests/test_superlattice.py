@@ -47,8 +47,8 @@ def _configured(n=3, phase=0.0):
 def _ramp(delta, target):
     """The LPOL ramp of the n = 3 lattice at phase 0, planned for its A site."""
     config = _configured()
-    return lpol_ramp_time(config, max(site_hyperfine_detunings(config, delta).delta_diff),
-                          target)
+    return lpol_ramp_time(config.spol_depth,
+                          max(site_hyperfine_detunings(config, delta).delta_diff), target)
 
 
 @pytest.mark.parametrize("n, phase", [(3, 0.0), (4, 0.0), (5, 30e-9)])
@@ -111,6 +111,9 @@ def test_site_detunings_ambiguity_error():
 def test_site_detunings_refuse_a_negative_delta():
     with pytest.raises(PhysicsDomainError, match="target delta must be >= 0"):
         site_hyperfine_detunings(_configured(), -1.0)
+    # and fewer sites than one pattern period
+    with pytest.raises(PhysicsDomainError, match="full pattern period"):
+        site_hyperfine_detunings(_configured(4), 52.0, n_sites=3)
 
 
 @pytest.mark.parametrize("n, phase", [(3, 0.0), (4, 0.0), (3, 50e-9), (5, 30e-9)])
@@ -201,12 +204,12 @@ def test_ramp_refuses_a_shift_lost_in_the_site_depth(shift_a):
     # naming the fields that set the shift and the depth
     with pytest.raises(PhysicsDomainError,
                        match="A-site shift.*lattice.delta_target_er.*lattice.depth_er"):
-        lpol_ramp_time(_configured(), shift_a, 1e-4)
+        lpol_ramp_time(50.0, shift_a, 1e-4)
 
 
 def test_ramp_admits_the_smallest_shift_that_deepens_the_site():
     shift_a = 1e-13    # a few ulps of 50, which 2 sqrt(50 + shift_a) keeps
-    ramp = lpol_ramp_time(_configured(), shift_a, 1e-4)
+    ramp = lpol_ramp_time(50.0, shift_a, 1e-4)
     assert ramp.final_frequency > ramp.initial_frequency
 
 
@@ -270,7 +273,7 @@ def test_lpol_exposure_matches_quadrature(delta):
     # 40-digit arithmetic; at delta = 1e-3 E_R the old depth-integral form
     # cancelled to 1e-7 of the exposure.  The A site of n = 3 at phase 0
     # shifts by delta / (1 - cos^2(pi/3))
-    ramp = lpol_ramp_time(_configured(), delta / 0.75, 1e-4)
+    ramp = lpol_ramp_time(50.0, delta / 0.75, 1e-4)
     with mpmath.workdps(40):
         w_i, w_f, rate, duration = (mpmath.mpf(x) for x in (
             ramp.initial_frequency, ramp.final_frequency, ramp.rate_constant,
