@@ -1,9 +1,9 @@
 """Moving-focused-laser extraction: the double-Gaussian channel potential,
 Newton tracking of its minimum (a continuation along the path in plain
 floats, V' and V'' from one pair of Gaussians per iterate), the gap and
-coupling profiles at the Gauss-Legendre nodes of the path from stacked
-harmonic-basis eigensolves, the adiabatic moving-time integral, and the
-multi-cycle yield.
+coupling profiles at the nested Clenshaw-Curtis nodes of the path from
+stacked harmonic-basis eigensolves, the adiabatic moving-time integral, and
+the multi-cycle yield.
 
 Units: lengths in the confinement waist sigma_c, energies in
 hbar^2 / (2 m sigma_c^2), so hbar = 1 and the mass is 1/2; times come out in
@@ -41,10 +41,9 @@ _COUPLING_FLOOR = 1e-8  # relative threshold for "nonzero" transition elements
 _NEWTON_ITERATIONS = 50
 _LONGEST_STEP = 0.1  # in s_c: the longest step of minimum tracking
 _MIN_STEP = 1e-3  # in s_c: the shortest step minimum tracking halves down to
-_FIRST_NODES = 32  # the first level that can be taken, checked against 16 and 8
-# a profile holds ~32 bytes per element of points x (basis_size^2 + 128), and
-# m Gauss-Legendre nodes solve an m x m companion matrix of about as many
-# bytes per element: either stays within the pi pulse's ~110 MB
+_FIRST_INTERVALS = 40  # the first level that can be taken, checked against 20 and 10
+# a profile holds ~32 bytes per element of points x (basis_size^2 + 128),
+# which stays within the pi pulse's ~110 MB
 _MAX_PROFILE = 3_400_000
 
 
@@ -234,7 +233,8 @@ def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int):
     if np.any(top == 0.0):
         uncoupled = np.broadcast_to(a, top.shape[:-1])[top[..., 0] == 0.0]
         raise PhysicsDomainError(f"all drive couplings vanish at a = {uncoupled[0]}: "
-                                 "the focus of speedup.focus_depth does not move the well")
+                                 "the focus of speedup.focus_depth and speedup.focus_waist_ratio "
+                                 "does not move the well")
     index = np.argmax(couplings > _COUPLING_FLOOR * top, axis=-1)[..., None]
     gap = np.take_along_axis(energies, 1 + index, axis=-1)[..., 0] - energies[..., 0]
     element = np.take_along_axis(couplings, index, axis=-1)[..., 0]
@@ -243,8 +243,8 @@ def gap_and_element(p: DoubleGaussianPotential, a, y_min, size: int):
 
 @dataclass(frozen=True)
 class MovingSchedule:
-    """Gap, coupling and depth profiles at the Gauss-Legendre nodes of
-    [0, a_f], with the nodes' weights for int da."""
+    """Gap, coupling and depth profiles at the Clenshaw-Curtis nodes of
+    [0, a_f], ascending, with the nodes' weights for int da."""
 
     displacements: np.ndarray
     weights: np.ndarray
@@ -288,53 +288,71 @@ def path_profile(p: DoubleGaussianPotential, a, basis_size: int):
 
 
 @functools.cache
-def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Legendre nodes and weights of m points, only read."""
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(m)
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n + 1 Clenshaw-Curtis nodes -cos(k pi / n) of [-1, 1], ascending,
+    and their weights, only read; n is even.  The nodes of n/2 are bitwise
+    every other node, since sin(pi (2k - n) / 2n) rounds the same fraction,
+    and the weights are one inverse real FFT of the moments 1/(1 - 4 j^2)
+    (Waldvogel, BIT 46, 195, 2006)."""
+    nodes = np.sin(0.5 * np.pi * (np.arange(-n, n + 1, 2) / n))
+    half = np.fft.irfft(1.0 / (1.0 - 4.0 * np.arange(n // 2 + 1) ** 2), n)
+    weights = np.concatenate([half[:1], 2.0 * half[1:], half[:1]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _levels(p: DoubleGaussianPotential, sizes, final_displacement: float,
-            basis_size: int) -> list[MovingSchedule]:
-    """The schedules on the Gauss-Legendre nodes of [0, a_f], one per size,
-    profiled in one stack, since each stack has a fixed cost per call."""
-    rules = [_leggauss(m) for m in sizes]
-    half = 0.5 * final_displacement
-    a = half * (np.concatenate([x for x, _ in rules]) + 1.0)
+def _profile_table(p: DoubleGaussianPotential, a: np.ndarray, basis_size: int) -> np.ndarray:
+    """The rows a, minima, gaps, elements and depths |V(y_min)| at the
+    displacements a, profiled in one stack."""
     minima, gaps, elements = path_profile(p, a, basis_size)
-    table = np.array([a, minima, gaps, elements, np.abs(p.at(a).value(minima))])
-    return [MovingSchedule(a, half * w, *profiles) for (_, w), (a, *profiles)
-            in zip(rules, np.split(table, np.cumsum(sizes)[:-1], axis=1))]
+    return np.array([a, minima, gaps, elements, np.abs(p.at(a).value(minima))])
+
+
+def _level(table: np.ndarray, half: float, stride: int = 1) -> MovingSchedule:
+    """The schedule on every stride-th column of a profile table over
+    [0, 2 half], which holds the n + 1 nodes of n intervals."""
+    a, *profiles = table[:, ::stride]
+    return MovingSchedule(a, half * _clenshaw_curtis((table.shape[1] - 1) // stride)[1],
+                          *profiles)
 
 
 def build_moving_schedule(p: DoubleGaussianPotential, final_displacement: float,
                           basis_size: int) -> MovingSchedule:
     """Track the focus well over [0, a_f] and profile gap, coupling and depth
-    at the Gauss-Legendre nodes of the path.
+    at the Clenshaw-Curtis nodes of the path.
 
-    The levels of 8, 16 and 32 nodes come first, in one stack, then doubling
-    ones, a stack each.  A level is taken once the moving-time integrals of
-    successive levels differ less than the two before, which differ by at
-    most 1%: one close pair alone can be a chance meeting of two rules that
-    both miss a sharp feature.  A level whose nodes or profile would pass
-    the memory guard is a NumericsError.
+    The levels are nested: the level of n intervals holds every other node
+    of the level of 2n.  The first stack profiles the 41 nodes of 40
+    intervals, which hold the levels of 20 and 10; each doubling profiles
+    only its new nodes, a stack each.  A level is taken once the
+    moving-time integrals of successive levels differ less than the two
+    before, which differ by at most 1%: one close pair alone can be a chance
+    meeting of two rules that both miss a sharp feature.  A level whose
+    profile would pass the memory guard is a NumericsError.
     """
     if final_displacement < 0:
         raise PhysicsDomainError("final displacement must be >= 0")
-    m = _FIRST_NODES
-    levels = _levels(p, (m // 4, m // 2, m), final_displacement, basis_size)
-    schedule = levels[-1]
-    i3, i2, i1 = (level.integral() for level in levels)
+    half = 0.5 * final_displacement
+    n = _FIRST_INTERVALS
+    table = _profile_table(p, half * (_clenshaw_curtis(n)[0] + 1.0), basis_size)
+    schedule = _level(table, half)
+    i3, i2, i1 = (_level(table, half, 4).integral(), _level(table, half, 2).integral(),
+                  schedule.integral())
     while not abs(i1 - i2) <= abs(i2 - i3) <= 0.01 * abs(i2):   # a NaN never passes
-        # numpy's leggauss solves a dense 2m x 2m matrix for the next nodes
-        if 2 * m * max(2 * m, basis_size ** 2 + 128) > _MAX_PROFILE:
+        try:
+            require_profile(2 * n + 1, basis_size)
+        except NumericsError:
             raise NumericsError(
-                f"moving-time integral not converged: {m} Gauss-Legendre nodes give "
-                f"{i1:.6g}, {m // 2} give {i2:.6g} and {m // 4} give {i3:.6g}; "
-                f"{2 * m} nodes would pass {_MAX_PROFILE} as ({2 * m})^2 or as "
-                f"{2 * m} x (speedup.basis_size^2 + 128)")
-        m *= 2
-        (schedule,) = _levels(p, (m,), final_displacement, basis_size)
+                f"moving-time integral not converged: {n + 1} Clenshaw-Curtis nodes give "
+                f"{i1:.6g}, {n // 2 + 1} give {i2:.6g} and {n // 4 + 1} give {i3:.6g}; "
+                f"{2 * n + 1} nodes would pass {_MAX_PROFILE} as "
+                f"{2 * n + 1} x (speedup.basis_size^2 + 128)") from None
+        n *= 2
+        coarse, table = table, np.empty((table.shape[0], n + 1))
+        table[:, ::2] = coarse
+        table[:, 1::2] = _profile_table(
+            p, half * (_clenshaw_curtis(n)[0][1::2] + 1.0), basis_size)
+        schedule = _level(table, half)
         i3, i2, i1 = i2, i1, schedule.integral()
     return schedule
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import mottreg.removal as removal_mod
+from mottreg.config import RunConfig
 from mottreg.errors import PhysicsDomainError
 from mottreg.numerics import expm
 from mottreg.removal import (_bloch_generator, collision_probability,
@@ -273,6 +274,58 @@ def test_solved_log_drive_and_its_neighbour_bracket_the_threshold(depth, window_
     here = deficit(log_omega)
     neighbours = [deficit(math.nextafter(log_omega, end)) for end in (-math.inf, math.inf)]
     assert here == 0.0 or any(n == 0.0 or (n > 0.0) != (here > 0.0) for n in neighbours)
+
+
+def _bisection(f, bracket):
+    """Oracle: bisection of a sign-changing bracket until the midpoint rounds
+    to an end, then the end with the smaller |f|."""
+    a, b = sorted(bracket)
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    while a < (m := 0.5 * a + 0.5 * b) < b:
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
+
+
+def _drive_roots(solve, threshold, duration):
+    """The drive's log Omega from the root finder solve, and its f evaluations."""
+    evaluations = []
+
+    def counted(f, bracket):
+        return solve(lambda x: evaluations.append(x) or f(x), bracket)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(removal_mod, "solve_scalar", counted)
+        plan = solve_removal_drive(threshold, duration, 0.45)
+    return plan.rabi_frequency, len(evaluations)
+
+
+@pytest.mark.parametrize("window_us", [1e-2, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("depth", [1e-3, 1.0, 25.0, 50.0, 1e3])
+def test_brent_drive_is_the_bisection_root(depth, window_us):
+    # both end on the adjacent floats that bracket the root, so Brent's
+    # method returns bitwise the bisection's drive
+    threshold = removal_photon_threshold(depth)
+    brent, _ = _drive_roots(removal_mod.solve_scalar, threshold, window_us * 1e-6)
+    oracle, _ = _drive_roots(_bisection, threshold, window_us * 1e-6)
+    assert brent == oracle
+
+
+def test_default_drive_takes_at_most_20_evaluations():
+    cfg = RunConfig()
+    threshold = removal_photon_threshold(cfg.removal.trap_depth_er)
+    _, evaluations = _drive_roots(removal_mod.solve_scalar, threshold,
+                                  cfg.removal.duration_us * 1e-6)
+    assert evaluations <= 20
+    # bisection halves the log-drive bracket down to one float
+    assert _drive_roots(_bisection, threshold, cfg.removal.duration_us * 1e-6)[1] > 50
 
 
 def test_solve_removal_drive_validation():

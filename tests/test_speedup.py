@@ -1,6 +1,6 @@
 """Moving-focus extraction: potential, minimum tracking, basis spectra
-against finite-difference oracles, the Gauss-Legendre moving time, and
-cycle yield."""
+against finite-difference oracles, the nested Clenshaw-Curtis moving time
+against a Gauss-Legendre oracle, and cycle yield."""
 import math
 
 import numpy as np
@@ -278,9 +278,46 @@ def test_schedule_makes_one_eigh_call(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sched = build_moving_schedule(WELLS, 2.0, basis_size=11)
-    # the 8, 16 and 32 node levels share one stack, and 32 nodes converge
-    assert calls == [(56, 11, 11)]
-    assert sched.displacements.shape == (32,)
+    # the 41 nodes hold the levels of 10, 20 and 40 intervals, and 40 converge
+    assert calls == [(41, 11, 11)]
+    assert sched.displacements.shape == (41,)
+
+
+def test_refinement_diagonalises_only_its_new_nodes(monkeypatch):
+    # at focus depth 300 and basis 15 the levels double twice, each stack
+    # holding the odd-indexed nodes that the level before lacks
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=300.0, focus_waist=0.5)
+    sched = build_moving_schedule(wells, 2.0, basis_size=15)
+    assert calls == [(41, 15, 15), (40, 15, 15), (80, 15, 15)]
+    assert sched.displacements.shape == (161,)
+    assert np.all(np.diff(sched.displacements) > 0.0)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80, 160, 10240])
+def test_clenshaw_curtis_weights_integrate_monomials(n):
+    # the rule of n intervals is exact for x^k, k <= n: 2/(k+1) for even k
+    nodes, weights = speedup._clenshaw_curtis(n)
+    for k in range(0, n + 1, max(1, n // 80)):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert np.dot(weights, nodes ** k) == pytest.approx(exact, rel=0.0, abs=1e-14)
+
+
+def test_clenshaw_curtis_levels_are_nested_and_cached_read_only():
+    nodes, weights = speedup._clenshaw_curtis(80)
+    assert speedup._clenshaw_curtis(80)[0] is nodes
+    assert (nodes[0], nodes[40], nodes[80]) == (-1.0, 0.0, 1.0)
+    for coarse in (40, 20, 10):
+        assert np.array_equal(speedup._clenshaw_curtis(coarse)[0], nodes[::80 // coarse])
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 0.0
 
 
 def test_gap_basis_size_convergence():
@@ -331,23 +368,23 @@ def test_moving_time_inverse_in_adiabaticity(xi, focus_depth):
 
 
 def test_moving_time_grid_refinement_invariance(monkeypatch):
-    # starting the doubling at 64 or 128 nodes changes the move-time
+    # starting the doubling at 80 or 160 intervals changes the move-time
     # integral by rounding alone
     times = []
-    for first in (32, 64, 128):
-        monkeypatch.setattr(speedup, "_FIRST_NODES", first)
+    for first in (40, 80, 160):
+        monkeypatch.setattr(speedup, "_FIRST_INTERVALS", first)
         sched = build_moving_schedule(WELLS, 2.0, basis_size=11)
-        assert sched.displacements.shape == (first,)
+        assert sched.displacements.shape == (first + 1,)
         times.append(sched.integral())
     assert times[1] == pytest.approx(times[0], rel=1e-12, abs=0.0)
     assert times[2] == pytest.approx(times[0], rel=1e-12, abs=0.0)
 
 
-def test_default_move_time_matches_64_nodes(monkeypatch):
+def test_default_move_time_matches_80_intervals(monkeypatch):
     cfg = RunConfig()
     move = moving_focus(cfg)
-    assert move.schedule.displacements.shape == (32,)
-    monkeypatch.setattr(speedup, "_FIRST_NODES", 64)
+    assert move.schedule.displacements.shape == (41,)
+    monkeypatch.setattr(speedup, "_FIRST_INTERVALS", 80)
     reference = moving_focus(cfg)
     assert move.move_time == pytest.approx(reference.move_time, rel=1e-12, abs=0.0)
     assert move.p_scatter == pytest.approx(reference.p_scatter, rel=1e-12, abs=0.0)
@@ -355,39 +392,87 @@ def test_default_move_time_matches_64_nodes(monkeypatch):
 
 def test_node_doubling_continues_past_a_kinked_integrand():
     # |<e|dH/da|g>| passes through zero along this path, so the integrand has
-    # kinks, 32 and 16 nodes differ by more than 1% and the levels double on
+    # kinks, 41 and 21 nodes differ by more than 1% and the levels double on
     wells = DoubleGaussianPotential(confine_depth=1000.0, focus_depth=580.0,
                                     focus_waist=0.5)
     sched = build_moving_schedule(wells, 2.0, basis_size=11)
-    assert sched.displacements.size > 32
+    assert sched.displacements.size > 41
     a = np.linspace(0.0, 2.0, 4001)
     _, gaps, elements = path_profile(wells, a, basis_size=11)
     reference = np.trapezoid(elements / gaps ** 2, a)
-    assert sched.integral() == pytest.approx(reference, rel=0.01)
+    assert sched.integral() == pytest.approx(reference, rel=1e-3)
 
 
 def test_unconverged_node_doubling_is_a_numerics_error(monkeypatch):
-    # room for the first stack of 8 + 16 + 32 nodes only
-    monkeypatch.setattr(speedup, "_MAX_PROFILE", 56 * (15 ** 2 + 128))
+    # room for the first stack of 41 nodes only
+    monkeypatch.setattr(speedup, "_MAX_PROFILE", 41 * (15 ** 2 + 128))
     wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=300.0,
                                     focus_waist=0.5)
-    with pytest.raises(NumericsError, match=r"not converged: 32 Gauss-Legendre nodes .*"
-                                            r"speedup\.basis_size"):
+    with pytest.raises(NumericsError, match=r"not converged: 41 Clenshaw-Curtis nodes .*"
+                                            r"21 give .* 11 give .*; 81 nodes would pass "
+                                            r".*speedup\.basis_size"):
         build_moving_schedule(wells, 2.0, basis_size=15)
 
 
+def test_shallow_focus_converges_near_the_dense_oracle():
+    # at focus depth 300 and basis 15, 41 and 21 nodes differ by 6%; the
+    # accepted level is within 1e-3 of a 2048-node Gauss-Legendre value
+    wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=300.0,
+                                    focus_waist=0.5)
+    sched = build_moving_schedule(wells, 2.0, basis_size=15)
+    assert sched.integral() == pytest.approx(0.1015314045, rel=1e-3)
+
+
 def test_chance_agreement_of_two_levels_is_not_convergence(monkeypatch):
-    # a narrow dip of the gap near a = 1.28: 128 and 256 nodes agree to 0.05%
-    # while both are 7% off; 512 nodes move 9% and 1024 another 2%, and the
-    # companion matrix of 2048 nodes would pass the real memory guard
-    sizes = []
-    monkeypatch.setattr(speedup, "_leggauss", lambda m: sizes.append(m) or leggauss(m))
+    # a narrow dip of the gap near a = 1.28: 81 and 161 nodes agree to 0.8%
+    # while both are 7% off, and 81 moved 1.2% from 41, past the 1% rule;
+    # the levels double on to a value within 1e-3 of an adaptive 1e-6 one
+    integrals = {}
+    level = speedup._level
+
+    def recorded(table, half, stride=1):
+        schedule = level(table, half, stride)
+        integrals[schedule.displacements.size] = schedule.integral()
+        return schedule
+
+    monkeypatch.setattr(speedup, "_level", recorded)
     wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=200.78102451888083,
                                     focus_waist=0.5)
-    with pytest.raises(NumericsError, match=r"not converged: 1024 Gauss-Legendre nodes"):
-        build_moving_schedule(wells, 5.192438247232971, basis_size=15)
-    assert max(sizes) == 1024
-    assert 1024 ** 2 <= speedup._MAX_PROFILE < 2048 ** 2
+    sched = build_moving_schedule(wells, 5.192438247232971, basis_size=15)
+    reference = 0.3181343074
+    assert integrals[161] == pytest.approx(integrals[81], rel=0.01)
+    for nodes in (81, 161):
+        assert abs(integrals[nodes] / reference - 1.0) > 0.06
+    assert abs(integrals[81] - integrals[41]) > 0.01 * integrals[81]
+    assert sched.displacements.size > 161
+    assert sched.integral() == pytest.approx(reference, rel=1e-3)
+
+
+def _gauss_legendre_integral(p, final_displacement, basis_size, m=128):
+    """Oracle: the move-time integral on m Gauss-Legendre nodes of [0, a_f],
+    profiled in one stack."""
+    x, w = leggauss(m)
+    half = 0.5 * final_displacement
+    _, gaps, elements = path_profile(p, half * (x + 1.0), basis_size)
+    return half * float(np.dot(w, elements / gaps ** 2))
+
+
+def test_default_move_time_matches_the_gauss_legendre_oracle():
+    cfg = RunConfig()
+    move = moving_focus(cfg)
+    reference = _gauss_legendre_integral(move.potential, cfg.speedup.final_displacement_sigma,
+                                         cfg.speedup.basis_size)
+    assert move.schedule.integral() == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("basis_size", [11, 15])
+@pytest.mark.parametrize("focus_depth", [520.0, 560.0, 600.0, 640.0])
+def test_focus_depths_match_the_gauss_legendre_oracle(focus_depth, basis_size):
+    wells = DoubleGaussianPotential(confine_depth=400.0, focus_depth=focus_depth,
+                                    focus_waist=0.5)
+    sched = build_moving_schedule(wells, 2.0, basis_size)
+    reference = _gauss_legendre_integral(wells, 2.0, basis_size)
+    assert sched.integral() == pytest.approx(reference, rel=5e-13, abs=0.0)
 
 
 # tracking through the nodes alone, in steps of at most 0.1 s_c, finds the
