@@ -1,6 +1,6 @@
 """Small dense numerical kernels behind the physics modules.
 
-solve_scalar is root finding by Brent's method (the removing-laser drive) and expm a
+solve_scalar is root finding by bisection (the removing-laser drive) and expm a
 Pade-13 matrix exponential (the off-resonant photon count).
 Eigenproblems go straight to numpy.linalg, the pi pulse has its own Magnus
 propagator in pulse, and the LPOL wavelength optimum is taken from its exact
@@ -25,9 +25,6 @@ __all__ = [
 # Scalar root finding
 # ---------------------------------------------------------------------------
 
-_EPS = np.finfo(float).eps
-
-
 def _same_sign(x: float, y: float) -> bool:
     # not x * y > 0, which underflows to 0 once |x y| < 2.2e-308
     return (x > 0.0 and y > 0.0) or (x < 0.0 and y < 0.0)
@@ -35,11 +32,10 @@ def _same_sign(x: float, y: float) -> bool:
 
 def solve_scalar(f: Callable[[float], float], bracket: Sequence[float]) -> float:
     """Root of f inside a sign-changing bracket, given in either order, by
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 4) until the bracket ends are adjacent floats: of the two, the one
-    with the smaller |f|.  A NaN from f raises NumericsError: it compares
-    false with every sign test and would otherwise end the search at an
-    arbitrary point."""
+    bisection until the midpoint rounds to an end: of the last two adjacent
+    floats, the one with the smaller |f|.  A NaN from f raises
+    NumericsError: it compares false with every sign test and would
+    otherwise end the search at an arbitrary point."""
     a, b = sorted(float(x) for x in bracket)
     fa, fb = f(a), f(b)
     if math.isnan(fa) or math.isnan(fb):
@@ -48,51 +44,17 @@ def solve_scalar(f: Callable[[float], float], bracket: Sequence[float]) -> float
         return a if fa == 0.0 else b
     if _same_sign(fa, fb):
         raise PhysicsDomainError(f"no sign change on bracket [{a}, {b}]")
-    # b is the best iterate, c the bracket end across the root and a the
-    # previous b; d is the last step and e the one before
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        mid = 0.5 * b + 0.5 * c     # halves before adding: no overflow
-        if not min(b, c) < mid < max(b, c):
-            (lo, f_lo), (hi, f_hi) = sorted(((b, fb), (c, fc)))
-            return lo if abs(f_lo) <= abs(f_hi) else hi
-        m, tol = mid - b, 2.0 * _EPS * abs(b)
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            # secant step, or inverse quadratic through a, b and c
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            previous, e = e, d
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * previous * q):
-                d = p / q
-            else:
-                d = e = m
+    while a < (m := 0.5 * a + 0.5 * b) < b:     # halves before adding: no overflow
+        fm = f(m)
+        if math.isnan(fm):
+            raise NumericsError(f"solve_scalar: f is NaN at {m}")
+        if fm == 0.0:
+            return m
+        if _same_sign(fm, fa):
+            a, fa = m, fm
         else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        if not min(a, c) < b < max(a, c):   # a step of tol onto or past c
-            b, d, e = mid, m, m
-        fb = f(b)
-        if math.isnan(fb):
-            raise NumericsError(f"solve_scalar: f is NaN at {b}")
-        if fb == 0.0:
-            return b
-        if _same_sign(fb, fc):
-            c, fc = a, fa
-            d = e = b - a
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,8 @@ def solve_removal_drive(threshold: float, requested_duration: float,
 
     The scattering rate saturates at Gamma/2, so a request needing an average
     excited population above the cap is extended to the minimal feasible
-    duration.  The drive is then solved by Brent's method in log Omega_L,
-    each step one closed-form resonant_photon_count, between a lower end
+    duration.  The drive is then solved by bisection in log Omega_L, each
+    step one closed-form resonant_photon_count, between a lower end
     that scatters at most half the threshold and Omega_L = 1e3 Gamma.
     """
     if threshold < 0 or requested_duration <= 0:

@@ -276,14 +276,12 @@ def require_profile(points: int, basis_size: int):
 
 
 def path_profile(p: DoubleGaussianPotential, a, basis_size: int):
-    """(minima, gaps, elements) at the displacements a >= 0, in any order:
-    the focus well tracked from 0 through the sorted points, then the gap and
-    coupling at every point from one stacked eigh."""
+    """(minima, gaps, elements) at the ascending displacements a >= 0: the
+    focus well tracked from 0 through the points, then the gap and coupling
+    at every point from one stacked eigh."""
     a = np.asarray(a, dtype=float)
     require_profile(a.size, basis_size)
-    order = np.argsort(a, kind="stable")
-    minima = np.empty_like(a)
-    minima[order] = track_minimum(p, np.append(0.0, a[order]))[1:]
+    minima = track_minimum(p, np.append(0.0, a))[1:]
     return (minima, *gap_and_element(p, a, minima, basis_size))
 
 

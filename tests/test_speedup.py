@@ -94,6 +94,12 @@ def test_track_minimum_requires_monotone_path():
         track_minimum(WELLS, [0.1, 0.2])
 
 
+def test_path_profile_refuses_unsorted_points():
+    # the well is tracked from 0 through the points in the order given
+    with pytest.raises(PhysicsDomainError, match="monotonically"):
+        path_profile(WELLS, [0.5, 0.2], basis_size=11)
+
+
 def test_track_minimum_reports_branch_merge():
     # a focus well too weak to survive the confinement gradient merges away
     weak = DoubleGaussianPotential(confine_depth=400.0, focus_depth=120.0,
